@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import model
 from ._search import bisect_decreasing
 from .lambertw import lambert_w0
-from .model import ChannelParams, Infeasible, ModelDomainError, Scenario
+from .model import ChannelParams, Infeasible, ModelDomainError, Scenario, SplitSums
 
 
 @dataclass(frozen=True)
@@ -60,27 +60,17 @@ class Case1Options:
     feas_rel: float = 1e-12
 
 
-@dataclass(frozen=True)
-class _SplitSums:
-    local_cycles: float
-    relay_cycles: float
-    bs_cycles: float
-    d1: float
-    d2: float
+# case 1 reports the relay's device-side terms under shorter names
+_BREAKDOWN_NAMES = {
+    "tx_md": "tx_md",
+    "tx_relay": "tx_relay_device",
+    "cpu_md": "cpu_md",
+    "cpu_relay": "cpu_relay_device",
+}
 
 
-def _split_sums(split: SplitIndices, scenario: Scenario) -> _SplitSums:
-    chain = scenario.device_chain
-    n = chain.n
-    if not (1 <= split.n1 <= split.n2 <= n + 1):
-        raise ValueError(f"split {split} violates 1 <= n1 <= n2 <= {n + 1}")
-    return _SplitSums(
-        local_cycles=chain.cycles_between(1, split.n1),
-        relay_cycles=chain.cycles_between(split.n1, split.n2),
-        bs_cycles=chain.cycles_between(split.n2, n + 1),
-        d1=chain.data(split.n1),
-        d2=chain.data(split.n2),
-    )
+def _sums(split: SplitIndices, scenario: Scenario) -> SplitSums:
+    return model.split_sums(scenario, split.n1, split.n2)
 
 
 def tau_from_lambda(
@@ -124,16 +114,17 @@ def deadline_lhs(lam: float, split: SplitIndices, scenario: Scenario) -> float:
     """
     if lam <= 0.0:
         raise ModelDomainError("dual multiplier must be positive")
-    sums = _split_sums(split, scenario)
+    return _completion_time(lam, _sums(split, scenario), scenario)
+
+
+def _completion_time(lam: float, sums: SplitSums, scenario: Scenario) -> float:
     compute = scenario.compute
     channel = scenario.channel
-    total = sums.bs_cycles / compute.f_bs_max
-    if sums.local_cycles > 0.0:
-        total += sums.local_cycles / freq_from_lambda(
-            lam, compute.kappa_md, compute.f_md_max
-        )
-    if sums.relay_cycles > 0.0:
-        total += sums.relay_cycles / freq_from_lambda(
+    total = sums.es / compute.f_bs_max
+    if sums.ls > 0.0:
+        total += sums.ls / freq_from_lambda(lam, compute.kappa_md, compute.f_md_max)
+    if sums.rs > 0.0:
+        total += sums.rs / freq_from_lambda(
             lam, compute.kappa_relay, compute.f_relay_max
         )
     total += tau_from_lambda(lam, sums.d1, channel.gain_md_relay, channel)
@@ -141,39 +132,41 @@ def deadline_lhs(lam: float, split: SplitIndices, scenario: Scenario) -> float:
     return total
 
 
+def _durations(
+    sums: SplitSums, tau1: float, tau2: float, f_local: float, f_relay: float
+) -> tuple[float, float, float, float, float, float]:
+    """The model's six durations: no relay upload and no relay-own block."""
+    t1 = model.compute_time(sums.ls, f_local)
+    t2 = model.compute_time(sums.rs, f_relay)
+    return tau1, tau2, 0.0, t1, t2, 0.0
+
+
 def _assemble_lower(
-    lam: float, split: SplitIndices, scenario: Scenario, deadline: float
+    lam: float, sums: SplitSums, scenario: Scenario, deadline: float
 ) -> Case1LowerSolution:
-    sums = _split_sums(split, scenario)
     compute = scenario.compute
     channel = scenario.channel
     f_local = (
         freq_from_lambda(lam, compute.kappa_md, compute.f_md_max)
-        if sums.local_cycles > 0.0
+        if sums.ls > 0.0
         else 0.0
     )
     f_relay = (
         freq_from_lambda(lam, compute.kappa_relay, compute.f_relay_max)
-        if sums.relay_cycles > 0.0
+        if sums.rs > 0.0
         else 0.0
     )
     tau1 = tau_from_lambda(lam, sums.d1, channel.gain_md_relay, channel)
     tau2 = tau_from_lambda(lam, sums.d2, channel.gain_relay_bs, channel)
-    energy = (
-        model.transmission_energy(sums.d1, tau1, channel.gain_md_relay, channel)
-        + model.transmission_energy(sums.d2, tau2, channel.gain_relay_bs, channel)
-        + model.compute_energy(sums.local_cycles, f_local, compute.kappa_md)
-        + model.compute_energy(sums.relay_cycles, f_relay, compute.kappa_relay)
-    )
-    slack = deadline - deadline_lhs(lam, split, scenario)
+    durations = _durations(sums, tau1, tau2, f_local, f_relay)
     return Case1LowerSolution(
         tau1=tau1,
         tau2=tau2,
         f_local=f_local,
         f_relay=f_relay,
         lam=lam,
-        energy=energy,
-        slack=slack,
+        energy=model.energy(sums, scenario, *durations),
+        slack=deadline - _completion_time(lam, sums, scenario),
     )
 
 
@@ -192,15 +185,15 @@ def solve_lower_case1(
     deadline = scenario.deadlines.t_s
     if deadline is None or deadline <= 0.0:
         raise model.ScenarioError("relay-idle case requires a positive t_s deadline")
-    sums = _split_sums(split, scenario)
+    sums = _sums(split, scenario)
     compute = scenario.compute
     channel = scenario.channel
 
-    lhs_cap = sums.bs_cycles / compute.f_bs_max
-    if sums.local_cycles > 0.0:
-        lhs_cap += sums.local_cycles / compute.f_md_max
-    if sums.relay_cycles > 0.0:
-        lhs_cap += sums.relay_cycles / compute.f_relay_max
+    lhs_cap = sums.es / compute.f_bs_max
+    if sums.ls > 0.0:
+        lhs_cap += sums.ls / compute.f_md_max
+    if sums.rs > 0.0:
+        lhs_cap += sums.rs / compute.f_relay_max
     if lhs_cap > deadline * (1.0 + options.feas_rel):
         raise Infeasible(
             f"split ({split.n1}, {split.n2}) cannot meet the deadline even at "
@@ -208,12 +201,7 @@ def solve_lower_case1(
             ("deadline",),
         )
 
-    lam_free = (
-        sums.local_cycles == 0.0
-        and sums.relay_cycles == 0.0
-        and sums.d1 == 0.0
-        and sums.d2 == 0.0
-    )
+    lam_free = sums.ls == 0.0 and sums.rs == 0.0 and sums.d1 == 0.0 and sums.d2 == 0.0
     if lam_free:
         # nothing depends on the multiplier: all work sits at the BS cap
         return Case1LowerSolution(
@@ -227,7 +215,7 @@ def solve_lower_case1(
         )
 
     def lhs(lam: float) -> float:
-        return deadline_lhs(lam, split, scenario)
+        return _completion_time(lam, sums, scenario)
 
     lam_hi = 2.0 * max(
         compute.kappa_md * compute.f_md_max**3,
@@ -259,7 +247,7 @@ def solve_lower_case1(
         rel_tol=options.bisect_rel,
         max_iter=options.max_bisect_iter,
     )
-    return _assemble_lower(lam, split, scenario, deadline)
+    return _assemble_lower(lam, sums, scenario, deadline)
 
 
 def kkt_residuals(
@@ -270,7 +258,7 @@ def kkt_residuals(
     Frequency stationarity is only meaningful off the cap (interior); at
     the cap the inactive entry is omitted.
     """
-    sums = _split_sums(split, scenario)
+    sums = _sums(split, scenario)
     channel = scenario.channel
     compute = scenario.compute
     lam = solution.lam
@@ -295,37 +283,15 @@ def kkt_residuals(
         scale = max(abs(t1), abs(t2), 1e-300)
         return (t1 + t2) / scale
 
-    if sums.local_cycles > 0.0 and solution.f_local < compute.f_md_max * (1 - 1e-12):
+    if sums.ls > 0.0 and solution.f_local < compute.f_md_max * (1 - 1e-12):
         out["f_local"] = freq_residual(solution.f_local, compute.kappa_md)
-    if sums.relay_cycles > 0.0 and solution.f_relay < compute.f_relay_max * (1 - 1e-12):
+    if sums.rs > 0.0 and solution.f_relay < compute.f_relay_max * (1 - 1e-12):
         out["f_relay"] = freq_residual(solution.f_relay, compute.kappa_relay)
 
     deadline = scenario.deadlines.t_s
     if deadline:
         out["primal"] = -solution.slack / deadline
     return out
-
-
-def _breakdown(
-    split: SplitIndices, lower: Case1LowerSolution, scenario: Scenario
-) -> dict[str, float]:
-    sums = _split_sums(split, scenario)
-    channel = scenario.channel
-    compute = scenario.compute
-    return {
-        "tx_md": model.transmission_energy(
-            sums.d1, lower.tau1, channel.gain_md_relay, channel
-        ),
-        "tx_relay": model.transmission_energy(
-            sums.d2, lower.tau2, channel.gain_relay_bs, channel
-        ),
-        "cpu_md": model.compute_energy(
-            sums.local_cycles, lower.f_local, compute.kappa_md
-        ),
-        "cpu_relay": model.compute_energy(
-            sums.relay_cycles, lower.f_relay, compute.kappa_relay
-        ),
-    }
 
 
 def solve_case1(
@@ -353,7 +319,7 @@ def solve_case1(
         1.0 + 1e-12
     )
 
-    best: Case1Solution | None = None
+    best: tuple[SplitIndices, Case1LowerSolution] | None = None
     for n1 in range(1, n + 2):
         for n2 in range(n1, n + 2):
             if (
@@ -370,16 +336,18 @@ def solve_case1(
                 lower = solve_lower_case1(split, scenario, options)
             except Infeasible:
                 continue
-            if best is None or lower.energy < best.lower.energy * (
-                1.0 - options.tie_rel
-            ):
-                best = Case1Solution(
-                    split=split,
-                    lower=lower,
-                    energy_breakdown=_breakdown(split, lower, scenario),
-                )
+            if best is None or lower.energy < best[1].energy * (1.0 - options.tie_rel):
+                best = (split, lower)
     if best is None:
         raise Infeasible(
             "globally infeasible: every split violates the deadline", ("deadline",)
         )
-    return best
+    split, lower = best
+    sums = _sums(split, scenario)
+    durations = _durations(sums, lower.tau1, lower.tau2, lower.f_local, lower.f_relay)
+    terms = model.energy_terms(sums, scenario, *durations)
+    return Case1Solution(
+        split=split,
+        lower=lower,
+        energy_breakdown={name: terms[key] for name, key in _BREAKDOWN_NAMES.items()},
+    )

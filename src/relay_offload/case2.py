@@ -23,7 +23,7 @@ import numpy as np
 from . import model, oracle
 from ._search import bisect_decreasing, golden_section
 from .case1 import tau_from_lambda
-from .model import Infeasible, ModelDomainError, Scenario
+from .model import Infeasible, ModelDomainError, Scenario, SplitSums
 
 
 class SchemeId(Enum):
@@ -95,37 +95,17 @@ class Case2Options:
     descent_stall_rel: float = 1e-9
 
 
-@dataclass(frozen=True)
-class _ChainSums:
-    ls: float  # device cycles computed locally
-    rs: float  # device cycles computed at the relay
-    es: float  # device cycles computed at the BS
-    lr: float  # relay cycles computed at the relay
-    er: float  # relay cycles computed at the BS
-    d1: float
-    d2: float
-    d3: float
+def _sums(indices: Case2Indices, scenario: Scenario) -> SplitSums:
+    return model.split_sums(scenario, indices.n1, indices.n2, indices.m1)
 
 
-def _sums(indices: Case2Indices, scenario: Scenario) -> _ChainSums:
-    device = scenario.device_chain
-    relay = scenario.relay_chain
-    if relay is None:
-        raise model.ScenarioError("case-2 solver requires a relay task chain")
-    n, m = device.n, relay.n
-    if not (1 <= indices.n1 <= indices.n2 <= n + 1):
-        raise ValueError(f"indices {indices} violate 1 <= n1 <= n2 <= {n + 1}")
-    if not (1 <= indices.m1 <= m + 1):
-        raise ValueError(f"indices {indices} violate 1 <= m1 <= {m + 1}")
-    return _ChainSums(
-        ls=device.cycles_between(1, indices.n1),
-        rs=device.cycles_between(indices.n1, indices.n2),
-        es=device.cycles_between(indices.n2, n + 1),
-        lr=relay.cycles_between(1, indices.m1),
-        er=relay.cycles_between(indices.m1, m + 1),
-        d1=device.data(indices.n1),
-        d2=device.data(indices.n2),
-        d3=relay.data(indices.m1),
+def _infeasible(
+    scheme: SchemeId, indices: Case2Indices, *constraints: str
+) -> Infeasible:
+    return Infeasible(
+        f"scheme {scheme.value} infeasible for indices "
+        f"({indices.n1}, {indices.n2}, {indices.m1})",
+        constraints,
     )
 
 
@@ -142,45 +122,6 @@ def tau_s_minimal(indices: Case2Indices, scenario: Scenario) -> float:
     """Smallest admissible BS slot for the device's offloaded work."""
     sums = _sums(indices, scenario)
     return sums.es / scenario.compute.f_bs_max
-
-
-def _cpu_block_energy(cycles: float, duration: float, kappa: float) -> float:
-    if cycles <= 0.0:
-        return 0.0
-    if duration <= 0.0:
-        return math.inf
-    return kappa * cycles**3 / (duration * duration)
-
-
-def _tx_energy_or_inf(d: float, tau: float, gain: float, scenario: Scenario) -> float:
-    if d <= 0.0:
-        return 0.0
-    if tau <= 0.0:
-        return math.inf
-    arg = d / (tau * scenario.channel.bandwidth)
-    if arg > model.EXP_ARG_MAX:
-        return math.inf
-    return scenario.channel.noise * tau / gain * math.expm1(arg)
-
-
-def scheme_objective(
-    assignment: dict[str, float], indices: Case2Indices, scenario: Scenario
-) -> float:
-    """Total energy of a raw variable assignment.
-
-    The objective is identical across the three schemes; only the
-    constraint sets differ.  Keys: tau1, tau2, tau3, T1, T2, T3.
-    """
-    sums = _sums(indices, scenario)
-    ch, co = scenario.channel, scenario.compute
-    return (
-        _tx_energy_or_inf(sums.d1, assignment.get("tau1", 0.0), ch.gain_md_relay, scenario)
-        + _tx_energy_or_inf(sums.d2, assignment.get("tau2", 0.0), ch.gain_relay_bs, scenario)
-        + _tx_energy_or_inf(sums.d3, assignment.get("tau3", 0.0), ch.gain_relay_bs, scenario)
-        + _cpu_block_energy(sums.ls, assignment.get("T1", 0.0), co.kappa_md)
-        + _cpu_block_energy(sums.rs, assignment.get("T2", 0.0), co.kappa_relay)
-        + _cpu_block_energy(sums.lr, assignment.get("T3", 0.0), co.kappa_relay)
-    )
 
 
 def _balance_rhs(tau3: float, d3: float, scenario: Scenario) -> float:
@@ -208,13 +149,16 @@ def t3_from_tau3(tau3: float, m1: int, scenario: Scenario) -> float:
     unique T3 > 0; empty own block (m1 = 1) returns 0 without touching the
     balance equation.
     """
-    relay = scenario.relay_chain
-    if relay is None:
+    if scenario.relay_chain is None:
         raise model.ScenarioError("t3_from_tau3 requires a relay chain")
-    lr = relay.cycles_between(1, m1)
+    # the own block depends on the relay split only
+    return _own_block(tau3, model.split_sums(scenario, 1, 1, m1), scenario)
+
+
+def _own_block(tau3: float, sums: SplitSums, scenario: Scenario) -> float:
+    lr, d3 = sums.lr, sums.d3
     if lr <= 0.0:
         return 0.0
-    d3 = relay.data(m1)
     if d3 <= 0.0:
         raise ModelDomainError(
             "balance equation degenerates for zero offloaded data; "
@@ -231,7 +175,7 @@ def t3_from_tau3(tau3: float, m1: int, scenario: Scenario) -> float:
 
 
 def _cap_violations(
-    sums: _ChainSums, t1: float, t2: float, t3: float, scenario: Scenario
+    sums: SplitSums, t1: float, t2: float, t3: float, scenario: Scenario
 ) -> tuple[str, ...]:
     co = scenario.compute
     out = []
@@ -264,7 +208,7 @@ def scheme1_evaluate(
     tol = options.feas_tol
 
     if sums.lr > 0.0 and sums.d3 > 0.0:
-        t3 = t3_from_tau3(tau3, indices.m1, scenario)
+        t3 = _own_block(tau3, sums, scenario)
     elif sums.lr > 0.0:
         raise ModelDomainError("degenerate split: use the numeric path")
     else:
@@ -291,14 +235,7 @@ def scheme1_evaluate(
     if tau_s > min(relay_window, device_window) + tol:
         return None
 
-    energy = (
-        _tx_energy_or_inf(sums.d1, tau1, ch.gain_md_relay, scenario)
-        + _tx_energy_or_inf(sums.d2, tau2, ch.gain_relay_bs, scenario)
-        + _tx_energy_or_inf(sums.d3, tau3, ch.gain_relay_bs, scenario)
-        + _cpu_block_energy(sums.ls, t1, co.kappa_md)
-        + _cpu_block_energy(sums.rs, t2, co.kappa_relay)
-        + _cpu_block_energy(sums.lr, t3, co.kappa_relay)
-    )
+    energy = model.energy(sums, scenario, tau1, tau2, tau3, t1, t2, t3)
 
     lam = 0.0 if t1_interior >= floor else psi - (
         2.0 * co.kappa_md * sums.ls**3 / t1**3 if sums.ls > 0 else 0.0
@@ -328,7 +265,7 @@ def _psi_candidate(
     t3: float,
     indices: Case2Indices,
     scenario: Scenario,
-    sums: _ChainSums,
+    sums: SplitSums,
     options: Case2Options,
 ) -> Case2LowerSolution | None:
     """Drive the device-side time budget to its deadline by bisecting psi.
@@ -411,17 +348,13 @@ def _solve_scheme1_degenerate(
     """
     sums = _sums(indices, scenario)
     t0, ts, tr = _deadline_triple(scenario)
-    ch, co = scenario.channel, scenario.compute
+    co = scenario.compute
     tau_s = sums.es / co.f_bs_max
     budget = ts - tau_s
     window_t3 = tr - t0 - tau_s - sums.er / co.f_bs_max
 
     if not _numeric_feasible(SchemeId.S1, sums, scenario, options.feas_tol):
-        raise Infeasible(
-            f"scheme S1 infeasible for indices ({indices.n1}, {indices.n2}, "
-            f"{indices.m1})",
-            ("bs_capacity", "deadline"),
-        )
+        raise _infeasible(SchemeId.S1, indices, "bs_capacity", "deadline")
 
     if sums.d2 > 0.0:
         absorber = "tau2"
@@ -466,23 +399,22 @@ def _solve_scheme1_degenerate(
         values = assemble(x)
         if values is None:
             return math.inf
-        return (
-            _tx_energy_or_inf(sums.d1, values["tau1"], ch.gain_md_relay, scenario)
-            + _tx_energy_or_inf(sums.d2, values["tau2"], ch.gain_relay_bs, scenario)
-            + _cpu_block_energy(sums.ls, values["T1"], co.kappa_md)
-            + _cpu_block_energy(sums.rs, values["T2"], co.kappa_relay)
-            + _cpu_block_energy(sums.lr, values["T3"], co.kappa_relay)
+        return model.energy(
+            sums,
+            scenario,
+            values["tau1"],
+            values["tau2"],
+            0.0,
+            values["T1"],
+            values["T2"],
+            values["T3"],
         )
 
     if not names:
         # fully determined: only the absorbed variable remains
         values = assemble(np.zeros(0))
         if values is None:
-            raise Infeasible(
-                f"scheme S1 infeasible for indices ({indices.n1}, {indices.n2}, "
-                f"{indices.m1})",
-                ("bs_capacity", "deadline"),
-            )
+            raise _infeasible(SchemeId.S1, indices, "bs_capacity", "deadline")
         energy = objective(np.zeros(0))
     else:
         eps = 1e-12 * max(ts, tr)
@@ -507,11 +439,7 @@ def _solve_scheme1_degenerate(
             ):
                 best = result
         if best is None:
-            raise Infeasible(
-                f"scheme S1 infeasible for indices ({indices.n1}, {indices.n2}, "
-                f"{indices.m1})",
-                ("bs_capacity", "deadline"),
-            )
+            raise _infeasible(SchemeId.S1, indices, "bs_capacity", "deadline")
         polish = oracle.projected_descent(
             objective,
             box.project,
@@ -569,15 +497,11 @@ def solve_scheme1(
     if sums.d3 <= 0.0:
         candidate = _psi_candidate(0.0, 0.0, indices, scenario, sums, options)
         if candidate is None or not math.isfinite(candidate.energy):
-            raise Infeasible(
-                f"scheme S1 infeasible for indices ({indices.n1}, {indices.n2}, "
-                f"{indices.m1})",
-                ("bs_capacity", "device_deadline"),
-            )
+            raise _infeasible(SchemeId.S1, indices, "bs_capacity", "device_deadline")
         return candidate
 
     def block_for(tau3: float) -> float:
-        return t3_from_tau3(tau3, indices.m1, scenario) if sums.lr > 0.0 else 0.0
+        return _own_block(tau3, sums, scenario)
 
     def feasible_at(tau3: float) -> bool:
         t3 = block_for(tau3)
@@ -593,11 +517,7 @@ def solve_scheme1(
         )
     lo_probe = span * 1e-9
     if not feasible_at(lo_probe):
-        raise Infeasible(
-            f"scheme S1 infeasible for indices ({indices.n1}, {indices.n2}, "
-            f"{indices.m1})",
-            ("bs_capacity", "device_deadline"),
-        )
+        raise _infeasible(SchemeId.S1, indices, "bs_capacity", "device_deadline")
     if feasible_at(span):
         tau3_ub = span
     else:
@@ -624,11 +544,7 @@ def solve_scheme1(
     values = [evaluate(t) for t in scan]
     order = int(np.argmin(values))
     if not math.isfinite(values[order]):
-        raise Infeasible(
-            f"scheme S1 infeasible for indices ({indices.n1}, {indices.n2}, "
-            f"{indices.m1})",
-            ("bs_capacity", "device_deadline"),
-        )
+        raise _infeasible(SchemeId.S1, indices, "bs_capacity", "device_deadline")
     left = scan[order - 1] if order > 0 else scan[order] * 0.1
     right = scan[order + 1] if order + 1 < len(scan) else tau3_ub
     tau3_star, value = golden_section(
@@ -647,11 +563,7 @@ def solve_scheme1(
             scenario, sums, options,
         )
     if best is None or not math.isfinite(best.energy):
-        raise Infeasible(
-            f"scheme S1 infeasible for indices ({indices.n1}, {indices.n2}, "
-            f"{indices.m1})",
-            ("bs_capacity", "device_deadline"),
-        )
+        raise _infeasible(SchemeId.S1, indices, "bs_capacity", "device_deadline")
     return best
 
 
@@ -662,7 +574,7 @@ _VAR_ORDER = ("tau1", "tau2", "tau3", "T1", "T2", "T3")
 
 def _numeric_constraints(
     scheme: SchemeId,
-    sums: _ChainSums,
+    sums: SplitSums,
     scenario: Scenario,
     n_vars: int,
     free_tau0: bool,
@@ -718,7 +630,7 @@ def _numeric_constraints(
 
 
 def _numeric_box(
-    scheme: SchemeId, sums: _ChainSums, scenario: Scenario, n_vars: int
+    scheme: SchemeId, sums: SplitSums, scenario: Scenario, n_vars: int
 ) -> oracle.Box:
     t0, ts, tr = _deadline_triple(scenario)
     horizon = max(ts, tr)
@@ -739,7 +651,7 @@ def _numeric_box(
 
 
 def _numeric_feasible(
-    scheme: SchemeId, sums: _ChainSums, scenario: Scenario, tol: float
+    scheme: SchemeId, sums: SplitSums, scenario: Scenario, tol: float
 ) -> bool:
     """Exact nonemptiness test of the scheme's constraint polytope.
 
@@ -756,7 +668,7 @@ def _numeric_feasible(
     return t0 + tau_s <= ts + tol and t0 + tau_s + bs_relay_time <= tr + tol
 
 
-def _solve_numeric(
+def solve_scheme_numeric(
     scheme: SchemeId,
     indices: Case2Indices,
     scenario: Scenario,
@@ -766,16 +678,27 @@ def _solve_numeric(
     warm_start: Case2LowerSolution | None = None,
     warm_only: bool = False,
 ) -> Case2LowerSolution:
+    """Numerically minimize Scheme 2 or 3 at a fixed split.
+
+    The relay-own transmission gap of Scheme 3 is pinned to zero (its
+    optimal value); pass ``free_tau0=True`` to optimize it explicitly,
+    which exists so tests can confirm the pin never loses energy.
+    ``warm_only`` restricts the search to descend from ``warm_start``,
+    for perturbation studies against a known solution.
+    """
+    if scheme is SchemeId.S1:
+        raise ValueError("scheme 1 is handled by solve_scheme1")
+    if free_tau0 and scheme is not SchemeId.S3:
+        raise ValueError("tau0 exists only in scheme 3")
+    if warm_only and warm_start is None:
+        raise ValueError("warm_only requires a warm_start")
     sums = _sums(indices, scenario)
     t0, ts, tr = _deadline_triple(scenario)
-    ch, co = scenario.channel, scenario.compute
     horizon = max(ts, tr)
 
     if not _numeric_feasible(scheme, sums, scenario, options.feas_tol):
-        raise Infeasible(
-            f"scheme {scheme.value} infeasible for indices ({indices.n1}, "
-            f"{indices.n2}, {indices.m1})",
-            ("scheme_ordering", "bs_capacity", "deadline"),
+        raise _infeasible(
+            scheme, indices, "scheme_ordering", "bs_capacity", "deadline"
         )
 
     n_vars = 6
@@ -809,11 +732,7 @@ def _solve_numeric(
         coeffs = halfspace.a[active]
         if not np.any(coeffs):
             if halfspace.b < -options.feas_tol:
-                raise Infeasible(
-                    f"scheme {scheme.value} infeasible for indices "
-                    f"({indices.n1}, {indices.n2}, {indices.m1})",
-                    ("scheme_ordering",),
-                )
+                raise _infeasible(scheme, indices, "scheme_ordering")
             continue
         sets.append(oracle.Halfspace(a=coeffs, b=halfspace.b))
 
@@ -825,14 +744,7 @@ def _solve_numeric(
 
     def objective(reduced: np.ndarray) -> float:
         x = embed(reduced)
-        return (
-            _tx_energy_or_inf(sums.d1, float(x[0]), ch.gain_md_relay, scenario)
-            + _tx_energy_or_inf(sums.d2, float(x[1]), ch.gain_relay_bs, scenario)
-            + _tx_energy_or_inf(sums.d3, float(x[2]), ch.gain_relay_bs, scenario)
-            + _cpu_block_energy(sums.ls, float(x[3]), co.kappa_md)
-            + _cpu_block_energy(sums.rs, float(x[4]), co.kappa_relay)
-            + _cpu_block_energy(sums.lr, float(x[5]), co.kappa_relay)
-        )
+        return model.energy(sums, scenario, *x[:6].tolist())
 
     starts = []
     if warm_start is not None:
@@ -912,65 +824,27 @@ def _solve_numeric(
                     converged=polish.converged,
                 )
     if best is None:
-        raise Infeasible(
-            f"scheme {scheme.value} infeasible for indices ({indices.n1}, "
-            f"{indices.n2}, {indices.m1})",
-            ("scheme_ordering", "bs_capacity", "deadline"),
+        raise _infeasible(
+            scheme, indices, "scheme_ordering", "bs_capacity", "deadline"
         )
 
     # sub-tolerance negatives from the projection round to exact zeros
     x = np.maximum(embed(best.point), 0.0)
     energy = objective(x[active])
-    solution = Case2LowerSolution(
+    return Case2LowerSolution(
         tau1=float(x[0]),
         tau2=float(x[1]),
         tau3=float(x[2]),
         t1=float(x[3]),
         t2=float(x[4]),
         t3=float(x[5]),
-        tau_s=sums.es / co.f_bs_max,
+        tau_s=sums.es / scenario.compute.f_bs_max,
         psi=math.nan,
         lam=math.nan,
         eta1=math.nan,
         eta2=math.nan,
         energy=energy,
         cap_violations=_cap_violations(sums, float(x[3]), float(x[4]), float(x[5]), scenario),
-    )
-    return solution
-
-
-def solve_scheme_numeric(
-    scheme: SchemeId,
-    indices: Case2Indices,
-    scenario: Scenario,
-    options: Case2Options = Case2Options(),
-    *,
-    free_tau0: bool = False,
-    warm_start: Case2LowerSolution | None = None,
-    warm_only: bool = False,
-) -> Case2LowerSolution:
-    """Numerically minimize Scheme 2 or 3 at a fixed split.
-
-    The relay-own transmission gap of Scheme 3 is pinned to zero (its
-    optimal value); pass ``free_tau0=True`` to optimize it explicitly,
-    which exists so tests can confirm the pin never loses energy.
-    ``warm_only`` restricts the search to descend from ``warm_start``,
-    for perturbation studies against a known solution.
-    """
-    if scheme is SchemeId.S1:
-        raise ValueError("scheme 1 is handled by solve_scheme1")
-    if free_tau0 and scheme is not SchemeId.S3:
-        raise ValueError("tau0 exists only in scheme 3")
-    if warm_only and warm_start is None:
-        raise ValueError("warm_only requires a warm_start")
-    return _solve_numeric(
-        scheme,
-        indices,
-        scenario,
-        options,
-        free_tau0=free_tau0,
-        warm_start=warm_start,
-        warm_only=warm_only,
     )
 
 
@@ -1018,25 +892,6 @@ def kkt_residuals_scheme1(
     return out
 
 
-def _breakdown(
-    lower: Case2LowerSolution, indices: Case2Indices, scenario: Scenario
-) -> dict[str, float]:
-    sums = _sums(indices, scenario)
-    ch, co = scenario.channel, scenario.compute
-    return {
-        "tx_md": _tx_energy_or_inf(sums.d1, lower.tau1, ch.gain_md_relay, scenario),
-        "tx_relay_device": _tx_energy_or_inf(
-            sums.d2, lower.tau2, ch.gain_relay_bs, scenario
-        ),
-        "tx_relay_own": _tx_energy_or_inf(
-            sums.d3, lower.tau3, ch.gain_relay_bs, scenario
-        ),
-        "cpu_md": _cpu_block_energy(sums.ls, lower.t1, co.kappa_md),
-        "cpu_relay_device": _cpu_block_energy(sums.rs, lower.t2, co.kappa_relay),
-        "cpu_relay_own": _cpu_block_energy(sums.lr, lower.t3, co.kappa_relay),
-    }
-
-
 def solve_scheme(
     scheme: SchemeId,
     indices: Case2Indices,
@@ -1077,7 +932,7 @@ def solve_case2(
     if t0 < 0.0:
         raise model.ScenarioError("relay task arrival must be nonnegative")
 
-    best: Case2Solution | None = None
+    best: tuple[SchemeId, Case2Indices, Case2LowerSolution] | None = None
     for scheme in (SchemeId.S1, SchemeId.S2, SchemeId.S3):
         for n1 in range(1, device.n + 2):
             for n2 in range(n1, device.n + 2):
@@ -1098,18 +953,22 @@ def solve_case2(
                         continue
                     if not math.isfinite(lower.energy):
                         continue
-                    if best is None or lower.energy < best.lower.energy * (
+                    if best is None or lower.energy < best[2].energy * (
                         1.0 - options.tie_rel
                     ):
-                        best = Case2Solution(
-                            scheme=scheme,
-                            indices=indices,
-                            lower=lower,
-                            energy_breakdown=_breakdown(lower, indices, scenario),
-                        )
+                        best = (scheme, indices, lower)
     if best is None:
         raise Infeasible(
             "globally infeasible: no scheme and split meets both deadlines",
             ("deadline",),
         )
-    return best
+    scheme, indices, lower = best
+    durations = (lower.tau1, lower.tau2, lower.tau3, lower.t1, lower.t2, lower.t3)
+    return Case2Solution(
+        scheme=scheme,
+        indices=indices,
+        lower=lower,
+        energy_breakdown=model.energy_terms(
+            _sums(indices, scenario), scenario, *durations
+        ),
+    )

@@ -1,8 +1,8 @@
 """Physical model of the relay-aided offloading system.
 
-Task chains, channel and CPU parameters, the Shannon transmission-energy
-formula, the cubic CPU energy model, scenario validation, and the scenario
-JSON wire format.
+Task chains, channel and CPU parameters, the per-split cycle and data
+totals, the Shannon transmission-energy formula, the cubic CPU energy
+model, scenario validation, and the scenario JSON wire format.
 """
 
 from __future__ import annotations
@@ -157,6 +157,147 @@ class Violation:
         return f"{self.severity}: {self.where}: {self.message}"
 
 
+@dataclass(frozen=True)
+class SplitSums:
+    """Cycle and data totals of one split.
+
+    Device cycles computed locally (``ls``), at the relay (``rs``) and at
+    the BS (``es``); the relay's own cycles kept at the relay (``lr``) and
+    sent to the BS (``er``); the data the device uploads (``d1``), the
+    relay forwards for the device (``d2``) and the relay uploads for
+    itself (``d3``).  The relay-chain fields are zero when the relay is
+    idle.
+    """
+
+    ls: float
+    rs: float
+    es: float
+    lr: float
+    er: float
+    d1: float
+    d2: float
+    d3: float
+
+
+def split_sums(
+    scenario: Scenario, n1: int, n2: int, m1: int | None = None
+) -> SplitSums:
+    """Totals of the split that sends device tasks n1.. to the relay, n2..
+    to the BS and, when ``m1`` is given, relay tasks m1.. to the BS."""
+    device = scenario.device_chain
+    n = device.n
+    if not (1 <= n1 <= n2 <= n + 1):
+        raise ValueError(f"split ({n1}, {n2}) violates 1 <= n1 <= n2 <= {n + 1}")
+    lr = er = d3 = 0.0
+    if m1 is not None:
+        relay = scenario.relay_chain
+        if relay is None:
+            raise ScenarioError("a relay split requires a relay task chain")
+        if not (1 <= m1 <= relay.n + 1):
+            raise ValueError(f"relay split {m1} violates 1 <= m1 <= {relay.n + 1}")
+        lr = relay.cycles_between(1, m1)
+        er = relay.cycles_between(m1, relay.n + 1)
+        d3 = relay.data(m1)
+    return SplitSums(
+        ls=device.cycles_between(1, n1),
+        rs=device.cycles_between(n1, n2),
+        es=device.cycles_between(n2, n + 1),
+        lr=lr,
+        er=er,
+        d1=device.data(n1),
+        d2=device.data(n2),
+        d3=d3,
+    )
+
+
+def _transmit_term(d: float, tau: float, gain: float, channel: ChannelParams) -> float:
+    """(noise * tau / gain) * (e^{d/(tau*B)} - 1); inf when tau is infeasible."""
+    if d <= 0.0:
+        return 0.0
+    if tau <= 0.0:
+        return math.inf
+    arg = d / (tau * channel.bandwidth)
+    if arg > EXP_ARG_MAX:
+        return math.inf
+    return channel.noise * tau / gain * math.expm1(arg)
+
+
+def _compute_term(cycles: float, duration: float, kappa: float) -> float:
+    """kappa * cycles^3 / duration^2; inf when the duration is infeasible."""
+    if cycles <= 0.0:
+        return 0.0
+    if duration <= 0.0:
+        return math.inf
+    return kappa * cycles**3 / (duration * duration)
+
+
+# breakdown order; totals add the terms left to right in this order
+ENERGY_TERMS = (
+    "tx_md",
+    "tx_relay_device",
+    "tx_relay_own",
+    "cpu_md",
+    "cpu_relay_device",
+    "cpu_relay_own",
+)
+
+
+def _term_values(
+    sums: SplitSums,
+    scenario: Scenario,
+    tau1: float,
+    tau2: float,
+    tau3: float,
+    t1: float,
+    t2: float,
+    t3: float,
+) -> tuple[float, float, float, float, float, float]:
+    ch, co = scenario.channel, scenario.compute
+    return (
+        _transmit_term(sums.d1, tau1, ch.gain_md_relay, ch),
+        _transmit_term(sums.d2, tau2, ch.gain_relay_bs, ch),
+        _transmit_term(sums.d3, tau3, ch.gain_relay_bs, ch),
+        _compute_term(sums.ls, t1, co.kappa_md),
+        _compute_term(sums.rs, t2, co.kappa_relay),
+        _compute_term(sums.lr, t3, co.kappa_relay),
+    )
+
+
+def energy_terms(
+    sums: SplitSums,
+    scenario: Scenario,
+    tau1: float,
+    tau2: float,
+    tau3: float,
+    t1: float,
+    t2: float,
+    t3: float,
+) -> dict[str, float]:
+    """Energy breakdown of a split at the given durations.
+
+    tau1..tau3 are the transmit durations of d1..d3; t1, t2, t3 the
+    compute-block durations of ls, rs and lr.  A term is inf when its
+    duration cannot carry its load.
+    """
+    values = _term_values(sums, scenario, tau1, tau2, tau3, t1, t2, t3)
+    return dict(zip(ENERGY_TERMS, values))
+
+
+def energy(
+    sums: SplitSums,
+    scenario: Scenario,
+    tau1: float,
+    tau2: float,
+    tau3: float,
+    t1: float,
+    t2: float,
+    t3: float,
+) -> float:
+    """Total of :func:`energy_terms`, added left to right."""
+    a, b, c, d, e, f = _term_values(sums, scenario, tau1, tau2, tau3, t1, t2, t3)
+    return a + b + c + d + e + f
+
+
 def transmission_energy(
     data_nats: float, duration_s: float, gain: float, channel: ChannelParams
 ) -> float:
@@ -180,11 +321,12 @@ def transmission_energy(
         raise DurationTooSmall(
             f"duration infeasibly small: exponent {arg:.3g} overflows"
         )
-    return channel.noise * duration_s / gain * math.expm1(arg)
+    return _transmit_term(data_nats, duration_s, gain, channel)
 
 
 def compute_energy(cycles: float, frequency_hz: float, kappa: float) -> float:
-    """CPU energy kappa * cycles * f^2; zero work costs nothing."""
+    """CPU energy kappa * cycles * f^2, i.e. kappa * cycles^3 / T^2 over the
+    block time T = cycles / f; zero work costs nothing."""
     if kappa <= 0.0:
         raise ModelDomainError("energy coefficient must be positive")
     if cycles < 0.0:
@@ -193,7 +335,7 @@ def compute_energy(cycles: float, frequency_hz: float, kappa: float) -> float:
         return 0.0
     if frequency_hz <= 0.0:
         raise ModelDomainError("frequency must be positive for nonzero work")
-    return kappa * cycles * frequency_hz * frequency_hz
+    return _compute_term(cycles, cycles / frequency_hz, kappa)
 
 
 def compute_time(cycles: float, frequency_hz: float) -> float:

@@ -8,7 +8,6 @@ and simple.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -53,19 +52,20 @@ class GridResult:
     round_values: list[float]
 
 
+# grid points evaluated per batch, which bounds the memory of a round
+_CHUNK = 1 << 18
+
+
 def grid_minimize(
-    objective: Callable,
-    feasible: Callable | None,
+    objective: Callable[[np.ndarray], np.ndarray],
+    feasible: Callable[[np.ndarray], np.ndarray] | None,
     spec: GridSpec,
-    *,
-    vectorized: bool = False,
-    chunk_size: int = 1 << 18,
 ) -> GridResult:
     """Best feasible grid point after iterative shrink-refinement.
 
     Each round re-grids a window shrunk ``spec.shrink``-fold around the
-    incumbent, clipped to the original bounds.  In vectorized mode the
-    callables receive a (k, n) array and return length-k arrays.
+    incumbent, clipped to the original bounds.  The callables receive a
+    (k, n) array of points and return length-k arrays.
     """
     bounds = [(ax.lo, ax.hi) for ax in spec.axes]
     windows = list(bounds)
@@ -80,37 +80,25 @@ def grid_minimize(
         grids = [np.linspace(lo, hi, pts) for (lo, hi), pts in zip(windows, counts)]
         shape = tuple(counts)
         total = int(np.prod(shape))
-        if vectorized:
-            for start in range(0, total, chunk_size):
-                flat = np.arange(start, min(start + chunk_size, total))
-                coords = np.unravel_index(flat, shape)
-                points = np.column_stack(
-                    [grids[d][coords[d]] for d in range(ndim)]
-                )
-                mask = (
-                    np.asarray(feasible(points), dtype=bool)
-                    if feasible is not None
-                    else np.ones(len(points), dtype=bool)
-                )
-                if not mask.any():
-                    continue
-                candidates = points[mask]
-                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                    values = np.asarray(objective(candidates), dtype=float)
-                values = np.where(np.isfinite(values), values, np.inf)
-                k = int(np.argmin(values))
-                if values[k] < best_value:
-                    best_value = float(values[k])
-                    best_point = candidates[k].copy()
-        else:
-            for combo in itertools.product(*grids):
-                x = np.array(combo, dtype=float)
-                if feasible is not None and not feasible(x):
-                    continue
-                value = objective(x)
-                if math.isfinite(value) and value < best_value:
-                    best_value = value
-                    best_point = x.copy()
+        for start in range(0, total, _CHUNK):
+            flat = np.arange(start, min(start + _CHUNK, total))
+            coords = np.unravel_index(flat, shape)
+            points = np.column_stack([grids[d][coords[d]] for d in range(ndim)])
+            mask = (
+                np.asarray(feasible(points), dtype=bool)
+                if feasible is not None
+                else np.ones(len(points), dtype=bool)
+            )
+            if not mask.any():
+                continue
+            candidates = points[mask]
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                values = np.asarray(objective(candidates), dtype=float)
+            values = np.where(np.isfinite(values), values, np.inf)
+            k = int(np.argmin(values))
+            if values[k] < best_value:
+                best_value = float(values[k])
+                best_point = candidates[k].copy()
 
         if best_point is None:
             raise NoFeasiblePoint("no feasible point found on the grid")
@@ -210,27 +198,6 @@ def dykstra_project(
     return x
 
 
-def cyclic_project(
-    sets: Sequence[ConvexSet],
-    x: np.ndarray,
-    *,
-    max_sweeps: int = 60,
-    tol: float = 1e-12,
-) -> np.ndarray:
-    """Cheap feasibility projection: cyclic sweeps without corrections.
-
-    Lands on a nearby feasible point rather than the nearest one; good
-    enough inside descent line searches where only feasibility matters.
-    """
-    x = np.asarray(x, dtype=float).copy()
-    for _ in range(max_sweeps):
-        for s in sets:
-            x = s.project(x)
-        if max_violation(sets, x) <= tol:
-            break
-    return x
-
-
 class _PolytopeProjector:
     """Cyclic projector for small box-plus-halfspace systems.
 
@@ -322,15 +289,10 @@ class _PolytopeProjector:
 def make_projection(
     sets: Sequence[ConvexSet],
     *,
-    exact: bool = False,
-    max_sweeps: int | None = None,
+    max_sweeps: int = 60,
     tol: float = 1e-12,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    if exact:
-        sweeps = max_sweeps if max_sweeps is not None else 200
-        return lambda x: dykstra_project(sets, x, max_sweeps=sweeps, tol=tol)
-    sweeps = max_sweeps if max_sweeps is not None else 60
-    return _PolytopeProjector(sets, tol, sweeps)
+    return _PolytopeProjector(sets, tol, max_sweeps)
 
 
 # --- projected gradient descent --------------------------------------------
@@ -574,12 +536,7 @@ def case1_lower_reference(
                 assignment[f"f_{i}"] = co.f_bs_max
         return ReferenceSolution(value=value, assignment=assignment)
 
-    result = grid_minimize(
-        objective,
-        feasible,
-        GridSpec(tuple(axes), rounds=rounds),
-        vectorized=True,
-    )
+    result = grid_minimize(objective, feasible, GridSpec(tuple(axes), rounds=rounds))
     assignment = {label: float(result.point[col[label]]) for label in labels}
     if absorber is not None:
         slack = deadline - float(
@@ -748,12 +705,7 @@ def case2_lower_reference(
             ok &= t0 + t3 + tau3 + tau_s + er / co.f_bs_max <= tr + tol
         return ok
 
-    result = grid_minimize(
-        objective,
-        feasible,
-        GridSpec(tuple(axes), rounds=rounds),
-        vectorized=True,
-    )
+    result = grid_minimize(objective, feasible, GridSpec(tuple(axes), rounds=rounds))
     point = result.point[None, :]
     assignment = {label: float(result.point[col[label]]) for label in labels}
     if absorber is not None:

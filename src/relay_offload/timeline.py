@@ -16,7 +16,7 @@ from enum import Enum
 
 from .case1 import Case1Solution
 from .case2 import Case2Solution, SchemeId
-from .model import Scenario
+from .model import Scenario, split_sums
 
 _TOL = 1e-9
 
@@ -136,20 +136,15 @@ def _check_deadline(name: str, completion: float, deadline: float) -> None:
 
 
 def _build_case1(solution: Case1Solution, scenario: Scenario) -> Timeline:
-    split = solution.split
     lower = solution.lower
-    chain = scenario.device_chain
-    compute = scenario.compute
     deadline = scenario.deadlines.t_s
     if deadline is None:
         raise TimelineError("scenario lacks the relay-idle deadline")
 
-    local_cycles = chain.cycles_between(1, split.n1)
-    relay_cycles = chain.cycles_between(split.n1, split.n2)
-    bs_cycles = chain.cycles_between(split.n2, chain.n + 1)
-    local_time = local_cycles / lower.f_local if local_cycles > 0 else 0.0
-    relay_time = relay_cycles / lower.f_relay if relay_cycles > 0 else 0.0
-    bs_time = bs_cycles / compute.f_bs_max
+    sums = split_sums(scenario, solution.split.n1, solution.split.n2)
+    local_time = sums.ls / lower.f_local if sums.ls > 0 else 0.0
+    relay_time = sums.rs / lower.f_relay if sums.rs > 0 else 0.0
+    bs_time = sums.es / scenario.compute.f_bs_max
 
     events = [Event(Node.DEVICE, EventKind.COMPUTE_DEVICE, 0.0, local_time)]
     t = local_time
@@ -168,17 +163,16 @@ def _build_case2(solution: Case2Solution, scenario: Scenario) -> Timeline:
     lower = solution.lower
     indices = solution.indices
     scheme = solution.scheme
-    device = scenario.device_chain
-    relay = scenario.relay_chain
-    if relay is None:
+    if scenario.relay_chain is None:
         raise TimelineError("case-2 solution requires a relay chain")
     dl = scenario.deadlines
     if dl.t0 is None or dl.t_s_th is None or dl.t_r_th is None:
         raise TimelineError("scenario lacks relay-busy deadlines")
     t0 = dl.t0
     f_bs = scenario.compute.f_bs_max
-    bs_device_time = device.cycles_between(indices.n2, device.n + 1) / f_bs
-    bs_relay_time = relay.cycles_between(indices.m1, relay.n + 1) / f_bs
+    sums = split_sums(scenario, indices.n1, indices.n2, indices.m1)
+    bs_device_time = sums.es / f_bs
+    bs_relay_time = sums.er / f_bs
 
     events = [
         Event(Node.DEVICE, EventKind.COMPUTE_DEVICE, 0.0, lower.t1),

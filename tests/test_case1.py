@@ -12,6 +12,7 @@ from relay_offload import (
     Task,
     TaskChain,
 )
+from relay_offload import case1
 from relay_offload.case1 import (
     Case1Options,
     SplitIndices,
@@ -252,6 +253,28 @@ class TestUpperSolver:
         assert sum(solution.energy_breakdown.values()) == pytest.approx(
             solution.lower.energy, rel=1e-9
         )
+
+    def test_split_totals_built_once_per_split(self, monkeypatch):
+        scenario = random_case1_scenario(np.random.default_rng(23), n_tasks=12)
+        counts = {"sums": 0, "splits": 0}
+        cycles_between = TaskChain.cycles_between
+        solve_lower = case1.solve_lower_case1
+
+        def counted_sums(chain, lo, hi):
+            counts["sums"] += 1
+            return cycles_between(chain, lo, hi)
+
+        def counted_split(*args, **kwargs):
+            counts["splits"] += 1
+            return solve_lower(*args, **kwargs)
+
+        monkeypatch.setattr(TaskChain, "cycles_between", counted_sums)
+        monkeypatch.setattr(case1, "solve_lower_case1", counted_split)
+        solve_case1(scenario, prune=False)
+        assert counts["splits"] == 13 * 14 // 2
+        # three totals per solved split plus the winner's breakdown, however
+        # many bisection steps each split takes
+        assert counts["sums"] <= 3 * (counts["splits"] + 1)
 
     def test_globally_infeasible(self):
         scenario = all_local_scenario(t_s=1e-9)

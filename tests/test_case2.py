@@ -19,7 +19,6 @@ from relay_offload.case2 import (
     SchemeId,
     kkt_residuals_scheme1,
     scheme1_evaluate,
-    scheme_objective,
     solve_case2,
     solve_scheme,
     solve_scheme1,
@@ -27,7 +26,7 @@ from relay_offload.case2 import (
     t3_from_tau3,
     tau_s_minimal,
 )
-from relay_offload.model import ModelDomainError
+from relay_offload.model import ModelDomainError, energy, energy_terms, split_sums
 
 from scenario_tools import exit_only_relay_scenario, random_case2_scenario
 
@@ -332,15 +331,12 @@ class TestSolveCase2:
     def test_objective_is_scheme_independent(self):
         scenario = basic_scenario()
         best = solve_case2(scenario)
-        assignment = {
-            "tau1": best.lower.tau1,
-            "tau2": best.lower.tau2,
-            "tau3": best.lower.tau3,
-            "T1": best.lower.t1,
-            "T2": best.lower.t2,
-            "T3": best.lower.t3,
-        }
-        value = scheme_objective(assignment, best.indices, scenario)
+        indices = best.indices
+        sums = split_sums(scenario, indices.n1, indices.n2, indices.m1)
+        lower = best.lower
+        durations = (lower.tau1, lower.tau2, lower.tau3, lower.t1, lower.t2, lower.t3)
+        value = energy(sums, scenario, *durations)
+        assert energy_terms(sums, scenario, *durations) == best.energy_breakdown
         assert value == pytest.approx(best.lower.energy, rel=1e-9)
         assert sum(best.energy_breakdown.values()) == pytest.approx(
             best.lower.energy, rel=1e-9

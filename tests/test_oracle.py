@@ -14,19 +14,17 @@ class TestGridMinimize:
         spec = oracle.GridSpec(
             axes=(oracle.GridAxis(0.0, 2.0, 101),), rounds=3
         )
-        result = oracle.grid_minimize(
-            lambda x: (x[:, 0] - 1.0) ** 2, None, spec, vectorized=True
-        )
+        result = oracle.grid_minimize(lambda x: (x[:, 0] - 1.0) ** 2, None, spec)
         assert abs(result.point[0] - 1.0) <= 1e-4
 
-    def test_scalar_mode(self):
+    def test_constrained_2d(self):
         spec = oracle.GridSpec(
             axes=(oracle.GridAxis(-1.0, 1.0, 21), oracle.GridAxis(-1.0, 1.0, 21)),
             rounds=4,
         )
         result = oracle.grid_minimize(
-            lambda x: (x[0] - 0.3) ** 2 + (x[1] + 0.4) ** 2,
-            lambda x: x[0] + x[1] <= 1.0,
+            lambda x: (x[:, 0] - 0.3) ** 2 + (x[:, 1] + 0.4) ** 2,
+            lambda x: x[:, 0] + x[:, 1] <= 1.0,
             spec,
         )
         assert result.point[0] == pytest.approx(0.3, abs=1e-3)
@@ -39,13 +37,12 @@ class TestGridMinimize:
                 lambda x: x[:, 0],
                 lambda x: np.zeros(len(x), dtype=bool),
                 spec,
-                vectorized=True,
             )
 
     def test_refinement_monotone(self):
         spec = oracle.GridSpec(axes=(oracle.GridAxis(0.0, 4.0, 17),), rounds=5)
         result = oracle.grid_minimize(
-            lambda x: np.cos(x[:, 0]) + 0.1 * x[:, 0], None, spec, vectorized=True
+            lambda x: np.cos(x[:, 0]) + 0.1 * x[:, 0], None, spec
         )
         assert all(
             later <= earlier + 1e-15

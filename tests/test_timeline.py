@@ -76,7 +76,8 @@ class TestCase2Timeline:
             deadlines=Deadlines(t0=0.0, t_s_th=0.6, t_r_th=1.2),
         )
         from relay_offload.case2 import Case2Indices, solve_scheme1
-        from relay_offload.case2 import Case2Solution, _breakdown
+        from relay_offload.case2 import Case2Solution
+        from relay_offload.model import energy_terms, split_sums
 
         indices = Case2Indices(1, 1, 1)
         lower = solve_scheme1(indices, scenario)
@@ -84,7 +85,16 @@ class TestCase2Timeline:
             scheme=SchemeId.S1,
             indices=indices,
             lower=lower,
-            energy_breakdown=_breakdown(lower, indices, scenario),
+            energy_breakdown=energy_terms(
+                split_sums(scenario, 1, 1, 1),
+                scenario,
+                lower.tau1,
+                lower.tau2,
+                lower.tau3,
+                lower.t1,
+                lower.t2,
+                lower.t3,
+            ),
         )
         schedule = build_timeline(solution, scenario)
         assert verify(schedule) == []
