@@ -1,5 +1,9 @@
 """Scalar search primitives shared by the closed-form solvers.
 
+``bisect_decreasing`` finds the dual multiplier that makes a deadline bind
+(Illinois false position on log-log axes, with a geometric-midpoint
+fallback); ``golden_section`` minimizes a one-dimensional slice.
+
 Kept separate from the oracle module on purpose: the oracles must not
 share machinery with the production search paths.
 """
@@ -10,6 +14,16 @@ import math
 from typing import Callable
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+# Where a false-position step aims, and how close a point must come before
+# it is returned, as fractions of the tolerance band rel_tol*|target|
+# below the target.  Landing this deep keeps the returned point at least
+# as close to the target as a bisection leaves it, so a caller's objective
+# does not rise; aiming below the acceptance edge keeps the steps from
+# stopping short on the infeasible side.
+_AIM = 1e-3
+_ACCEPT = 1e-2
 
 
 def bisect_decreasing(
@@ -23,22 +37,56 @@ def bisect_decreasing(
 ) -> float:
     """Find x with fn(x) ~ target for a non-increasing fn on [lo, hi].
 
-    Assumes fn(lo) >= target >= fn(hi) and lo, hi > 0; midpoints are
-    geometric because the multiplier typically spans many decades.  When
-    the tolerance is not reached, the hi side (the feasible one, since
-    fn(hi) <= target) of the final bracket is returned.
+    Assumes fn(lo) > target >= fn(hi) and 0 < lo < hi, and keeps that
+    bracket.  Each step takes the false-position point of log fn against
+    log x, where the dual searches' completion times are close to power
+    laws, with the Illinois rule (Dowell & Jarratt, 1971): an end kept
+    twice running has its weight halved.  The geometric midpoint replaces
+    that point when it is unusable: it leaves the bracket, an end's value
+    is unknown, non-finite or not positive, target <= 0, or the previous
+    step failed to halve the log gap of the end it replaced (as on a flat
+    stretch, where false position crawls).
+
+    Only points with fn(x) <= target are returned, within
+    rel_tol*|target| of it; a point is accepted only in the innermost
+    hundredth of that band.  When the iterations run out or the bracket
+    collapses, the hi side (the feasible one) of the final bracket is
+    returned.
     """
-    scale = max(abs(target), 1e-300)
+    band = rel_tol * max(abs(target), 1e-300)
+    accept = _ACCEPT * band
+    aim = target - _AIM * band
+
+    def log_gap(value: float) -> float | None:
+        # log(value / aim), written to stay accurate next to the aim
+        if aim <= 0.0 or not 0.0 < value < math.inf:
+            return None
+        return math.log1p((value - aim) / aim)
+
+    gap_lo = gap_hi = None  # log fn - log aim at the ends; None if unusable
+    moved = 0  # the end the last step replaced: -1 lo, +1 hi
+    progress = True  # the last step at least halved its end's gap
     for _ in range(max_iter):
-        mid = math.sqrt(lo * hi)
-        value = fn(mid)
+        x = math.sqrt(lo * hi)
+        if progress and gap_lo is not None and gap_hi is not None:
+            secant = lo * (hi / lo) ** (gap_lo / (gap_lo - gap_hi))
+            if lo < secant < hi:
+                x = secant
+        value = fn(x)
+        gap = log_gap(value)
         if value > target:
-            lo = mid
+            progress = gap_lo is None or (gap is not None and gap <= 0.5 * gap_lo)
+            if moved == -1 and gap_hi is not None:
+                gap_hi *= 0.5
+            lo, gap_lo, moved = x, gap, -1
         else:
             # only accept from the feasible side so callers never overshoot
-            if target - value <= rel_tol * scale:
-                return mid
-            hi = mid
+            if target - value <= accept:
+                return x
+            progress = gap_hi is None or (gap is not None and gap >= 0.5 * gap_hi)
+            if moved == 1 and gap_lo is not None:
+                gap_lo *= 0.5
+            hi, gap_hi, moved = x, gap, 1
         if hi <= lo * (1.0 + 1e-15):
             break
     return hi

@@ -2,8 +2,10 @@
 
 Bi-level decomposition: for a fixed split (n1, n2) the continuous problem
 collapses, through its first-order optimality system, to a single dual
-multiplier found by bisection; the integer split is then enumerated with a
-monotonicity-based pruning rule on offloaded data sizes.
+multiplier, found by a bracketed false-position search on log completion
+time against log multiplier (``_search.bisect_decreasing``); the integer
+split is then enumerated with a monotonicity-based pruning rule on
+offloaded data sizes.
 """
 
 from __future__ import annotations
@@ -178,9 +180,12 @@ def solve_lower_case1(
     """Solve the fixed-split continuous subproblem.
 
     The deadline constraint is active at any optimum with nonzero work, so
-    the dual multiplier is bisected until the completion time meets the
-    deadline.  Raises :class:`Infeasible` when even frequency caps plus
-    vanishing transmit times overshoot the deadline.
+    the dual multiplier is bracketed by doubling and halving, then searched
+    until the completion time meets the deadline from below, within
+    ``bisect_rel`` of it.  The completion time is a sum of near power laws
+    in the multiplier, so false position on its logarithm converges in a
+    handful of evaluations.  Raises :class:`Infeasible` when even
+    frequency caps plus vanishing transmit times overshoot the deadline.
     """
     deadline = scenario.deadlines.t_s
     if deadline is None or deadline <= 0.0:

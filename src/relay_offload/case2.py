@@ -2,10 +2,11 @@
 
 The shared uplink band admits three transmission orderings (schemes).
 Scheme 1 has a semi-closed structure: all continuous variables collapse to
-a dual multiplier plus the relay's own transmit duration, searched by
-bisection inside a one-dimensional outer scan.  Schemes 2 and 3 are solved
-numerically with the projected-descent engine from the oracle module, as
-are degenerate Scheme-1 splits where the closed forms break down.
+a dual multiplier plus the relay's own transmit duration; the multiplier
+is found by a bracketed root search inside a one-dimensional outer scan.
+Schemes 2 and 3 are solved numerically with the projected-descent engine
+from the oracle module, as are degenerate Scheme-1 splits where the closed
+forms break down.
 
 Device/relay frequency-cap constraints are relaxed throughout (the BS
 capacity constraints remain); violations of the relaxed caps are reported
@@ -268,7 +269,7 @@ def _psi_candidate(
     sums: SplitSums,
     options: Case2Options,
 ) -> Case2LowerSolution | None:
-    """Drive the device-side time budget to its deadline by bisecting psi.
+    """Drive the device-side time budget to its deadline by searching psi.
 
     The objective only grows with psi on the feasible slice, so the
     smallest feasible multiplier (budget exactly binding) is optimal at
@@ -483,10 +484,10 @@ def solve_scheme1(
     """Minimize Scheme 1 at a fixed split.
 
     The reduced search runs over (psi, tau3): for each tau3 the optimal
-    psi is bisected exactly, and tau3 itself is scanned then refined by
-    golden section.  Splits with zero offloaded relay data but a nonempty
-    own block fall back to the numeric path (the compute/transmit balance
-    equation degenerates there).
+    psi is found by a bracketed root search, and tau3 itself is scanned
+    then refined by golden section.  Splits with zero offloaded relay data
+    but a nonempty own block fall back to the numeric path (the
+    compute/transmit balance equation degenerates there).
     """
     sums = _sums(indices, scenario)
     t0, ts, tr = _deadline_triple(scenario)

@@ -199,13 +199,20 @@ def _apply_tolerances(options, overrides: dict[str, float]):
     return dataclasses.replace(options, **updates) if updates else options
 
 
-def _check_tolerance_keys(overrides: dict[str, float]) -> str | None:
-    known = {f.name for f in dataclasses.fields(Case1Options())} | {
-        f.name for f in dataclasses.fields(Case2Options())
+def _tolerance_error(overrides: dict[str, float]) -> str | None:
+    """One line naming the first unusable override, or None if all are usable."""
+    defaults = {
+        f.name: f.default
+        for options in (Case1Options, Case2Options)
+        for f in dataclasses.fields(options)
     }
-    for name in overrides:
-        if name not in known:
-            return name
+    for name, value in overrides.items():
+        if name not in defaults:
+            return f"unknown tolerance {name!r}"
+        if not (math.isfinite(value) and value > 0.0):
+            return f"tolerance {name!r} must be finite and positive, got {value!r}"
+        if isinstance(defaults[name], int) and value != int(value):
+            return f"tolerance {name!r} must be a whole number, got {value!r}"
     return None
 
 
@@ -305,9 +312,9 @@ def _run_sweep(base_doc: dict, config: RunConfig) -> tuple[int, str]:
 
 def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit code."""
-    unknown = _check_tolerance_keys(config.tolerances)
-    if unknown is not None:
-        print(f"error: unknown tolerance {unknown!r}", file=sys.stderr)
+    problem = _tolerance_error(config.tolerances)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
     try:

@@ -276,6 +276,37 @@ class TestUpperSolver:
         # many bisection steps each split takes
         assert counts["sums"] <= 3 * (counts["splits"] + 1)
 
+    def test_bisection_evaluation_budget(self, monkeypatch):
+        scenario = random_case1_scenario(np.random.default_rng(23), n_tasks=12)
+        counts = {"calls": 0, "evals": 0}
+        solved = []
+        bisect = case1.bisect_decreasing
+        solve_lower = case1.solve_lower_case1
+
+        def counted_bisect(fn, *args, **kwargs):
+            counts["calls"] += 1
+
+            def counted_fn(lam):
+                counts["evals"] += 1
+                return fn(lam)
+
+            return bisect(counted_fn, *args, **kwargs)
+
+        def recorded_split(*args, **kwargs):
+            lower = solve_lower(*args, **kwargs)
+            solved.append(lower)
+            return lower
+
+        monkeypatch.setattr(case1, "bisect_decreasing", counted_bisect)
+        monkeypatch.setattr(case1, "solve_lower_case1", recorded_split)
+        solve_case1(scenario, prune=False)
+        # every solved split sends data, so each one was bisected
+        assert len(solved) == counts["calls"] > 0
+        # geometric bisection over the ~20-decade bracket needs about 33
+        assert counts["evals"] <= 12 * counts["calls"]
+        band = Case1Options().bisect_rel * scenario.deadlines.t_s
+        assert all(0.0 <= lower.slack <= band for lower in solved)
+
     def test_globally_infeasible(self):
         scenario = all_local_scenario(t_s=1e-9)
         with pytest.raises(Infeasible, match="globally infeasible"):

@@ -241,6 +241,37 @@ class TestMainEntry:
             cli.main(["solve-case1", "--scenario", str(path), "--tol", "oops"])
         assert excinfo.value.code == 1
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "max_bisect_iter=1e400",
+            "max_bisect_iter=nan",
+            "max_bisect_iter=2.7",
+            "max_bisect_iter=0",
+            "bisect_rel=nan",
+            "bisect_rel=inf",
+            "bisect_rel=-1",
+            "bisect_rel=0",
+        ],
+    )
+    def test_unusable_tolerance_value(self, tmp_path, capsys, override):
+        path = write_doc(tmp_path, all_local_doc())
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["solve-case1", "--scenario", str(path), "--tol", override])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        name = override.partition("=")[0]
+        assert captured.err.startswith(f"error: tolerance {name!r}")
+        assert captured.err.count("\n") == 1
+
+    def test_whole_number_tolerance_accepted(self, tmp_path, capsys):
+        path = write_doc(tmp_path, all_local_doc())
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["solve-case1", "--scenario", str(path), "--tol", "max_bisect_iter=50.0"])
+        assert excinfo.value.code == 0
+        assert json.loads(capsys.readouterr().out)["case"] == 1
+
     def test_missing_file(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["validate", "--scenario", str(tmp_path / "nope.json")])
