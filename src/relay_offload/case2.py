@@ -8,6 +8,12 @@ Schemes 2 and 3 are solved numerically with the projected-descent engine
 from the oracle module, as are degenerate Scheme-1 splits where the closed
 forms break down.
 
+The upper level traverses schemes and splits, but solves a (scheme, split)
+only while its energy floor (every duration set to its block's time
+budget, a bound no scheme can beat) does not exceed the incumbent's
+energy.  A skipped split could never have replaced the incumbent, so the
+winner is the exhaustive traversal's.
+
 Device/relay frequency-cap constraints are relaxed throughout (the BS
 capacity constraints remain); violations of the relaxed caps are reported
 in the solution metadata instead of being enforced.
@@ -541,7 +547,8 @@ def solve_scheme1(
 
     linear = np.linspace(tau3_ub / options.scan_points, tau3_ub, options.scan_points)
     logspaced = tau3_ub * np.logspace(-6, -1, 12)
-    scan = np.unique(np.concatenate([linear, logspaced]))
+    # plain floats, so no numpy scalar reaches the returned solution
+    scan = np.unique(np.concatenate([linear, logspaced])).tolist()
     values = [evaluate(t) for t in scan]
     order = int(np.argmin(values))
     if not math.isfinite(values[order]):
@@ -552,7 +559,7 @@ def solve_scheme1(
         evaluate, left, right, rel_tol=options.golden_rel
     )
     if values[order] < value:
-        tau3_star = float(scan[order])
+        tau3_star = scan[order]
     best = _psi_candidate(
         tau3_star, block_for(tau3_star), indices, scenario, sums, options
     )
@@ -560,8 +567,7 @@ def solve_scheme1(
         # refined point can sit on the feasibility knife edge; the scan
         # winner is a certified fallback
         best = _psi_candidate(
-            float(scan[order]), block_for(float(scan[order])), indices,
-            scenario, sums, options,
+            scan[order], block_for(scan[order]), indices, scenario, sums, options
         )
     if best is None or not math.isfinite(best.energy):
         raise _infeasible(SchemeId.S1, indices, "bs_capacity", "device_deadline")
@@ -908,18 +914,57 @@ def solve_scheme(
     )
 
 
+# relative margin a split's floor must clear before the split is skipped;
+# it absorbs the rounding of the floor's own energy evaluation
+_FLOOR_MARGIN = 1e-9
+
+
+def split_energy_floor(
+    indices: Case2Indices,
+    scenario: Scenario,
+    options: Case2Options = Case2Options(),
+) -> float:
+    """Lower bound on the energy of every scheme at one split.
+
+    Every scheme keeps two rows: the device row
+    tau1 + tau2 + T1 + T2 <= t_s_th - tau_s and the relay-own row
+    tau3 + T3 <= t_r_th - t0 - er/f_bs (S1 and S3 reach it by dropping
+    tau_s from their window row, S2 through its completion-time rows).
+    Durations are nonnegative, so each one is at most its block's budget,
+    and every energy term is non-increasing in its own duration: the
+    energy with every duration set to its budget is at most the energy of
+    any point a scheme solver accepts.  The budgets are widened by
+    5 feas_tol, because the numeric schemes accept rows violated by up to
+    feas_tol in distance and durations down to -feas_tol, which lets one
+    duration exceed its budget by at most that.  A budget <= 0 under
+    nonzero work gives inf.
+    """
+    sums = _sums(indices, scenario)
+    t0, ts, tr = _deadline_triple(scenario)
+    f_bs = scenario.compute.f_bs_max
+    slack = 5.0 * options.feas_tol
+    device = ts - sums.es / f_bs + slack
+    own = tr - t0 - sums.er / f_bs + slack
+    return model.energy(sums, scenario, device, device, own, device, device, own)
+
+
 def solve_case2(
     scenario: Scenario,
     options: Case2Options = Case2Options(),
     *,
     warm_start: Case2Solution | None = None,
 ) -> Case2Solution:
-    """Exhaustive traversal over schemes and split indices.
+    """Traversal over schemes and split indices, skipping hopeless splits.
 
-    Ties within relative 1e-12 break toward the lexicographically
-    smallest (scheme, n1, n2, m1).  ``warm_start`` seeds the numeric
-    solver at the matching combination, useful when re-solving a
-    perturbed scenario.
+    Schemes go in the order S1, S2, S3 and splits lexicographically
+    within each.  Once a feasible incumbent exists, a (scheme, split) whose
+    :func:`split_energy_floor` exceeds the incumbent's energy by more than
+    a relative 1e-9 is not solved: every point that scheme could return
+    costs at least the floor, so it could never replace the incumbent.
+    The winner is therefore the one the exhaustive traversal finds.  Ties
+    within relative 1e-12 break toward the lexicographically smallest
+    (scheme, n1, n2, m1).  ``warm_start`` seeds the numeric solver at the
+    matching combination, useful when re-solving a perturbed scenario.
     """
     device = scenario.device_chain
     relay = scenario.relay_chain
@@ -933,31 +978,37 @@ def solve_case2(
     if t0 < 0.0:
         raise model.ScenarioError("relay task arrival must be nonnegative")
 
+    splits = [
+        Case2Indices(n1, n2, m1)
+        for n1 in range(1, device.n + 2)
+        for n2 in range(n1, device.n + 2)
+        for m1 in range(1, relay.n + 2)
+    ]
+    floors = [split_energy_floor(indices, scenario, options) for indices in splits]
     best: tuple[SchemeId, Case2Indices, Case2LowerSolution] | None = None
     for scheme in (SchemeId.S1, SchemeId.S2, SchemeId.S3):
-        for n1 in range(1, device.n + 2):
-            for n2 in range(n1, device.n + 2):
-                for m1 in range(1, relay.n + 2):
-                    indices = Case2Indices(n1, n2, m1)
-                    warm = None
-                    if (
-                        warm_start is not None
-                        and warm_start.scheme is scheme
-                        and warm_start.indices == indices
-                    ):
-                        warm = warm_start.lower
-                    try:
-                        lower = solve_scheme(
-                            scheme, indices, scenario, options, warm_start=warm
-                        )
-                    except Infeasible:
-                        continue
-                    if not math.isfinite(lower.energy):
-                        continue
-                    if best is None or lower.energy < best[2].energy * (
-                        1.0 - options.tie_rel
-                    ):
-                        best = (scheme, indices, lower)
+        for indices, floor in zip(splits, floors):
+            if best is not None and floor * (1.0 - _FLOOR_MARGIN) > best[2].energy:
+                continue
+            warm = None
+            if (
+                warm_start is not None
+                and warm_start.scheme is scheme
+                and warm_start.indices == indices
+            ):
+                warm = warm_start.lower
+            try:
+                lower = solve_scheme(
+                    scheme, indices, scenario, options, warm_start=warm
+                )
+            except Infeasible:
+                continue
+            if not math.isfinite(lower.energy):
+                continue
+            if best is None or lower.energy < best[2].energy * (
+                1.0 - options.tie_rel
+            ):
+                best = (scheme, indices, lower)
     if best is None:
         raise Infeasible(
             "globally infeasible: no scheme and split meets both deadlines",

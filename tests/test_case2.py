@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +13,15 @@ from relay_offload import (
     Scenario,
     Task,
     TaskChain,
+    case2,
+    load_scenario,
     oracle,
 )
 from relay_offload.case1 import SplitIndices, solve_lower_case1
 from relay_offload.case2 import (
     Case2Indices,
+    Case2LowerSolution,
+    Case2Options,
     SchemeId,
     kkt_residuals_scheme1,
     scheme1_evaluate,
@@ -23,12 +29,16 @@ from relay_offload.case2 import (
     solve_scheme,
     solve_scheme1,
     solve_scheme_numeric,
+    split_energy_floor,
     t3_from_tau3,
     tau_s_minimal,
 )
 from relay_offload.model import ModelDomainError, energy, energy_terms, split_sums
 
 from scenario_tools import exit_only_relay_scenario, random_case2_scenario
+
+
+RELAY_BUSY = Path(__file__).resolve().parents[1] / "scenarios" / "relay_busy.json"
 
 
 def basic_scenario(t0=0.05, t_s_th=0.5, t_r_th=0.9):
@@ -377,3 +387,109 @@ class TestSolveCase2:
         scenario = basic_scenario(t_s_th=1.0, t_r_th=0.5)
         with pytest.raises(ScenarioError, match="deadline ordering"):
             solve_case2(scenario)
+
+
+def _relay_busy(t_r_factor=1.0):
+    scenario = load_scenario(RELAY_BUSY)
+    deadlines = dataclasses.replace(
+        scenario.deadlines, t_r_th=scenario.deadlines.t_r_th * t_r_factor
+    )
+    return dataclasses.replace(scenario, deadlines=deadlines)
+
+
+def _exhaustive_case2(scenario):
+    """Every scheme at every split, in solve_case2's order and tie rule.
+
+    Also checks that each split's floor is below every energy a scheme
+    solver returns there.
+    """
+    tie_rel = Case2Options().tie_rel
+    n, m = scenario.device_chain.n, scenario.relay_chain.n
+    best = None
+    for scheme in SchemeId:
+        for n1 in range(1, n + 2):
+            for n2 in range(n1, n + 2):
+                for m1 in range(1, m + 2):
+                    indices = Case2Indices(n1, n2, m1)
+                    try:
+                        lower = solve_scheme(scheme, indices, scenario)
+                    except Infeasible:
+                        continue
+                    if not math.isfinite(lower.energy):
+                        continue
+                    floor = split_energy_floor(indices, scenario)
+                    assert floor <= lower.energy * (1 + 1e-9), (scheme, indices)
+                    if best is None or lower.energy < best[2].energy * (1 - tie_rel):
+                        best = (scheme, indices, lower)
+    return best
+
+
+def _random_busy(seed, n_tasks, m_tasks):
+    return random_case2_scenario(
+        np.random.default_rng(seed), n_tasks=n_tasks, m_tasks=m_tasks
+    )
+
+
+class TestSplitFloor:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: _relay_busy(1.0),
+            lambda: _relay_busy(10.0),
+            lambda: _relay_busy(1000.0),
+            # winners: S2 with the relay keeping its chain, S2 with both
+            # keeping theirs, S1 at a mixed device split, S2 sending all
+            lambda: _random_busy(76, 1, 1),
+            lambda: _random_busy(79, 1, 1),
+            lambda: _random_busy(72, 2, 1),
+            lambda: _random_busy(75, 1, 2),
+        ],
+        ids=["busy-x1", "busy-x10", "busy-x1000", "1x1-76", "1x1-79", "2x1-72", "1x2-75"],
+    )
+    def test_skipping_keeps_the_exhaustive_winner(self, make):
+        scenario = make()
+        scheme, indices, lower = _exhaustive_case2(scenario)
+        solution = solve_case2(scenario)
+        assert (solution.scheme, solution.indices) == (scheme, indices)
+        assert solution.lower.energy == lower.energy
+
+    def test_skips_most_relay_busy_solves(self, monkeypatch):
+        calls = []
+        solve = case2.solve_scheme
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(case2, "solve_scheme", counted)
+        solve_case2(_relay_busy())
+        # 3 schemes x 3 device splits x 2 relay splits without skipping
+        assert len(calls) <= 4
+
+    def test_infeasible_budget_gives_inf(self):
+        # the BS slot alone overruns the device deadline
+        scenario = basic_scenario(t_s_th=2e8 / 5e9 / 2, t_r_th=1.0)
+        assert split_energy_floor(Case2Indices(1, 1, 1), scenario) == math.inf
+
+
+@pytest.mark.parametrize(
+    "scheme, indices",
+    [
+        (SchemeId.S1, (1, 1, 1)),
+        (SchemeId.S1, (2, 2, 1)),
+        (SchemeId.S1, (1, 1, 2)),  # degenerate: relay keeps everything
+        (SchemeId.S2, (1, 1, 1)),
+        (SchemeId.S3, (1, 1, 1)),
+    ],
+)
+def test_solution_fields_are_plain_floats(scheme, indices):
+    scenario = _relay_busy()
+    indices = Case2Indices(*indices)
+    lower = solve_scheme(scheme, indices, scenario)
+    for field in dataclasses.fields(Case2LowerSolution):
+        if field.name != "cap_violations":
+            assert type(getattr(lower, field.name)) is float, field.name
+    sums = split_sums(scenario, indices.n1, indices.n2, indices.m1)
+    durations = (lower.tau1, lower.tau2, lower.tau3, lower.t1, lower.t2, lower.t3)
+    for name, value in energy_terms(sums, scenario, *durations).items():
+        assert type(value) is float, name
