@@ -5,7 +5,8 @@ collapses, through its first-order optimality system, to a single dual
 multiplier, found by a bracketed false-position search on log completion
 time against log multiplier (``_search.bisect_decreasing``); the integer
 split is then enumerated with a monotonicity-based pruning rule on
-offloaded data sizes.
+offloaded data sizes, and a split whose energy floor exceeds the incumbent
+is not solved.
 """
 
 from __future__ import annotations
@@ -75,6 +76,23 @@ def _sums(split: SplitIndices, scenario: Scenario) -> SplitSums:
     return model.split_sums(scenario, split.n1, split.n2)
 
 
+# W0 + 1 about the branch point, as a series in p = sqrt(2 * ratio): the
+# coefficients of p^1 .. p^8 (Corless et al., "On the Lambert W function")
+_BRANCH_SERIES = (
+    1.0,
+    -1.0 / 3.0,
+    11.0 / 72.0,
+    -43.0 / 540.0,
+    769.0 / 17280.0,
+    -221.0 / 8505.0,
+    680863.0 / 43545600.0,
+    -1963.0 / 204120.0,
+)
+# below this ratio the series replaces W0 + 1, which cancels near the
+# branch point; at the switch both are good to about 1e-13 relative
+_SERIES_RATIO_MAX = 1e-3
+
+
 def tau_from_lambda(
     lam: float, data_nats: float, gain: float, channel: ChannelParams
 ) -> float:
@@ -88,12 +106,13 @@ def tau_from_lambda(
     if lam <= 0.0:
         raise ModelDomainError("dual multiplier must be positive for nonzero data")
     ratio = lam * gain / channel.noise
-    if ratio < 1e-8:
-        # the W argument sits within rounding of the branch point; its
-        # offset is ratio/e exactly, so expand W0 + 1 = p - p^2/3 + ...
-        # with p = sqrt(2*ratio) instead of evaluating W0 directly
+    if ratio < _SERIES_RATIO_MAX:
+        # the W argument (ratio - 1)/e sits near the branch point, and its
+        # offset from it is ratio/e exactly: sum the series in p by Horner
         p = math.sqrt(2.0 * ratio)
-        w_plus_1 = p - 2.0 * ratio / 3.0
+        w_plus_1 = 0.0
+        for coefficient in reversed(_BRANCH_SERIES):
+            w_plus_1 = (w_plus_1 + coefficient) * p
     else:
         w_plus_1 = lambert_w0((ratio - 1.0) / math.e) + 1.0
     if w_plus_1 <= 0.0:
@@ -161,6 +180,9 @@ def _assemble_lower(
     tau1 = tau_from_lambda(lam, sums.d1, channel.gain_md_relay, channel)
     tau2 = tau_from_lambda(lam, sums.d2, channel.gain_relay_bs, channel)
     durations = _durations(sums, tau1, tau2, f_local, f_relay)
+    t1, t2 = durations[3], durations[4]
+    # the completion time at lam, added in _completion_time's order
+    finish = sums.es / compute.f_bs_max + t1 + t2 + tau1 + tau2
     return Case1LowerSolution(
         tau1=tau1,
         tau2=tau2,
@@ -168,7 +190,7 @@ def _assemble_lower(
         f_relay=f_relay,
         lam=lam,
         energy=model.energy(sums, scenario, *durations),
-        slack=deadline - _completion_time(lam, sums, scenario),
+        slack=deadline - finish,
     )
 
 
@@ -176,6 +198,8 @@ def solve_lower_case1(
     split: SplitIndices,
     scenario: Scenario,
     options: Case1Options = Case1Options(),
+    *,
+    sums: SplitSums | None = None,
 ) -> Case1LowerSolution:
     """Solve the fixed-split continuous subproblem.
 
@@ -186,11 +210,14 @@ def solve_lower_case1(
     in the multiplier, so false position on its logarithm converges in a
     handful of evaluations.  Raises :class:`Infeasible` when even
     frequency caps plus vanishing transmit times overshoot the deadline.
+    ``sums`` takes the split's totals when the caller already has them;
+    they must equal ``model.split_sums`` of the split.
     """
     deadline = scenario.deadlines.t_s
     if deadline is None or deadline <= 0.0:
         raise model.ScenarioError("relay-idle case requires a positive t_s deadline")
-    sums = _sums(split, scenario)
+    if sums is None:
+        sums = _sums(split, scenario)
     compute = scenario.compute
     channel = scenario.channel
 
@@ -299,6 +326,20 @@ def kkt_residuals(
     return out
 
 
+def _energy_floor(sums: SplitSums, scenario: Scenario) -> float:
+    """Lower bound on the energy of every solution at one split.
+
+    The completion time es/f_bs + T1 + T2 + tau1 + tau2 of a returned
+    solution is within the deadline t_s, and durations are nonnegative,
+    so each duration is at most the budget t_s - es/f_bs; every energy
+    term is non-increasing in its own duration, so the energy with every
+    duration at the budget is at most the split's energy.  A budget <= 0
+    under nonzero work gives inf.
+    """
+    budget = scenario.deadlines.t_s - sums.es / scenario.compute.f_bs_max
+    return model.energy(sums, scenario, budget, budget, 0.0, budget, budget, 0.0)
+
+
 def solve_case1(
     scenario: Scenario,
     options: Case1Options = Case1Options(),
@@ -307,48 +348,63 @@ def solve_case1(
 ) -> Case1Solution:
     """Enumerate splits and return the minimum-energy plan.
 
-    Pruning uses the data-size monotonicity of the relay's offloaded task:
-    at fixed n1, a candidate n2 whose data size does not drop below its
-    predecessor's cannot beat the predecessor, so its lower-level solve is
-    skipped.  The argument only holds when the BS frequency cap dominates
-    the relay's, so pruning is disabled otherwise.  Ties are broken toward
-    the lexicographically smallest (n1, n2).
+    Splits go in lexicographic (n1, n2) order, and each split's totals come
+    from ``model.device_split_sums`` at O(1) cost.  ``prune`` skips the
+    lower-level solve of two kinds of split:
+
+    - the data-size rule: at fixed n1, a candidate n2 whose data size does
+      not drop below its predecessor's cannot beat the predecessor.  The
+      argument only holds when the BS frequency cap dominates the
+      relay's, so this rule is off otherwise;
+    - the energy floor: once a feasible incumbent exists, a split whose
+      floor (every duration set to the deadline budget t_s - es/f_bs,
+      which no solution can exceed) is above the incumbent's energy by
+      more than a relative 1e-9 could never replace it.  This rule
+      applies whatever the frequency caps.
+
+    Neither rule changes the winner: it is the one ``prune=False``, the
+    exhaustive traversal, finds.  Ties are broken toward the
+    lexicographically smallest (n1, n2).
     """
     if scenario.relay_chain is not None:
         raise model.ScenarioError(
             "solve_case1 applies only when the relay has no tasks of its own"
         )
     chain = scenario.device_chain
-    n = chain.n
-    can_prune = prune and scenario.compute.f_relay_max <= scenario.compute.f_bs_max * (
+    data_rule = prune and scenario.compute.f_relay_max <= scenario.compute.f_bs_max * (
         1.0 + 1e-12
     )
 
-    best: tuple[SplitIndices, Case1LowerSolution] | None = None
-    for n1 in range(1, n + 2):
-        for n2 in range(n1, n + 2):
-            if (
-                can_prune
-                and n2 > n1
-                and chain.data(n2) > 0.0
-                and chain.data(n2) >= chain.data(n2 - 1)
-            ):
-                # inherits the predecessor's value as a lower bound; the
-                # predecessor was already considered, so skip the solve
-                continue
-            split = SplitIndices(n1, n2)
-            try:
-                lower = solve_lower_case1(split, scenario, options)
-            except Infeasible:
-                continue
-            if best is None or lower.energy < best[1].energy * (1.0 - options.tie_rel):
-                best = (split, lower)
+    best: tuple[SplitIndices, Case1LowerSolution, SplitSums] | None = None
+    for n1, n2, sums in model.device_split_sums(scenario):
+        if (
+            data_rule
+            and n2 > n1
+            and sums.d2 > 0.0
+            and sums.d2 >= chain.data(n2 - 1)
+        ):
+            # inherits the predecessor's value as a lower bound; the
+            # predecessor was already considered, so skip the solve
+            continue
+        if (
+            prune
+            and best is not None
+            and _energy_floor(sums, scenario) * (1.0 - model.FLOOR_MARGIN)
+            > best[1].energy
+        ):
+            continue
+        split = SplitIndices(n1, n2)
+        try:
+            lower = solve_lower_case1(split, scenario, options, sums=sums)
+        except Infeasible:
+            continue
+        if best is None or lower.energy < best[1].energy * (1.0 - options.tie_rel):
+            best = (split, lower, sums)
     if best is None:
         raise Infeasible(
             "globally infeasible: every split violates the deadline", ("deadline",)
         )
-    split, lower = best
-    sums = _sums(split, scenario)
+    split, lower, sums = best
     durations = _durations(sums, lower.tau1, lower.tau2, lower.f_local, lower.f_relay)
     terms = model.energy_terms(sums, scenario, *durations)
     return Case1Solution(

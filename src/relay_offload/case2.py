@@ -914,11 +914,6 @@ def solve_scheme(
     )
 
 
-# relative margin a split's floor must clear before the split is skipped;
-# it absorbs the rounding of the floor's own energy evaluation
-_FLOOR_MARGIN = 1e-9
-
-
 def split_energy_floor(
     indices: Case2Indices,
     scenario: Scenario,
@@ -988,7 +983,7 @@ def solve_case2(
     best: tuple[SchemeId, Case2Indices, Case2LowerSolution] | None = None
     for scheme in (SchemeId.S1, SchemeId.S2, SchemeId.S3):
         for indices, floor in zip(splits, floors):
-            if best is not None and floor * (1.0 - _FLOOR_MARGIN) > best[2].energy:
+            if best is not None and floor * (1.0 - model.FLOOR_MARGIN) > best[2].energy:
                 continue
             warm = None
             if (

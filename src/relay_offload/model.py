@@ -9,11 +9,16 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 # exp() overflows IEEE doubles just above 709; keep headroom
 EXP_ARG_MAX = 700.0
+
+# relative margin a split's energy floor must clear before the split is
+# skipped; it absorbs the rounding of the floor's own energy evaluation
+FLOOR_MARGIN = 1e-9
 
 
 class ScenarioError(ValueError):
@@ -86,8 +91,12 @@ class TaskChain:
         return self.tasks[index - 1].cycles
 
     def cycles_between(self, lo: int, hi: int) -> float:
-        """Total cycles of tasks lo..hi-1 (1-based, half open)."""
-        return float(sum(self.cycles(i) for i in range(lo, hi)))
+        """Total cycles of tasks lo..hi-1 (1-based, half open), added left
+        to right."""
+        total = 0.0
+        for i in range(lo, hi):
+            total += self.cycles(i)
+        return total
 
     @property
     def total_cycles(self) -> float:
@@ -208,6 +217,40 @@ def split_sums(
         d2=device.data(n2),
         d3=d3,
     )
+
+
+def device_split_sums(scenario: Scenario) -> Iterator[tuple[int, int, SplitSums]]:
+    """``(n1, n2, split_sums(scenario, n1, n2))`` for every device split, in
+    lexicographic order, at O(1) cost per split.
+
+    ``ls`` and ``rs`` grow by one task at a time and ``es`` is summed once
+    per n2, so each total adds the same cycles in the same left-to-right
+    order as :func:`split_sums` and is bit-identical to it.  The relay-chain
+    fields are zero.
+    """
+    device = scenario.device_chain
+    n = device.n
+    cycles = [task.cycles for task in device.tasks]
+    data = [task.data_nats for task in device.tasks] + [0.0]
+    es = [device.cycles_between(n2, n + 1) for n2 in range(1, n + 2)]
+    ls = 0.0
+    for n1 in range(1, n + 2):
+        if n1 > 1:
+            ls += cycles[n1 - 2]
+        rs = 0.0
+        for n2 in range(n1, n + 2):
+            if n2 > n1:
+                rs += cycles[n2 - 2]
+            yield n1, n2, SplitSums(
+                ls=ls,
+                rs=rs,
+                es=es[n2 - 1],
+                lr=0.0,
+                er=0.0,
+                d1=data[n1 - 1],
+                d2=data[n2 - 1],
+                d3=0.0,
+            )
 
 
 def _transmit_term(d: float, tau: float, gain: float, channel: ChannelParams) -> float:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from relay_offload import (
     Task,
     TaskChain,
 )
-from relay_offload import case1
+from relay_offload import case1, model
 from relay_offload.case1 import (
     Case1Options,
     SplitIndices,
@@ -33,6 +35,25 @@ def unit_channel(bandwidth=1.0, noise=1.0):
     return ChannelParams(
         bandwidth=bandwidth, gain_md_relay=1.0, gain_relay_bs=1.0, noise=noise
     )
+
+
+def w_plus_1_reference(ratio: float) -> Decimal:
+    """W0((ratio - 1)/e) + 1 to 40 digits: Newton on (u - 1)e^u + 1 = ratio.
+
+    Written in u = W0 + 1 with the exact float ``ratio``, so nothing
+    cancels near the branch point at this precision.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        r = Decimal(ratio)
+        u = Decimal(math.sqrt(2.0 * ratio))
+        for _ in range(100):
+            e_u = u.exp()
+            step = ((u - 1) * e_u + 1 - r) / (u * e_u)
+            u -= step
+            if abs(step) <= Decimal(10) ** -40 * u:
+                return u
+    raise AssertionError(f"reference Newton did not converge at ratio {ratio!r}")
 
 
 class TestClosedForms:
@@ -63,6 +84,20 @@ class TestClosedForms:
         lams = np.logspace(-8, 2, 40)
         taus = [tau_from_lambda(float(l), 5e4, ch.gain_md_relay, ch) for l in lams]
         assert all(a > b for a, b in zip(taus, taus[1:]))
+
+    def test_tau_accurate_near_the_branch_point(self):
+        # unit channel and data: ratio = lam and tau = 1 / (W0 + 1); the
+        # grid straddles the switch between the series and W0 itself
+        ch = unit_channel()
+        switch = case1._SERIES_RATIO_MAX
+        ratios = list(np.logspace(-12, -2, 121)) + [
+            switch * (1.0 + k * 1e-6) for k in (-2, -1, 0, 1, 2)
+        ]
+        for ratio in map(float, ratios):
+            w_plus_1 = 1.0 / tau_from_lambda(ratio, 1.0, 1.0, ch)
+            reference = w_plus_1_reference(ratio)
+            error = abs(Decimal(w_plus_1) - reference) / reference
+            assert error <= Decimal("1e-12"), (ratio, float(error))
 
     def test_freq_examples(self):
         assert freq_from_lambda(0.0, 1e-27, 1e9) == 0.0
@@ -307,6 +342,42 @@ class TestUpperSolver:
         band = Case1Options().bisect_rel * scenario.deadlines.t_s
         assert all(0.0 <= lower.slack <= band for lower in solved)
 
+    def test_completion_time_not_reevaluated_after_search(self, monkeypatch):
+        scenario = random_case1_scenario(np.random.default_rng(23), n_tasks=12)
+        deadline = scenario.deadlines.t_s
+        counts = {"evals": 0}
+        at_search_end = []
+        evals_per_split = []
+        completion_time = case1._completion_time
+        bisect = case1.bisect_decreasing
+        solve_lower = case1.solve_lower_case1
+
+        def counted_completion_time(*args):
+            counts["evals"] += 1
+            return completion_time(*args)
+
+        def recorded_bisect(*args, **kwargs):
+            lam = bisect(*args, **kwargs)
+            at_search_end.append(counts["evals"])
+            return lam
+
+        def recorded_split(split, *args, **kwargs):
+            start = counts["evals"]
+            lower = solve_lower(split, *args, **kwargs)
+            # nothing evaluates the completion time once the search is over
+            assert counts["evals"] == at_search_end[-1]
+            evals_per_split.append(counts["evals"] - start)
+            sums = model.split_sums(scenario, split.n1, split.n2)
+            assert lower.slack == deadline - completion_time(lower.lam, sums, scenario)
+            return lower
+
+        monkeypatch.setattr(case1, "_completion_time", counted_completion_time)
+        monkeypatch.setattr(case1, "bisect_decreasing", recorded_bisect)
+        monkeypatch.setattr(case1, "solve_lower_case1", recorded_split)
+        solve_case1(scenario, prune=False)
+        assert len(evals_per_split) == len(at_search_end) == 13 * 14 // 2
+        assert max(evals_per_split) <= 14
+
     def test_globally_infeasible(self):
         scenario = all_local_scenario(t_s=1e-9)
         with pytest.raises(Infeasible, match="globally infeasible"):
@@ -317,3 +388,68 @@ class TestUpperSolver:
         tight = solve_case1(scenario, Case1Options(bisect_rel=1e-12))
         default = solve_case1(scenario)
         assert tight.lower.energy == pytest.approx(default.lower.energy, rel=1e-8)
+
+
+def fast_relay(scenario: Scenario) -> Scenario:
+    """The same instance with the relay's cap above the BS's, which turns
+    the data-size rule off."""
+    compute = dataclasses.replace(
+        scenario.compute, f_relay_max=1.5 * scenario.compute.f_bs_max
+    )
+    return dataclasses.replace(scenario, compute=compute)
+
+
+class TestSplitFloor:
+    SIZES = (1, 2, 3, 5, 8, 13, 21, 30)
+
+    def test_skipping_keeps_the_exhaustive_winner(self):
+        rng = np.random.default_rng(29)
+        for n_tasks in self.SIZES:
+            scenario = random_case1_scenario(rng, n_tasks=n_tasks)
+            for instance in (scenario, fast_relay(scenario)):
+                pruned = solve_case1(instance, prune=True)
+                exhaustive = solve_case1(instance, prune=False)
+                assert pruned.split == exhaustive.split
+                assert pruned.lower.energy == exhaustive.lower.energy
+                assert pruned == exhaustive
+
+    def test_floor_never_exceeds_a_split_energy(self):
+        rng = np.random.default_rng(31)
+        checked = 0
+        for n_tasks in (1, 3, 6, 10):
+            scenario = random_case1_scenario(rng, n_tasks=n_tasks)
+            for instance in (scenario, fast_relay(scenario)):
+                for n1, n2, sums in model.device_split_sums(instance):
+                    try:
+                        lower = solve_lower_case1(SplitIndices(n1, n2), instance)
+                    except Infeasible:
+                        continue
+                    floor = case1._energy_floor(sums, instance)
+                    assert floor <= lower.energy * (1.0 + 1e-9), (n1, n2)
+                    checked += 1
+        assert checked > 100
+
+    def test_split_totals_match_split_sums(self):
+        rng = np.random.default_rng(37)
+        for n_tasks in self.SIZES:
+            scenario = random_case1_scenario(rng, n_tasks=n_tasks)
+            n = scenario.device_chain.n
+            expected = [
+                (n1, n2, model.split_sums(scenario, n1, n2))
+                for n1 in range(1, n + 2)
+                for n2 in range(n1, n + 2)
+            ]
+            assert list(model.device_split_sums(scenario)) == expected
+
+    def test_long_chain_solves_few_splits(self, monkeypatch):
+        scenario = random_case1_scenario(np.random.default_rng(41), n_tasks=30)
+        solved = []
+        solve_lower = case1.solve_lower_case1
+
+        def recorded_split(split, *args, **kwargs):
+            solved.append(split)
+            return solve_lower(split, *args, **kwargs)
+
+        monkeypatch.setattr(case1, "solve_lower_case1", recorded_split)
+        solve_case1(scenario)
+        assert 0 < len(solved) < 0.1 * (31 * 32 // 2)
