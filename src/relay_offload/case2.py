@@ -6,7 +6,9 @@ a dual multiplier plus the relay's own transmit duration; the multiplier
 is found by a bracketed root search inside a one-dimensional outer scan.
 Schemes 2 and 3 are solved numerically with the projected-descent engine
 from the oracle module, as are degenerate Scheme-1 splits where the closed
-forms break down.
+forms break down.  The descent follows the model's analytic energy slopes
+(:func:`model.energy_slopes`), carried through each path's own
+coordinates; nothing is differenced numerically.
 
 The upper level traverses schemes and splits, but solves a (scheme, split)
 only while its energy floor (every duration set to its block's time
@@ -134,19 +136,12 @@ def tau_s_minimal(indices: Case2Indices, scenario: Scenario) -> float:
 def _balance_rhs(tau3: float, d3: float, scenario: Scenario) -> float:
     """Marginal-energy side of the relay's own compute/transmit balance.
 
+    The negated slope of the relay-own transmit term,
     (sigma2/g) * (x e^x - (e^x - 1)) with x = d3/(B tau3): strictly
     positive for x > 0 and decreasing in tau3.
     """
     ch = scenario.channel
-    x = d3 / (ch.bandwidth * tau3)
-    if x > model.EXP_ARG_MAX:
-        return math.inf
-    if x < 1e-4:
-        # x e^x - expm1(x) loses the leading order to cancellation
-        core = x * x / 2.0 + x**3 / 3.0 + x**4 / 8.0
-    else:
-        core = x * math.exp(x) - math.expm1(x)
-    return ch.noise / ch.gain_relay_bs * core
+    return -model._transmit_slope(d3, tau3, ch.gain_relay_bs, ch)
 
 
 def t3_from_tau3(tau3: float, m1: int, scenario: Scenario) -> float:
@@ -417,6 +412,27 @@ def _solve_scheme1_degenerate(
             values["T3"],
         )
 
+    def gradient(x: np.ndarray) -> np.ndarray:
+        values = assemble(x)
+        assert values is not None
+        s_tau1, s_tau2, _, s_t1, s_t2, s_t3 = model.energy_slopes(
+            sums,
+            scenario,
+            values["tau1"],
+            values["tau2"],
+            0.0,
+            values["T1"],
+            values["T2"],
+            values["T3"],
+        )
+        # T3 = min(T1 - t0, window_t3) moves with T1 while the ordering row binds
+        if values["T1"] - t0 < window_t3:
+            s_t1 += s_t3
+        slope = {"tau1": s_tau1, "tau2": s_tau2, "T1": s_t1, "T2": s_t2}
+        # every free coordinate shifts the absorber the other way
+        shift = slope[absorber] if absorber is not None else 0.0
+        return np.array([slope[name] - shift for name in names])
+
     if not names:
         # fully determined: only the absorbed variable remains
         values = assemble(np.zeros(0))
@@ -433,6 +449,7 @@ def _solve_scheme1_degenerate(
             start = np.full(len(names), frac * budget / max(len(names), 1))
             result = oracle.projected_descent(
                 objective,
+                gradient,
                 box.project,
                 start,
                 max_iter=options.descent_max_iter,
@@ -449,6 +466,7 @@ def _solve_scheme1_degenerate(
             raise _infeasible(SchemeId.S1, indices, "bs_capacity", "deadline")
         polish = oracle.projected_descent(
             objective,
+            gradient,
             box.project,
             best.point,
             max_iter=options.descent_max_iter,
@@ -750,8 +768,12 @@ def solve_scheme_numeric(
         return oracle.dykstra_project(sets, point, max_sweeps=600, tol=1e-13)
 
     def objective(reduced: np.ndarray) -> float:
-        x = embed(reduced)
-        return model.energy(sums, scenario, *x[:6].tolist())
+        return model.energy(sums, scenario, *embed(reduced)[:6].tolist())
+
+    def gradient(reduced: np.ndarray) -> np.ndarray:
+        # the epigraph t_c and the free tau0 carry no energy
+        slopes = model.energy_slopes(sums, scenario, *embed(reduced)[:6].tolist())
+        return np.array([slopes[i] if i < 6 else 0.0 for i in active])
 
     starts = []
     if warm_start is not None:
@@ -782,6 +804,7 @@ def solve_scheme_numeric(
     for start in starts:
         result = oracle.projected_descent(
             objective,
+            gradient,
             project_fast,
             start,
             max_iter=options.descent_max_iter,
@@ -808,6 +831,7 @@ def solve_scheme_numeric(
     if best is not None:
         polish = oracle.projected_descent(
             objective,
+            gradient,
             project_tight,
             best.point,
             max_iter=min(options.descent_max_iter, 400),

@@ -76,26 +76,27 @@ class TaskChain:
 
     def data(self, index: int) -> float:
         """Input data size of task ``index`` (1-based); 0 for the exit task."""
-        if not 1 <= index <= self.n + 1:
-            raise IndexError(f"task index {index} outside 1..{self.n + 1}")
-        if index == self.n + 1:
-            return 0.0
-        return self.tasks[index - 1].data_nats
+        n = len(self.tasks)
+        if not 1 <= index <= n + 1:
+            raise IndexError(f"task index {index} outside 1..{n + 1}")
+        return self.tasks[index - 1].data_nats if index <= n else 0.0
 
     def cycles(self, index: int) -> float:
         """CPU cycles of task ``index`` (1-based); 0 for the exit task."""
-        if not 1 <= index <= self.n + 1:
-            raise IndexError(f"task index {index} outside 1..{self.n + 1}")
-        if index == self.n + 1:
-            return 0.0
-        return self.tasks[index - 1].cycles
+        n = len(self.tasks)
+        if not 1 <= index <= n + 1:
+            raise IndexError(f"task index {index} outside 1..{n + 1}")
+        return self.tasks[index - 1].cycles if index <= n else 0.0
 
     def cycles_between(self, lo: int, hi: int) -> float:
         """Total cycles of tasks lo..hi-1 (1-based, half open), added left
-        to right."""
+        to right; the exit task adds nothing."""
+        n = len(self.tasks)
+        if lo < hi and not (1 <= lo and hi <= n + 2):
+            raise IndexError(f"task range {lo}..{hi - 1} outside 1..{n + 1}")
         total = 0.0
-        for i in range(lo, hi):
-            total += self.cycles(i)
+        for task in self.tasks[lo - 1 : min(hi, n + 1) - 1]:
+            total += task.cycles
         return total
 
     @property
@@ -274,6 +275,35 @@ def _compute_term(cycles: float, duration: float, kappa: float) -> float:
     return kappa * cycles**3 / (duration * duration)
 
 
+def _transmit_slope(d: float, tau: float, gain: float, channel: ChannelParams) -> float:
+    """d/dtau of :func:`_transmit_term`: (noise / gain) * (e^x - 1 - x e^x)
+    with x = d/(tau*B); -inf where the term is inf."""
+    if d <= 0.0:
+        return 0.0
+    if tau <= 0.0:
+        return -math.inf
+    x = d / (tau * channel.bandwidth)
+    if x > EXP_ARG_MAX:
+        return -math.inf
+    if x < 1e-4:
+        # x e^x - expm1(x) loses the leading order to cancellation
+        core = x * x / 2.0 + x**3 / 3.0 + x**4 / 8.0
+    else:
+        core = x * math.exp(x) - math.expm1(x)
+    return -(channel.noise / gain * core)
+
+
+def _compute_slope(cycles: float, duration: float, kappa: float) -> float:
+    """d/dT of :func:`_compute_term`: -2 kappa cycles^3 / T^3; -inf where
+    the term is inf."""
+    if cycles <= 0.0:
+        return 0.0
+    if duration <= 0.0:
+        return -math.inf
+    f = cycles / duration
+    return -2.0 * kappa * f * f * f
+
+
 # breakdown order; totals add the terms left to right in this order
 ENERGY_TERMS = (
     "tx_md",
@@ -339,6 +369,32 @@ def energy(
     """Total of :func:`energy_terms`, added left to right."""
     a, b, c, d, e, f = _term_values(sums, scenario, tau1, tau2, tau3, t1, t2, t3)
     return a + b + c + d + e + f
+
+
+def energy_slopes(
+    sums: SplitSums,
+    scenario: Scenario,
+    tau1: float,
+    tau2: float,
+    tau3: float,
+    t1: float,
+    t2: float,
+    t3: float,
+) -> tuple[float, float, float, float, float, float]:
+    """Partial derivatives of :func:`energy` in (tau1, tau2, tau3, t1, t2, t3).
+
+    Each term depends on its own duration only, so each partial is that
+    term's slope: 0 under zero data or work, -inf where the term is inf.
+    """
+    ch, co = scenario.channel, scenario.compute
+    return (
+        _transmit_slope(sums.d1, tau1, ch.gain_md_relay, ch),
+        _transmit_slope(sums.d2, tau2, ch.gain_relay_bs, ch),
+        _transmit_slope(sums.d3, tau3, ch.gain_relay_bs, ch),
+        _compute_slope(sums.ls, t1, co.kappa_md),
+        _compute_slope(sums.rs, t2, co.kappa_relay),
+        _compute_slope(sums.lr, t3, co.kappa_relay),
+    )
 
 
 def transmission_energy(

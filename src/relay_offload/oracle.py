@@ -1,9 +1,15 @@
-"""Brute-force and generic-descent reference solvers.
+"""Brute-force grid reference solvers, plus case 2's descent machinery.
 
 The grid references re-derive the objectives and constraints from the raw
 physical formulas instead of reusing the closed-form solver code, so they
 stay meaningful as independent cross-checks.  They are deliberately slow
 and simple.
+
+The projections (box, halfspace, Dykstra and the cyclic polytope
+projector) and ``projected_descent`` are not references: they are the
+machinery of case 2's numeric schemes, which pass them the model's
+analytic energy slopes.  They live here until case 2 has an exact lower
+solver of its own.
 """
 
 from __future__ import annotations
@@ -306,44 +312,9 @@ class DescentResult:
     converged: bool
 
 
-def numeric_gradient(
-    objective: Callable[[np.ndarray], float],
-    x: np.ndarray,
-    f_x: float | None = None,
-    *,
-    rel_step: float = 1e-8,
-) -> np.ndarray:
-    """Central-difference gradient, h_i = max(1e-8, rel|x_i|).
-
-    Falls back to one-sided differences where a probe point leaves the
-    objective's domain (returns +/-inf or NaN).
-    """
-    if f_x is None:
-        f_x = objective(x)
-    grad = np.zeros_like(x)
-    for i in range(len(x)):
-        h = max(1e-8, rel_step * abs(float(x[i])))
-        forward = x.copy()
-        forward[i] += h
-        backward = x.copy()
-        backward[i] -= h
-        f_fwd = objective(forward)
-        f_bwd = objective(backward)
-        fwd_ok = math.isfinite(f_fwd)
-        bwd_ok = math.isfinite(f_bwd)
-        if fwd_ok and bwd_ok:
-            grad[i] = (f_fwd - f_bwd) / (2.0 * h)
-        elif fwd_ok:
-            grad[i] = (f_fwd - f_x) / h
-        elif bwd_ok:
-            grad[i] = (f_x - f_bwd) / h
-        else:
-            grad[i] = 0.0
-    return grad
-
-
 def projected_descent(
     objective: Callable[[np.ndarray], float],
+    gradient: Callable[[np.ndarray], np.ndarray],
     project: Callable[[np.ndarray], np.ndarray],
     start: np.ndarray,
     *,
@@ -353,14 +324,17 @@ def projected_descent(
     stall_iters: int = 200,
     stall_rel_tol: float = 1e-12,
 ) -> DescentResult:
-    """Numeric-gradient descent with backtracking and per-step projection.
+    """Gradient descent with backtracking and per-step projection.
 
-    Steps move a fixed length along the normalized negative gradient; the
-    length adapts multiplicatively (shrinks on failure, grows on success).
-    Stops on the step tolerance, after ``stall_iters`` iterations whose
-    relative improvement stays under ``stall_rel_tol`` (projected zig-zag
-    near a constrained optimum), or on the iteration cap; always returns
-    the best point found with a convergence flag rather than failing.
+    ``gradient`` returns the objective's gradient at a point of finite
+    value.  Steps move a fixed length along the normalized negative
+    gradient; the length adapts multiplicatively (shrinks on failure,
+    grows on success).  Stops at once when the projected start has no
+    finite value; otherwise on the step tolerance, after ``stall_iters``
+    iterations whose relative improvement stays under ``stall_rel_tol``
+    (projected zig-zag near a constrained optimum), or on the iteration
+    cap.  Always returns the best point found with a convergence flag
+    rather than failing.
     """
     x = project(np.asarray(start, dtype=float))
     f_x = objective(x)
@@ -372,7 +346,11 @@ def projected_descent(
     since_improvement = 0
     while iterations < max_iter:
         iterations += 1
-        grad = numeric_gradient(objective, x, f_x)
+        if not math.isfinite(f_x):
+            # the projected start lies outside the objective's domain
+            converged = True
+            break
+        grad = gradient(x)
         norm = float(np.linalg.norm(grad))
         if not math.isfinite(norm) or norm == 0.0:
             converged = True

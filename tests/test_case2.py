@@ -15,6 +15,7 @@ from relay_offload import (
     TaskChain,
     case2,
     load_scenario,
+    model,
     oracle,
 )
 from relay_offload.case1 import SplitIndices, solve_lower_case1
@@ -470,6 +471,105 @@ class TestSplitFloor:
         # the BS slot alone overruns the device deadline
         scenario = basic_scenario(t_s_th=2e8 / 5e9 / 2, t_r_th=1.0)
         assert split_energy_floor(Case2Indices(1, 1, 1), scenario) == math.inf
+
+
+def _descent_calls(monkeypatch, solve):
+    """(objective, gradient, project, start) of every descent ``solve`` runs."""
+    calls = []
+    descent = oracle.projected_descent
+
+    def spy(objective, gradient, project, start, **kwargs):
+        calls.append((objective, gradient, project, np.array(start, dtype=float)))
+        return descent(objective, gradient, project, start, **kwargs)
+
+    monkeypatch.setattr(oracle, "projected_descent", spy)
+    solve()
+    return calls
+
+
+def _zero_data_device(scenario):
+    return dataclasses.replace(scenario, device_chain=TaskChain((Task(0.0, 2e8),)))
+
+
+class TestDescentGradients:
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda: solve_scheme(SchemeId.S2, Case2Indices(1, 1, 1), _relay_busy(10.0)),
+            lambda: solve_scheme(SchemeId.S2, Case2Indices(1, 2, 1), _relay_busy()),
+            lambda: solve_scheme(SchemeId.S3, Case2Indices(1, 1, 1), _relay_busy()),
+            lambda: solve_scheme_numeric(
+                SchemeId.S3, Case2Indices(1, 2, 2), _relay_busy(), free_tau0=True
+            ),
+            # degenerate Scheme 1, absorbing the budget in tau2, tau1 and T2
+            lambda: solve_scheme1(Case2Indices(1, 1, 2), _relay_busy()),
+            lambda: solve_scheme1(Case2Indices(1, 2, 2), _relay_busy()),
+            lambda: solve_scheme1(Case2Indices(1, 2, 2), _zero_data_device(_relay_busy())),
+            # T3 = min(T1 - t0, window) on both sides of its kink: the relay
+            # sends a long zero-data task to the BS
+            lambda: solve_scheme1(
+                Case2Indices(1, 1, 2),
+                _with_relay_chain(
+                    basic_scenario(t_r_th=0.6), (Task(3e4, 1e8), Task(0.0, 2e9))
+                ),
+            ),
+        ],
+        ids=[
+            "S2-111-x10",
+            "S2-121",
+            "S3-111",
+            "S3-122-tau0",
+            "S1deg-tau2",
+            "S1deg-tau1",
+            "S1deg-T2",
+            "S1deg-window",
+        ],
+    )
+    def test_gradient_matches_central_differences(self, monkeypatch, solve):
+        calls = _descent_calls(monkeypatch, solve)
+        assert calls
+        rng = np.random.default_rng(61)
+        checked = 0
+        for objective, gradient, project, start in calls:
+            points = [project(start)]
+            points += [project(start * rng.uniform(0.3, 1.7, len(start))) for _ in range(4)]
+            for x in points:
+                value = objective(x)
+                if not math.isfinite(value):
+                    continue
+                grad = gradient(x)
+                scale = float(np.max(np.abs(grad)))
+                for i in range(len(x)):
+                    h = 1e-6 * max(abs(float(x[i])), 1e-3)
+                    up, down = x.copy(), x.copy()
+                    up[i] += h
+                    down[i] -= h
+                    f_up, f_down = objective(up), objective(down)
+                    if not (math.isfinite(f_up) and math.isfinite(f_down)):
+                        continue
+                    central = (f_up - f_down) / (2.0 * h)
+                    bound = 1e-5 * scale + 1e-13 * value / h
+                    forward, backward = (f_up - value) / h, (value - f_down) / h
+                    if abs(forward - backward) > 1e-3 * scale + bound:
+                        continue  # x sits on the kink of T3 = min(T1 - t0, window)
+                    assert abs(central - grad[i]) <= bound, (i, central, grad[i])
+                    checked += 1
+        assert checked >= 5
+
+    def test_scheme2_energy_evaluation_budget(self, monkeypatch):
+        # a differenced gradient costs 14 energy evaluations per step over
+        # S2's seven coordinates, over 50,000 in this solve; slopes cost none
+        calls = []
+        term_values = model._term_values
+
+        def counted(*args):
+            calls.append(None)
+            return term_values(*args)
+
+        monkeypatch.setattr(model, "_term_values", counted)
+        lower = solve_scheme(SchemeId.S2, Case2Indices(1, 1, 1), _relay_busy(10.0))
+        assert math.isfinite(lower.energy)
+        assert len(calls) <= 8000
 
 
 @pytest.mark.parametrize(

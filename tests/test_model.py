@@ -1,5 +1,6 @@
 import json
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -17,12 +18,18 @@ from relay_offload import (
     validate_scenario,
 )
 from relay_offload.model import (
+    EXP_ARG_MAX,
     DurationTooSmall,
     ModelDomainError,
     ScenarioError,
+    SplitSums,
+    _transmit_slope,
+    energy,
+    energy_slopes,
+    energy_terms,
 )
 
-from scenario_tools import random_case1_scenario
+from scenario_tools import random_case1_scenario, random_device_chain
 
 
 def unit_channel(bandwidth=1.0, noise=1.0):
@@ -234,3 +241,124 @@ class TestTaskChain:
         chain = TaskChain((Task(1.0, 1.0),))
         with pytest.raises(IndexError):
             chain.data(3)
+
+    def test_cycles_between_adds_left_to_right(self):
+        chain = random_device_chain(np.random.default_rng(5), 9)
+        for lo in range(1, chain.n + 2):
+            for hi in range(lo, chain.n + 3):
+                total = 0.0
+                for i in range(lo, hi):
+                    total += chain.cycles(i)
+                assert chain.cycles_between(lo, hi) == total, (lo, hi)
+
+    def test_out_of_range_cycles(self):
+        chain = TaskChain((Task(1.0, 1.0), Task(2.0, 2.0)))
+        for lo, hi in ((0, 2), (1, 5), (4, 5)):
+            with pytest.raises(IndexError):
+                chain.cycles_between(lo, hi)
+        with pytest.raises(IndexError):
+            chain.cycles(0)
+        assert chain.cycles_between(4, 4) == 0.0
+
+
+# --- analytic energy slopes --------------------------------------------------
+
+_DURATIONS = ("tau1", "tau2", "tau3", "t1", "t2", "t3")
+
+
+def _random_sums(rng, zero=()):
+    values = {
+        "d1": 10 ** rng.uniform(3.0, 5.5),
+        "d2": 10 ** rng.uniform(3.0, 5.5),
+        "d3": 10 ** rng.uniform(3.0, 5.5),
+        "ls": 10 ** rng.uniform(7.0, 9.0),
+        "rs": 10 ** rng.uniform(7.0, 9.0),
+        "lr": 10 ** rng.uniform(7.0, 9.0),
+        "es": 0.0,
+        "er": 0.0,
+    }
+    for name in zero:
+        values[name] = 0.0
+    return SplitSums(**{k: float(v) for k, v in values.items()})
+
+
+def _durations(rng, sums, scenario, log_x):
+    """Transmit durations at x = d/(B tau) = 10**log_x; compute blocks
+    of 1 ms to 1 s."""
+    bandwidth = scenario.channel.bandwidth
+    out = []
+    for d in (sums.d1, sums.d2, sums.d3):
+        x = 10 ** rng.uniform(*log_x)
+        out.append(float(d / (bandwidth * x)) if d > 0.0 else float(rng.uniform(0.01, 1.0)))
+    out.extend(float(10 ** rng.uniform(-3.0, 0.0)) for _ in range(3))
+    return out
+
+
+class TestEnergySlopes:
+    # scenarios come from the relay-idle factory: energy reads only their
+    # channel and compute parameters
+    @pytest.mark.parametrize(
+        "log_x, zero",
+        [
+            ((-7.0, -4.2), ()),  # series branch of the transmit slope
+            ((-3.8, 1.5), ()),  # exponential branch
+            ((-5.0, 1.0), ("d2", "ls")),  # zero data and zero work
+            ((-5.0, 1.0), ("d1", "d3", "rs", "lr")),
+        ],
+        ids=["series", "exp", "zero-d2-ls", "zero-d1-d3-rs-lr"],
+    )
+    def test_slopes_match_central_differences(self, log_x, zero):
+        rng = np.random.default_rng(41)
+        for _ in range(25):
+            scenario = random_case1_scenario(rng, n_tasks=1)
+            sums = _random_sums(rng, zero)
+            point = _durations(rng, sums, scenario, log_x)
+            slopes = energy_slopes(sums, scenario, *point)
+            total = energy(sums, scenario, *point)
+            for i, name in enumerate(_DURATIONS):
+                h = 1e-5 * point[i]
+                up, down = list(point), list(point)
+                up[i] += h
+                down[i] -= h
+                central = (
+                    energy(sums, scenario, *up) - energy(sums, scenario, *down)
+                ) / (2.0 * h)
+                # truncation of the difference, plus the rounding of the
+                # total carried by the 1/h
+                bound = 1e-6 * abs(slopes[i]) + 1e-14 * total / h
+                assert abs(central - slopes[i]) <= bound, (name, central, slopes[i])
+                assert slopes[i] <= 0.0
+            for i, load in enumerate(("d1", "d2", "d3", "ls", "rs", "lr")):
+                if load in zero:
+                    assert slopes[i] == 0.0
+
+    def test_transmit_slope_accurate_across_the_series_switch(self):
+        channel = ChannelParams(
+            bandwidth=1.0, gain_md_relay=1.0, gain_relay_bs=1.0, noise=1.0
+        )
+        for x in np.geomspace(1e-8, 30.0, 157):
+            x = float(x)
+            with localcontext() as ctx:
+                ctx.prec = 60
+                xd = Decimal(x)
+                exact = float(-(xd * xd.exp() - (xd.exp() - 1)))
+            # tau = 1/x puts the argument d/(B tau) at x for d = B = 1
+            slope = _transmit_slope(1.0, 1.0 / x, 1.0, channel)
+            assert slope == pytest.approx(exact, rel=1e-12, abs=0.0), x
+
+    def test_minus_inf_exactly_where_the_term_is_inf(self):
+        rng = np.random.default_rng(43)
+        scenario = random_case1_scenario(rng, n_tasks=1)
+        sums = _random_sums(rng, ("rs",))
+        bandwidth = scenario.channel.bandwidth
+        overflow = sums.d2 / (bandwidth * 2.0 * EXP_ARG_MAX)
+        near_cap = sums.d3 / (bandwidth * 0.99 * EXP_ARG_MAX)
+        # tau1 = 0, tau2 past the exponent cap, tau3 just inside it, T1 < 0,
+        # T2 = 0 with no work, T3 finite
+        point = [0.0, overflow, near_cap, -1.0, 0.0, 0.5]
+        terms = list(energy_terms(sums, scenario, *point).values())
+        slopes = energy_slopes(sums, scenario, *point)
+        for term, slope in zip(terms, slopes):
+            assert math.isinf(term) == (slope == -math.inf)
+        assert slopes[4] == 0.0 and terms[4] == 0.0
+        assert math.isfinite(slopes[2]) and math.isfinite(slopes[5])
