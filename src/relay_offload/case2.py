@@ -10,11 +10,14 @@ forms break down.  The descent follows the model's analytic energy slopes
 (:func:`model.energy_slopes`), carried through each path's own
 coordinates; nothing is differenced numerically.
 
-The upper level traverses schemes and splits, but solves a (scheme, split)
-only while its energy floor (every duration set to its block's time
-budget, a bound no scheme can beat) does not exceed the incumbent's
-energy.  A skipped split could never have replaced the incumbent, so the
-winner is the exhaustive traversal's.
+The upper level computes every split's energy floor (every duration set to
+its block's time budget, a bound no scheme can beat), solves the
+(scheme, split) pairs in ascending floor order, and stops at the first
+pair whose floor is above the lowest energy solved so far by more than a
+skip margin.  The winner is then picked by replaying the tie rule over
+the solved pairs in the canonical S1 -> S2 -> S3 lexicographic order; the
+margin is wide enough that the skipped pairs could not have changed that
+pick, so the winner is the exhaustive traversal's.
 
 Device/relay frequency-cap constraints are relaxed throughout (the BS
 capacity constraints remain); violations of the relaxed caps are reported
@@ -973,17 +976,37 @@ def solve_case2(
     *,
     warm_start: Case2Solution | None = None,
 ) -> Case2Solution:
-    """Traversal over schemes and split indices, skipping hopeless splits.
+    """Traversal over schemes and split indices in ascending floor order.
 
-    Schemes go in the order S1, S2, S3 and splits lexicographically
-    within each.  Once a feasible incumbent exists, a (scheme, split) whose
-    :func:`split_energy_floor` exceeds the incumbent's energy by more than
-    a relative 1e-9 is not solved: every point that scheme could return
-    costs at least the floor, so it could never replace the incumbent.
-    The winner is therefore the one the exhaustive traversal finds.  Ties
-    within relative 1e-12 break toward the lexicographically smallest
-    (scheme, n1, n2, m1).  ``warm_start`` seeds the numeric solver at the
-    matching combination, useful when re-solving a perturbed scenario.
+    The winner is defined by the exhaustive traversal: schemes in the
+    order S1, S2, S3, splits lexicographically within each, and a pair
+    replaces the incumbent only when its energy is below the incumbent's
+    by more than a relative ``tie_rel``, so near-ties break toward the
+    lexicographically smallest (scheme, n1, n2, m1).
+
+    Pairs are solved in ascending (:func:`split_energy_floor`, canonical
+    position) order, and the traversal stops at the first pair whose floor
+    f satisfies f * (1 - FLOOR_MARGIN - (s + 1) * tie_rel) > E, where E is
+    the lowest energy solved so far and s the number of feasible pairs
+    solved.  Every later pair has a floor at least f, and each pair's
+    energy is at least its floor (FLOOR_MARGIN absorbs rounding).  The
+    tie rule is then replayed over the solved pairs in canonical order.
+
+    Why the replay picks the exhaustive winner: run the tie rule over all
+    pairs and over the solved ones side by side.  A skipped pair costs at
+    least f * (1 - FLOOR_MARGIN), and only a skipped pair can make the
+    runs' incumbents differ.  While they differ, a skipped pair can only
+    set the full run's incumbent to its own energy, and a solved pair that
+    replaces in one run only lowers the smaller incumbent by at most one
+    tie band, so both stay at or above
+    f * (1 - FLOOR_MARGIN) * (1 - tie_rel)**s.  The stopping rule
+    puts that level above E / (1 - tie_rel), and both runs end at or below
+    E / (1 - tie_rel), so they end on the same pair.  One tie band of
+    margin would not do: a skipped pair a little over one band above E
+    can, as the incumbent, keep a later near-tie pair from taking over.
+
+    ``warm_start`` seeds the numeric solver at the matching combination,
+    useful when re-solving a perturbed scenario.
     """
     device = scenario.device_chain
     relay = scenario.relay_chain
@@ -1004,30 +1027,37 @@ def solve_case2(
         for m1 in range(1, relay.n + 2)
     ]
     floors = [split_energy_floor(indices, scenario, options) for indices in splits]
+    schemes = (SchemeId.S1, SchemeId.S2, SchemeId.S3)
+    pairs = sorted(
+        (floor, k, i) for k in range(len(schemes)) for i, floor in enumerate(floors)
+    )
+    solved: list[tuple[int, int, Case2LowerSolution]] = []
+    lowest = math.inf
+    for floor, k, i in pairs:
+        margin = model.FLOOR_MARGIN + (len(solved) + 1) * options.tie_rel
+        if floor * (1.0 - margin) > lowest:
+            break
+        scheme, indices = schemes[k], splits[i]
+        warm = None
+        if (
+            warm_start is not None
+            and warm_start.scheme is scheme
+            and warm_start.indices == indices
+        ):
+            warm = warm_start.lower
+        try:
+            lower = solve_scheme(scheme, indices, scenario, options, warm_start=warm)
+        except Infeasible:
+            continue
+        if not math.isfinite(lower.energy):
+            continue
+        solved.append((k, i, lower))
+        lowest = min(lowest, lower.energy)
+
     best: tuple[SchemeId, Case2Indices, Case2LowerSolution] | None = None
-    for scheme in (SchemeId.S1, SchemeId.S2, SchemeId.S3):
-        for indices, floor in zip(splits, floors):
-            if best is not None and floor * (1.0 - model.FLOOR_MARGIN) > best[2].energy:
-                continue
-            warm = None
-            if (
-                warm_start is not None
-                and warm_start.scheme is scheme
-                and warm_start.indices == indices
-            ):
-                warm = warm_start.lower
-            try:
-                lower = solve_scheme(
-                    scheme, indices, scenario, options, warm_start=warm
-                )
-            except Infeasible:
-                continue
-            if not math.isfinite(lower.energy):
-                continue
-            if best is None or lower.energy < best[2].energy * (
-                1.0 - options.tie_rel
-            ):
-                best = (scheme, indices, lower)
+    for k, i, lower in sorted(solved, key=lambda entry: entry[:2]):
+        if best is None or lower.energy < best[2].energy * (1.0 - options.tie_rel):
+            best = (schemes[k], splits[i], lower)
     if best is None:
         raise Infeasible(
             "globally infeasible: no scheme and split meets both deadlines",

@@ -383,6 +383,10 @@ def run(config: RunConfig) -> int:
             doc["oracle"] = _oracle_check_doc(solution, scenario)
         _emit(_dump_json(doc), config.output)
         return EXIT_OK
+    except ScenarioError as exc:
+        # a sweep's field name or value
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     except Infeasible as exc:
         names = ", ".join(exc.constraints) or "unspecified"
         print(f"infeasible: {exc} (constraints: {names})", file=sys.stderr)

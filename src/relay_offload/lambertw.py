@@ -67,6 +67,7 @@ def lambert_w0(x: float) -> float:
         return -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p * p * p
 
     w = _initial_guess(x)
+    last_step = math.inf
     for _ in range(_HALLEY_MAX_ITER):
         e_w = math.exp(w)
         residual = w * e_w - x
@@ -75,7 +76,12 @@ def lambert_w0(x: float) -> float:
         if denom == 0.0:
             break
         delta = residual / denom
+        if abs(delta) >= last_step:
+            # Halley shrinks its steps until rounding takes over; a step
+            # that does not shrink flips w between adjacent floats
+            break
         w -= delta
-        if abs(delta) <= 2e-16 * (2.0 + abs(w)):
+        last_step = abs(delta)
+        if last_step <= 2e-16 * (2.0 + abs(w)):
             break
     return w

@@ -561,6 +561,8 @@ def _require_number(section: str, key: str, raw: dict) -> float:
     value = raw[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{section}.{key}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ScenarioError(f"{section}.{key}: expected a finite number, got {value!r}")
     return float(value)
 
 

@@ -398,13 +398,12 @@ def _relay_busy(t_r_factor=1.0):
     return dataclasses.replace(scenario, deadlines=deadlines)
 
 
-def _exhaustive_case2(scenario):
-    """Every scheme at every split, in solve_case2's order and tie rule.
+def _exhaustive_case2(scenario, options=Case2Options()):
+    """Every scheme at every split, in the canonical order and tie rule.
 
     Also checks that each split's floor is below every energy a scheme
     solver returns there.
     """
-    tie_rel = Case2Options().tie_rel
     n, m = scenario.device_chain.n, scenario.relay_chain.n
     best = None
     for scheme in SchemeId:
@@ -413,14 +412,14 @@ def _exhaustive_case2(scenario):
                 for m1 in range(1, m + 2):
                     indices = Case2Indices(n1, n2, m1)
                     try:
-                        lower = solve_scheme(scheme, indices, scenario)
+                        lower = solve_scheme(scheme, indices, scenario, options)
                     except Infeasible:
                         continue
                     if not math.isfinite(lower.energy):
                         continue
-                    floor = split_energy_floor(indices, scenario)
+                    floor = split_energy_floor(indices, scenario, options)
                     assert floor <= lower.energy * (1 + 1e-9), (scheme, indices)
-                    if best is None or lower.energy < best[2].energy * (1 - tie_rel):
+                    if best is None or lower.energy < best[2].energy * (1 - options.tie_rel):
                         best = (scheme, indices, lower)
     return best
 
@@ -471,6 +470,103 @@ class TestSplitFloor:
         # the BS slot alone overruns the device deadline
         scenario = basic_scenario(t_s_th=2e8 / 5e9 / 2, t_r_th=1.0)
         assert split_energy_floor(Case2Indices(1, 1, 1), scenario) == math.inf
+
+    @pytest.mark.parametrize(
+        "make, options",
+        [
+            (lambda: _random_busy(6, 2, 2), Case2Options()),
+            (lambda: _random_busy(6, 3, 1), Case2Options()),
+            (lambda: _random_busy(2, 1, 3), Case2Options()),
+            (lambda: _random_busy(6, 2, 2), Case2Options(tie_rel=1e-6)),
+            (lambda: _relay_busy(10.0), Case2Options(tie_rel=1e-6)),
+        ],
+        ids=["2x2-6", "3x1-6", "1x3-2", "2x2-6-tie1e-6", "busy-x10-tie1e-6"],
+    )
+    def test_floor_order_keeps_the_exhaustive_winner(self, make, options):
+        scenario = make()
+        scheme, indices, lower = _exhaustive_case2(scenario, options)
+        solution = solve_case2(scenario, options)
+        assert (solution.scheme, solution.indices) == (scheme, indices)
+        assert solution.lower == lower
+
+    def test_exact_tie_goes_to_the_smaller_pair(self):
+        # a trailing relay task with no data and no work: sending it to the
+        # BS (m1 = 2) and keeping it (m1 = 3) give the same split totals
+        scenario = _with_relay_chain(
+            _relay_busy(10.0), _relay_busy().relay_chain.tasks + (Task(0.0, 0.0),)
+        )
+        sent = solve_scheme(SchemeId.S2, Case2Indices(1, 1, 2), scenario)
+        kept = solve_scheme(SchemeId.S2, Case2Indices(1, 1, 3), scenario)
+        assert sent.energy == kept.energy
+        scheme, indices, lower = _exhaustive_case2(scenario)
+        assert (scheme, indices) == (SchemeId.S2, Case2Indices(1, 1, 2))
+        solution = solve_case2(scenario)
+        assert (solution.scheme, solution.indices) == (scheme, indices)
+        assert solution.lower == lower
+
+    def test_near_tie_chains_replay_exhaustively(self, monkeypatch):
+        # synthetic energies a few tie bands apart, with floors just below
+        # them: a skip margin of FLOOR_MARGIN plus one tie band picks a
+        # different winner than the exhaustive traversal on some seeds
+        options = Case2Options(tie_rel=1e-6)
+        scenario = _random_busy(1, 2, 2)
+        splits = [
+            Case2Indices(n1, n2, m1)
+            for n1 in range(1, 4)
+            for n2 in range(n1, 4)
+            for m1 in range(1, 4)
+        ]
+        energies, floors = {}, {}
+
+        def fake_solve(scheme, indices, scenario, options, *, warm_start=None):
+            energy = energies[scheme, indices]
+            if energy is None:
+                raise Infeasible("synthetic", ("synthetic",))
+            return Case2LowerSolution(*[1.0] * 7, *[math.nan] * 4, energy)
+
+        monkeypatch.setattr(case2, "solve_scheme", fake_solve)
+        monkeypatch.setattr(
+            case2, "split_energy_floor", lambda indices, scenario, options: floors[indices]
+        )
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            for scheme in SchemeId:
+                for indices in splits:
+                    bands = rng.uniform(0.0, 6.0)
+                    feasible = rng.uniform() > 0.15
+                    energies[scheme, indices] = (
+                        1e-3 * (1.0 + options.tie_rel) ** bands if feasible else None
+                    )
+            for indices in splits:
+                at_split = [energies[s, indices] for s in SchemeId]
+                lowest = min((e for e in at_split if e is not None), default=2e-3)
+                floors[indices] = lowest * (1.0 - options.tie_rel * rng.uniform())
+            best = None
+            for scheme in SchemeId:
+                for indices in splits:
+                    energy = energies[scheme, indices]
+                    if energy is not None and (
+                        best is None or energy < best[2] * (1.0 - options.tie_rel)
+                    ):
+                        best = (scheme, indices, energy)
+            solution = solve_case2(scenario, options)
+            winner = (solution.scheme, solution.indices, solution.lower.energy)
+            assert winner == best, seed
+
+    def test_relay_busy_x10_never_solves_the_slow_split(self, monkeypatch):
+        calls = []
+        solve = case2.solve_scheme
+
+        def counted(scheme, indices, *args, **kwargs):
+            calls.append((scheme, indices))
+            return solve(scheme, indices, *args, **kwargs)
+
+        monkeypatch.setattr(case2, "solve_scheme", counted)
+        solve_case2(_relay_busy(10.0))
+        # S2 at (1,1,1) is the slowest solve and has a higher floor than
+        # the winning split (1,1,2)
+        assert len(calls) <= 3
+        assert (SchemeId.S2, Case2Indices(1, 1, 1)) not in calls
 
 
 def _descent_calls(monkeypatch, solve):

@@ -155,6 +155,45 @@ class TestValidateCommand:
         assert "unknown keys" in capsys.readouterr().err
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "command, make, section, key, value",
+        [
+            ("solve-case1", all_local_doc, "channel", "h", float("nan")),
+            ("solve-case1", all_local_doc, "channel", "g", float("nan")),
+            ("solve-case1", all_local_doc, "channel", "B", float("inf")),
+            ("solve-case2", case2_doc, "deadlines", "t0", float("nan")),
+            ("solve-case1", all_local_doc, "deadlines", "t_s", float("inf")),
+        ],
+        ids=["nan-h", "nan-g", "inf-B", "nan-t0", "inf-t_s"],
+    )
+    def test_rejected_at_parse_time(self, tmp_path, capsys, command, make, section, key, value):
+        doc = make()
+        doc[section][key] = value
+        path = write_doc(tmp_path, doc)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, "--scenario", str(path)])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {section}.{key}: expected a finite number")
+        assert captured.err.count("\n") == 1
+
+    def test_task_field_is_named(self, tmp_path, capsys):
+        doc = all_local_doc()
+        doc["device_tasks"][1]["cycles"] = float("-inf")
+        path = write_doc(tmp_path, doc)
+        assert run_cli("validate", path) == 1
+        assert "device_tasks[2].cycles: expected a finite number" in capsys.readouterr().err
+
+    def test_sweep_to_a_non_finite_value(self, tmp_path, capsys):
+        path = write_doc(tmp_path, all_local_doc())
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["sweep", "--scenario", str(path), "--sweep", "deadlines.t_s", "nan", "0.5", "2"])
+        assert excinfo.value.code == 1
+        assert "deadlines.t_s: expected a finite number" in capsys.readouterr().err
+
+
 class TestSweepCommand:
     def test_deadline_sweep_monotone(self, tmp_path, capsys):
         path = write_doc(tmp_path, all_local_doc())

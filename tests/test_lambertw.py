@@ -76,3 +76,30 @@ def test_domain_error_below_branch_point():
 
 def test_clamp_band_absorbs_rounding():
     assert lambert_w0(BRANCH_POINT - 0.5e-15) == -1.0
+
+
+def test_halley_stops_when_rounding_takes_over(monkeypatch):
+    # near w ~ -0.9 the iteration can flip between two adjacent floats with
+    # steps above the stop tolerance; each Halley step costs one exp
+    xs = np.concatenate(
+        [
+            BRANCH_POINT + np.logspace(-12, 0, 400),
+            np.logspace(-12, 9, 600),
+            # p^2 = 2(e x + 1) from 1e-6 to 1, where the flips were seen
+            BRANCH_POINT + np.logspace(-6, 0, 2000) / (2.0 * math.e),
+        ]
+    )
+    calls = []
+    exp = math.exp
+
+    def counted(value):
+        calls.append(value)
+        return exp(value)
+
+    monkeypatch.setattr(math, "exp", counted)
+    worst = 0
+    for x in xs:
+        calls.clear()
+        lambert_w0(float(x))
+        worst = max(worst, len(calls))
+    assert worst <= 6
