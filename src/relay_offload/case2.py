@@ -4,11 +4,12 @@ The shared uplink band admits three transmission orderings (schemes).
 Scheme 1 has a semi-closed structure: all continuous variables collapse to
 a dual multiplier plus the relay's own transmit duration; the multiplier
 is found by a bracketed root search inside a one-dimensional outer scan.
-Schemes 2 and 3 are solved numerically with the projected-descent engine
-from the oracle module, as are degenerate Scheme-1 splits where the closed
-forms break down.  The descent follows the model's analytic energy slopes
-(:func:`model.energy_slopes`), carried through each path's own
-coordinates; nothing is differenced numerically.
+Schemes 2 and 3, and degenerate Scheme-1 splits where the closed forms
+break down, are convex programs in at most seven durations under at most
+five timing rows.  :func:`active_set_newton` solves them exactly from the
+model's analytic slopes and curvatures (:func:`model.energy_slopes`,
+:func:`model.energy_curvatures`) and returns KKT multipliers that certify
+the optimum; a cyclic projector only places its starting point.
 
 The upper level computes every split's energy floor (every duration set to
 its block's time budget, a bound no scheme can beat), solves the
@@ -29,10 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, Sequence
 
 import numpy as np
 
-from . import model, oracle
+from . import model
 from ._search import bisect_decreasing, golden_section
 from .case1 import tau_from_lambda
 from .model import Infeasible, ModelDomainError, Scenario, SplitSums
@@ -101,10 +103,6 @@ class Case2Options:
     tie_rel: float = 1e-12
     scan_points: int = 33
     max_doublings: int = 400
-    descent_max_iter: int = 3000
-    descent_step_tol: float = 1e-12
-    descent_stall_iters: int = 50
-    descent_stall_rel: float = 1e-9
 
 
 def _sums(indices: Case2Indices, scenario: Scenario) -> SplitSums:
@@ -344,12 +342,12 @@ def _solve_scheme1_degenerate(
 ) -> Case2LowerSolution:
     """Scheme 1 with a nonempty own block but no relay upload (d3 = 0).
 
-    The compute/transmit balance equation is unusable here, but the
-    structure simplifies instead: tau3 = 0, the own-block duration takes
-    the largest value its ordering and window rows allow, and one
-    device-side variable absorbs the deadline budget (both exact
-    monotone eliminations).  What remains is a box-constrained convex
-    problem solved by projected descent.
+    The compute/transmit balance equation is unusable here, so the split
+    goes through the numeric engine over the six durations under Scheme
+    1's rows, with tau3 pinned to 0.  Its starting points fill the device
+    budget: one device-side variable absorbs the slack the others leave,
+    and the own block takes the largest value its ordering and window rows
+    allow, T3 = min(T1 - t0, window).
     """
     sums = _sums(indices, scenario)
     t0, ts, tr = _deadline_triple(scenario)
@@ -361,145 +359,32 @@ def _solve_scheme1_degenerate(
     if not _numeric_feasible(SchemeId.S1, sums, scenario, options.feas_tol):
         raise _infeasible(SchemeId.S1, indices, "bs_capacity", "deadline")
 
-    if sums.d2 > 0.0:
-        absorber = "tau2"
-    elif sums.d1 > 0.0:
-        absorber = "tau1"
-    elif sums.rs > 0.0:
-        absorber = "T2"
-    elif sums.ls > 0.0:
-        absorber = "T1"
-    else:
-        absorber = None
-
-    names = []
-    if sums.d1 > 0.0 and absorber != "tau1":
-        names.append("tau1")
-    if absorber != "T1":
-        names.append("T1")
-    if sums.rs > 0.0 and absorber != "T2":
-        names.append("T2")
-
-    def assemble(x: np.ndarray) -> dict[str, float] | None:
-        values = dict(zip(names, (float(v) for v in x)))
-        values.setdefault("tau1", 0.0)
-        values.setdefault("T2", 0.0)
-        used = sum(values[k] for k in ("tau1", "T2") if k != absorber)
-        used += values.get("T1", 0.0)
+    loads = {"tau1": sums.d1, "tau2": sums.d2, "T1": sums.ls, "T2": sums.rs}
+    absorber = next((k for k in ("tau2", "tau1", "T2", "T1") if loads[k] > 0.0), None)
+    names = [k for k in ("tau1", "T1", "T2") if k != absorber and (loads[k] > 0.0 or k == "T1")]
+    starts = []
+    for frac in (0.08, 0.25, 0.6):
+        values = dict.fromkeys(("tau1", "tau2", "T1", "T2"), 0.0)
+        values.update(dict.fromkeys(names, frac * budget / max(len(names), 1)))
         if absorber is not None:
-            slack = budget - used
+            slack = budget - sum(values[k] for k in values if k != absorber)
             if slack <= 0.0:
-                return None
+                continue
             values[absorber] = slack
-        elif used > budget + options.feas_tol:
-            return None
-        values.setdefault("tau2", 0.0)
         t3 = min(values["T1"] - t0, window_t3)
         if t3 <= 0.0:
-            return None
-        values["T3"] = t3
-        return values
-
-    def objective(x: np.ndarray) -> float:
-        values = assemble(x)
-        if values is None:
-            return math.inf
-        return model.energy(
-            sums,
-            scenario,
-            values["tau1"],
-            values["tau2"],
-            0.0,
-            values["T1"],
-            values["T2"],
-            values["T3"],
+            continue
+        starts.append(
+            [values["tau1"], values["tau2"], 0.0, values["T1"], values["T2"], t3]
         )
-
-    def gradient(x: np.ndarray) -> np.ndarray:
-        values = assemble(x)
-        assert values is not None
-        s_tau1, s_tau2, _, s_t1, s_t2, s_t3 = model.energy_slopes(
-            sums,
-            scenario,
-            values["tau1"],
-            values["tau2"],
-            0.0,
-            values["T1"],
-            values["T2"],
-            values["T3"],
-        )
-        # T3 = min(T1 - t0, window_t3) moves with T1 while the ordering row binds
-        if values["T1"] - t0 < window_t3:
-            s_t1 += s_t3
-        slope = {"tau1": s_tau1, "tau2": s_tau2, "T1": s_t1, "T2": s_t2}
-        # every free coordinate shifts the absorber the other way
-        shift = slope[absorber] if absorber is not None else 0.0
-        return np.array([slope[name] - shift for name in names])
-
-    if not names:
-        # fully determined: only the absorbed variable remains
-        values = assemble(np.zeros(0))
-        if values is None:
-            raise _infeasible(SchemeId.S1, indices, "bs_capacity", "deadline")
-        energy = objective(np.zeros(0))
-    else:
-        eps = 1e-12 * max(ts, tr)
-        box = oracle.Box(
-            lo=np.full(len(names), eps), hi=np.full(len(names), budget)
-        )
-        best = None
-        for frac in (0.08, 0.25, 0.6):
-            start = np.full(len(names), frac * budget / max(len(names), 1))
-            result = oracle.projected_descent(
-                objective,
-                gradient,
-                box.project,
-                start,
-                max_iter=options.descent_max_iter,
-                step_tol=options.descent_step_tol,
-                initial_step=budget / 20.0,
-                stall_iters=options.descent_stall_iters,
-                stall_rel_tol=options.descent_stall_rel,
-            )
-            if math.isfinite(result.value) and (
-                best is None or result.value < best.value
-            ):
-                best = result
-        if best is None:
-            raise _infeasible(SchemeId.S1, indices, "bs_capacity", "deadline")
-        polish = oracle.projected_descent(
-            objective,
-            gradient,
-            box.project,
-            best.point,
-            max_iter=options.descent_max_iter,
-            step_tol=options.descent_step_tol,
-            initial_step=budget * 1e-5,
-            stall_iters=options.descent_stall_iters,
-            stall_rel_tol=options.descent_stall_rel,
-        )
-        if math.isfinite(polish.value) and polish.value < best.value:
-            best = polish
-        values = assemble(best.point)
-        assert values is not None
-        energy = best.value
-
-    return Case2LowerSolution(
-        tau1=values["tau1"],
-        tau2=values["tau2"],
-        tau3=0.0,
-        t1=values["T1"],
-        t2=values["T2"],
-        t3=values["T3"],
-        tau_s=tau_s,
-        psi=math.nan,
-        lam=math.nan,
-        eta1=math.nan,
-        eta2=math.nan,
-        energy=energy,
-        cap_violations=_cap_violations(
-            sums, values["T1"], values["T2"], values["T3"], scenario
-        ),
+    return _solve_numeric(
+        SchemeId.S1,
+        indices,
+        scenario,
+        options,
+        starts,
+        free_tau0=False,
+        constraints=("bs_capacity", "deadline"),
     )
 
 
@@ -606,8 +491,8 @@ def _numeric_constraints(
     scenario: Scenario,
     n_vars: int,
     free_tau0: bool,
-) -> list[oracle.ConvexSet]:
-    """Halfspace encoding of the scheme's timing constraints.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows A and bounds b of the scheme's timing constraints A x <= b.
 
     Variable layout: tau1, tau2, tau3, T1, T2, T3 [, t_c for S2]
     [, tau0 for S3 with free_tau0].  The S2 completion-time max is encoded
@@ -617,6 +502,8 @@ def _numeric_constraints(
     f_bs = scenario.compute.f_bs_max
     tau_s = sums.es / f_bs
     bs_relay_time = sums.er / f_bs
+    rows: list[np.ndarray] = []
+    bounds: list[float] = []
 
     def half(coeffs: dict[str, float], bound: float, extra: dict[int, float] | None = None):
         a = np.zeros(n_vars)
@@ -625,41 +512,37 @@ def _numeric_constraints(
         if extra:
             for idx, value in extra.items():
                 a[idx] = value
-        return oracle.Halfspace(a=a, b=bound)
+        rows.append(a)
+        bounds.append(bound)
 
     device_busy = {"T1": 1.0, "tau1": 1.0, "T2": 1.0, "tau2": 1.0}
-    sets: list[oracle.ConvexSet] = []
     if scheme is SchemeId.S1:
-        sets.append(half({"tau3": 1.0, "T3": 1.0, "T1": -1.0}, -t0))
-        sets.append(half({"tau3": 1.0, "T3": 1.0}, tr - t0 - tau_s - bs_relay_time))
-        sets.append(half(device_busy, ts - tau_s))
+        half({"tau3": 1.0, "T3": 1.0, "T1": -1.0}, -t0)
+        half({"tau3": 1.0, "T3": 1.0}, tr - t0 - tau_s - bs_relay_time)
+        half(device_busy, ts - tau_s)
     elif scheme is SchemeId.S2:
         tc = 6
-        sets.append(half({**device_busy, "T3": -1.0}, t0))
-        sets.append(half(device_busy, -tau_s, extra={tc: -1.0}))
-        sets.append(half({"T2": 1.0, "T3": 1.0, "tau3": 1.0}, -t0, extra={tc: -1.0}))
-        sets.append(half({}, tr - bs_relay_time, extra={tc: 1.0}))
-        sets.append(half(device_busy, ts - tau_s))
+        half({**device_busy, "T3": -1.0}, t0)
+        half(device_busy, -tau_s, extra={tc: -1.0})
+        half({"T2": 1.0, "T3": 1.0, "tau3": 1.0}, -t0, extra={tc: -1.0})
+        half({}, tr - bs_relay_time, extra={tc: 1.0})
+        half(device_busy, ts - tau_s)
     else:
         tau0_extra = {6: 1.0} if free_tau0 else None
-        sets.append(half({"T1": 1.0, "tau1": 1.0, "T3": -1.0}, t0))
-        sets.append(
-            half({"T3": 1.0, "tau3": 1.0, "T1": -1.0, "tau1": -1.0, "T2": -1.0}, -t0)
+        half({"T1": 1.0, "tau1": 1.0, "T3": -1.0}, t0)
+        half({"T3": 1.0, "tau3": 1.0, "T1": -1.0, "tau1": -1.0, "T2": -1.0}, -t0)
+        half(
+            {"T3": 1.0, "tau3": 1.0},
+            tr - t0 - tau_s - bs_relay_time,
+            extra=tau0_extra,
         )
-        sets.append(
-            half(
-                {"T3": 1.0, "tau3": 1.0},
-                tr - t0 - tau_s - bs_relay_time,
-                extra=tau0_extra,
-            )
-        )
-        sets.append(half(device_busy, ts - tau_s))
-    return sets
+        half(device_busy, ts - tau_s)
+    return np.array(rows), np.array(bounds)
 
 
 def _numeric_box(
     scheme: SchemeId, sums: SplitSums, scenario: Scenario, n_vars: int
-) -> oracle.Box:
+) -> tuple[np.ndarray, np.ndarray]:
     t0, ts, tr = _deadline_triple(scenario)
     horizon = max(ts, tr)
     eps = 1e-12 * horizon
@@ -675,7 +558,7 @@ def _numeric_box(
             lo[idx] = eps
     if n_vars > 6:
         hi[6:] = max(tr, 1.0)
-    return oracle.Box(lo=lo, hi=hi)
+    return lo, hi
 
 
 def _numeric_feasible(
@@ -696,6 +579,439 @@ def _numeric_feasible(
     return t0 + tau_s <= ts + tol and t0 + tau_s + bs_relay_time <= tr + tol
 
 
+class _PolytopeProjector:
+    """Cyclic projector onto lo <= x <= hi, A x <= b, for a few dimensions.
+
+    It only places the numeric engine's starting points on the polytope.
+    Plain-float inner loops over the nonzero coefficients: for the handful
+    of dimensions the solvers use, numpy's per-call overhead dominates the
+    arithmetic.  Halfspace reflections are over-relaxed while far from the
+    intersection, which breaks the slow zig-zag that plain alternating
+    projections exhibit at acute constraint angles.
+    """
+
+    _OMEGA = 1.7
+
+    def __init__(
+        self,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        rows: np.ndarray,
+        bounds: np.ndarray,
+        tol: float,
+        max_sweeps: int,
+    ) -> None:
+        self._tol = tol
+        self._max_sweeps = max_sweeps
+        self._n = len(lo)
+        self._lo = [float(v) for v in lo]
+        self._hi = [float(v) for v in hi]
+        self._planes = []
+        for a, b in zip(rows, bounds):
+            nonzero = tuple((j, float(c)) for j, c in enumerate(a) if c != 0.0)
+            norm_sq = sum(c * c for _, c in nonzero)
+            self._planes.append((nonzero, float(b), 1.0 / norm_sq, math.sqrt(norm_sq)))
+
+    def violation(self, x: list[float]) -> float:
+        """Largest bound excess or row distance outside the polytope."""
+        worst = 0.0
+        lo, hi = self._lo, self._hi
+        for j in range(self._n):
+            v = x[j]
+            if lo[j] - v > worst:
+                worst = lo[j] - v
+            if v - hi[j] > worst:
+                worst = v - hi[j]
+        for nonzero, bound, _, norm in self._planes:
+            excess = -bound
+            for j, c in nonzero:
+                excess += c * x[j]
+            if excess > worst * norm:
+                worst = excess / norm
+        return worst
+
+    def _clip(self, x: list[float]) -> None:
+        for j, (lo, hi) in enumerate(zip(self._lo, self._hi)):
+            x[j] = min(max(x[j], lo), hi)
+
+    def __call__(self, point: list[float]) -> list[float]:
+        x = [float(v) for v in point]
+        relax = self._OMEGA
+        for sweep in range(self._max_sweeps):
+            self._clip(x)
+            worst_plane = 0.0
+            for nonzero, bound, inv_norm_sq, norm in self._planes:
+                excess = -bound
+                for j, c in nonzero:
+                    excess += c * x[j]
+                if excess > 0.0:
+                    shift = excess * inv_norm_sq * relax
+                    for j, c in nonzero:
+                        x[j] -= c * shift
+                    if excess > worst_plane * norm:
+                        worst_plane = excess / norm
+            if worst_plane <= 0.25 * self._tol:
+                # planes satisfied before relaxation; one exact box pass
+                self._clip(x)
+                if self.violation(x) <= self._tol:
+                    break
+            relax = self._OMEGA if worst_plane > 100.0 * self._tol else 1.0
+        return x
+
+
+@dataclass(frozen=True)
+class NewtonResult:
+    """Output of :func:`active_set_newton`.
+
+    The multipliers are the optimality certificate: all are >= 0, only
+    constraints that hold with equality carry a nonzero one, and
+    ``slopes + rows.T @ row_multipliers - lower_multipliers +
+    upper_multipliers`` vanishes at ``point`` when ``converged``.
+    """
+
+    point: list[float]
+    row_multipliers: np.ndarray
+    lower_multipliers: np.ndarray
+    upper_multipliers: np.ndarray
+    converged: bool
+
+
+# a face is solved once its Newton step moves no slope by more than this
+# fraction of the largest stationarity term on the slope's coordinate
+_FACE_REL = 1e-11
+# a multiplier below -_DROP_REL times its coordinates' slopes is negative
+_DROP_REL = 1e-12
+# the energy rise that backtracking forgives as rounding, relative
+_ROUNDING = 16.0 * 2.0**-52
+_MAX_ITER = 500
+
+
+def _null_basis(rows: list[list[float]], n: int) -> list[list[float]]:
+    """Vectors spanning {v : rows @ v = 0} in R^n, read off the reduced
+    row echelon form.  For the timing rows' +-1 coefficients they are small
+    integer combinations, so they keep the rows' own scaling."""
+    m = [list(row) for row in rows]
+    pivots: list[int] = []
+    for c in range(n):
+        r = len(pivots)
+        if r == len(m):
+            break
+        p = max(range(r, len(m)), key=lambda i: abs(m[i][c]))
+        if abs(m[p][c]) <= 1e-12:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                factor = m[i][c]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [0.0] * n
+        v[f] = 1.0
+        for i, c in enumerate(pivots):
+            v[c] = -m[i][f]
+        basis.append(v)
+    return basis
+
+
+def _least_squares(columns: list[list[float]], target: list[float]) -> list[float]:
+    """Coefficients y minimising |sum_i y_i columns[i] - target|.
+
+    Modified Gram-Schmidt with column pivoting on unit-length columns, each
+    one orthogonalised twice.  A column whose remainder is below 1e-10
+    depends on the earlier ones and gets coefficient 0."""
+    lengths = [math.sqrt(sum(v * v for v in col)) or 1.0 for col in columns]
+    rest = [[v / length for v in col] for col, length in zip(columns, lengths)]
+    rest_target = list(target)
+    order: list[int] = []
+    coef: list[float] = []
+    r: dict[tuple[int, int], float] = {}
+    while len(order) < len(columns):
+        i = max(
+            (i for i in range(len(columns)) if i not in order),
+            key=lambda i: sum(v * v for v in rest[i]),
+        )
+        size = math.sqrt(sum(v * v for v in rest[i]))
+        if size <= 1e-10:
+            break
+        q = [v / size for v in rest[i]]
+        r[i, i] = size
+        for j in [j for j in range(len(columns)) if j != i and j not in order] + [-1]:
+            vec = rest[j] if j >= 0 else rest_target
+            total = 0.0
+            for _ in range(2):
+                dot = sum(a * b for a, b in zip(q, vec))
+                vec = [a - dot * b for a, b in zip(vec, q)]
+                total += dot
+            if j >= 0:
+                rest[j], r[i, j] = vec, total
+            else:
+                rest_target = vec
+                coef.append(total)
+        order.append(i)
+    y = [0.0] * len(columns)
+    for a in range(len(order) - 1, -1, -1):
+        i = order[a]
+        y[i] = (coef[a] - sum(r[i, j] * y[j] for j in order[a + 1 :])) / r[i, i]
+    return [v / length for v, length in zip(y, lengths)]
+
+
+def _newton_step(
+    slopes: list[float], curvatures: list[float], rows: list[list[float]]
+) -> tuple[list[float], list[float]]:
+    """Newton step on the face rows @ p = 0, and the rows' multipliers.
+
+    Solves the KKT system [[H, A^T], [A, 0]] [p; lam] = [-g; 0] of the
+    diagonal Hessian H = diag(curvatures) by the null-space method: with
+    the vectors z spanning the moves along the face, p = Z u where
+    (Z^T H Z) u = -Z^T g, and then A^T lam = -(g + H p).  Z comes from the
+    echelon form of the rows, so it keeps their +-1 structure and a move
+    of the zero-cost coordinates alone (no load, the S2 epigraph variable,
+    the free tau0) is a z with no curvature and no slope: it changes
+    nothing, and the step leaves it out.  Each z is scaled to unit
+    curvature; the second system is weighted by each coordinate's own size,
+    so every coordinate's stationarity holds to its own rounding (the
+    system is consistent, so the weights leave its solution alone).
+    """
+    m = len(slopes)
+    basis = _null_basis(rows, m) if rows else [[float(i == j) for j in range(m)] for i in range(m)]
+    moves = []  # the basis, each scaled to unit curvature
+    for z in basis:
+        curvature = sum(h * v * v for h, v in zip(curvatures, z))
+        if curvature > 0.0:
+            moves.append([v / math.sqrt(curvature) for v in z])
+    reduced = [
+        [sum(h * a * b for h, a, b in zip(curvatures, za, zb)) for zb in moves] for za in moves
+    ]
+    u = _least_squares(reduced, [-sum(g * v for g, v in zip(slopes, z)) for z in moves])
+    step = [sum(ui * z[j] for ui, z in zip(u, moves)) for j in range(m)]
+
+    pull = [-(g + h * p) for g, h, p in zip(slopes, curvatures, step)]
+    sizes = [abs(v) for v in pull if v]
+    if not rows or not sizes:
+        return step, [0.0] * len(rows)
+    weight = [1.0 / (abs(v) if v else min(sizes)) for v in pull]
+    columns = [[c * w for c, w in zip(row, weight)] for row in rows]
+    return step, _least_squares(columns, [v * w for v, w in zip(pull, weight)])
+
+
+def active_set_newton(
+    energy: Callable[[list[float]], float],
+    slopes: Callable[[list[float]], Sequence[float]],
+    curvatures: Callable[[list[float]], Sequence[float]],
+    rows: np.ndarray,
+    bounds: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    start: list[float],
+) -> NewtonResult:
+    """Minimise a separable convex energy over lo <= x <= hi, rows @ x <= bounds.
+
+    A primal active-set method (Nocedal & Wright, *Numerical
+    Optimization*, ch. 16) with Newton steps: ``start`` must be feasible,
+    and every iterate stays so.  Each iteration solves the KKT system of
+    the working set (the rows and bounds held at equality) with the
+    diagonal Hessian ``curvatures``, cuts the step at the first blocking
+    row or bound (which then joins the working set), and backtracks on
+    ``energy``.  Once the step on the current face is negligible, the most
+    negative multiplier leaves the working set; when none is negative, the
+    point is optimal.
+    """
+    n = len(start)
+    x = [float(v) for v in start]
+    lo, hi = lo.tolist(), hi.tolist()
+    row_list, bound_list = rows.tolist(), bounds.tolist()
+    # -1 at the lower bound, +1 at the upper bound, 0 free
+    state = [0] * n
+    for j in range(n):
+        if x[j] <= lo[j]:
+            x[j], state[j] = lo[j], -1
+        elif x[j] >= hi[j]:
+            x[j], state[j] = hi[j], 1
+    working: list[int] = []
+    value = energy(x)
+    converged = False
+    for _ in range(_MAX_ITER):
+        g = list(slopes(x))
+        h = [min(v, 1e300) for v in curvatures(x)]
+        free = [j for j in range(n) if state[j] == 0]
+        step = [0.0] * n
+        lam = [0.0] * len(working)
+        solved = True
+        if free:
+            face = [[row_list[i][j] for j in free] for i in working]
+            p_free, lam = _newton_step([g[j] for j in free], [h[j] for j in free], face)
+            for j, p in zip(free, p_free):
+                step[j] = p
+            for k, j in enumerate(free):
+                size = max([abs(g[j])] + [abs(row[k] * mult) for row, mult in zip(face, lam)])
+                solved = solved and abs(h[j] * step[j]) <= _FACE_REL * size
+        # what the working rows leave of each slope; a bound takes the rest
+        pull = list(g)
+        for i, mult in zip(working, lam):
+            for j, c in enumerate(row_list[i]):
+                pull[j] += c * mult
+
+        if solved:
+            offers = [
+                (mult / max(max(abs(g[j]) for j, c in enumerate(row_list[i]) if c), 1e-300), i)
+                for i, mult in zip(working, lam)
+            ]
+            offers += [
+                (-state[j] * pull[j] / max(abs(g[j]) + abs(pull[j] - g[j]), 1e-300), n + j)
+                for j in range(n)
+                if state[j]
+            ]
+            worst, drop = min(offers, default=(0.0, None))
+            if worst >= -_DROP_REL:
+                converged = True
+                break
+            if drop < n:
+                working.remove(drop)
+            else:
+                state[drop - n] = 0
+            continue
+
+        # ratio test: how far along the step every constraint outside the
+        # working set still holds, and the first one to block it
+        reach, block = math.inf, None
+        for i, row in enumerate(row_list):
+            rate = sum(c * p for c, p in zip(row, step))
+            if i not in working and rate > 0.0:
+                room = max(bound_list[i] - sum(c * v for c, v in zip(row, x)), 0.0)
+                if room < reach * rate:
+                    reach, block = room / rate, (i, None)
+        for j in free:
+            if step[j] and not lo[j] <= x[j] + reach * step[j] <= hi[j]:
+                edge = lo[j] if step[j] < 0.0 else hi[j]
+                reach, block = max((edge - x[j]) / step[j], 0.0), (j, edge)
+
+        def point_at(t: float) -> list[float]:
+            trial = [v + t * p for v, p in zip(x, step)]
+            if t == reach and block[1] is not None:
+                trial[block[0]] = block[1]
+            return trial
+
+        decrease = sum(gj * pj for gj, pj in zip(g, step))
+        t = min(1.0, reach)
+        trial = point_at(t)
+        trial_value = energy(trial)
+        while not trial_value <= value + 1e-4 * t * decrease + _ROUNDING * abs(value):
+            t *= 0.5
+            if t < 1e-16:
+                break
+            trial = point_at(t)
+            trial_value = energy(trial)
+        else:
+            if t == 1.0 and value - trial_value > -0.6 * decrease > 1e-6 * abs(value):
+                # far from the optimum, where the quadratic model badly
+                # underestimates the gain (an exponent of hundreds), the
+                # full step is doubled while the energy keeps falling
+                while t < reach:
+                    longer = min(2.0 * t, reach)
+                    longer_value = energy(point_at(longer))
+                    if not longer_value < trial_value:
+                        break
+                    t, trial, trial_value = longer, point_at(longer), longer_value
+            x, value = trial, trial_value
+            if t == reach:
+                if block[1] is None:
+                    working.append(block[0])
+                else:
+                    state[block[0]] = -1 if block[1] == lo[block[0]] else 1
+            continue
+        break  # no decrease left along a step that is not negligible
+
+    row_multipliers = np.zeros(len(row_list))
+    row_multipliers[working] = np.maximum(lam, 0.0)
+    bound_multipliers = np.maximum(-np.array(pull) * np.array(state), 0.0)
+    return NewtonResult(
+        point=x,
+        row_multipliers=row_multipliers,
+        lower_multipliers=np.where(np.array(state) < 0, bound_multipliers, 0.0),
+        upper_multipliers=np.where(np.array(state) > 0, bound_multipliers, 0.0),
+        converged=converged,
+    )
+
+
+def _solve_numeric(
+    scheme: SchemeId,
+    indices: Case2Indices,
+    scenario: Scenario,
+    options: Case2Options,
+    starts: list[list[float]],
+    *,
+    free_tau0: bool,
+    constraints: tuple[str, ...],
+) -> Case2LowerSolution:
+    """Run the engine on the scheme's program from the first usable start.
+
+    A start is usable when its projection onto the polytope has finite
+    energy; the program is convex, so one run from it reaches the optimum.
+    """
+    sums = _sums(indices, scenario)
+    n_vars = 7 if scheme is SchemeId.S2 or free_tau0 else 6
+    lo, hi = _numeric_box(scheme, sums, scenario, n_vars)
+    rows, bounds = _numeric_constraints(scheme, sums, scenario, n_vars, free_tau0)
+    # pinned zero-data transmissions leave the search space
+    active = [
+        i
+        for i in range(n_vars)
+        if not (i < 3 and (sums.d1, sums.d2, sums.d3)[i] <= 0.0)
+    ]
+    rows, lo, hi = rows[:, active], lo[active], hi[active]
+    durations = [(k, i) for k, i in enumerate(active) if i < 6]
+
+    def embed(reduced: Sequence[float]) -> list[float]:
+        full = [0.0] * 6
+        for k, i in durations:
+            full[i] = reduced[k]
+        return full
+
+    def objective(reduced: list[float]) -> float:
+        return model.energy(sums, scenario, *embed(reduced))
+
+    # the epigraph t_c and the free tau0 carry no energy
+    def slopes(reduced: list[float]) -> list[float]:
+        values = model.energy_slopes(sums, scenario, *embed(reduced))
+        return [values[i] if i < 6 else 0.0 for i in active]
+
+    def curvatures(reduced: list[float]) -> list[float]:
+        values = model.energy_curvatures(sums, scenario, *embed(reduced))
+        return [values[i] if i < 6 else 0.0 for i in active]
+
+    project = _PolytopeProjector(lo, hi, rows, bounds, tol=1e-13, max_sweeps=400)
+    for start in starts:
+        point = project([start[i] for i in active])
+        if project.violation(point) <= options.feas_tol and math.isfinite(
+            objective(point)
+        ):
+            break
+    else:
+        raise _infeasible(scheme, indices, *constraints)
+    result = active_set_newton(objective, slopes, curvatures, rows, bounds, lo, hi, point)
+
+    # a step's rounding can leave a duration an ulp below its zero bound
+    x = [max(v, 0.0) for v in embed(result.point)]
+    return Case2LowerSolution(
+        tau1=x[0],
+        tau2=x[1],
+        tau3=x[2],
+        t1=x[3],
+        t2=x[4],
+        t3=x[5],
+        tau_s=sums.es / scenario.compute.f_bs_max,
+        psi=math.nan,
+        lam=math.nan,
+        eta1=math.nan,
+        eta2=math.nan,
+        energy=model.energy(sums, scenario, *x),
+        cap_violations=_cap_violations(sums, x[3], x[4], x[5], scenario),
+    )
+
+
 def solve_scheme_numeric(
     scheme: SchemeId,
     indices: Case2Indices,
@@ -706,13 +1022,13 @@ def solve_scheme_numeric(
     warm_start: Case2LowerSolution | None = None,
     warm_only: bool = False,
 ) -> Case2LowerSolution:
-    """Numerically minimize Scheme 2 or 3 at a fixed split.
+    """Minimize Scheme 2 or 3 at a fixed split with the numeric engine.
 
     The relay-own transmission gap of Scheme 3 is pinned to zero (its
     optimal value); pass ``free_tau0=True`` to optimize it explicitly,
     which exists so tests can confirm the pin never loses energy.
-    ``warm_only`` restricts the search to descend from ``warm_start``,
-    for perturbation studies against a known solution.
+    ``warm_only`` restricts the starting points to ``warm_start``, for
+    perturbation studies against a known solution.
     """
     if scheme is SchemeId.S1:
         raise ValueError("scheme 1 is handled by solve_scheme1")
@@ -723,162 +1039,36 @@ def solve_scheme_numeric(
     sums = _sums(indices, scenario)
     t0, ts, tr = _deadline_triple(scenario)
     horizon = max(ts, tr)
+    constraints = ("scheme_ordering", "bs_capacity", "deadline")
 
     if not _numeric_feasible(scheme, sums, scenario, options.feas_tol):
-        raise _infeasible(
-            scheme, indices, "scheme_ordering", "bs_capacity", "deadline"
-        )
-
-    n_vars = 6
-    if scheme is SchemeId.S2:
-        n_vars = 7  # epigraph variable for the completion-time max
-    elif scheme is SchemeId.S3 and free_tau0:
-        n_vars = 7
-
-    box = _numeric_box(scheme, sums, scenario, n_vars)
-    full_sets: list[oracle.ConvexSet] = [box]
-    full_sets.extend(_numeric_constraints(scheme, sums, scenario, n_vars, free_tau0))
-
-    # pinned zero-data transmissions are removed from the search space
-    # entirely; keeping them as [0, 0] box dimensions makes the cyclic
-    # projections bounce and stalls convergence
-    active = [
-        i
-        for i in range(n_vars)
-        if not (i < 3 and (sums.d1, sums.d2, sums.d3)[i] <= 0.0)
-    ]
-
-    def embed(reduced: np.ndarray) -> np.ndarray:
-        full = np.zeros(n_vars)
-        full[active] = reduced
-        return full
-
-    sets: list[oracle.ConvexSet] = [
-        oracle.Box(lo=box.lo[active], hi=box.hi[active])
-    ]
-    for halfspace in full_sets[1:]:
-        coeffs = halfspace.a[active]
-        if not np.any(coeffs):
-            if halfspace.b < -options.feas_tol:
-                raise _infeasible(scheme, indices, "scheme_ordering")
-            continue
-        sets.append(oracle.Halfspace(a=coeffs, b=halfspace.b))
-
-    project_fast = oracle.make_projection(sets, tol=1e-11, max_sweeps=120)
-    project_tight = oracle.make_projection(sets, tol=1e-13, max_sweeps=400)
-
-    def cleanup(point: np.ndarray) -> np.ndarray:
-        return oracle.dykstra_project(sets, point, max_sweeps=600, tol=1e-13)
-
-    def objective(reduced: np.ndarray) -> float:
-        return model.energy(sums, scenario, *embed(reduced)[:6].tolist())
-
-    def gradient(reduced: np.ndarray) -> np.ndarray:
-        # the epigraph t_c and the free tau0 carry no energy
-        slopes = model.energy_slopes(sums, scenario, *embed(reduced)[:6].tolist())
-        return np.array([slopes[i] if i < 6 else 0.0 for i in active])
+        raise _infeasible(scheme, indices, *constraints)
 
     starts = []
     if warm_start is not None:
-        warm = np.zeros(n_vars)
-        warm[:6] = (
-            warm_start.tau1,
-            warm_start.tau2,
-            warm_start.tau3,
-            warm_start.t1,
-            warm_start.t2,
-            warm_start.t3,
-        )
-        if scheme is SchemeId.S2 and n_vars > 6:
-            warm[6] = max(
-                warm_start.t1 + warm_start.tau1 + warm_start.t2 + warm_start.tau2
-                + warm_start.tau_s,
-                t0 + warm_start.t2 + warm_start.t3 + warm_start.tau3,
-            )
-        starts.append(warm[active])
+        w = warm_start
+        warm = [w.tau1, w.tau2, w.tau3, w.t1, w.t2, w.t3]
+        if scheme is SchemeId.S2:
+            warm.append(max(w.t1 + w.tau1 + w.t2 + w.tau2 + w.tau_s, t0 + w.t2 + w.t3 + w.tau3))
+        elif free_tau0:
+            warm.append(0.0)
+        starts.append(warm)
     if not (warm_start is not None and warm_only):
         for frac in (0.05, 0.2):
-            guess = np.full(n_vars, frac * horizon)
-            if n_vars > 6:
-                guess[6] = 0.5 * tr if scheme is SchemeId.S2 else 0.0
-            starts.append(guess[active])
-
-    best: oracle.DescentResult | None = None
-    for start in starts:
-        result = oracle.projected_descent(
-            objective,
-            gradient,
-            project_fast,
-            start,
-            max_iter=options.descent_max_iter,
-            step_tol=options.descent_step_tol,
-            initial_step=horizon / 20.0,
-            stall_iters=options.descent_stall_iters,
-            stall_rel_tol=options.descent_stall_rel,
-        )
-        # the fast projector tolerates slightly infeasible iterates; pull
-        # the answer back onto the polytope exactly, then polish there
-        cleaned = cleanup(result.point)
-        value = objective(cleaned)
-        if oracle.max_violation(sets, cleaned) > options.feas_tol:
-            continue
-        if not math.isfinite(value):
-            continue
-        if best is None or value < best.value:
-            best = oracle.DescentResult(
-                point=cleaned,
-                value=value,
-                iterations=result.iterations,
-                converged=result.converged,
-            )
-    if best is not None:
-        polish = oracle.projected_descent(
-            objective,
-            gradient,
-            project_tight,
-            best.point,
-            max_iter=min(options.descent_max_iter, 400),
-            step_tol=options.descent_step_tol,
-            initial_step=horizon * 1e-4,
-            stall_iters=options.descent_stall_iters,
-            stall_rel_tol=options.descent_stall_rel,
-        )
-        if math.isfinite(polish.value) and polish.value < best.value:
-            cleaned = cleanup(polish.point)
-            value = objective(cleaned)
-            if (
-                math.isfinite(value)
-                and value < best.value
-                and oracle.max_violation(sets, cleaned) <= options.feas_tol
-            ):
-                best = oracle.DescentResult(
-                    point=cleaned,
-                    value=value,
-                    iterations=polish.iterations,
-                    converged=polish.converged,
-                )
-    if best is None:
-        raise _infeasible(
-            scheme, indices, "scheme_ordering", "bs_capacity", "deadline"
-        )
-
-    # sub-tolerance negatives from the projection round to exact zeros
-    x = np.maximum(embed(best.point), 0.0)
-    energy = objective(x[active])
-    return Case2LowerSolution(
-        tau1=float(x[0]),
-        tau2=float(x[1]),
-        tau3=float(x[2]),
-        t1=float(x[3]),
-        t2=float(x[4]),
-        t3=float(x[5]),
-        tau_s=sums.es / scenario.compute.f_bs_max,
-        psi=math.nan,
-        lam=math.nan,
-        eta1=math.nan,
-        eta2=math.nan,
-        energy=energy,
-        cap_violations=_cap_violations(sums, float(x[3]), float(x[4]), float(x[5]), scenario),
+            guess = [frac * horizon] * 6
+            if scheme is SchemeId.S2:
+                guess.append(0.5 * tr)
+            elif free_tau0:
+                guess.append(0.0)
+            starts.append(guess)
+    return _solve_numeric(
+        scheme,
+        indices,
+        scenario,
+        options,
+        starts,
+        free_tau0=free_tau0,
+        constraints=constraints,
     )
 
 

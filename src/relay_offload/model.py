@@ -304,6 +304,35 @@ def _compute_slope(cycles: float, duration: float, kappa: float) -> float:
     return -2.0 * kappa * f * f * f
 
 
+def _transmit_curvature(d: float, tau: float, gain: float, channel: ChannelParams) -> float:
+    """d/dtau of :func:`_transmit_slope`: (noise / gain) * x^2 e^x / tau with
+    x = d/(tau*B); +inf where the term is inf or the value overflows."""
+    if d <= 0.0:
+        return 0.0
+    if tau <= 0.0:
+        return math.inf
+    x = d / (tau * channel.bandwidth)
+    if x > EXP_ARG_MAX:
+        return math.inf
+    if x < 1e-4:
+        # the derivative of the slope's series, so both stay consistent
+        core = x * x + x**3 + x**4 / 2.0
+    else:
+        core = x * x * math.exp(x)
+    return channel.noise / gain * core / tau
+
+
+def _compute_curvature(cycles: float, duration: float, kappa: float) -> float:
+    """d/dT of :func:`_compute_slope`: 6 kappa cycles^3 / T^4; +inf where
+    the term is inf."""
+    if cycles <= 0.0:
+        return 0.0
+    if duration <= 0.0:
+        return math.inf
+    f = cycles / duration
+    return 6.0 * kappa * f * f * f / duration
+
+
 # breakdown order; totals add the terms left to right in this order
 ENERGY_TERMS = (
     "tx_md",
@@ -394,6 +423,34 @@ def energy_slopes(
         _compute_slope(sums.ls, t1, co.kappa_md),
         _compute_slope(sums.rs, t2, co.kappa_relay),
         _compute_slope(sums.lr, t3, co.kappa_relay),
+    )
+
+
+def energy_curvatures(
+    sums: SplitSums,
+    scenario: Scenario,
+    tau1: float,
+    tau2: float,
+    tau3: float,
+    t1: float,
+    t2: float,
+    t3: float,
+) -> tuple[float, float, float, float, float, float]:
+    """Second partial derivatives of :func:`energy`, the diagonal of its
+    Hessian (the energy is separable, so every mixed partial is 0).
+
+    Each entry is the derivative of the matching :func:`energy_slopes`
+    entry: 0 under zero data or work, +inf where the term is inf (and
+    where a transmit curvature overflows just inside the exponent cap).
+    """
+    ch, co = scenario.channel, scenario.compute
+    return (
+        _transmit_curvature(sums.d1, tau1, ch.gain_md_relay, ch),
+        _transmit_curvature(sums.d2, tau2, ch.gain_relay_bs, ch),
+        _transmit_curvature(sums.d3, tau3, ch.gain_relay_bs, ch),
+        _compute_curvature(sums.ls, t1, co.kappa_md),
+        _compute_curvature(sums.rs, t2, co.kappa_relay),
+        _compute_curvature(sums.lr, t3, co.kappa_relay),
     )
 
 

@@ -1,22 +1,16 @@
-"""Brute-force grid reference solvers, plus case 2's descent machinery.
+"""Brute-force grid reference solvers.
 
 The grid references re-derive the objectives and constraints from the raw
 physical formulas instead of reusing the closed-form solver code, so they
 stay meaningful as independent cross-checks.  They are deliberately slow
-and simple.
-
-The projections (box, halfspace, Dykstra and the cyclic polytope
-projector) and ``projected_descent`` are not references: they are the
-machinery of case 2's numeric schemes, which pass them the model's
-analytic energy slopes.  They live here until case 2 has an exact lower
-solver of its own.
+and simple, and share no machinery with the production solvers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -131,259 +125,6 @@ def grid_minimize(
 
     assert best_point is not None
     return GridResult(point=best_point, value=best_value, round_values=round_values)
-
-
-# --- projections -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Box:
-    """Componentwise bounds lo <= x <= hi."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lo, self.hi)
-
-    def violation(self, x: np.ndarray) -> float:
-        return float(
-            max(np.max(self.lo - x, initial=0.0), np.max(x - self.hi, initial=0.0))
-        )
-
-
-@dataclass(frozen=True)
-class Halfspace:
-    """Linear inequality a @ x <= b."""
-
-    a: np.ndarray
-    b: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_norm_sq", float(self.a @ self.a))
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        excess = float(self.a @ x) - self.b
-        if excess <= 0.0:
-            return x
-        return x - self.a * (excess / self._norm_sq)
-
-    def violation(self, x: np.ndarray) -> float:
-        return max(0.0, float(self.a @ x) - self.b) / math.sqrt(self._norm_sq)
-
-
-ConvexSet = Box | Halfspace
-
-
-def max_violation(sets: Sequence[ConvexSet], x: np.ndarray) -> float:
-    return max((s.violation(x) for s in sets), default=0.0)
-
-
-def dykstra_project(
-    sets: Sequence[ConvexSet],
-    x: np.ndarray,
-    *,
-    max_sweeps: int = 200,
-    tol: float = 1e-12,
-) -> np.ndarray:
-    """Project onto the intersection of convex sets (Dykstra's algorithm)."""
-    x = np.asarray(x, dtype=float).copy()
-    corrections = [np.zeros_like(x) for _ in sets]
-    for _ in range(max_sweeps):
-        previous = x.copy()
-        for i, s in enumerate(sets):
-            shifted = x + corrections[i]
-            projected = s.project(shifted)
-            corrections[i] = shifted - projected
-            x = projected
-        drift = float(np.linalg.norm(x - previous))
-        if max_violation(sets, x) <= tol and drift <= 1e-10 * (
-            1.0 + float(np.linalg.norm(x))
-        ):
-            break
-    return x
-
-
-class _PolytopeProjector:
-    """Cyclic projector for small box-plus-halfspace systems.
-
-    Plain-float inner loops over the nonzero coefficients: for the
-    handful of dimensions the solvers use, numpy's per-call overhead
-    dominates the arithmetic.  Halfspace reflections are over-relaxed
-    while far from the intersection, which breaks the slow zig-zag that
-    plain alternating projections exhibit at acute constraint angles.
-    """
-
-    _OMEGA = 1.7
-
-    def __init__(
-        self, sets: Sequence[ConvexSet], tol: float, max_sweeps: int
-    ) -> None:
-        self._tol = tol
-        self._max_sweeps = max_sweeps
-        boxes = [s for s in sets if isinstance(s, Box)]
-        if not boxes:
-            raise ValueError("projector requires a bounding box")
-        self._n = len(boxes[0].lo)
-        self._lo = [max(float(b.lo[j]) for b in boxes) for j in range(self._n)]
-        self._hi = [min(float(b.hi[j]) for b in boxes) for j in range(self._n)]
-        self._planes = []
-        for s in sets:
-            if isinstance(s, Halfspace):
-                nonzero = tuple(
-                    (j, float(c)) for j, c in enumerate(s.a) if c != 0.0
-                )
-                norm_sq = sum(c * c for _, c in nonzero)
-                self._planes.append(
-                    (nonzero, float(s.b), 1.0 / norm_sq, math.sqrt(norm_sq))
-                )
-
-    def _violation(self, x: list[float]) -> float:
-        worst = 0.0
-        lo, hi = self._lo, self._hi
-        for j in range(self._n):
-            v = x[j]
-            if lo[j] - v > worst:
-                worst = lo[j] - v
-            if v - hi[j] > worst:
-                worst = v - hi[j]
-        for nonzero, bound, _, norm in self._planes:
-            excess = -bound
-            for j, c in nonzero:
-                excess += c * x[j]
-            if excess > worst * norm:
-                worst = excess / norm
-        return worst
-
-    def __call__(self, point: np.ndarray) -> np.ndarray:
-        x = [float(v) for v in point]
-        lo, hi = self._lo, self._hi
-        n = self._n
-        relax = self._OMEGA
-        for sweep in range(self._max_sweeps):
-            for j in range(n):
-                v = x[j]
-                if v < lo[j]:
-                    x[j] = lo[j]
-                elif v > hi[j]:
-                    x[j] = hi[j]
-            worst_plane = 0.0
-            for nonzero, bound, inv_norm_sq, norm in self._planes:
-                excess = -bound
-                for j, c in nonzero:
-                    excess += c * x[j]
-                if excess > 0.0:
-                    shift = excess * inv_norm_sq * relax
-                    for j, c in nonzero:
-                        x[j] -= c * shift
-                    if excess > worst_plane * norm:
-                        worst_plane = excess / norm
-            if worst_plane <= 0.25 * self._tol:
-                # planes satisfied before relaxation; one exact box pass
-                for j in range(n):
-                    v = x[j]
-                    if v < lo[j]:
-                        x[j] = lo[j]
-                    elif v > hi[j]:
-                        x[j] = hi[j]
-                if self._violation(x) <= self._tol:
-                    break
-            relax = self._OMEGA if worst_plane > 100.0 * self._tol else 1.0
-        return np.array(x)
-
-
-def make_projection(
-    sets: Sequence[ConvexSet],
-    *,
-    max_sweeps: int = 60,
-    tol: float = 1e-12,
-) -> Callable[[np.ndarray], np.ndarray]:
-    return _PolytopeProjector(sets, tol, max_sweeps)
-
-
-# --- projected gradient descent --------------------------------------------
-
-
-@dataclass
-class DescentResult:
-    point: np.ndarray
-    value: float
-    iterations: int
-    converged: bool
-
-
-def projected_descent(
-    objective: Callable[[np.ndarray], float],
-    gradient: Callable[[np.ndarray], np.ndarray],
-    project: Callable[[np.ndarray], np.ndarray],
-    start: np.ndarray,
-    *,
-    max_iter: int = 100_000,
-    step_tol: float = 1e-12,
-    initial_step: float | None = None,
-    stall_iters: int = 200,
-    stall_rel_tol: float = 1e-12,
-) -> DescentResult:
-    """Gradient descent with backtracking and per-step projection.
-
-    ``gradient`` returns the objective's gradient at a point of finite
-    value.  Steps move a fixed length along the normalized negative
-    gradient; the length adapts multiplicatively (shrinks on failure,
-    grows on success).  Stops at once when the projected start has no
-    finite value; otherwise on the step tolerance, after ``stall_iters``
-    iterations whose relative improvement stays under ``stall_rel_tol``
-    (projected zig-zag near a constrained optimum), or on the iteration
-    cap.  Always returns the best point found with a convergence flag
-    rather than failing.
-    """
-    x = project(np.asarray(start, dtype=float))
-    f_x = objective(x)
-    scale = max(1.0, float(np.linalg.norm(x)))
-    step = initial_step if initial_step is not None else 0.05 * scale
-
-    iterations = 0
-    converged = False
-    since_improvement = 0
-    while iterations < max_iter:
-        iterations += 1
-        if not math.isfinite(f_x):
-            # the projected start lies outside the objective's domain
-            converged = True
-            break
-        grad = gradient(x)
-        norm = float(np.linalg.norm(grad))
-        if not math.isfinite(norm) or norm == 0.0:
-            converged = True
-            break
-        direction = grad / norm
-
-        improved = False
-        while step >= step_tol:
-            trial = project(x - step * direction)
-            f_trial = objective(trial)
-            if math.isfinite(f_trial) and f_trial < f_x:
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            converged = True
-            break
-
-        moved = float(np.linalg.norm(trial - x))
-        if f_x - f_trial <= stall_rel_tol * max(abs(f_x), 1e-300):
-            since_improvement += 1
-        else:
-            since_improvement = 0
-        x, f_x = trial, f_trial
-        step = min(step * 1.6, 10.0 * scale)
-        if moved < step_tol * (1.0 + float(np.linalg.norm(x))):
-            converged = True
-            break
-        if since_improvement >= stall_iters:
-            converged = True
-            break
-
-    return DescentResult(point=x, value=f_x, iterations=iterations, converged=converged)
 
 
 # --- composed reference solvers --------------------------------------------

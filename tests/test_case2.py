@@ -569,16 +569,18 @@ class TestSplitFloor:
         assert (SchemeId.S2, Case2Indices(1, 1, 1)) not in calls
 
 
-def _descent_calls(monkeypatch, solve):
-    """(objective, gradient, project, start) of every descent ``solve`` runs."""
+def _engine_calls(monkeypatch, solve):
+    """(energy, slopes, curvatures, rows, bounds, lo, hi, start, result) of
+    every engine run ``solve`` makes."""
     calls = []
-    descent = oracle.projected_descent
+    engine = case2.active_set_newton
 
-    def spy(objective, gradient, project, start, **kwargs):
-        calls.append((objective, gradient, project, np.array(start, dtype=float)))
-        return descent(objective, gradient, project, start, **kwargs)
+    def spy(energy, slopes, curvatures, rows, bounds, lo, hi, start, **kwargs):
+        result = engine(energy, slopes, curvatures, rows, bounds, lo, hi, start, **kwargs)
+        calls.append((energy, slopes, curvatures, rows, bounds, lo, hi, list(start), result))
+        return result
 
-    monkeypatch.setattr(oracle, "projected_descent", spy)
+    monkeypatch.setattr(case2, "active_set_newton", spy)
     solve()
     return calls
 
@@ -597,11 +599,12 @@ class TestDescentGradients:
             lambda: solve_scheme_numeric(
                 SchemeId.S3, Case2Indices(1, 2, 2), _relay_busy(), free_tau0=True
             ),
-            # degenerate Scheme 1, absorbing the budget in tau2, tau1 and T2
+            # degenerate Scheme 1, whose starts absorb the budget in tau2,
+            # tau1 and T2
             lambda: solve_scheme1(Case2Indices(1, 1, 2), _relay_busy()),
             lambda: solve_scheme1(Case2Indices(1, 2, 2), _relay_busy()),
             lambda: solve_scheme1(Case2Indices(1, 2, 2), _zero_data_device(_relay_busy())),
-            # T3 = min(T1 - t0, window) on both sides of its kink: the relay
+            # starts on both sides of T3 = min(T1 - t0, window): the relay
             # sends a long zero-data task to the BS
             lambda: solve_scheme1(
                 Case2Indices(1, 1, 2),
@@ -622,39 +625,41 @@ class TestDescentGradients:
         ],
     )
     def test_gradient_matches_central_differences(self, monkeypatch, solve):
-        calls = _descent_calls(monkeypatch, solve)
+        # the engine's slopes and curvatures, through each path's own
+        # coordinates, against central differences of its energy and slopes
+        calls = _engine_calls(monkeypatch, solve)
         assert calls
         rng = np.random.default_rng(61)
         checked = 0
-        for objective, gradient, project, start in calls:
-            points = [project(start)]
-            points += [project(start * rng.uniform(0.3, 1.7, len(start))) for _ in range(4)]
+        for energy_of, slopes_of, curvatures_of, *_, start, result in calls:
+            points = [start, result.point]
+            points += [list(np.array(start) * rng.uniform(0.3, 1.7, len(start))) for _ in range(3)]
             for x in points:
-                value = objective(x)
+                value = energy_of(x)
                 if not math.isfinite(value):
                     continue
-                grad = gradient(x)
-                scale = float(np.max(np.abs(grad)))
+                slopes, curvatures = slopes_of(x), curvatures_of(x)
+                scale = max(abs(v) for v in slopes)
                 for i in range(len(x)):
-                    h = 1e-6 * max(abs(float(x[i])), 1e-3)
-                    up, down = x.copy(), x.copy()
+                    h = 1e-6 * max(abs(x[i]), 1e-3)
+                    up, down = list(x), list(x)
                     up[i] += h
                     down[i] -= h
-                    f_up, f_down = objective(up), objective(down)
+                    f_up, f_down = energy_of(up), energy_of(down)
                     if not (math.isfinite(f_up) and math.isfinite(f_down)):
                         continue
                     central = (f_up - f_down) / (2.0 * h)
                     bound = 1e-5 * scale + 1e-13 * value / h
-                    forward, backward = (f_up - value) / h, (value - f_down) / h
-                    if abs(forward - backward) > 1e-3 * scale + bound:
-                        continue  # x sits on the kink of T3 = min(T1 - t0, window)
-                    assert abs(central - grad[i]) <= bound, (i, central, grad[i])
+                    assert abs(central - slopes[i]) <= bound, (i, central, slopes[i])
+                    central = (slopes_of(up)[i] - slopes_of(down)[i]) / (2.0 * h)
+                    bound = 1e-5 * curvatures[i] + 1e-13 * scale / h
+                    assert abs(central - curvatures[i]) <= bound, (i, central, curvatures[i])
                     checked += 1
         assert checked >= 5
 
     def test_scheme2_energy_evaluation_budget(self, monkeypatch):
-        # a differenced gradient costs 14 energy evaluations per step over
-        # S2's seven coordinates, over 50,000 in this solve; slopes cost none
+        # projected descent took 5,703 energy evaluations in this solve;
+        # the engine takes about one per Newton step
         calls = []
         term_values = model._term_values
 
@@ -665,7 +670,138 @@ class TestDescentGradients:
         monkeypatch.setattr(model, "_term_values", counted)
         lower = solve_scheme(SchemeId.S2, Case2Indices(1, 1, 1), _relay_busy(10.0))
         assert math.isfinite(lower.energy)
-        assert len(calls) <= 8000
+        assert len(calls) <= 100
+
+
+def _certificate(rows, bounds, x, slopes, result):
+    """Largest relative stationarity and complementarity residuals."""
+    rows, x, slopes = np.asarray(rows), np.asarray(x), np.asarray(slopes)
+    terms = [slopes, -result.lower_multipliers, result.upper_multipliers]
+    terms += list(rows * result.row_multipliers[:, None])
+    scale = np.maximum(np.max(np.abs(terms), axis=0), 1e-300)
+    stationarity = np.max(np.abs(np.sum(terms, axis=0)) / scale)
+    activity = np.abs(bounds) + np.abs(rows) @ np.abs(x)
+    complementarity = np.max(
+        np.abs((bounds - rows @ x) / np.maximum(activity, 1e-300)) * (result.row_multipliers > 0),
+        initial=0.0,
+    )
+    return stationarity, complementarity
+
+
+class TestActiveSetNewton:
+    def test_relay_busy_s2_121_reaches_the_grid_oracle(self):
+        # projected descent stopped 39.6% above the grid oracle's 0.023275 J
+        # (points=13, rounds=6) here, at 0.032503 J
+        lower = solve_scheme(SchemeId.S2, Case2Indices(1, 2, 1), _relay_busy())
+        assert lower.energy <= 0.023275
+
+    def test_overflowing_start_still_reaches_the_optimum(self):
+        # the projected start has exponents near 480: descent stopped after
+        # one step at 5.56e202 J, because its gradient norm overflowed, and
+        # with a rescaled norm it reached 0.01498 J (to four digits)
+        scenario = _random_busy(6, 1, 2)
+        lower = solve_scheme(SchemeId.S2, Case2Indices(1, 1, 3), scenario)
+        assert math.isfinite(lower.energy) and lower.energy <= 0.014983
+        # and the winner is S2 (1,1,1), not S3 (1,1,1) at 2.0731e-4 J
+        assert solve_case2(scenario).lower.energy <= 2.0053e-4
+
+    @pytest.mark.parametrize("scheme", [SchemeId.S2, SchemeId.S3])
+    def test_cold_starts_agree(self, monkeypatch, scheme):
+        starts = []
+        solve_numeric = case2._solve_numeric
+
+        def spy(scheme, indices, scenario, options, cold, **kwargs):
+            starts.append((cold, kwargs))
+            return solve_numeric(scheme, indices, scenario, options, cold, **kwargs)
+
+        monkeypatch.setattr(case2, "_solve_numeric", spy)
+        scenario, indices = _relay_busy(), Case2Indices(1, 1, 1)
+        solve_scheme(scheme, indices, scenario)
+        (cold, kwargs), = starts
+        assert len(cold) == 2
+        first, second = (
+            solve_numeric(scheme, indices, scenario, Case2Options(), [start], **kwargs).energy
+            for start in cold
+        )
+        assert first == pytest.approx(second, rel=1e-10, abs=0.0)
+
+    def test_projector_runs_once_per_start(self, monkeypatch):
+        calls = []
+        project = case2._PolytopeProjector.__call__
+
+        def counted(self, point):
+            calls.append(None)
+            return project(self, point)
+
+        monkeypatch.setattr(case2._PolytopeProjector, "__call__", counted)
+        solve_scheme(SchemeId.S2, Case2Indices(1, 1, 1), _relay_busy())
+        assert len(calls) == 1  # the first cold start is usable
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: _relay_busy(1.0),
+            lambda: _relay_busy(10.0),
+            *(lambda seed=seed: _random_busy(seed, 1, 1) for seed in (3, 6, 8)),
+            *(lambda seed=seed: _random_busy(seed, 2, 1) for seed in (1, 6, 9)),
+            *(lambda seed=seed: _random_busy(seed, 1, 2) for seed in (1, 6, 9)),
+        ],
+        ids=["busy-x1", "busy-x10", "1x1-3", "1x1-6", "1x1-8", "2x1-1", "2x1-6", "2x1-9",
+             "1x2-1", "1x2-6", "1x2-9"],
+    )
+    def test_kkt_certificate(self, monkeypatch, make):
+        scenario = make()
+        n, m = scenario.device_chain.n, scenario.relay_chain.n
+        runs = []
+        for scheme in SchemeId:
+            for n1 in range(1, n + 2):
+                for n2 in range(n1, n + 2):
+                    for m1 in range(1, m + 2):
+                        indices = Case2Indices(n1, n2, m1)
+
+                        def solve():
+                            try:
+                                solve_scheme(scheme, indices, scenario)
+                            except Infeasible:
+                                pass
+
+                        runs += _engine_calls(monkeypatch, solve)
+        assert runs
+        for _, slopes_of, _, rows, bounds, lo, hi, _, result in runs:
+            assert result.converged
+            assert min(result.row_multipliers.min(initial=0.0),
+                       result.lower_multipliers.min(), result.upper_multipliers.min()) >= 0.0
+            x = np.array(result.point)
+            assert np.all(x >= lo) and np.all(x <= hi)
+            activity = np.abs(bounds) + np.abs(rows) @ np.abs(x)
+            assert np.all(rows @ x - bounds <= 1e-12 * activity)
+            slopes = slopes_of(result.point)
+            stationarity, complementarity = _certificate(rows, bounds, x, slopes, result)
+            assert stationarity <= 1e-9 and complementarity <= 1e-9
+            # bound multipliers sit on bounds
+            assert np.all((result.lower_multipliers == 0.0) | (x == lo))
+            assert np.all((result.upper_multipliers == 0.0) | (x == hi))
+
+
+class TestPolytopeProjector:
+    def test_fast_projector_matches_feasibility(self):
+        rows = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        bounds = np.array([1.5, 1.0])
+        project = case2._PolytopeProjector(
+            np.zeros(3), np.full(3, 2.0), rows, bounds, tol=1e-12, max_sweeps=60
+        )
+        for start in ([3.0, 3.0, 3.0], [-1.0, 0.5, 4.0], [0.1, 0.1, 0.1]):
+            point = project(start)
+            assert project.violation(point) <= 1e-10
+            assert np.all(rows @ point <= bounds + 1e-10)
+            assert all(0.0 <= v <= 2.0 for v in point)
+
+    def test_interior_point_untouched(self):
+        project = case2._PolytopeProjector(
+            np.zeros(2), np.ones(2), np.array([[1.0, 0.0]]), np.array([0.9]),
+            tol=1e-12, max_sweeps=60,
+        )
+        assert project([0.5, 0.5]) == [0.5, 0.5]
 
 
 @pytest.mark.parametrize(

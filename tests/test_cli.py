@@ -304,6 +304,20 @@ class TestMainEntry:
         assert captured.err.startswith(f"error: tolerance {name!r}")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "name",
+        ["descent_max_iter", "descent_step_tol", "descent_stall_iters", "descent_stall_rel"],
+    )
+    def test_removed_descent_tolerance_rejected(self, tmp_path, capsys, name):
+        # the exact case-2 engine has no descent to tune
+        path = write_doc(tmp_path, case2_doc())
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["solve-case2", "--scenario", str(path), "--tol", f"{name}=100"])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown tolerance {name!r}\n"
+
     def test_whole_number_tolerance_accepted(self, tmp_path, capsys):
         path = write_doc(tmp_path, all_local_doc())
         with pytest.raises(SystemExit) as excinfo:

@@ -23,8 +23,10 @@ from relay_offload.model import (
     ModelDomainError,
     ScenarioError,
     SplitSums,
+    _transmit_curvature,
     _transmit_slope,
     energy,
+    energy_curvatures,
     energy_slopes,
     energy_terms,
 )
@@ -346,6 +348,54 @@ class TestEnergySlopes:
             slope = _transmit_slope(1.0, 1.0 / x, 1.0, channel)
             assert slope == pytest.approx(exact, rel=1e-12, abs=0.0), x
 
+    @pytest.mark.parametrize(
+        "log_x, zero",
+        [
+            ((-7.0, -4.2), ()),  # series branch of the transmit curvature
+            ((-3.8, 1.5), ()),  # exponential branch
+            ((-5.0, 1.0), ("d2", "ls")),
+            ((-5.0, 1.0), ("d1", "d3", "rs", "lr")),
+        ],
+        ids=["series", "exp", "zero-d2-ls", "zero-d1-d3-rs-lr"],
+    )
+    def test_curvatures_match_central_differences_of_slopes(self, log_x, zero):
+        rng = np.random.default_rng(47)
+        for _ in range(25):
+            scenario = random_case1_scenario(rng, n_tasks=1)
+            sums = _random_sums(rng, zero)
+            point = _durations(rng, sums, scenario, log_x)
+            curvatures = energy_curvatures(sums, scenario, *point)
+            slopes = energy_slopes(sums, scenario, *point)
+            for i, name in enumerate(_DURATIONS):
+                h = 1e-5 * point[i]
+                up, down = list(point), list(point)
+                up[i] += h
+                down[i] -= h
+                central = (
+                    energy_slopes(sums, scenario, *up)[i]
+                    - energy_slopes(sums, scenario, *down)[i]
+                ) / (2.0 * h)
+                bound = 1e-6 * abs(curvatures[i]) + 1e-14 * abs(slopes[i]) / h
+                assert abs(central - curvatures[i]) <= bound, (name, central, curvatures[i])
+                assert curvatures[i] >= 0.0
+            for i, load in enumerate(("d1", "d2", "d3", "ls", "rs", "lr")):
+                if load in zero:
+                    assert curvatures[i] == 0.0
+
+    def test_transmit_curvature_accurate_across_the_series_switch(self):
+        channel = ChannelParams(
+            bandwidth=1.0, gain_md_relay=1.0, gain_relay_bs=1.0, noise=1.0
+        )
+        for x in np.geomspace(1e-8, 30.0, 157):
+            x = float(x)
+            with localcontext() as ctx:
+                ctx.prec = 60
+                xd = Decimal(x)
+                # d/dtau of the slope at tau = 1/x: x^2 e^x / tau = x^3 e^x
+                exact = float(xd**3 * xd.exp())
+            curvature = _transmit_curvature(1.0, 1.0 / x, 1.0, channel)
+            assert curvature == pytest.approx(exact, rel=1e-12, abs=0.0), x
+
     def test_minus_inf_exactly_where_the_term_is_inf(self):
         rng = np.random.default_rng(43)
         scenario = random_case1_scenario(rng, n_tasks=1)
@@ -358,7 +408,10 @@ class TestEnergySlopes:
         point = [0.0, overflow, near_cap, -1.0, 0.0, 0.5]
         terms = list(energy_terms(sums, scenario, *point).values())
         slopes = energy_slopes(sums, scenario, *point)
-        for term, slope in zip(terms, slopes):
+        curvatures = energy_curvatures(sums, scenario, *point)
+        for term, slope, curvature in zip(terms, slopes, curvatures):
             assert math.isinf(term) == (slope == -math.inf)
+            # just inside the exponent cap the curvature itself overflows
+            assert curvature == math.inf if math.isinf(term) else curvature >= 0.0
         assert slopes[4] == 0.0 and terms[4] == 0.0
         assert math.isfinite(slopes[2]) and math.isfinite(slopes[5])
