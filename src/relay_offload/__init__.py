@@ -23,12 +23,9 @@ from .case2 import (
     Case2Options,
     Case2Solution,
     SchemeId,
-    scheme1_evaluate,
     solve_case2,
     solve_scheme1,
     solve_scheme_numeric,
-    t3_from_tau3,
-    tau_s_minimal,
 )
 from .lambertw import lambert_w0
 from .model import (
@@ -82,14 +79,11 @@ __all__ = [
     "load_scenario",
     "scenario_from_dict",
     "scenario_to_dict",
-    "scheme1_evaluate",
     "solve_case1",
     "solve_case2",
     "solve_lower_case1",
     "solve_scheme1",
     "solve_scheme_numeric",
-    "t3_from_tau3",
-    "tau_s_minimal",
     "tau_from_lambda",
     "to_gantt_csv",
     "transmission_energy",

@@ -1,8 +1,8 @@
-"""Scalar search primitives shared by the closed-form solvers.
+"""Scalar search primitive of the relay-idle closed-form solver.
 
 ``bisect_decreasing`` finds the dual multiplier that makes a deadline bind
 (Illinois false position on log-log axes, with a geometric-midpoint
-fallback); ``golden_section`` minimizes a one-dimensional slice.
+fallback).
 
 Kept separate from the oracle module on purpose: the oracles must not
 share machinery with the production search paths.
@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 from typing import Callable
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 # Where a false-position step aims, and how close a point must come before
@@ -91,38 +89,3 @@ def bisect_decreasing(
             break
     return hi
 
-
-def golden_section(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    rel_tol: float = 1e-10,
-    max_iter: int = 200,
-) -> tuple[float, float]:
-    """Minimize fn on [lo, hi]; fn may return +inf for infeasible points.
-
-    Returns (argmin, min).  Plain golden-section: robust to flat or
-    partially infeasible edges as long as the bracket contains a basin.
-    """
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    best_x, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
-    for _ in range(max_iter):
-        if b - a <= rel_tol * (abs(a) + abs(b)) / 2.0 + 1e-300:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = fn(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = fn(x2)
-        if f1 < best_f:
-            best_x, best_f = x1, f1
-        if f2 < best_f:
-            best_x, best_f = x2, f2
-    return best_x, best_f

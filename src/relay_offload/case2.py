@@ -1,15 +1,13 @@
 """Solver for the case where the relay has its own task chain.
 
-The shared uplink band admits three transmission orderings (schemes).
-Scheme 1 has a semi-closed structure: all continuous variables collapse to
-a dual multiplier plus the relay's own transmit duration; the multiplier
-is found by a bracketed root search inside a one-dimensional outer scan.
-Schemes 2 and 3, and degenerate Scheme-1 splits where the closed forms
-break down, are convex programs in at most seven durations under at most
-five timing rows.  :func:`active_set_newton` solves them exactly from the
-model's analytic slopes and curvatures (:func:`model.energy_slopes`,
-:func:`model.energy_curvatures`) and returns KKT multipliers that certify
-the optimum; a cyclic projector only places its starting point.
+The shared uplink band admits three transmission orderings (schemes).  At
+a fixed split each scheme is a convex program in at most seven durations
+under at most five timing rows.  :func:`active_set_newton` solves it
+exactly from the model's analytic slopes and curvatures
+(:func:`model.energy_slopes`, :func:`model.energy_curvatures`) and returns
+KKT multipliers that certify the optimum.  For Scheme 1 those multipliers
+are the duals of its semi-closed KKT system (psi, lambda, eta1, eta2); a
+cyclic projector only places the engine's starting point.
 
 The upper level computes every split's energy floor (every duration set to
 its block's time budget, a bound no scheme can beat), solves the
@@ -35,9 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import model
-from ._search import bisect_decreasing, golden_section
-from .case1 import tau_from_lambda
-from .model import Infeasible, ModelDomainError, Scenario, SplitSums
+from .model import Infeasible, Scenario, SplitSums
 
 
 class SchemeId(Enum):
@@ -68,8 +64,10 @@ class Case2LowerSolution:
 
     t1/t2/t3 are the compute-block durations (device local, relay for the
     device, relay for itself); tau_s is the BS slot reserved for device
-    tasks.  Duals are NaN on the numeric solution path.  cap_violations
-    names relaxed frequency caps the solution exceeds.
+    tasks.  The duals are Scheme 1's (psi on the device deadline row,
+    lam on the ordering row, eta1 and eta2 on the BS-capacity rows) and
+    are NaN for Schemes 2 and 3.  cap_violations names relaxed frequency
+    caps the solution exceeds.
     """
 
     tau1: float
@@ -97,12 +95,8 @@ class Case2Solution:
 
 @dataclass(frozen=True)
 class Case2Options:
-    bisect_rel: float = 1e-9
-    golden_rel: float = 1e-10
     feas_tol: float = 1e-9
     tie_rel: float = 1e-12
-    scan_points: int = 33
-    max_doublings: int = 400
 
 
 def _sums(indices: Case2Indices, scenario: Scenario) -> SplitSums:
@@ -128,55 +122,6 @@ def _deadline_triple(scenario: Scenario) -> tuple[float, float, float]:
     return dl.t0, dl.t_s_th, dl.t_r_th
 
 
-def tau_s_minimal(indices: Case2Indices, scenario: Scenario) -> float:
-    """Smallest admissible BS slot for the device's offloaded work."""
-    sums = _sums(indices, scenario)
-    return sums.es / scenario.compute.f_bs_max
-
-
-def _balance_rhs(tau3: float, d3: float, scenario: Scenario) -> float:
-    """Marginal-energy side of the relay's own compute/transmit balance.
-
-    The negated slope of the relay-own transmit term,
-    (sigma2/g) * (x e^x - (e^x - 1)) with x = d3/(B tau3): strictly
-    positive for x > 0 and decreasing in tau3.
-    """
-    ch = scenario.channel
-    return -model._transmit_slope(d3, tau3, ch.gain_relay_bs, ch)
-
-
-def t3_from_tau3(tau3: float, m1: int, scenario: Scenario) -> float:
-    """Relay own-compute duration balancing its transmit duration.
-
-    Solves 2*kappa_r*(sum l_r)^3 / T3^3 = marginal transmit energy for the
-    unique T3 > 0; empty own block (m1 = 1) returns 0 without touching the
-    balance equation.
-    """
-    if scenario.relay_chain is None:
-        raise model.ScenarioError("t3_from_tau3 requires a relay chain")
-    # the own block depends on the relay split only
-    return _own_block(tau3, model.split_sums(scenario, 1, 1, m1), scenario)
-
-
-def _own_block(tau3: float, sums: SplitSums, scenario: Scenario) -> float:
-    lr, d3 = sums.lr, sums.d3
-    if lr <= 0.0:
-        return 0.0
-    if d3 <= 0.0:
-        raise ModelDomainError(
-            "balance equation degenerates for zero offloaded data; "
-            "the numeric path handles this split"
-        )
-    if tau3 <= 0.0:
-        raise ModelDomainError("tau3 must be positive")
-    rhs = _balance_rhs(tau3, d3, scenario)
-    if rhs <= 0.0:
-        raise ModelDomainError("balance right-hand side must be positive")
-    if math.isinf(rhs):
-        return 0.0
-    return (2.0 * scenario.compute.kappa_relay * lr**3 / rhs) ** (1.0 / 3.0)
-
-
 def _cap_violations(
     sums: SplitSums, t1: float, t2: float, t3: float, scenario: Scenario
 ) -> tuple[str, ...]:
@@ -191,296 +136,7 @@ def _cap_violations(
     return tuple(out)
 
 
-def scheme1_evaluate(
-    psi: float,
-    tau3: float,
-    indices: Case2Indices,
-    scenario: Scenario,
-    options: Case2Options = Case2Options(),
-) -> Case2LowerSolution | None:
-    """Evaluate the Scheme-1 closed forms at (psi, tau3).
-
-    Returns the candidate solution, or None when the point violates the
-    BS-capacity feasibility window (infeasible-at-point is a value, not a
-    failure).  Requires the non-degenerate split routing: zero offloaded
-    relay data goes through the numeric path instead.
-    """
-    sums = _sums(indices, scenario)
-    ch, co = scenario.channel, scenario.compute
-    t0, ts, tr = _deadline_triple(scenario)
-    tol = options.feas_tol
-
-    if sums.lr > 0.0 and sums.d3 > 0.0:
-        t3 = _own_block(tau3, sums, scenario)
-    elif sums.lr > 0.0:
-        raise ModelDomainError("degenerate split: use the numeric path")
-    else:
-        t3 = 0.0
-
-    if psi > 0.0:
-        tau1 = tau_from_lambda(psi, sums.d1, ch.gain_md_relay, ch)
-        tau2 = tau_from_lambda(psi, sums.d2, ch.gain_relay_bs, ch)
-        t2 = sums.rs * (2.0 * co.kappa_relay / psi) ** (1.0 / 3.0) if sums.rs > 0 else 0.0
-        t1_interior = (
-            sums.ls * (2.0 * co.kappa_md / psi) ** (1.0 / 3.0) if sums.ls > 0 else 0.0
-        )
-    else:
-        if sums.d1 > 0 or sums.d2 > 0 or sums.rs > 0 or sums.ls > 0:
-            raise ModelDomainError("psi must be positive when any closed form uses it")
-        tau1 = tau2 = t2 = t1_interior = 0.0
-
-    floor = t0 + t3 + tau3
-    t1 = max(t1_interior, floor)
-    tau_s = sums.es / co.f_bs_max
-
-    relay_window = tr - t0 - t3 - tau3 - sums.er / co.f_bs_max
-    device_window = ts - t1 - tau1 - t2 - tau2
-    if tau_s > min(relay_window, device_window) + tol:
-        return None
-
-    energy = model.energy(sums, scenario, tau1, tau2, tau3, t1, t2, t3)
-
-    lam = 0.0 if t1_interior >= floor else psi - (
-        2.0 * co.kappa_md * sums.ls**3 / t1**3 if sums.ls > 0 else 0.0
-    )
-    marginal = _balance_rhs(tau3, sums.d3, scenario) if sums.d3 > 0 and tau3 > 0 else 0.0
-    eta2 = max(0.0, (marginal - lam) / co.f_bs_max)
-    eta1 = eta2 + psi / co.f_bs_max
-    return Case2LowerSolution(
-        tau1=tau1,
-        tau2=tau2,
-        tau3=tau3,
-        t1=t1,
-        t2=t2,
-        t3=t3,
-        tau_s=tau_s,
-        psi=psi,
-        lam=lam,
-        eta1=eta1,
-        eta2=eta2,
-        energy=energy,
-        cap_violations=_cap_violations(sums, t1, t2, t3, scenario),
-    )
-
-
-def _psi_candidate(
-    tau3: float,
-    t3: float,
-    indices: Case2Indices,
-    scenario: Scenario,
-    sums: SplitSums,
-    options: Case2Options,
-) -> Case2LowerSolution | None:
-    """Drive the device-side time budget to its deadline by searching psi.
-
-    The objective only grows with psi on the feasible slice, so the
-    smallest feasible multiplier (budget exactly binding) is optimal at
-    fixed tau3.
-    """
-    ch, co = scenario.channel, scenario.compute
-    t0, ts, tr = _deadline_triple(scenario)
-    tau_s = sums.es / co.f_bs_max
-    budget = ts - tau_s
-    floor = t0 + t3 + tau3
-    tol = options.feas_tol
-
-    if tau_s > tr - t0 - t3 - tau3 - sums.er / co.f_bs_max + tol:
-        return None
-    if floor > budget + tol:
-        return None
-
-    psi_free = sums.d1 == 0 and sums.d2 == 0 and sums.ls == 0 and sums.rs == 0
-    if psi_free:
-        return scheme1_evaluate(0.0, tau3, indices, scenario, options)
-
-    def device_time(psi: float) -> float:
-        tau1 = tau_from_lambda(psi, sums.d1, ch.gain_md_relay, ch)
-        tau2 = tau_from_lambda(psi, sums.d2, ch.gain_relay_bs, ch)
-        t2 = (
-            sums.rs * (2.0 * co.kappa_relay / psi) ** (1.0 / 3.0)
-            if sums.rs > 0
-            else 0.0
-        )
-        t1_int = (
-            sums.ls * (2.0 * co.kappa_md / psi) ** (1.0 / 3.0) if sums.ls > 0 else 0.0
-        )
-        return max(t1_int, floor) + tau1 + t2 + tau2
-
-    scale = max(
-        ch.noise / ch.gain_relay_bs,
-        ch.noise / ch.gain_md_relay,
-        2.0 * co.kappa_md * co.f_md_max**3,
-        2.0 * co.kappa_relay * co.f_relay_max**3,
-    )
-    psi_hi = scale
-    for _ in range(options.max_doublings):
-        if device_time(psi_hi) <= budget:
-            break
-        psi_hi *= 2.0
-    else:
-        return None
-    psi_lo = scale * 1e-12
-    for _ in range(options.max_doublings):
-        if psi_lo >= psi_hi or device_time(psi_lo) >= budget:
-            break
-        psi_lo *= 0.5
-
-    psi = bisect_decreasing(
-        device_time,
-        budget,
-        min(psi_lo, psi_hi),
-        psi_hi,
-        rel_tol=options.bisect_rel,
-    )
-    return scheme1_evaluate(psi, tau3, indices, scenario, options)
-
-
-def _solve_scheme1_degenerate(
-    indices: Case2Indices,
-    scenario: Scenario,
-    options: Case2Options = Case2Options(),
-) -> Case2LowerSolution:
-    """Scheme 1 with a nonempty own block but no relay upload (d3 = 0).
-
-    The compute/transmit balance equation is unusable here, so the split
-    goes through the numeric engine over the six durations under Scheme
-    1's rows, with tau3 pinned to 0.  Its starting points fill the device
-    budget: one device-side variable absorbs the slack the others leave,
-    and the own block takes the largest value its ordering and window rows
-    allow, T3 = min(T1 - t0, window).
-    """
-    sums = _sums(indices, scenario)
-    t0, ts, tr = _deadline_triple(scenario)
-    co = scenario.compute
-    tau_s = sums.es / co.f_bs_max
-    budget = ts - tau_s
-    window_t3 = tr - t0 - tau_s - sums.er / co.f_bs_max
-
-    if not _numeric_feasible(SchemeId.S1, sums, scenario, options.feas_tol):
-        raise _infeasible(SchemeId.S1, indices, "bs_capacity", "deadline")
-
-    loads = {"tau1": sums.d1, "tau2": sums.d2, "T1": sums.ls, "T2": sums.rs}
-    absorber = next((k for k in ("tau2", "tau1", "T2", "T1") if loads[k] > 0.0), None)
-    names = [k for k in ("tau1", "T1", "T2") if k != absorber and (loads[k] > 0.0 or k == "T1")]
-    starts = []
-    for frac in (0.08, 0.25, 0.6):
-        values = dict.fromkeys(("tau1", "tau2", "T1", "T2"), 0.0)
-        values.update(dict.fromkeys(names, frac * budget / max(len(names), 1)))
-        if absorber is not None:
-            slack = budget - sum(values[k] for k in values if k != absorber)
-            if slack <= 0.0:
-                continue
-            values[absorber] = slack
-        t3 = min(values["T1"] - t0, window_t3)
-        if t3 <= 0.0:
-            continue
-        starts.append(
-            [values["tau1"], values["tau2"], 0.0, values["T1"], values["T2"], t3]
-        )
-    return _solve_numeric(
-        SchemeId.S1,
-        indices,
-        scenario,
-        options,
-        starts,
-        free_tau0=False,
-        constraints=("bs_capacity", "deadline"),
-    )
-
-
-def solve_scheme1(
-    indices: Case2Indices,
-    scenario: Scenario,
-    options: Case2Options = Case2Options(),
-) -> Case2LowerSolution:
-    """Minimize Scheme 1 at a fixed split.
-
-    The reduced search runs over (psi, tau3): for each tau3 the optimal
-    psi is found by a bracketed root search, and tau3 itself is scanned
-    then refined by golden section.  Splits with zero offloaded relay data
-    but a nonempty own block fall back to the numeric path (the
-    compute/transmit balance equation degenerates there).
-    """
-    sums = _sums(indices, scenario)
-    t0, ts, tr = _deadline_triple(scenario)
-
-    if sums.d3 <= 0.0 and sums.lr > 0.0:
-        return _solve_scheme1_degenerate(indices, scenario, options)
-
-    if sums.d3 <= 0.0:
-        candidate = _psi_candidate(0.0, 0.0, indices, scenario, sums, options)
-        if candidate is None or not math.isfinite(candidate.energy):
-            raise _infeasible(SchemeId.S1, indices, "bs_capacity", "device_deadline")
-        return candidate
-
-    def block_for(tau3: float) -> float:
-        return _own_block(tau3, sums, scenario)
-
-    def feasible_at(tau3: float) -> bool:
-        t3 = block_for(tau3)
-        tau_s = sums.es / scenario.compute.f_bs_max
-        if tau_s > tr - t0 - t3 - tau3 - sums.er / scenario.compute.f_bs_max + options.feas_tol:
-            return False
-        return t0 + t3 + tau3 <= ts - tau_s + options.feas_tol
-
-    span = tr - t0
-    if span <= 0.0:
-        raise Infeasible(
-            "relay deadline precedes its task arrival", ("relay_deadline",)
-        )
-    lo_probe = span * 1e-9
-    if not feasible_at(lo_probe):
-        raise _infeasible(SchemeId.S1, indices, "bs_capacity", "device_deadline")
-    if feasible_at(span):
-        tau3_ub = span
-    else:
-        lo, hi = lo_probe, span
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if feasible_at(mid):
-                lo = mid
-            else:
-                hi = mid
-        tau3_ub = lo
-
-    def evaluate(tau3: float) -> float:
-        if tau3 <= 0.0 or tau3 > tau3_ub:
-            return math.inf
-        candidate = _psi_candidate(
-            tau3, block_for(tau3), indices, scenario, sums, options
-        )
-        return candidate.energy if candidate is not None else math.inf
-
-    linear = np.linspace(tau3_ub / options.scan_points, tau3_ub, options.scan_points)
-    logspaced = tau3_ub * np.logspace(-6, -1, 12)
-    # plain floats, so no numpy scalar reaches the returned solution
-    scan = np.unique(np.concatenate([linear, logspaced])).tolist()
-    values = [evaluate(t) for t in scan]
-    order = int(np.argmin(values))
-    if not math.isfinite(values[order]):
-        raise _infeasible(SchemeId.S1, indices, "bs_capacity", "device_deadline")
-    left = scan[order - 1] if order > 0 else scan[order] * 0.1
-    right = scan[order + 1] if order + 1 < len(scan) else tau3_ub
-    tau3_star, value = golden_section(
-        evaluate, left, right, rel_tol=options.golden_rel
-    )
-    if values[order] < value:
-        tau3_star = scan[order]
-    best = _psi_candidate(
-        tau3_star, block_for(tau3_star), indices, scenario, sums, options
-    )
-    if best is None or not math.isfinite(best.energy):
-        # refined point can sit on the feasibility knife edge; the scan
-        # winner is a certified fallback
-        best = _psi_candidate(
-            scan[order], block_for(scan[order]), indices, scenario, sums, options
-        )
-    if best is None or not math.isfinite(best.energy):
-        raise _infeasible(SchemeId.S1, indices, "bs_capacity", "device_deadline")
-    return best
-
-
-# --- numeric path for schemes 2 and 3 (and degenerate scheme 1) ------------
+# --- the schemes' programs and the engine that solves them -----------------
 
 _VAR_ORDER = ("tau1", "tau2", "tau3", "T1", "T2", "T3")
 
@@ -995,6 +651,13 @@ def _solve_numeric(
 
     # a step's rounding can leave a duration an ulp below its zero bound
     x = [max(v, 0.0) for v in embed(result.point)]
+    psi = lam = eta1 = eta2 = math.nan
+    if scheme is SchemeId.S1:
+        # the rows in _numeric_constraints order: ordering, window, device
+        f_bs = scenario.compute.f_bs_max
+        lam, window, psi = (float(v) for v in result.row_multipliers)
+        eta2 = window / f_bs
+        eta1 = eta2 + psi / f_bs
     return Case2LowerSolution(
         tau1=x[0],
         tau2=x[1],
@@ -1003,12 +666,53 @@ def _solve_numeric(
         t2=x[4],
         t3=x[5],
         tau_s=sums.es / scenario.compute.f_bs_max,
-        psi=math.nan,
-        lam=math.nan,
-        eta1=math.nan,
-        eta2=math.nan,
+        psi=psi,
+        lam=lam,
+        eta1=eta1,
+        eta2=eta2,
         energy=model.energy(sums, scenario, *x),
         cap_violations=_cap_violations(sums, x[3], x[4], x[5], scenario),
+    )
+
+
+def solve_scheme1(
+    indices: Case2Indices,
+    scenario: Scenario,
+    options: Case2Options = Case2Options(),
+) -> Case2LowerSolution:
+    """Minimize Scheme 1 at a fixed split with the numeric engine.
+
+    The start fills the device budget b = t_s_th - tau_s.  The relay-own
+    block takes half the room its rows leave it, min(window, b - t0),
+    shared evenly by tau3 and T3 where each carries load.  T1 waits for
+    that block from t0 and then takes an equal share of what is left of b
+    with the other loaded device durations.  Every duration is a fraction
+    of a deadline budget, so the start stays usable at any time scale.
+    The duals come from the engine's row multipliers.
+    """
+    sums = _sums(indices, scenario)
+    constraints = ("bs_capacity", "deadline")
+    if not _numeric_feasible(SchemeId.S1, sums, scenario, options.feas_tol):
+        raise _infeasible(SchemeId.S1, indices, *constraints)
+
+    t0 = scenario.deadlines.t0
+    _, bounds = _numeric_constraints(SchemeId.S1, sums, scenario, 6, False)
+    _, window, budget = bounds.tolist()  # ordering, window and device rows
+    own = (sums.d3 > 0.0, sums.lr > 0.0)
+    block = 0.5 * min(window, budget - t0) if any(own) else 0.0
+    tau3, t3 = (block / sum(own) if loaded else 0.0 for loaded in own)
+    device = (sums.d1 > 0.0, sums.d2 > 0.0, sums.rs > 0.0)
+    share = (budget - t0 - block) / (1 + sum(device))
+    tau1, tau2, t2 = (share if loaded else 0.0 for loaded in device)
+    start = [tau1, tau2, tau3, t0 + block + share, t2, t3]
+    return _solve_numeric(
+        SchemeId.S1,
+        indices,
+        scenario,
+        options,
+        [start],
+        free_tau0=False,
+        constraints=constraints,
     )
 
 
@@ -1077,8 +781,9 @@ def kkt_residuals_scheme1(
 ) -> dict[str, float]:
     """Relative stationarity residuals of the Scheme-1 first-order system.
 
-    Only entries whose primal block is active are reported; duals must be
-    finite (semi-closed path).
+    Only entries whose primal block is active are reported.  The duals
+    stand for the engine's row multipliers; a multiplier the engine puts on
+    a box bound instead is not modelled.
     """
     sums = _sums(indices, scenario)
     ch, co = scenario.channel, scenario.compute

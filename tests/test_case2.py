@@ -25,16 +25,13 @@ from relay_offload.case2 import (
     Case2Options,
     SchemeId,
     kkt_residuals_scheme1,
-    scheme1_evaluate,
     solve_case2,
     solve_scheme,
     solve_scheme1,
     solve_scheme_numeric,
     split_energy_floor,
-    t3_from_tau3,
-    tau_s_minimal,
 )
-from relay_offload.model import ModelDomainError, energy, energy_terms, split_sums
+from relay_offload.model import energy, energy_terms, split_sums
 
 from scenario_tools import exit_only_relay_scenario, random_case2_scenario
 
@@ -52,45 +49,6 @@ def basic_scenario(t0=0.05, t_s_th=0.5, t_r_th=0.9):
     )
 
 
-class TestBalanceEquation:
-    def test_empty_own_block_bypasses(self):
-        assert t3_from_tau3(0.7, 1, basic_scenario()) == 0.0
-
-    def test_unit_anchor(self):
-        # sigma2 = g = B = kappa_r = 1, d = own cycles = 1, tau3 = 1:
-        # the marginal side is e*1 - (e-1) = 1, so T3 = 2^(1/3)
-        scenario = Scenario(
-            device_chain=TaskChain((Task(1.0, 1.0),)),
-            relay_chain=TaskChain((Task(1.0, 1.0), Task(1.0, 1.0))),
-            channel=ChannelParams(1.0, 1.0, 1.0, 1.0),
-            compute=ComputeParams(1.0, 1.0, 1.0, 1.0, 1.0),
-            deadlines=Deadlines(t0=0.0, t_s_th=10.0, t_r_th=10.0),
-        )
-        t3 = t3_from_tau3(1.0, 2, scenario)
-        assert t3 == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
-        # substitute back into the balance: both sides must agree
-        lhs = 2.0 * 1.0 * 1.0 / t3**3
-        rhs = math.e - (math.e - 1.0)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_zero_data_is_degenerate(self):
-        scenario = basic_scenario()
-        with pytest.raises(ModelDomainError):
-            t3_from_tau3(0.5, 2, _with_relay_task(scenario, Task(0.0, 1e8)))
-
-    def test_monotone_in_tau3(self):
-        scenario = _with_relay_chain(
-            basic_scenario(), (Task(2e4, 8e7), Task(3e4, 5e7))
-        )
-        taus = np.linspace(0.01, 0.5, 30)
-        blocks = [t3_from_tau3(float(t), 2, scenario) for t in taus]
-        assert all(a < b for a, b in zip(blocks, blocks[1:]))
-
-
-def _with_relay_task(scenario, task):
-    return _with_relay_chain(scenario, (task,))
-
-
 def _with_relay_chain(scenario, tasks):
     return Scenario(
         device_chain=scenario.device_chain,
@@ -99,54 +57,6 @@ def _with_relay_chain(scenario, tasks):
         compute=scenario.compute,
         deadlines=scenario.deadlines,
     )
-
-
-class TestTauS:
-    def test_no_bs_work(self):
-        assert tau_s_minimal(Case2Indices(1, 2, 1), basic_scenario()) == 0.0
-
-    def test_direct_ratio(self):
-        scenario = basic_scenario()
-        assert tau_s_minimal(Case2Indices(1, 1, 1), scenario) == pytest.approx(
-            2e8 / 5e9, rel=1e-14
-        )
-
-
-class TestScheme1Evaluate:
-    def test_floor_branch_is_exact(self):
-        scenario = basic_scenario()
-        # large psi shrinks the interior block below the waiting floor
-        candidate = scheme1_evaluate(1e3, 0.05, Case2Indices(1, 1, 1), scenario)
-        assert candidate is not None
-        assert candidate.t1 == scenario.deadlines.t0 + candidate.t3 + 0.05
-        assert candidate.lam > 0.0
-
-    def test_energy_terms_grow_with_psi(self):
-        scenario = basic_scenario(t_s_th=5.0, t_r_th=9.0)
-        indices = Case2Indices(1, 2, 1)
-        energies = []
-        for psi in np.logspace(-6, 2, 16):
-            candidate = scheme1_evaluate(float(psi), 0.05, indices, scenario)
-            if candidate is None:
-                # durations exceed the window at small psi
-                assert not energies
-                continue
-            energies.append(candidate.energy)
-        assert len(energies) >= 8
-        assert all(a <= b + 1e-15 for a, b in zip(energies, energies[1:]))
-
-    def test_window_violation_returns_none(self):
-        scenario = basic_scenario(t_r_th=0.5001, t_s_th=0.5)
-        # tau3 consuming nearly the whole relay window leaves no room
-        assert (
-            scheme1_evaluate(1.0, 0.45, Case2Indices(1, 1, 1), scenario) is None
-        )
-
-    def test_reports_relaxed_cap_violations(self):
-        scenario = basic_scenario(t_s_th=5.0, t_r_th=9.0)
-        candidate = scheme1_evaluate(1e6, 0.05, Case2Indices(1, 2, 1), scenario)
-        assert candidate is not None
-        assert "relay_cpu_cap_device_block" in candidate.cap_violations
 
 
 class TestSolveScheme1:
@@ -187,7 +97,8 @@ class TestSolveScheme1:
         scenario = basic_scenario(t_s_th=1.0, t_r_th=2.0)
         lower = solve_scheme1(Case2Indices(1, 1, 2), scenario)
         assert lower.tau3 == 0.0
-        assert math.isnan(lower.psi)  # numeric path does not recover duals
+        # the engine's row multipliers give the duals on every Scheme-1 split
+        assert all(math.isfinite(v) for v in (lower.psi, lower.lam, lower.eta1, lower.eta2))
         reference = oracle.case2_lower_reference(
             "S1", 1, 1, 2, scenario, points=11, rounds=5
         )
@@ -205,29 +116,59 @@ class TestSolveScheme1:
         tight_energy = solve_scheme1(Case2Indices(1, 1, 1), tight).energy
         assert tight_energy >= loose_energy * (1 - 1e-9)
 
+    def test_reports_relaxed_cap_violations(self):
+        # 2e8 cycles in under 0.2 s on the device (cap 1e9 Hz) and in under
+        # 0.1 s on the relay (cap 2e9 Hz): case 2 relaxes and reports both
+        scenario = basic_scenario(t_s_th=0.15)
+        local = solve_scheme1(Case2Indices(2, 2, 1), scenario)
+        assert local.t1 < 0.2 and local.cap_violations == ("device_cpu_cap",)
+        relayed = solve_scheme1(Case2Indices(1, 2, 1), scenario)
+        assert relayed.t2 < 0.1 and relayed.cap_violations == ("relay_cpu_cap_device_block",)
+
     def test_kkt_residuals_on_interior_solutions(self):
-        # the stationarity system applies on the interior-T1 branch
-        # (waiting-floor solutions carry a positive ordering multiplier
-        # whose complementary conditions the checker does not model)
+        # every feasible split of seeded instances, duals from the engine's
+        # row multipliers: the ordering row binds on all of them, 36 have
+        # tau3 = 0 (no relay upload) and 36 an empty own block
         rng = np.random.default_rng(47)
         checked = 0
-        while checked < 6:
-            scenario = random_case2_scenario(rng, n_tasks=2)
-            m = scenario.relay_chain.n
-            n = scenario.device_chain.n
-            n1 = int(rng.integers(1, n + 2))
-            n2 = int(rng.integers(n1, n + 2))
-            indices = Case2Indices(n1, n2, int(rng.integers(1, m + 1)))
-            try:
-                lower = solve_scheme1(indices, scenario)
-            except Infeasible:
-                continue
-            if math.isnan(lower.psi) or lower.lam != 0.0:
-                continue
-            residuals = kkt_residuals_scheme1(lower, indices, scenario)
-            for name, value in residuals.items():
-                assert abs(value) <= 1e-4, (name, value, indices)
-            checked += 1
+        for shape in ((1, 1), (2, 1), (1, 2), (2, 2)) * 2:
+            scenario = random_case2_scenario(rng, *shape)
+            n, m = shape
+            f_bs = scenario.compute.f_bs_max
+            t0, t_s = scenario.deadlines.t0, scenario.deadlines.t_s_th
+            for n1 in range(1, n + 2):
+                for n2 in range(n1, n + 2):
+                    for m1 in range(1, m + 2):
+                        indices = Case2Indices(n1, n2, m1)
+                        try:
+                            lower = solve_scheme1(indices, scenario)
+                        except Infeasible:
+                            continue
+                        duals = (lower.psi, lower.lam, lower.eta1, lower.eta2)
+                        assert all(math.isfinite(v) and v >= 0.0 for v in duals), indices
+                        assert lower.eta1 == lower.eta2 + lower.psi / f_bs
+                        # complementarity: a priced row holds with equality
+                        if lower.lam > 0.0:
+                            waited = t0 + lower.tau3 + lower.t3
+                            assert lower.t1 == pytest.approx(waited, rel=1e-9)
+                        if lower.psi > 0.0:
+                            busy = lower.tau1 + lower.tau2 + lower.t1 + lower.t2
+                            assert busy == pytest.approx(t_s - lower.tau_s, rel=1e-9)
+                        residuals = kkt_residuals_scheme1(lower, indices, scenario)
+                        for name, value in residuals.items():
+                            assert abs(value) <= 1e-9, (name, value, indices)
+                        checked += 1
+        assert checked >= 90
+
+    def test_relay_busy_at_x1e9(self):
+        # the semi-closed search reported (1,1,1) infeasible here, and
+        # solve_case2 returned 3.97e-3 J against 1.054e-4 J at x1000
+        indices = Case2Indices(1, 1, 1)
+        loose, x1000 = _relay_busy(1e9), _relay_busy(1000.0)
+        lower = solve_scheme(SchemeId.S1, indices, loose)
+        reference = solve_scheme(SchemeId.S1, indices, x1000)
+        assert lower.energy == pytest.approx(reference.energy, rel=1e-9)
+        assert solve_case2(loose).lower.energy <= solve_case2(x1000).lower.energy
 
 
 class TestNumericSchemes:
@@ -599,13 +540,13 @@ class TestDescentGradients:
             lambda: solve_scheme_numeric(
                 SchemeId.S3, Case2Indices(1, 2, 2), _relay_busy(), free_tau0=True
             ),
-            # degenerate Scheme 1, whose starts absorb the budget in tau2,
-            # tau1 and T2
+            # degenerate Scheme 1 (no relay upload), with the device's
+            # offloaded load in tau2, in tau1 and in T2 alone
             lambda: solve_scheme1(Case2Indices(1, 1, 2), _relay_busy()),
             lambda: solve_scheme1(Case2Indices(1, 2, 2), _relay_busy()),
             lambda: solve_scheme1(Case2Indices(1, 2, 2), _zero_data_device(_relay_busy())),
-            # starts on both sides of T3 = min(T1 - t0, window): the relay
-            # sends a long zero-data task to the BS
+            # the relay sends a long zero-data task to the BS, which leaves
+            # its own block a short window
             lambda: solve_scheme1(
                 Case2Indices(1, 1, 2),
                 _with_relay_chain(
@@ -812,6 +753,7 @@ class TestPolytopeProjector:
         (SchemeId.S1, (1, 1, 2)),  # degenerate: relay keeps everything
         (SchemeId.S2, (1, 1, 1)),
         (SchemeId.S3, (1, 1, 1)),
+        (SchemeId.S1, (1, 2, 1)),  # no BS work: tau_s = 0
     ],
 )
 def test_solution_fields_are_plain_floats(scheme, indices):
@@ -822,6 +764,7 @@ def test_solution_fields_are_plain_floats(scheme, indices):
         if field.name != "cap_violations":
             assert type(getattr(lower, field.name)) is float, field.name
     sums = split_sums(scenario, indices.n1, indices.n2, indices.m1)
+    assert lower.tau_s == pytest.approx(sums.es / scenario.compute.f_bs_max, rel=1e-14, abs=0.0)
     durations = (lower.tau1, lower.tau2, lower.tau3, lower.t1, lower.t2, lower.t3)
     for name, value in energy_terms(sums, scenario, *durations).items():
         assert type(value) is float, name

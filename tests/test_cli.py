@@ -306,10 +306,17 @@ class TestMainEntry:
 
     @pytest.mark.parametrize(
         "name",
-        ["descent_max_iter", "descent_step_tol", "descent_stall_iters", "descent_stall_rel"],
+        [
+            "descent_max_iter",
+            "descent_step_tol",
+            "descent_stall_iters",
+            "descent_stall_rel",
+            "golden_rel",
+            "scan_points",
+        ],
     )
     def test_removed_descent_tolerance_rejected(self, tmp_path, capsys, name):
-        # the exact case-2 engine has no descent to tune
+        # the exact case-2 engine has no descent and no tau3 scan to tune
         path = write_doc(tmp_path, case2_doc())
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["solve-case2", "--scenario", str(path), "--tol", f"{name}=100"])
