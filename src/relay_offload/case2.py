@@ -6,8 +6,10 @@ under at most five timing rows.  :func:`active_set_newton` solves it
 exactly from the model's analytic slopes and curvatures
 (:func:`model.energy_slopes`, :func:`model.energy_curvatures`) and returns
 KKT multipliers that certify the optimum.  For Scheme 1 those multipliers
-are the duals of its semi-closed KKT system (psi, lambda, eta1, eta2); a
-cyclic projector only places the engine's starting point.
+are the duals of its semi-closed KKT system (psi, lambda, eta1, eta2).
+Each Newton step is a Cholesky solve of a few moves on the working face's
+echelon form, which is built once per face; a cyclic projector only
+places the engine's starting point.
 
 The upper level computes every split's energy floor (every duration set to
 its block's time budget, a bound no scheme can beat), solves the
@@ -203,7 +205,9 @@ def _numeric_box(
     horizon = max(ts, tr)
     eps = 1e-12 * horizon
     lo = np.zeros(n_vars)
-    hi = np.full(n_vars, horizon)
+    # each Scheme-1 duration is already capped by its device row or its
+    # window row; a box bound there could take over that row's price
+    hi = np.full(n_vars, math.inf if scheme is SchemeId.S1 else horizon)
     for name, data in (("tau1", sums.d1), ("tau2", sums.d2), ("tau3", sums.d3)):
         idx = _VAR_ORDER.index(name)
         if data <= 0.0:
@@ -323,6 +327,7 @@ class NewtonResult:
     constraints that hold with equality carry a nonzero one, and
     ``slopes + rows.T @ row_multipliers - lower_multipliers +
     upper_multipliers`` vanishes at ``point`` when ``converged``.
+    ``iterations`` counts the Newton steps and working-set drops taken.
     """
 
     point: list[float]
@@ -330,6 +335,7 @@ class NewtonResult:
     lower_multipliers: np.ndarray
     upper_multipliers: np.ndarray
     converged: bool
+    iterations: int
 
 
 # a face is solved once its Newton step moves no slope by more than this
@@ -339,37 +345,14 @@ _FACE_REL = 1e-11
 _DROP_REL = 1e-12
 # the energy rise that backtracking forgives as rounding, relative
 _ROUNDING = 16.0 * 2.0**-52
+# a move whose curvature, beyond what the moves before it explain, is below
+# this fraction of its own depends on them and stays out of the step
+_DEPENDENT = 1e-10
+# a face is reused while no pivot in a move costs more than this many times
+# the move's own coordinate, which then keeps at least
+# 1 / (1 + _PIVOT_SLACK * sum_i M_if^2) of the move's curvature
+_PIVOT_SLACK = 4.0
 _MAX_ITER = 500
-
-
-def _null_basis(rows: list[list[float]], n: int) -> list[list[float]]:
-    """Vectors spanning {v : rows @ v = 0} in R^n, read off the reduced
-    row echelon form.  For the timing rows' +-1 coefficients they are small
-    integer combinations, so they keep the rows' own scaling."""
-    m = [list(row) for row in rows]
-    pivots: list[int] = []
-    for c in range(n):
-        r = len(pivots)
-        if r == len(m):
-            break
-        p = max(range(r, len(m)), key=lambda i: abs(m[i][c]))
-        if abs(m[p][c]) <= 1e-12:
-            continue
-        m[r], m[p] = m[p], m[r]
-        m[r] = [v / m[r][c] for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-    basis = []
-    for f in (c for c in range(n) if c not in pivots):
-        v = [0.0] * n
-        v[f] = 1.0
-        for i, c in enumerate(pivots):
-            v[c] = -m[i][f]
-        basis.append(v)
-    return basis
 
 
 def _least_squares(columns: list[list[float]], target: list[float]) -> list[float]:
@@ -414,43 +397,156 @@ def _least_squares(columns: list[list[float]], target: list[float]) -> list[floa
     return [v / length for v, length in zip(y, lengths)]
 
 
-def _newton_step(
-    slopes: list[float], curvatures: list[float], rows: list[list[float]]
-) -> tuple[list[float], list[float]]:
-    """Newton step on the face rows @ p = 0, and the rows' multipliers.
+def _pivoted_solve(a: list[list[float]], b: list[float]) -> list[float]:
+    """Solve a @ u = b for a positive semidefinite matrix with a unit
+    diagonal, by Cholesky elimination that pivots on the largest remaining
+    diagonal; a and b are overwritten.  Once that diagonal falls to
+    _DEPENDENT, the moves left depend on the ones eliminated and get
+    coefficient 0."""
+    left = list(range(len(b)))
+    order: list[int] = []
+    while left:
+        k = max(left, key=lambda i: a[i][i])
+        if a[k][k] <= _DEPENDENT:
+            break
+        left.remove(k)
+        order.append(k)
+        for i in left:
+            factor = a[i][k] / a[k][k]
+            if factor:
+                for j in left:
+                    a[i][j] -= factor * a[k][j]
+                b[i] -= factor * b[k]
+    u = [0.0] * len(b)
+    for pos in range(len(order) - 1, -1, -1):
+        k = order[pos]
+        u[k] = (b[k] - sum(a[k][j] * u[j] for j in order[pos + 1 :])) / a[k][k]
+    return u
 
-    Solves the KKT system [[H, A^T], [A, 0]] [p; lam] = [-g; 0] of the
-    diagonal Hessian H = diag(curvatures) by the null-space method: with
-    the vectors z spanning the moves along the face, p = Z u where
-    (Z^T H Z) u = -Z^T g, and then A^T lam = -(g + H p).  Z comes from the
-    echelon form of the rows, so it keeps their +-1 structure and a move
-    of the zero-cost coordinates alone (no load, the S2 epigraph variable,
-    the free tau0) is a z with no curvature and no slope: it changes
-    nothing, and the step leaves it out.  Each z is scaled to unit
-    curvature; the second system is weighted by each coordinate's own size,
-    so every coordinate's stationarity holds to its own rounding (the
-    system is consistent, so the weights leave its solution alone).
+
+class _Face:
+    """The working rows on the free coordinates, in reduced echelon form.
+
+    The echelon form E @ rows = R has a unit column at each pivot column
+    p_i; M_if = R[i][f] at every other column f.  The moves
+    z_f = e_f - sum_i M_if e_{p_i} span the face {v : rows @ v = 0}, and
+    keep the rows' +-1 structure, so a move of zero-cost coordinates alone
+    (no load, the S2 epigraph variable, the free tau0) has no curvature and
+    no slope.  When the rows are independent, E is the inverse of their
+    pivot block.
+
+    The columns are taken as pivots in ``order``, ascending curvature, so
+    no pivot in a move costs more than the move's own coordinate.  That
+    coordinate then carries at least 1 / (1 + sum_i M_if^2) of the move's
+    curvature, and the scaled reduced Hessian stays well conditioned however
+    far the curvatures spread; pivoting on a costly coordinate would make
+    the moves through it nearly parallel.  The engine keeps one face per
+    free set and working set, and builds it again only when the curvatures
+    have moved so far that it no longer :meth:`fits` them.
     """
-    m = len(slopes)
-    basis = _null_basis(rows, m) if rows else [[float(i == j) for j in range(m)] for i in range(m)]
-    moves = []  # the basis, each scaled to unit curvature
-    for z in basis:
-        curvature = sum(h * v * v for h, v in zip(curvatures, z))
-        if curvature > 0.0:
-            moves.append([v / math.sqrt(curvature) for v in z])
-    reduced = [
-        [sum(h * a * b for h, a, b in zip(curvatures, za, zb)) for zb in moves] for za in moves
-    ]
-    u = _least_squares(reduced, [-sum(g * v for g, v in zip(slopes, z)) for z in moves])
-    step = [sum(ui * z[j] for ui, z in zip(u, moves)) for j in range(m)]
 
-    pull = [-(g + h * p) for g, h, p in zip(slopes, curvatures, step)]
-    sizes = [abs(v) for v in pull if v]
-    if not rows or not sizes:
-        return step, [0.0] * len(rows)
-    weight = [1.0 / (abs(v) if v else min(sizes)) for v in pull]
-    columns = [[c * w for c, w in zip(row, weight)] for row in rows]
-    return step, _least_squares(columns, [v * w for v, w in zip(pull, weight)])
+    def __init__(self, rows: list[list[float]], order: Sequence[int]) -> None:
+        n, k = len(order), len(rows)
+        m = [list(row) + [float(i == j) for j in range(k)] for i, row in enumerate(rows)]
+        pivots: list[int] = []
+        for c in order:
+            r = len(pivots)
+            if r == k:
+                break
+            p = max(range(r, k), key=lambda i: abs(m[i][c]))
+            if abs(m[p][c]) <= 1e-12:
+                continue
+            m[r], m[p] = m[p], m[r]
+            m[r] = [v / m[r][c] for v in m[r]]
+            for i in range(k):
+                if i != r and m[i][c]:
+                    factor = m[i][c]
+                    m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+            pivots.append(c)
+        self.rows = rows
+        # each move's nonzeros, and the pivots that couple two moves a < b
+        self.moves = [
+            [(f, 1.0)] + [(p, -m[i][f]) for i, p in enumerate(pivots) if m[i][f]]
+            for f in range(n)
+            if f not in pivots
+        ]
+        self.couplings = []
+        for b, zb in enumerate(self.moves):
+            for a, za in enumerate(self.moves[:b]):
+                common = [(j, v * w) for j, v in za[1:] for i, w in zb[1:] if i == j]
+                if common:
+                    self.couplings.append((a, b, common))
+        # (pivot, own coordinate) of every move
+        self.spans = [(j, z[0][0]) for z in self.moves for j, _ in z[1:]]
+        # lam_i = sum_r E[r][i] pull[p_r], one nonzero list per row
+        self.inverse = None
+        if len(pivots) == k:
+            self.inverse = [
+                [(pivots[r], m[r][n + i]) for r in range(k) if m[r][n + i]] for i in range(k)
+            ]
+
+    def fits(self, curvatures: list[float]) -> bool:
+        """Whether no pivot in a move costs more than _PIVOT_SLACK times the
+        move's own coordinate, so the reduced Hessian is still well
+        conditioned at these curvatures."""
+        return all(curvatures[p] <= _PIVOT_SLACK * curvatures[f] for p, f in self.spans)
+
+    def newton_step(
+        self, slopes: list[float], curvatures: list[float]
+    ) -> tuple[list[float], list[float]]:
+        """Newton step p on the face, and the pull -(g + H p) it leaves.
+
+        Solves the KKT system [[H, A^T], [A, 0]] [p; lam] = [-g; 0] of the
+        diagonal Hessian H = diag(curvatures) by the null-space method:
+        p = sum_f u_f z_f, where (Z^T H Z) u = -Z^T g and
+        Z^T H Z = H_N + M^T H_P M.  Each move is scaled to unit curvature,
+        and the reduced system is solved by :func:`_pivoted_solve`; a move
+        with no curvature, or one that depends on the others, gets
+        coefficient 0.
+        """
+        kept, scales, rhs = [], [], []
+        slot = [-1] * len(self.moves)  # each move's row in the reduced system
+        for a, z in enumerate(self.moves):
+            curvature = sum(curvatures[j] * v * v for j, v in z)
+            if 0.0 < curvature < math.inf:
+                slot[a] = len(kept)
+                scale = 1.0 / math.sqrt(curvature)
+                kept.append(a)
+                scales.append(scale)
+                rhs.append(-scale * sum(slopes[j] * v for j, v in z))
+        reduced = [[float(a == b) for b in range(len(kept))] for a in range(len(kept))]
+        for a, b, common in self.couplings:
+            a, b = slot[a], slot[b]
+            if a >= 0 and b >= 0:
+                coupling = scales[a] * scales[b] * sum(curvatures[j] * w for j, w in common)
+                reduced[a][b] = reduced[b][a] = coupling
+        step = [0.0] * len(slopes)
+        for a, scale, u in zip(kept, scales, _pivoted_solve(reduced, rhs)):
+            if u:
+                for j, v in self.moves[a]:
+                    step[j] += scale * u * v
+        pull = [-(g + h * p) for g, h, p in zip(slopes, curvatures, step)]
+        return step, pull
+
+    def multipliers(self, pull: list[float]) -> list[float]:
+        """The rows' multipliers, from rows.T @ lam = pull on the pivot
+        coordinates: E.T @ pull[pivots].  Dependent rows take the
+        certificate solve."""
+        if self.inverse is None:
+            return self.certificate(pull)
+        return [sum(c * pull[p] for p, c in column) for column in self.inverse]
+
+    def certificate(self, pull: list[float]) -> list[float]:
+        """Least-squares multipliers of rows.T @ lam = pull, weighted by each
+        coordinate's own size, so every coordinate's stationarity holds to
+        its own rounding (the system is consistent on a solved face, so the
+        weights leave its solution alone)."""
+        sizes = [abs(v) for v in pull if v]
+        if not self.rows or not sizes:
+            return [0.0] * len(self.rows)
+        weight = [1.0 / (abs(v) if v else min(sizes)) for v in pull]
+        columns = [[c * w for c, w in zip(row, weight)] for row in self.rows]
+        return _least_squares(columns, [v * w for v, w in zip(pull, weight)])
 
 
 def active_set_newton(
@@ -469,16 +565,18 @@ def active_set_newton(
     Optimization*, ch. 16) with Newton steps: ``start`` must be feasible,
     and every iterate stays so.  Each iteration solves the KKT system of
     the working set (the rows and bounds held at equality) with the
-    diagonal Hessian ``curvatures``, cuts the step at the first blocking
-    row or bound (which then joins the working set), and backtracks on
-    ``energy``.  Once the step on the current face is negligible, the most
-    negative multiplier leaves the working set; when none is negative, the
-    point is optimal.
+    diagonal Hessian ``curvatures`` on the face's cached echelon form (see
+    :class:`_Face`), cuts the step at the first blocking row or bound (which
+    then joins the working set), and backtracks on ``energy``.  Once the step on
+    the current face is negligible, the multipliers are solved for again to
+    each coordinate's own accuracy, and the most negative one leaves the
+    working set; when none is negative, the point is optimal.
     """
     n = len(start)
     x = [float(v) for v in start]
     lo, hi = lo.tolist(), hi.tolist()
     row_list, bound_list = rows.tolist(), bounds.tolist()
+    nonzeros = [[(j, c) for j, c in enumerate(row) if c] for row in row_list]
     # -1 at the lower bound, +1 at the upper bound, 0 free
     state = [0] * n
     for j in range(n):
@@ -487,9 +585,10 @@ def active_set_newton(
         elif x[j] >= hi[j]:
             x[j], state[j] = hi[j], 1
     working: list[int] = []
+    faces: dict[tuple[tuple[int, ...], tuple[int, ...]], _Face] = {}
     value = energy(x)
     converged = False
-    for _ in range(_MAX_ITER):
+    for iterations in range(1, _MAX_ITER + 1):
         g = list(slopes(x))
         h = [min(v, 1e300) for v in curvatures(x)]
         free = [j for j in range(n) if state[j] == 0]
@@ -497,22 +596,33 @@ def active_set_newton(
         lam = [0.0] * len(working)
         solved = True
         if free:
-            face = [[row_list[i][j] for j in free] for i in working]
-            p_free, lam = _newton_step([g[j] for j in free], [h[j] for j in free], face)
+            g_free, h_free = [g[j] for j in free], [h[j] for j in free]
+            key = (tuple(free), tuple(working))
+            face = faces.get(key)
+            if face is None or not face.fits(h_free):
+                rows_on_face = [[row_list[i][j] for j in free] for i in working]
+                order = sorted(range(len(free)), key=h_free.__getitem__)
+                face = faces[key] = _Face(rows_on_face, order)
+            p_free, pull_free = face.newton_step(g_free, h_free)
+            lam = face.multipliers(pull_free)
             for j, p in zip(free, p_free):
                 step[j] = p
-            for k, j in enumerate(free):
-                size = max([abs(g[j])] + [abs(row[k] * mult) for row, mult in zip(face, lam)])
-                solved = solved and abs(h[j] * step[j]) <= _FACE_REL * size
+            solved = all(
+                abs(h[j] * step[j])
+                <= _FACE_REL * max([abs(g[j])] + [abs(r[k] * y) for r, y in zip(face.rows, lam)])
+                for k, j in enumerate(free)
+            )
+            if solved and face.inverse is not None:
+                lam = face.certificate(pull_free)
         # what the working rows leave of each slope; a bound takes the rest
         pull = list(g)
         for i, mult in zip(working, lam):
-            for j, c in enumerate(row_list[i]):
+            for j, c in nonzeros[i]:
                 pull[j] += c * mult
 
         if solved:
             offers = [
-                (mult / max(max(abs(g[j]) for j, c in enumerate(row_list[i]) if c), 1e-300), i)
+                (mult / max(max(abs(g[j]) for j, _ in nonzeros[i]), 1e-300), i)
                 for i, mult in zip(working, lam)
             ]
             offers += [
@@ -533,10 +643,12 @@ def active_set_newton(
         # ratio test: how far along the step every constraint outside the
         # working set still holds, and the first one to block it
         reach, block = math.inf, None
-        for i, row in enumerate(row_list):
-            rate = sum(c * p for c, p in zip(row, step))
-            if i not in working and rate > 0.0:
-                room = max(bound_list[i] - sum(c * v for c, v in zip(row, x)), 0.0)
+        for i, row in enumerate(nonzeros):
+            if i in working:
+                continue
+            rate = sum(c * step[j] for j, c in row)
+            if rate > 0.0:
+                room = max(bound_list[i] - sum(c * x[j] for j, c in row), 0.0)
                 if room < reach * rate:
                     reach, block = room / rate, (i, None)
         for j in free:
@@ -589,6 +701,7 @@ def active_set_newton(
         lower_multipliers=np.where(np.array(state) < 0, bound_multipliers, 0.0),
         upper_multipliers=np.where(np.array(state) > 0, bound_multipliers, 0.0),
         converged=converged,
+        iterations=iterations,
     )
 
 

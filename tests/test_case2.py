@@ -170,6 +170,22 @@ class TestSolveScheme1:
         assert lower.energy == pytest.approx(reference.energy, rel=1e-9)
         assert solve_case2(loose).lower.energy <= solve_case2(x1000).lower.energy
 
+    @pytest.mark.parametrize("indices", [(2, 2, 1), (2, 2, 2)])
+    def test_duals_when_both_deadlines_coincide(self, indices):
+        # with t_r_th = t_s_th, a box bound at max(t_s_th, t_r_th) equalled
+        # the device budget: T1 stopped on it, the bound took the device
+        # row's price, psi = lam = 0 and the T1 residual read -1.0
+        scenario = load_scenario(RELAY_BUSY)
+        deadlines = dataclasses.replace(scenario.deadlines, t_s_th=0.5, t_r_th=0.5)
+        scenario = dataclasses.replace(scenario, deadlines=deadlines)
+        indices = Case2Indices(*indices)
+        lower = solve_scheme1(indices, scenario)
+        assert math.isfinite(lower.psi) and lower.psi > 0.0
+        residuals = kkt_residuals_scheme1(lower, indices, scenario)
+        assert "T1" in residuals
+        for name, value in residuals.items():
+            assert abs(value) <= 1e-9, (name, value)
+
 
 class TestNumericSchemes:
     def test_do_nothing_chains_cost_nothing(self):
@@ -629,6 +645,18 @@ def _certificate(rows, bounds, x, slopes, result):
     return stationarity, complementarity
 
 
+def _solve_every_pair(scenario):
+    n, m = scenario.device_chain.n, scenario.relay_chain.n
+    for scheme in SchemeId:
+        for n1 in range(1, n + 2):
+            for n2 in range(n1, n + 2):
+                for m1 in range(1, m + 2):
+                    try:
+                        solve_scheme(scheme, Case2Indices(n1, n2, m1), scenario)
+                    except Infeasible:
+                        pass
+
+
 class TestActiveSetNewton:
     def test_relay_busy_s2_121_reaches_the_grid_oracle(self):
         # projected descent stopped 39.6% above the grid oracle's 0.023275 J
@@ -722,6 +750,115 @@ class TestActiveSetNewton:
             # bound multipliers sit on bounds
             assert np.all((result.lower_multipliers == 0.0) | (x == lo))
             assert np.all((result.upper_multipliers == 0.0) | (x == hi))
+
+    @pytest.mark.parametrize("factor, budget", [(1.0, 200), (10.0, 150)])
+    def test_iteration_budget(self, monkeypatch, factor, budget):
+        # every (scheme, split) of relay_busy.json took 190 iterations at x1
+        # and 141 at x10 when each step ran two general least-squares
+        # solves: the structured steps are cheaper, not fewer
+        scenario = _relay_busy(factor)
+        runs = _engine_calls(monkeypatch, lambda: _solve_every_pair(scenario))
+        assert runs and all(run[-1].iterations >= 1 for run in runs)
+        assert sum(run[-1].iterations for run in runs) <= budget
+
+
+# faces of the schemes' programs on relay_busy.json at (1, 1, 1): scheme,
+# free columns, working rows, and columns without load (no curvature and no
+# slope).  Columns: tau1, tau2, tau3, T1, T2, T3, then S2's epigraph t_c or
+# S3's free tau0.
+_FACES = {
+    "S1-unconstrained": ("S1", range(6), [], ()),
+    "S1-device": ("S1", range(6), [2], ()),
+    "S1-all-rows": ("S1", range(6), [0, 1, 2], ()),
+    "S1-unloaded-T2": ("S1", [0, 1, 2, 3, 4], [0, 2], (4,)),
+    "S2-epigraph-pinned": ("S2", range(7), [1, 2, 3], (6,)),
+    "S2-epigraph-device": ("S2", range(7), [0, 1, 4], (6,)),
+    "S2-unloaded-T3": ("S2", range(7), [1, 2, 4], (5, 6)),
+    "S3-all-rows": ("S3", range(6), [0, 1, 2, 3], ()),
+    "S3-unloaded-T1": ("S3", [0, 1, 2, 3, 5], [0, 1, 3], (3,)),
+    "S3-free-tau0": ("S3+tau0", range(7), [2, 3], (6,)),
+    # with T1 on a bound the ordering and window rows coincide
+    "S1-dependent": ("S1", [0, 1, 2, 4, 5], [0, 1, 2], ()),
+}
+
+
+def _face_rows(scheme):
+    free_tau0 = scheme == "S3+tau0"
+    scheme = SchemeId(scheme[:2])
+    n_vars = 7 if scheme is SchemeId.S2 or free_tau0 else 6
+    scenario, indices = _relay_busy(), Case2Indices(1, 1, 1)
+    sums = split_sums(scenario, indices.n1, indices.n2, indices.m1)
+    rows, _ = case2._numeric_constraints(scheme, sums, scenario, n_vars, free_tau0)
+    return rows
+
+
+def _bordered_kkt(curvatures, rows, slopes):
+    """[p; lam] solving [[H, A^T], [A, 0]] [p; lam] = [-g; 0] densely: a
+    numpy solve, then corrections from residuals summed exactly, since the
+    curvatures' spread leaves a plain solve short of 1e-10."""
+    n, k = len(curvatures), len(rows)
+    kkt = np.zeros((n + k, n + k))
+    kkt[:n, :n] = np.diag(curvatures)
+    kkt[:n, n:] = rows.T
+    kkt[n:, :n] = rows
+    rhs = np.concatenate([-slopes, np.zeros(k)])
+    solution = np.linalg.solve(kkt, rhs)
+    for _ in range(3):
+        residual = [
+            math.fsum([b, *(-a * v for a, v in zip(row, solution))]) for row, b in zip(kkt, rhs)
+        ]
+        solution = solution + np.linalg.solve(kkt, np.array(residual))
+    return solution[:n], solution[n:]
+
+
+class TestStructuredStep:
+    @pytest.mark.parametrize("face", list(_FACES))
+    def test_matches_the_dense_kkt_solve(self, face):
+        scheme, free, working, unloaded = _FACES[face]
+        free = list(free)
+        rows = _face_rows(scheme)[np.ix_(working, free)]
+        # a coinciding row adds nothing to the face, so the dense system
+        # keeps one of each
+        independent = sorted(np.unique(rows, axis=0, return_index=True)[1])
+        rng = np.random.default_rng(len(face))
+        for _ in range(25):
+            curvatures = 10.0 ** rng.uniform(-8.0, 8.0, len(free))
+            slopes = -(10.0 ** rng.uniform(-3.0, 3.0, len(free)))
+            for j in unloaded:
+                curvatures[free.index(j)] = slopes[free.index(j)] = 0.0
+            order = sorted(range(len(free)), key=curvatures.__getitem__)
+            built = case2._Face(rows.tolist(), order)
+            assert (built.inverse is None) == (len(independent) < len(rows))
+            # the engine reuses a face while the curvatures move by less
+            # than its slack allows
+            moved = curvatures * rng.uniform(0.5, 2.0, len(free))
+            for curvatures in (curvatures, moved):
+                assert built.fits(curvatures.tolist())
+                step, pull = built.newton_step(slopes.tolist(), curvatures.tolist())
+                mults = built.multipliers(pull)
+                step, mults = np.array(step), np.array(mults).reshape(len(rows))
+                dense_step, dense_mults = _bordered_kkt(curvatures, rows[independent], slopes)
+
+                # each coordinate's stationarity terms set its scale; one
+                # without load takes the smallest scale of the loaded ones
+                priced = rows[independent].T * dense_mults
+                scale = np.max(np.abs([slopes, curvatures * dense_step, *priced.T]), axis=0)
+                scale = np.maximum(scale, scale[slopes != 0.0].min())
+                assert np.all(np.abs(curvatures * (step - dense_step)) <= 1e-10 * scale)
+                assert np.all(np.abs(step - dense_step) <= 1e-10 * np.abs(dense_step).max())
+                assert np.all(np.abs(rows @ step) <= 1e-10 * np.abs(dense_step).max())
+                assert np.all(np.abs(rows.T @ mults - priced.sum(axis=1)) <= 1e-10 * scale)
+                if len(independent) == len(rows):
+                    size = np.abs(dense_mults).max(initial=0.0)
+                    assert np.all(np.abs(mults - dense_mults) <= 1e-10 * size)
+
+    def test_a_face_pivoted_on_a_costly_coordinate_is_rebuilt(self):
+        # one row tau1 + tau2 + T1 + T2: pivoting on tau1 at 1e8 leaves the
+        # cheap moves nearly parallel, so the engine builds the face again
+        rows = _face_rows("S1")[[2]][:, [0, 1, 3, 4]].tolist()
+        curvatures = [1e8, 1e-8, 1e-6, 1.0]
+        assert not case2._Face(rows, [0, 1, 2, 3]).fits(curvatures)
+        assert case2._Face(rows, [1, 2, 3, 0]).fits(curvatures)
 
 
 class TestPolytopeProjector:
