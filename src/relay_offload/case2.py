@@ -11,14 +11,17 @@ Each Newton step is a Cholesky solve of a few moves on the working face's
 echelon form, which is built once per face; a cyclic projector only
 places the engine's starting point.
 
-The upper level computes every split's energy floor (every duration set to
-its block's time budget, a bound no scheme can beat), solves the
-(scheme, split) pairs in ascending floor order, and stops at the first
-pair whose floor is above the lowest energy solved so far by more than a
-skip margin.  The winner is then picked by replaying the tie rule over
-the solved pairs in the canonical S1 -> S2 -> S3 lexicographic order; the
-margin is wide enough that the skipped pairs could not have changed that
-pick, so the winner is the exhaustive traversal's.
+The upper level builds every split's totals once, at O(1) cost each
+(:func:`model.relay_busy_split_sums`), and gives every (scheme, split) pair
+its own energy floor: each duration set to the largest value the scheme's
+own rows allow, a bound the scheme cannot beat.  It solves the pairs in
+ascending floor order, computing a split's three scheme floors only once
+its scheme-free floor comes up, and stops at the first pair whose floor is
+above the lowest energy solved so far by more than a skip margin.  The
+winner is then picked by replaying the tie rule over the solved pairs in
+the canonical S1 -> S2 -> S3 lexicographic order; the margin is wide
+enough that the skipped pairs could not have changed that pick, so the
+winner is the exhaustive traversal's.
 
 Device/relay frequency-cap constraints are relaxed throughout (the BS
 capacity constraints remain); violations of the relaxed caps are reported
@@ -27,6 +30,7 @@ in the solution metadata instead of being enforced.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -714,13 +718,13 @@ def _solve_numeric(
     *,
     free_tau0: bool,
     constraints: tuple[str, ...],
+    sums: SplitSums,
 ) -> Case2LowerSolution:
     """Run the engine on the scheme's program from the first usable start.
 
     A start is usable when its projection onto the polytope has finite
     energy; the program is convex, so one run from it reaches the optimum.
     """
-    sums = _sums(indices, scenario)
     n_vars = 7 if scheme is SchemeId.S2 or free_tau0 else 6
     lo, hi = _numeric_box(scheme, sums, scenario, n_vars)
     rows, bounds = _numeric_constraints(scheme, sums, scenario, n_vars, free_tau0)
@@ -792,6 +796,8 @@ def solve_scheme1(
     indices: Case2Indices,
     scenario: Scenario,
     options: Case2Options = Case2Options(),
+    *,
+    sums: SplitSums | None = None,
 ) -> Case2LowerSolution:
     """Minimize Scheme 1 at a fixed split with the numeric engine.
 
@@ -801,9 +807,12 @@ def solve_scheme1(
     that block from t0 and then takes an equal share of what is left of b
     with the other loaded device durations.  Every duration is a fraction
     of a deadline budget, so the start stays usable at any time scale.
-    The duals come from the engine's row multipliers.
+    The duals come from the engine's row multipliers.  ``sums`` takes the
+    split's totals when the caller already has them; they must equal
+    ``model.split_sums`` of the split.
     """
-    sums = _sums(indices, scenario)
+    if sums is None:
+        sums = _sums(indices, scenario)
     constraints = ("bs_capacity", "deadline")
     if not _numeric_feasible(SchemeId.S1, sums, scenario, options.feas_tol):
         raise _infeasible(SchemeId.S1, indices, *constraints)
@@ -826,6 +835,7 @@ def solve_scheme1(
         [start],
         free_tau0=False,
         constraints=constraints,
+        sums=sums,
     )
 
 
@@ -838,6 +848,7 @@ def solve_scheme_numeric(
     free_tau0: bool = False,
     warm_start: Case2LowerSolution | None = None,
     warm_only: bool = False,
+    sums: SplitSums | None = None,
 ) -> Case2LowerSolution:
     """Minimize Scheme 2 or 3 at a fixed split with the numeric engine.
 
@@ -845,7 +856,8 @@ def solve_scheme_numeric(
     optimal value); pass ``free_tau0=True`` to optimize it explicitly,
     which exists so tests can confirm the pin never loses energy.
     ``warm_only`` restricts the starting points to ``warm_start``, for
-    perturbation studies against a known solution.
+    perturbation studies against a known solution.  ``sums`` is as in
+    :func:`solve_scheme1`.
     """
     if scheme is SchemeId.S1:
         raise ValueError("scheme 1 is handled by solve_scheme1")
@@ -853,7 +865,8 @@ def solve_scheme_numeric(
         raise ValueError("tau0 exists only in scheme 3")
     if warm_only and warm_start is None:
         raise ValueError("warm_only requires a warm_start")
-    sums = _sums(indices, scenario)
+    if sums is None:
+        sums = _sums(indices, scenario)
     t0, ts, tr = _deadline_triple(scenario)
     horizon = max(ts, tr)
     constraints = ("scheme_ordering", "bs_capacity", "deadline")
@@ -886,6 +899,7 @@ def solve_scheme_numeric(
         starts,
         free_tau0=free_tau0,
         constraints=constraints,
+        sums=sums,
     )
 
 
@@ -941,11 +955,12 @@ def solve_scheme(
     options: Case2Options = Case2Options(),
     *,
     warm_start: Case2LowerSolution | None = None,
+    sums: SplitSums | None = None,
 ) -> Case2LowerSolution:
     if scheme is SchemeId.S1:
-        return solve_scheme1(indices, scenario, options)
+        return solve_scheme1(indices, scenario, options, sums=sums)
     return solve_scheme_numeric(
-        scheme, indices, scenario, options, warm_start=warm_start
+        scheme, indices, scenario, options, warm_start=warm_start, sums=sums
     )
 
 
@@ -953,29 +968,61 @@ def split_energy_floor(
     indices: Case2Indices,
     scenario: Scenario,
     options: Case2Options = Case2Options(),
+    *,
+    scheme: SchemeId | None = None,
+    sums: SplitSums | None = None,
 ) -> float:
-    """Lower bound on the energy of every scheme at one split.
+    """Lower bound on the energy of ``scheme`` at one split, or of every
+    scheme there when ``scheme`` is None.
 
-    Every scheme keeps two rows: the device row
-    tau1 + tau2 + T1 + T2 <= t_s_th - tau_s and the relay-own row
-    tau3 + T3 <= t_r_th - t0 - er/f_bs (S1 and S3 reach it by dropping
-    tau_s from their window row, S2 through its completion-time rows).
-    Durations are nonnegative, so each one is at most its block's budget,
-    and every energy term is non-increasing in its own duration: the
-    energy with every duration set to its budget is at most the energy of
-    any point a scheme solver accepts.  The budgets are widened by
-    5 feas_tol, because the numeric schemes accept rows violated by up to
-    feas_tol in distance and durations down to -feas_tol, which lets one
-    duration exceed its budget by at most that.  A budget <= 0 under
-    nonzero work gives inf.
+    Each duration is set to the largest value the scheme's own rows allow.
+    Every energy term is non-increasing in its own duration, so the energy
+    there is at most the energy of any point the scheme's solver returns.
+    With tau_s = es/f_bs, D = t_s_th - tau_s, O = t_r_th - t0 - er/f_bs and
+    W = O - tau_s, the caps on (tau1, tau2, tau3, T1, T2, T3) are:
+
+    - every scheme: D, D, O, D, D, O.  The device row bounds the device
+      durations; S1 and S3 bound tau3 + T3 by their window row, S2 by its
+      completion-time rows.
+    - S1: D-t0, D-t0, min(W, D-t0), D, D-t0, min(W, D-t0).  The ordering
+      row T1 >= t0 + tau3 + T3 leaves the other device durations at most
+      D - T1 <= D - t0, and tau3 + T3 at most T1 - t0 <= D - t0.
+    - S2: D, D, O, D, min(D, O), O.  T2 also sits in the relay-own
+      completion row T2 + T3 + tau3 <= O.
+    - S3: D, D-t0, min(W, D-t0), D, D, min(W, D-t0).  The ordering row
+      T1 + tau1 + T2 >= t0 + T3 + tau3 leaves tau2 at most D - t0, and
+      tau3 + T3 likewise.
+
+    Every cap is widened by 14 feas_tol.  A solver accepts a start that
+    violates its rows and box by at most feas_tol in distance; the engine
+    clips that start into the box and never raises a row's excess.  So at
+    the returned point no duration is negative, and a row of k <= 5 unit
+    coefficients exceeds its bound by at most (sqrt(k) + k) feas_tol.  A
+    duration then exceeds its cap by at most the excesses of the rows the
+    cap combines: 6 + 7.3 feas_tol for the device row with S3's ordering
+    row, less for every other cap.  A cap <= 0 under nonzero load gives
+    inf.  ``sums`` is as in :func:`solve_scheme1`.
     """
-    sums = _sums(indices, scenario)
+    if sums is None:
+        sums = _sums(indices, scenario)
     t0, ts, tr = _deadline_triple(scenario)
     f_bs = scenario.compute.f_bs_max
-    slack = 5.0 * options.feas_tol
-    device = ts - sums.es / f_bs + slack
+    slack = 14.0 * options.feas_tol
+    tau_s = sums.es / f_bs
+    device = ts - tau_s + slack
     own = tr - t0 - sums.er / f_bs + slack
-    return model.energy(sums, scenario, device, device, own, device, device, own)
+    if scheme is None:
+        caps = (device, device, own, device, device, own)
+    elif scheme is SchemeId.S2:
+        caps = (device, device, own, device, min(device, own), own)
+    else:
+        after = device - t0
+        window = min(own - tau_s, after)
+        if scheme is SchemeId.S1:
+            caps = (after, after, window, device, after, window)
+        else:
+            caps = (device, after, window, device, device, window)
+    return model.energy(sums, scenario, *caps)
 
 
 def solve_case2(
@@ -992,13 +1039,20 @@ def solve_case2(
     by more than a relative ``tie_rel``, so near-ties break toward the
     lexicographically smallest (scheme, n1, n2, m1).
 
-    Pairs are solved in ascending (:func:`split_energy_floor`, canonical
-    position) order, and the traversal stops at the first pair whose floor
-    f satisfies f * (1 - FLOOR_MARGIN - (s + 1) * tie_rel) > E, where E is
-    the lowest energy solved so far and s the number of feasible pairs
-    solved.  Every later pair has a floor at least f, and each pair's
-    energy is at least its floor (FLOOR_MARGIN absorbs rounding).  The
-    tie rule is then replayed over the solved pairs in canonical order.
+    Each split's totals come once from :func:`model.relay_busy_split_sums`
+    and serve its floors, its solves and the winner's breakdown.  Pairs are
+    solved in ascending order of their own floor
+    (:func:`split_energy_floor` of the pair's scheme).  Each split enters a
+    heap at its scheme-free floor, which bounds every scheme there; once it
+    reaches the front, its three pairs go back in at their scheme floors,
+    raised to the split's where rounding leaves one below it.  So only the
+    splits that reach the front pay for scheme floors.  The traversal stops
+    at the first entry whose floor f satisfies
+    f * (1 - FLOOR_MARGIN - (s + 1) * tie_rel) > E, where E is the lowest
+    energy solved so far and s the number of feasible pairs solved.  Every
+    later pair has a floor at least f, and each pair's energy is at least
+    its own floor (FLOOR_MARGIN absorbs rounding).  The tie rule is then
+    replayed over the solved pairs in canonical order.
 
     Why the replay picks the exhaustive winner: run the tie rule over all
     pairs and over the solved ones side by side.  A skipped pair costs at
@@ -1016,9 +1070,7 @@ def solve_case2(
     ``warm_start`` seeds the numeric solver at the matching combination,
     useful when re-solving a perturbed scenario.
     """
-    device = scenario.device_chain
-    relay = scenario.relay_chain
-    if relay is None:
+    if scenario.relay_chain is None:
         raise model.ScenarioError("solve_case2 requires a relay task chain")
     t0, ts, tr = _deadline_triple(scenario)
     if ts > tr:
@@ -1028,24 +1080,29 @@ def solve_case2(
     if t0 < 0.0:
         raise model.ScenarioError("relay task arrival must be nonnegative")
 
-    splits = [
-        Case2Indices(n1, n2, m1)
-        for n1 in range(1, device.n + 2)
-        for n2 in range(n1, device.n + 2)
-        for m1 in range(1, relay.n + 2)
-    ]
-    floors = [split_energy_floor(indices, scenario, options) for indices in splits]
+    splits: list[tuple[Case2Indices, SplitSums]] = []
+    # (floor, scheme position or -1 for the whole split, split position)
+    heap: list[tuple[float, int, int]] = []
+    for i, (n1, n2, m1, sums) in enumerate(model.relay_busy_split_sums(scenario)):
+        indices = Case2Indices(n1, n2, m1)
+        splits.append((indices, sums))
+        heap.append((split_energy_floor(indices, scenario, options, sums=sums), -1, i))
+    heapq.heapify(heap)
     schemes = (SchemeId.S1, SchemeId.S2, SchemeId.S3)
-    pairs = sorted(
-        (floor, k, i) for k in range(len(schemes)) for i, floor in enumerate(floors)
-    )
     solved: list[tuple[int, int, Case2LowerSolution]] = []
     lowest = math.inf
-    for floor, k, i in pairs:
+    while heap:
+        floor, k, i = heapq.heappop(heap)
         margin = model.FLOOR_MARGIN + (len(solved) + 1) * options.tie_rel
         if floor * (1.0 - margin) > lowest:
             break
-        scheme, indices = schemes[k], splits[i]
+        indices, sums = splits[i]
+        if k < 0:
+            for k, scheme in enumerate(schemes):
+                own = split_energy_floor(indices, scenario, options, scheme=scheme, sums=sums)
+                heapq.heappush(heap, (max(own, floor), k, i))
+            continue
+        scheme = schemes[k]
         warm = None
         if (
             warm_start is not None
@@ -1054,7 +1111,9 @@ def solve_case2(
         ):
             warm = warm_start.lower
         try:
-            lower = solve_scheme(scheme, indices, scenario, options, warm_start=warm)
+            lower = solve_scheme(
+                scheme, indices, scenario, options, warm_start=warm, sums=sums
+            )
         except Infeasible:
             continue
         if not math.isfinite(lower.energy):
@@ -1062,22 +1121,21 @@ def solve_case2(
         solved.append((k, i, lower))
         lowest = min(lowest, lower.energy)
 
-    best: tuple[SchemeId, Case2Indices, Case2LowerSolution] | None = None
+    best: tuple[int, int, Case2LowerSolution] | None = None
     for k, i, lower in sorted(solved, key=lambda entry: entry[:2]):
         if best is None or lower.energy < best[2].energy * (1.0 - options.tie_rel):
-            best = (schemes[k], splits[i], lower)
+            best = (k, i, lower)
     if best is None:
         raise Infeasible(
             "globally infeasible: no scheme and split meets both deadlines",
             ("deadline",),
         )
-    scheme, indices, lower = best
+    k, i, lower = best
+    indices, sums = splits[i]
     durations = (lower.tau1, lower.tau2, lower.tau3, lower.t1, lower.t2, lower.t3)
     return Case2Solution(
-        scheme=scheme,
+        scheme=schemes[k],
         indices=indices,
         lower=lower,
-        energy_breakdown=model.energy_terms(
-            _sums(indices, scenario), scenario, *durations
-        ),
+        energy_breakdown=model.energy_terms(sums, scenario, *durations),
     )

@@ -254,6 +254,38 @@ def device_split_sums(scenario: Scenario) -> Iterator[tuple[int, int, SplitSums]
             )
 
 
+def relay_busy_split_sums(
+    scenario: Scenario,
+) -> Iterator[tuple[int, int, int, SplitSums]]:
+    """``(n1, n2, m1, split_sums(scenario, n1, n2, m1))`` for every split of
+    both chains, in lexicographic order, at O(1) cost per split.
+
+    :func:`device_split_sums` supplies the device totals, and each relay
+    split's totals are summed once, so every total is bit-identical to
+    :func:`split_sums`.
+    """
+    relay = scenario.relay_chain
+    if relay is None:
+        raise ScenarioError("a relay split requires a relay task chain")
+    m = relay.n
+    own = [
+        (m1, relay.cycles_between(1, m1), relay.cycles_between(m1, m + 1), relay.data(m1))
+        for m1 in range(1, m + 2)
+    ]
+    for n1, n2, device in device_split_sums(scenario):
+        for m1, lr, er, d3 in own:
+            yield n1, n2, m1, SplitSums(
+                ls=device.ls,
+                rs=device.rs,
+                es=device.es,
+                lr=lr,
+                er=er,
+                d1=device.d1,
+                d2=device.d2,
+                d3=d3,
+            )
+
+
 def _transmit_term(d: float, tau: float, gain: float, channel: ChannelParams) -> float:
     """(noise * tau / gain) * (e^{d/(tau*B)} - 1); inf when tau is infeasible."""
     if d <= 0.0:

@@ -358,8 +358,8 @@ def _relay_busy(t_r_factor=1.0):
 def _exhaustive_case2(scenario, options=Case2Options()):
     """Every scheme at every split, in the canonical order and tie rule.
 
-    Also checks that each split's floor is below every energy a scheme
-    solver returns there.
+    Also checks that each pair's own scheme floor is below the energy the
+    scheme solver returns there.
     """
     n, m = scenario.device_chain.n, scenario.relay_chain.n
     best = None
@@ -374,7 +374,7 @@ def _exhaustive_case2(scenario, options=Case2Options()):
                         continue
                     if not math.isfinite(lower.energy):
                         continue
-                    floor = split_energy_floor(indices, scenario, options)
+                    floor = split_energy_floor(indices, scenario, options, scheme=scheme)
                     assert floor <= lower.energy * (1 + 1e-9), (scheme, indices)
                     if best is None or lower.energy < best[2].energy * (1 - options.tie_rel):
                         best = (scheme, indices, lower)
@@ -423,6 +423,60 @@ class TestSplitFloor:
         # 3 schemes x 3 device splits x 2 relay splits without skipping
         assert len(calls) <= 4
 
+    def test_relay_busy_solves_only_the_winner_at_x10(self, monkeypatch):
+        calls = []
+        solve = case2.solve_scheme
+
+        def counted(scheme, indices, *args, **kwargs):
+            calls.append((scheme, indices))
+            return solve(scheme, indices, *args, **kwargs)
+
+        monkeypatch.setattr(case2, "solve_scheme", counted)
+        solve_case2(_relay_busy(10.0))
+        # every other pair's own scheme floor is above the winner's energy
+        assert calls == [(SchemeId.S2, Case2Indices(1, 1, 2))]
+        calls.clear()
+        solve_case2(_relay_busy(1000.0))
+        assert len(calls) <= 4
+
+    def test_split_totals_match_split_sums(self):
+        rng = np.random.default_rng(43)
+        for n_tasks, m_tasks in [(1, 1), (2, 1), (1, 3), (4, 2), (6, 3)]:
+            scenario = random_case2_scenario(rng, n_tasks=n_tasks, m_tasks=m_tasks)
+            # a zero-data and a zero-cycle task on each chain
+            device = scenario.device_chain.tasks + (Task(0.0, 3e7), Task(2e4, 0.0))
+            relay = scenario.relay_chain.tasks + (Task(2e4, 0.0), Task(0.0, 3e7))
+            scenario = dataclasses.replace(
+                scenario, device_chain=TaskChain(device), relay_chain=TaskChain(relay)
+            )
+            n, m = scenario.device_chain.n, scenario.relay_chain.n
+            expected = [
+                (n1, n2, m1, split_sums(scenario, n1, n2, m1))
+                for n1 in range(1, n + 2)
+                for n2 in range(n1, n + 2)
+                for m1 in range(1, m + 2)
+            ]
+            assert list(model.relay_busy_split_sums(scenario)) == expected
+
+    def test_scheme_floors_bound_every_solved_pair(self):
+        instances = [_relay_busy(factor) for factor in (1.0, 10.0, 1e3, 1e6, 1e9)]
+        for n_tasks, m_tasks in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]:
+            instances += [_random_busy(seed, n_tasks, m_tasks) for seed in range(20)]
+        checked = 0
+        for scenario in instances:
+            for n1, n2, m1, sums in model.relay_busy_split_sums(scenario):
+                indices = Case2Indices(n1, n2, m1)
+                budget_floor = split_energy_floor(indices, scenario, sums=sums)
+                for scheme in SchemeId:
+                    try:
+                        lower = solve_scheme(scheme, indices, scenario, sums=sums)
+                    except Infeasible:
+                        continue
+                    floor = split_energy_floor(indices, scenario, scheme=scheme, sums=sums)
+                    assert budget_floor <= floor <= lower.energy * (1 + 1e-9), (scheme, indices)
+                    checked += 1
+        assert checked > 3000
+
     def test_infeasible_budget_gives_inf(self):
         # the BS slot alone overruns the device deadline
         scenario = basic_scenario(t_s_th=2e8 / 5e9 / 2, t_r_th=1.0)
@@ -462,9 +516,10 @@ class TestSplitFloor:
         assert solution.lower == lower
 
     def test_near_tie_chains_replay_exhaustively(self, monkeypatch):
-        # synthetic energies a few tie bands apart, with floors just below
-        # them: a skip margin of FLOOR_MARGIN plus one tie band picks a
-        # different winner than the exhaustive traversal on some seeds
+        # synthetic energies a few tie bands apart, with each pair's floor
+        # just below its energy: a skip margin of FLOOR_MARGIN plus one tie
+        # band picks a different winner than the exhaustive traversal on
+        # some seeds
         options = Case2Options(tie_rel=1e-6)
         scenario = _random_busy(1, 2, 2)
         splits = [
@@ -475,16 +530,20 @@ class TestSplitFloor:
         ]
         energies, floors = {}, {}
 
-        def fake_solve(scheme, indices, scenario, options, *, warm_start=None):
+        def fake_solve(scheme, indices, scenario, options, *, warm_start=None, sums=None):
             energy = energies[scheme, indices]
             if energy is None:
                 raise Infeasible("synthetic", ("synthetic",))
             return Case2LowerSolution(*[1.0] * 7, *[math.nan] * 4, energy)
 
+        def fake_floor(indices, scenario, options, *, scheme=None, sums=None):
+            # the floor of a whole split bounds each of its schemes' floors
+            if scheme is None:
+                return min(floors[s, indices] for s in SchemeId)
+            return floors[scheme, indices]
+
         monkeypatch.setattr(case2, "solve_scheme", fake_solve)
-        monkeypatch.setattr(
-            case2, "split_energy_floor", lambda indices, scenario, options: floors[indices]
-        )
+        monkeypatch.setattr(case2, "split_energy_floor", fake_floor)
         for seed in range(40):
             rng = np.random.default_rng(seed)
             for scheme in SchemeId:
@@ -494,10 +553,12 @@ class TestSplitFloor:
                     energies[scheme, indices] = (
                         1e-3 * (1.0 + options.tie_rel) ** bands if feasible else None
                     )
-            for indices in splits:
-                at_split = [energies[s, indices] for s in SchemeId]
-                lowest = min((e for e in at_split if e is not None), default=2e-3)
-                floors[indices] = lowest * (1.0 - options.tie_rel * rng.uniform())
+            for scheme in SchemeId:
+                for indices in splits:
+                    energy = energies[scheme, indices]
+                    if energy is None:
+                        energy = 1e-3 * (1.0 + options.tie_rel) ** rng.uniform(0.0, 6.0)
+                    floors[scheme, indices] = energy * (1.0 - options.tie_rel * rng.uniform())
             best = None
             for scheme in SchemeId:
                 for indices in splits:
