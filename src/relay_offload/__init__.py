@@ -24,8 +24,6 @@ from .case2 import (
     Case2Solution,
     SchemeId,
     solve_case2,
-    solve_scheme1,
-    solve_scheme_numeric,
 )
 from .lambertw import lambert_w0
 from .model import (
@@ -82,8 +80,6 @@ __all__ = [
     "solve_case1",
     "solve_case2",
     "solve_lower_case1",
-    "solve_scheme1",
-    "solve_scheme_numeric",
     "tau_from_lambda",
     "to_gantt_csv",
     "transmission_energy",

@@ -32,6 +32,8 @@ def bisect_decreasing(
     *,
     rel_tol: float = 1e-9,
     max_iter: int = 200,
+    fn_lo: float | None = None,
+    fn_hi: float | None = None,
 ) -> float:
     """Find x with fn(x) ~ target for a non-increasing fn on [lo, hi].
 
@@ -50,6 +52,13 @@ def bisect_decreasing(
     hundredth of that band.  When the iterations run out or the bracket
     collapses, the hi side (the feasible one) of the final bracket is
     returned.
+
+    ``fn_lo`` and ``fn_hi`` are fn(lo) and fn(hi) when the caller already
+    has them.  With both, the first step already uses false position, but
+    goes only halfway to its point from the geometric midpoint, on the log
+    axis: across a bracket of many decades the log-log chord is a rough
+    model (a completion time flattens toward its frequency-cap floor at
+    large multipliers), and the full step lands far beyond the root.
     """
     band = rel_tol * max(abs(target), 1e-300)
     accept = _ACCEPT * band
@@ -61,15 +70,19 @@ def bisect_decreasing(
             return None
         return math.log1p((value - aim) / aim)
 
-    gap_lo = gap_hi = None  # log fn - log aim at the ends; None if unusable
+    # log fn - log aim at the ends; None if unknown or unusable
+    gap_lo = None if fn_lo is None else log_gap(fn_lo)
+    gap_hi = None if fn_hi is None else log_gap(fn_hi)
     moved = 0  # the end the last step replaced: -1 lo, +1 hi
     progress = True  # the last step at least halved its end's gap
+    opening = True
     for _ in range(max_iter):
         x = math.sqrt(lo * hi)
         if progress and gap_lo is not None and gap_hi is not None:
             secant = lo * (hi / lo) ** (gap_lo / (gap_lo - gap_hi))
             if lo < secant < hi:
-                x = secant
+                x = math.sqrt(x) * math.sqrt(secant) if opening else secant
+        opening = False
         value = fn(x)
         gap = log_gap(value)
         if value > target:

@@ -255,7 +255,8 @@ def solve_lower_case1(
         channel.noise / min(channel.gain_md_relay, channel.gain_relay_bs),
     )
     for _ in range(options.max_doublings):
-        if lhs(lam_hi) <= deadline:
+        lhs_hi = lhs(lam_hi)
+        if lhs_hi <= deadline:
             break
         lam_hi *= 2.0
     else:
@@ -265,12 +266,17 @@ def solve_lower_case1(
             ("deadline",),
         )
 
-    lam_lo = 1e-18
+    lam_lo, lhs_lo = 1e-18, None
     for _ in range(options.max_doublings):
-        if lam_lo >= lam_hi or lhs(lam_lo) >= deadline:
+        if lam_lo >= lam_hi:
+            break
+        value = lhs(lam_lo)
+        if value >= deadline:
+            lhs_lo = value
             break
         lam_lo *= 0.5
 
+    # the search opens on the bracket ends' known values
     lam = bisect_decreasing(
         lhs,
         deadline,
@@ -278,6 +284,8 @@ def solve_lower_case1(
         lam_hi,
         rel_tol=options.bisect_rel,
         max_iter=options.max_bisect_iter,
+        fn_lo=lhs_lo,
+        fn_hi=lhs_hi,
     )
     return _assemble_lower(lam, sums, scenario, deadline)
 
@@ -337,7 +345,7 @@ def _energy_floor(sums: SplitSums, scenario: Scenario) -> float:
     under nonzero work gives inf.
     """
     budget = scenario.deadlines.t_s - sums.es / scenario.compute.f_bs_max
-    return model.energy(sums, scenario, budget, budget, 0.0, budget, budget, 0.0)
+    return model._budget_floor(sums, scenario, budget, 0.0)
 
 
 def solve_case1(

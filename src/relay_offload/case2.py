@@ -2,14 +2,22 @@
 
 The shared uplink band admits three transmission orderings (schemes).  At
 a fixed split each scheme is a convex program in at most seven durations
-under at most five timing rows.  :func:`active_set_newton` solves it
-exactly from the model's analytic slopes and curvatures
-(:func:`model.energy_slopes`, :func:`model.energy_curvatures`) and returns
-KKT multipliers that certify the optimum.  For Scheme 1 those multipliers
-are the duals of its semi-closed KKT system (psi, lambda, eta1, eta2).
-Each Newton step is a Cholesky solve of a few moves on the working face's
-echelon form, which is built once per face; a cyclic projector only
-places the engine's starting point.
+under at most five timing rows.  All three share the split's deadline
+budgets, built once per split as its room (:class:`_Room`): the device
+budget, the relay-own budget, its window and S2's completion bound.  Each
+scheme's rows are one literal coefficient table over that room
+(:func:`_rows`), and the feasibility test, the engine's box, the energy
+floors' caps and Scheme 1's cold start read the same room.
+
+:func:`solve_scheme` is the one fixed-split solver.
+:func:`active_set_newton` solves each program exactly from the model's
+analytic slopes and curvatures (:func:`model.energy_slopes`,
+:func:`model.energy_curvatures`) and returns KKT multipliers that certify
+the optimum.  For Scheme 1 those multipliers are the duals of its
+semi-closed KKT system (psi, lambda, eta1, eta2).  Each Newton step is a
+Cholesky solve of a few moves on the working face's echelon form, which is
+built once per face; a cyclic projector only places the engine's starting
+point.
 
 The upper level builds every split's totals once, at O(1) cost each
 (:func:`model.relay_busy_split_sums`), and gives every (scheme, split) pair
@@ -105,13 +113,10 @@ class Case2Options:
     tie_rel: float = 1e-12
 
 
-def _sums(indices: Case2Indices, scenario: Scenario) -> SplitSums:
-    return model.split_sums(scenario, indices.n1, indices.n2, indices.m1)
-
-
-def _infeasible(
-    scheme: SchemeId, indices: Case2Indices, *constraints: str
-) -> Infeasible:
+def _infeasible(scheme: SchemeId, indices: Case2Indices) -> Infeasible:
+    constraints = ("bs_capacity", "deadline")
+    if scheme is not SchemeId.S1:
+        constraints = ("scheme_ordering",) + constraints
     return Infeasible(
         f"scheme {scheme.value} infeasible for indices "
         f"({indices.n1}, {indices.n2}, {indices.m1})",
@@ -142,105 +147,99 @@ def _cap_violations(
     return tuple(out)
 
 
-# --- the schemes' programs and the engine that solves them -----------------
-
-_VAR_ORDER = ("tau1", "tau2", "tau3", "T1", "T2", "T3")
+# --- each scheme's program at one split ------------------------------------
 
 
-def _numeric_constraints(
-    scheme: SchemeId,
-    sums: SplitSums,
-    scenario: Scenario,
-    n_vars: int,
-    free_tau0: bool,
-) -> tuple[np.ndarray, np.ndarray]:
+class _Room:
+    """One split's totals and the deadline budgets every scheme's rows share.
+
+    With tau_s = es/f_bs, the BS slot of the device's offloaded tasks:
+
+    - device: D = t_s_th - tau_s, the device block's budget;
+    - own: O = t_r_th - t0 - er/f_bs, the relay-own block's budget, from
+      the relay's arrival t0 until the BS must start on its tasks;
+    - window: W = t_r_th - t0 - tau_s - er/f_bs, what is left of O once
+      the device's BS slot also comes first (S1 and S3);
+    - finish: t_r_th - er/f_bs, S2's bound on its completion time t_c;
+    - horizon: max(t_s_th, t_r_th), the scale of the S2/S3 cold starts
+      and boxes.
+
+    ``sums`` takes the split's totals when the caller already has them;
+    they must equal ``model.split_sums`` of the split.  The traversal
+    builds a room for every split, hence the slots.
+    """
+
+    __slots__ = ("sums", "t0", "t_r", "horizon", "tau_s", "device", "own", "window", "finish")
+
+    def __init__(
+        self, indices: Case2Indices, scenario: Scenario, sums: SplitSums | None
+    ) -> None:
+        if sums is None:
+            sums = model.split_sums(scenario, indices.n1, indices.n2, indices.m1)
+        t0, ts, tr = _deadline_triple(scenario)
+        f_bs = scenario.compute.f_bs_max
+        tau_s = sums.es / f_bs
+        relay_bs = sums.er / f_bs
+        self.sums = sums
+        self.t0 = t0
+        self.t_r = tr
+        self.horizon = max(ts, tr)
+        self.tau_s = tau_s
+        self.device = ts - tau_s
+        self.own = tr - t0 - relay_bs
+        self.window = tr - t0 - tau_s - relay_bs
+        self.finish = tr - relay_bs
+
+
+def _rows(scheme: SchemeId, room: _Room) -> tuple[np.ndarray, np.ndarray]:
     """Rows A and bounds b of the scheme's timing constraints A x <= b.
 
-    Variable layout: tau1, tau2, tau3, T1, T2, T3 [, t_c for S2]
-    [, tau0 for S3 with free_tau0].  The S2 completion-time max is encoded
-    with the epigraph variable t_c.
+    Columns: tau1, tau2, tau3, T1, T2, T3, then S2's epigraph variable t_c
+    of its completion-time max, or S3's relay-own transmission gap tau0,
+    a column only when it is optimised (see :func:`solve_scheme`).
     """
-    t0, ts, tr = _deadline_triple(scenario)
-    f_bs = scenario.compute.f_bs_max
-    tau_s = sums.es / f_bs
-    bs_relay_time = sums.er / f_bs
-    rows: list[np.ndarray] = []
-    bounds: list[float] = []
-
-    def half(coeffs: dict[str, float], bound: float, extra: dict[int, float] | None = None):
-        a = np.zeros(n_vars)
-        for name, value in coeffs.items():
-            a[_VAR_ORDER.index(name)] = value
-        if extra:
-            for idx, value in extra.items():
-                a[idx] = value
-        rows.append(a)
-        bounds.append(bound)
-
-    device_busy = {"T1": 1.0, "tau1": 1.0, "T2": 1.0, "tau2": 1.0}
+    t0 = room.t0
     if scheme is SchemeId.S1:
-        half({"tau3": 1.0, "T3": 1.0, "T1": -1.0}, -t0)
-        half({"tau3": 1.0, "T3": 1.0}, tr - t0 - tau_s - bs_relay_time)
-        half(device_busy, ts - tau_s)
-    elif scheme is SchemeId.S2:
-        tc = 6
-        half({**device_busy, "T3": -1.0}, t0)
-        half(device_busy, -tau_s, extra={tc: -1.0})
-        half({"T2": 1.0, "T3": 1.0, "tau3": 1.0}, -t0, extra={tc: -1.0})
-        half({}, tr - bs_relay_time, extra={tc: 1.0})
-        half(device_busy, ts - tau_s)
-    else:
-        tau0_extra = {6: 1.0} if free_tau0 else None
-        half({"T1": 1.0, "tau1": 1.0, "T3": -1.0}, t0)
-        half({"T3": 1.0, "tau3": 1.0, "T1": -1.0, "tau1": -1.0, "T2": -1.0}, -t0)
-        half(
-            {"T3": 1.0, "tau3": 1.0},
-            tr - t0 - tau_s - bs_relay_time,
-            extra=tau0_extra,
+        table = (
+            # tau1 tau2 tau3 T1 T2 T3
+            ((0, 0, 1, -1, 0, 1), -t0),  # ordering: T1 waits for the own block
+            ((0, 0, 1, 0, 0, 1), room.window),  # the own block's window
+            ((1, 1, 0, 1, 1, 0), room.device),  # the device block's budget
         )
-        half(device_busy, ts - tau_s)
-    return np.array(rows), np.array(bounds)
+    elif scheme is SchemeId.S2:
+        table = (
+            # tau1 tau2 tau3 T1 T2 T3 t_c
+            ((1, 1, 0, 1, 1, -1, 0), t0),  # ordering: the device block ends by t0 + T3
+            ((1, 1, 0, 1, 1, 0, -1), -room.tau_s),  # t_c covers it and its BS slot
+            ((0, 0, 1, 0, 1, 1, -1), -t0),  # t_c covers the relay's work from t0
+            ((0, 0, 0, 0, 0, 0, 1), room.finish),  # the BS then serves the relay in time
+            ((1, 1, 0, 1, 1, 0, 0), room.device),  # the device block's budget
+        )
+    else:
+        table = (
+            # tau1 tau2 tau3 T1 T2 T3 tau0
+            ((1, 0, 0, 1, 0, -1, 0), t0),  # ordering: the device upload ends by t0 + T3
+            ((-1, 0, 1, -1, -1, 1, 0), -t0),  # the forward waits for the own upload
+            ((0, 0, 1, 0, 0, 1, 1), room.window),  # the own block's window
+            ((1, 1, 0, 1, 1, 0, 0), room.device),  # the device block's budget
+        )
+    return np.array([a for a, _ in table], dtype=float), np.array([b for _, b in table])
 
 
-def _numeric_box(
-    scheme: SchemeId, sums: SplitSums, scenario: Scenario, n_vars: int
-) -> tuple[np.ndarray, np.ndarray]:
-    t0, ts, tr = _deadline_triple(scenario)
-    horizon = max(ts, tr)
-    eps = 1e-12 * horizon
-    lo = np.zeros(n_vars)
-    # each Scheme-1 duration is already capped by its device row or its
-    # window row; a box bound there could take over that row's price
-    hi = np.full(n_vars, math.inf if scheme is SchemeId.S1 else horizon)
-    for name, data in (("tau1", sums.d1), ("tau2", sums.d2), ("tau3", sums.d3)):
-        idx = _VAR_ORDER.index(name)
-        if data <= 0.0:
-            hi[idx] = 0.0
-    for name, work in (("T1", sums.ls), ("T2", sums.rs), ("T3", sums.lr)):
-        idx = _VAR_ORDER.index(name)
-        if work > 0.0:
-            lo[idx] = eps
-    if n_vars > 6:
-        hi[6:] = max(tr, 1.0)
-    return lo, hi
+def _feasible(scheme: SchemeId, room: _Room, tol: float) -> bool:
+    """Whether the scheme's rows hold to ``tol`` at their corner point.
 
-
-def _numeric_feasible(
-    scheme: SchemeId, sums: SplitSums, scenario: Scenario, tol: float
-) -> bool:
-    """Exact nonemptiness test of the scheme's constraint polytope.
-
-    Derived by dropping the nonnegative durations from each constraint:
-    the remaining conditions are both necessary and attained by an
-    explicit corner assignment.
+    The corner has every duration at zero but T1 = t0 in S1 and S3, and
+    t_c = max(tau_s, t0) in S2.  The test is exact: dropping the
+    nonnegative durations from the rows shows that no point meets them
+    unless the corner does.  In S1 and S3 the ordering and device rows
+    need t0 <= D, the window row W >= 0; in S2 the device row needs
+    D >= 0, the completion rows max(tau_s, t0) <= finish.  Each condition
+    is one row's excess at the corner; the other rows hold there.
     """
-    t0, ts, tr = _deadline_triple(scenario)
-    f_bs = scenario.compute.f_bs_max
-    tau_s = sums.es / f_bs
-    bs_relay_time = sums.er / f_bs
     if scheme is SchemeId.S2:
-        return tau_s <= ts + tol and bs_relay_time + max(tau_s, t0) <= tr + tol
-    return t0 + tau_s <= ts + tol and t0 + tau_s + bs_relay_time <= tr + tol
+        return -room.device <= tol and max(room.tau_s, room.t0) - room.finish <= tol
+    return room.t0 - room.device <= tol and -room.window <= tol
 
 
 class _PolytopeProjector:
@@ -709,32 +708,91 @@ def active_set_newton(
     )
 
 
-def _solve_numeric(
+def _cold_starts(scheme: SchemeId, room: _Room, free_tau0: bool) -> list[list[float]]:
+    """The engine's cold starts, in :func:`_rows`' columns.
+
+    Scheme 1's fills the device budget D.  The relay-own block takes half
+    the time its rows leave it, min(W, D - t0), shared evenly by tau3 and
+    T3 where each carries load.  T1 waits for that block from t0 and then
+    takes an equal share of what is left of D with the other loaded device
+    durations.  Every duration is a fraction of a deadline budget, so the
+    start stays usable at any time scale.  Schemes 2 and 3 start with every
+    duration at 5%, then 20%, of the horizon, S2's t_c at half of t_r_th
+    and S3's free tau0 at zero; the projector places them.
+    """
+    sums, t0 = room.sums, room.t0
+    if scheme is SchemeId.S1:
+        own = (sums.d3 > 0.0, sums.lr > 0.0)
+        block = 0.5 * min(room.window, room.device - t0) if any(own) else 0.0
+        tau3, t3 = (block / sum(own) if loaded else 0.0 for loaded in own)
+        device = (sums.d1 > 0.0, sums.d2 > 0.0, sums.rs > 0.0)
+        share = (room.device - t0 - block) / (1 + sum(device))
+        tau1, tau2, t2 = (share if loaded else 0.0 for loaded in device)
+        return [[tau1, tau2, tau3, t0 + block + share, t2, t3]]
+    extra = [0.5 * room.t_r] if scheme is SchemeId.S2 else [0.0] if free_tau0 else []
+    return [[frac * room.horizon] * 6 + extra for frac in (0.05, 0.2)]
+
+
+def solve_scheme(
     scheme: SchemeId,
     indices: Case2Indices,
     scenario: Scenario,
-    options: Case2Options,
-    starts: list[list[float]],
+    options: Case2Options = Case2Options(),
     *,
-    free_tau0: bool,
-    constraints: tuple[str, ...],
-    sums: SplitSums,
+    free_tau0: bool = False,
+    warm_start: Case2LowerSolution | None = None,
+    warm_only: bool = False,
+    sums: SplitSums | None = None,
 ) -> Case2LowerSolution:
-    """Run the engine on the scheme's program from the first usable start.
+    """Minimize one scheme at a fixed split with :func:`active_set_newton`.
 
-    A start is usable when its projection onto the polytope has finite
-    energy; the program is convex, so one run from it reaches the optimum.
+    The engine runs from the first usable start: ``warm_start``, then the
+    cold starts of :func:`_cold_starts`.  A start is usable when its
+    projection onto the scheme's box and rows has finite energy; the
+    program is convex, so one run from it reaches the optimum.  Scheme 1's
+    duals come from the engine's row multipliers.
+
+    The relay-own transmission gap tau0 of Scheme 3 is pinned to zero (its
+    optimal value); pass ``free_tau0=True`` to optimize it explicitly,
+    which exists so tests can confirm the pin never loses energy.
+    ``warm_only`` restricts the starting points to ``warm_start``, for
+    perturbation studies against a known solution.  ``sums`` is as in
+    :func:`split_energy_floor`.
     """
+    if free_tau0 and scheme is not SchemeId.S3:
+        raise ValueError("tau0 exists only in scheme 3")
+    if warm_only and warm_start is None:
+        raise ValueError("warm_only requires a warm_start")
+    room = _Room(indices, scenario, sums)
+    sums = room.sums
+    if not _feasible(scheme, room, options.feas_tol):
+        raise _infeasible(scheme, indices)
+
     n_vars = 7 if scheme is SchemeId.S2 or free_tau0 else 6
-    lo, hi = _numeric_box(scheme, sums, scenario, n_vars)
-    rows, bounds = _numeric_constraints(scheme, sums, scenario, n_vars, free_tau0)
+    starts = []
+    if warm_start is not None:
+        w = warm_start
+        warm = [w.tau1, w.tau2, w.tau3, w.t1, w.t2, w.t3]
+        if scheme is SchemeId.S2:
+            device_done = w.t1 + w.tau1 + w.t2 + w.tau2 + w.tau_s
+            warm.append(max(device_done, room.t0 + w.t2 + w.t3 + w.tau3))
+        elif free_tau0:
+            warm.append(0.0)
+        starts.append(warm)
+    if not warm_only:
+        starts += _cold_starts(scheme, room, free_tau0)
+
+    loads = (sums.d1, sums.d2, sums.d3, sums.ls, sums.rs, sums.lr)
     # pinned zero-data transmissions leave the search space
-    active = [
-        i
-        for i in range(n_vars)
-        if not (i < 3 and (sums.d1, sums.d2, sums.d3)[i] <= 0.0)
-    ]
-    rows, lo, hi = rows[:, active], lo[active], hi[active]
+    active = [i for i in range(n_vars) if i >= 3 or loads[i] > 0.0]
+    rows, bounds = _rows(scheme, room)
+    rows = rows[:, active]
+    eps = 1e-12 * room.horizon
+    # each Scheme-1 duration is already capped by its device row or its
+    # window row; a box bound there could take over that row's price
+    cap = math.inf if scheme is SchemeId.S1 else room.horizon
+    lo = np.array([eps if 3 <= i < 6 and loads[i] > 0.0 else 0.0 for i in active])
+    hi = np.array([cap if i < 6 else max(room.t_r, 1.0) for i in active])
     durations = [(k, i) for k, i in enumerate(active) if i < 6]
 
     def embed(reduced: Sequence[float]) -> list[float]:
@@ -763,14 +821,14 @@ def _solve_numeric(
         ):
             break
     else:
-        raise _infeasible(scheme, indices, *constraints)
+        raise _infeasible(scheme, indices)
     result = active_set_newton(objective, slopes, curvatures, rows, bounds, lo, hi, point)
 
     # a step's rounding can leave a duration an ulp below its zero bound
     x = [max(v, 0.0) for v in embed(result.point)]
     psi = lam = eta1 = eta2 = math.nan
     if scheme is SchemeId.S1:
-        # the rows in _numeric_constraints order: ordering, window, device
+        # the rows in _rows order: ordering, window, device
         f_bs = scenario.compute.f_bs_max
         lam, window, psi = (float(v) for v in result.row_multipliers)
         eta2 = window / f_bs
@@ -782,124 +840,13 @@ def _solve_numeric(
         t1=x[3],
         t2=x[4],
         t3=x[5],
-        tau_s=sums.es / scenario.compute.f_bs_max,
+        tau_s=room.tau_s,
         psi=psi,
         lam=lam,
         eta1=eta1,
         eta2=eta2,
         energy=model.energy(sums, scenario, *x),
         cap_violations=_cap_violations(sums, x[3], x[4], x[5], scenario),
-    )
-
-
-def solve_scheme1(
-    indices: Case2Indices,
-    scenario: Scenario,
-    options: Case2Options = Case2Options(),
-    *,
-    sums: SplitSums | None = None,
-) -> Case2LowerSolution:
-    """Minimize Scheme 1 at a fixed split with the numeric engine.
-
-    The start fills the device budget b = t_s_th - tau_s.  The relay-own
-    block takes half the room its rows leave it, min(window, b - t0),
-    shared evenly by tau3 and T3 where each carries load.  T1 waits for
-    that block from t0 and then takes an equal share of what is left of b
-    with the other loaded device durations.  Every duration is a fraction
-    of a deadline budget, so the start stays usable at any time scale.
-    The duals come from the engine's row multipliers.  ``sums`` takes the
-    split's totals when the caller already has them; they must equal
-    ``model.split_sums`` of the split.
-    """
-    if sums is None:
-        sums = _sums(indices, scenario)
-    constraints = ("bs_capacity", "deadline")
-    if not _numeric_feasible(SchemeId.S1, sums, scenario, options.feas_tol):
-        raise _infeasible(SchemeId.S1, indices, *constraints)
-
-    t0 = scenario.deadlines.t0
-    _, bounds = _numeric_constraints(SchemeId.S1, sums, scenario, 6, False)
-    _, window, budget = bounds.tolist()  # ordering, window and device rows
-    own = (sums.d3 > 0.0, sums.lr > 0.0)
-    block = 0.5 * min(window, budget - t0) if any(own) else 0.0
-    tau3, t3 = (block / sum(own) if loaded else 0.0 for loaded in own)
-    device = (sums.d1 > 0.0, sums.d2 > 0.0, sums.rs > 0.0)
-    share = (budget - t0 - block) / (1 + sum(device))
-    tau1, tau2, t2 = (share if loaded else 0.0 for loaded in device)
-    start = [tau1, tau2, tau3, t0 + block + share, t2, t3]
-    return _solve_numeric(
-        SchemeId.S1,
-        indices,
-        scenario,
-        options,
-        [start],
-        free_tau0=False,
-        constraints=constraints,
-        sums=sums,
-    )
-
-
-def solve_scheme_numeric(
-    scheme: SchemeId,
-    indices: Case2Indices,
-    scenario: Scenario,
-    options: Case2Options = Case2Options(),
-    *,
-    free_tau0: bool = False,
-    warm_start: Case2LowerSolution | None = None,
-    warm_only: bool = False,
-    sums: SplitSums | None = None,
-) -> Case2LowerSolution:
-    """Minimize Scheme 2 or 3 at a fixed split with the numeric engine.
-
-    The relay-own transmission gap of Scheme 3 is pinned to zero (its
-    optimal value); pass ``free_tau0=True`` to optimize it explicitly,
-    which exists so tests can confirm the pin never loses energy.
-    ``warm_only`` restricts the starting points to ``warm_start``, for
-    perturbation studies against a known solution.  ``sums`` is as in
-    :func:`solve_scheme1`.
-    """
-    if scheme is SchemeId.S1:
-        raise ValueError("scheme 1 is handled by solve_scheme1")
-    if free_tau0 and scheme is not SchemeId.S3:
-        raise ValueError("tau0 exists only in scheme 3")
-    if warm_only and warm_start is None:
-        raise ValueError("warm_only requires a warm_start")
-    if sums is None:
-        sums = _sums(indices, scenario)
-    t0, ts, tr = _deadline_triple(scenario)
-    horizon = max(ts, tr)
-    constraints = ("scheme_ordering", "bs_capacity", "deadline")
-
-    if not _numeric_feasible(scheme, sums, scenario, options.feas_tol):
-        raise _infeasible(scheme, indices, *constraints)
-
-    starts = []
-    if warm_start is not None:
-        w = warm_start
-        warm = [w.tau1, w.tau2, w.tau3, w.t1, w.t2, w.t3]
-        if scheme is SchemeId.S2:
-            warm.append(max(w.t1 + w.tau1 + w.t2 + w.tau2 + w.tau_s, t0 + w.t2 + w.t3 + w.tau3))
-        elif free_tau0:
-            warm.append(0.0)
-        starts.append(warm)
-    if not (warm_start is not None and warm_only):
-        for frac in (0.05, 0.2):
-            guess = [frac * horizon] * 6
-            if scheme is SchemeId.S2:
-                guess.append(0.5 * tr)
-            elif free_tau0:
-                guess.append(0.0)
-            starts.append(guess)
-    return _solve_numeric(
-        scheme,
-        indices,
-        scenario,
-        options,
-        starts,
-        free_tau0=free_tau0,
-        constraints=constraints,
-        sums=sums,
     )
 
 
@@ -912,7 +859,7 @@ def kkt_residuals_scheme1(
     stand for the engine's row multipliers; a multiplier the engine puts on
     a box bound instead is not modelled.
     """
-    sums = _sums(indices, scenario)
+    sums = model.split_sums(scenario, indices.n1, indices.n2, indices.m1)
     ch, co = scenario.channel, scenario.compute
     psi, lam, eta2 = solution.psi, solution.lam, solution.eta2
     out: dict[str, float] = {}
@@ -948,20 +895,30 @@ def kkt_residuals_scheme1(
     return out
 
 
-def solve_scheme(
-    scheme: SchemeId,
-    indices: Case2Indices,
-    scenario: Scenario,
-    options: Case2Options = Case2Options(),
-    *,
-    warm_start: Case2LowerSolution | None = None,
-    sums: SplitSums | None = None,
-) -> Case2LowerSolution:
+def _caps(scheme: SchemeId, room: _Room, slack: float) -> tuple[float, ...]:
+    """The largest (tau1, tau2, tau3, T1, T2, T3) the scheme's rows allow,
+    each widened by ``slack``.
+
+    - at most D, D, O, D, D, O in every scheme: the device row bounds the
+      device durations; S1 and S3 bound tau3 + T3 by their window row, S2
+      by its completion-time rows.
+    - S1: D-t0, D-t0, min(W, D-t0), D, D-t0, min(W, D-t0).  The ordering
+      row T1 >= t0 + tau3 + T3 leaves the other device durations at most
+      D - T1 <= D - t0, and tau3 + T3 at most T1 - t0 <= D - t0.
+    - S2: D, D, O, D, min(D, O), O.  T2 also sits in the relay-own
+      completion row T2 + T3 + tau3 <= O.
+    - S3: D, D-t0, min(W, D-t0), D, D, min(W, D-t0).  The ordering row
+      T1 + tau1 + T2 >= t0 + T3 + tau3 leaves tau2 at most D - t0, and
+      tau3 + T3 likewise.
+    """
+    device, own = room.device + slack, room.own + slack
+    if scheme is SchemeId.S2:
+        return (device, device, own, device, min(device, own), own)
+    after = device - room.t0
+    window = min(room.window + slack, after)
     if scheme is SchemeId.S1:
-        return solve_scheme1(indices, scenario, options, sums=sums)
-    return solve_scheme_numeric(
-        scheme, indices, scenario, options, warm_start=warm_start, sums=sums
-    )
+        return (after, after, window, device, after, window)
+    return (device, after, window, device, device, window)
 
 
 def split_energy_floor(
@@ -975,23 +932,12 @@ def split_energy_floor(
     """Lower bound on the energy of ``scheme`` at one split, or of every
     scheme there when ``scheme`` is None.
 
-    Each duration is set to the largest value the scheme's own rows allow.
-    Every energy term is non-increasing in its own duration, so the energy
-    there is at most the energy of any point the scheme's solver returns.
-    With tau_s = es/f_bs, D = t_s_th - tau_s, O = t_r_th - t0 - er/f_bs and
-    W = O - tau_s, the caps on (tau1, tau2, tau3, T1, T2, T3) are:
-
-    - every scheme: D, D, O, D, D, O.  The device row bounds the device
-      durations; S1 and S3 bound tau3 + T3 by their window row, S2 by its
-      completion-time rows.
-    - S1: D-t0, D-t0, min(W, D-t0), D, D-t0, min(W, D-t0).  The ordering
-      row T1 >= t0 + tau3 + T3 leaves the other device durations at most
-      D - T1 <= D - t0, and tau3 + T3 at most T1 - t0 <= D - t0.
-    - S2: D, D, O, D, min(D, O), O.  T2 also sits in the relay-own
-      completion row T2 + T3 + tau3 <= O.
-    - S3: D, D-t0, min(W, D-t0), D, D, min(W, D-t0).  The ordering row
-      T1 + tau1 + T2 >= t0 + T3 + tau3 leaves tau2 at most D - t0, and
-      tau3 + T3 likewise.
+    Each duration is set to the largest value the scheme's own rows allow
+    (:func:`_caps`).  Every energy term is non-increasing in its own
+    duration, so the energy there is at most the energy of any point the
+    scheme's solver returns.  With no scheme, every duration is at its
+    block's whole budget (:func:`model._budget_floor`): D for the device
+    durations, O for the relay-own ones, which bounds every scheme.
 
     Every cap is widened by 14 feas_tol.  A solver accepts a start that
     violates its rows and box by at most feas_tol in distance; the engine
@@ -1001,28 +947,14 @@ def split_energy_floor(
     duration then exceeds its cap by at most the excesses of the rows the
     cap combines: 6 + 7.3 feas_tol for the device row with S3's ordering
     row, less for every other cap.  A cap <= 0 under nonzero load gives
-    inf.  ``sums`` is as in :func:`solve_scheme1`.
+    inf.  ``sums`` takes the split's totals when the caller already has
+    them; they must equal ``model.split_sums`` of the split.
     """
-    if sums is None:
-        sums = _sums(indices, scenario)
-    t0, ts, tr = _deadline_triple(scenario)
-    f_bs = scenario.compute.f_bs_max
+    room = _Room(indices, scenario, sums)
     slack = 14.0 * options.feas_tol
-    tau_s = sums.es / f_bs
-    device = ts - tau_s + slack
-    own = tr - t0 - sums.er / f_bs + slack
     if scheme is None:
-        caps = (device, device, own, device, device, own)
-    elif scheme is SchemeId.S2:
-        caps = (device, device, own, device, min(device, own), own)
-    else:
-        after = device - t0
-        window = min(own - tau_s, after)
-        if scheme is SchemeId.S1:
-            caps = (after, after, window, device, after, window)
-        else:
-            caps = (device, after, window, device, device, window)
-    return model.energy(sums, scenario, *caps)
+        return model._budget_floor(room.sums, scenario, room.device + slack, room.own + slack)
+    return model.energy(room.sums, scenario, *_caps(scheme, room, slack))
 
 
 def solve_case2(

@@ -242,16 +242,9 @@ def device_split_sums(scenario: Scenario) -> Iterator[tuple[int, int, SplitSums]
         for n2 in range(n1, n + 2):
             if n2 > n1:
                 rs += cycles[n2 - 2]
-            yield n1, n2, SplitSums(
-                ls=ls,
-                rs=rs,
-                es=es[n2 - 1],
-                lr=0.0,
-                er=0.0,
-                d1=data[n1 - 1],
-                d2=data[n2 - 1],
-                d3=0.0,
-            )
+            # in field order (ls, rs, es, lr, er, d1, d2, d3): a keyword
+            # call costs a third more, once per split
+            yield n1, n2, SplitSums(ls, rs, es[n2 - 1], 0.0, 0.0, data[n1 - 1], data[n2 - 1], 0.0)
 
 
 def relay_busy_split_sums(
@@ -274,15 +267,9 @@ def relay_busy_split_sums(
     ]
     for n1, n2, device in device_split_sums(scenario):
         for m1, lr, er, d3 in own:
+            # in field order, as in device_split_sums
             yield n1, n2, m1, SplitSums(
-                ls=device.ls,
-                rs=device.rs,
-                es=device.es,
-                lr=lr,
-                er=er,
-                d1=device.d1,
-                d2=device.d2,
-                d3=d3,
+                device.ls, device.rs, device.es, lr, er, device.d1, device.d2, d3
             )
 
 
@@ -430,6 +417,19 @@ def energy(
     """Total of :func:`energy_terms`, added left to right."""
     a, b, c, d, e, f = _term_values(sums, scenario, tau1, tau2, tau3, t1, t2, t3)
     return a + b + c + d + e + f
+
+
+def _budget_floor(sums: SplitSums, scenario: Scenario, device: float, own: float) -> float:
+    """:func:`energy` with every device duration (tau1, tau2, t1, t2) at the
+    device block's whole budget ``device`` and every relay-own one (tau3,
+    t3) at ``own``.
+
+    Each term is non-increasing in its own duration, so no plan whose
+    durations fit those budgets costs less; both cases' traversals use it
+    as a split's energy floor.  A budget <= 0 under nonzero load gives
+    inf.
+    """
+    return energy(sums, scenario, device, device, own, device, device, own)
 
 
 def energy_slopes(

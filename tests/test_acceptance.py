@@ -29,8 +29,7 @@ from relay_offload.case2 import (
     Case2Indices,
     SchemeId,
     solve_case2,
-    solve_scheme1,
-    solve_scheme_numeric,
+    solve_scheme,
 )
 from relay_offload.lambertw import BRANCH_POINT, lambert_w0
 from relay_offload.timeline import build_timeline, verify
@@ -194,7 +193,7 @@ def test_criterion_7_scheme1_oracle_equivalence():
         m1 = int(rng.integers(1, 3))
         indices = Case2Indices(n1, n2, m1)
         try:
-            lower = solve_scheme1(indices, scenario)
+            lower = solve_scheme(SchemeId.S1, indices, scenario)
         except Infeasible:
             continue
         reference = oracle.case2_lower_reference(
@@ -226,12 +225,12 @@ def test_criterion_8_tau0_pinned_is_optimal():
         n2 = int(rng.integers(n1, n + 2))
         indices = Case2Indices(n1, n2, int(rng.integers(1, m + 2)))
         try:
-            pinned = solve_scheme_numeric(SchemeId.S3, indices, scenario)
+            pinned = solve_scheme(SchemeId.S3, indices, scenario)
         except Infeasible:
             continue
         if pinned.energy <= 0.0:
             continue
-        freed = solve_scheme_numeric(
+        freed = solve_scheme(
             SchemeId.S3,
             indices,
             scenario,

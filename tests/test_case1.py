@@ -378,6 +378,30 @@ class TestUpperSolver:
         assert len(evals_per_split) == len(at_search_end) == 13 * 14 // 2
         assert max(evals_per_split) <= 14
 
+    def test_search_opens_on_the_bracket_ends(self, monkeypatch):
+        # the bracketing already evaluates the completion time at both ends
+        # of the multiplier's bracket; a search that started without those
+        # values took 10.7 evaluations per split here, the first two at
+        # midpoints of the ~18-decade bracket
+        counts = {"evals": 0, "splits": 0}
+        completion_time = case1._completion_time
+        solve_lower = case1.solve_lower_case1
+
+        def counted_completion_time(*args):
+            counts["evals"] += 1
+            return completion_time(*args)
+
+        def counted_split(*args, **kwargs):
+            counts["splits"] += 1
+            return solve_lower(*args, **kwargs)
+
+        monkeypatch.setattr(case1, "_completion_time", counted_completion_time)
+        monkeypatch.setattr(case1, "solve_lower_case1", counted_split)
+        for seed in (23, 5, 7):
+            solve_case1(random_case1_scenario(np.random.default_rng(seed), n_tasks=12), prune=False)
+        assert counts["splits"] == 3 * 13 * 14 // 2
+        assert counts["evals"] <= 9.5 * counts["splits"]
+
     def test_globally_infeasible(self):
         scenario = all_local_scenario(t_s=1e-9)
         with pytest.raises(Infeasible, match="globally infeasible"):

@@ -27,8 +27,6 @@ from relay_offload.case2 import (
     kkt_residuals_scheme1,
     solve_case2,
     solve_scheme,
-    solve_scheme1,
-    solve_scheme_numeric,
     split_energy_floor,
 )
 from relay_offload.model import energy, energy_terms, split_sums
@@ -73,7 +71,7 @@ class TestSolveScheme1:
             )
             n = scenario.device_chain.n
             for (n1, n2) in ((1, 1), (1, n + 1), (n + 1, n + 1)):
-                lower2 = solve_scheme1(Case2Indices(n1, n2, 1), scenario)
+                lower2 = solve_scheme(SchemeId.S1, Case2Indices(n1, n2, 1), scenario)
                 lower1 = solve_lower_case1(SplitIndices(n1, n2), relay_idle)
                 assert lower2.energy == pytest.approx(lower1.energy, rel=1e-6)
 
@@ -84,7 +82,7 @@ class TestSolveScheme1:
             scenario = random_case2_scenario(rng)
             indices = Case2Indices(1, 1, 1)
             try:
-                lower = solve_scheme1(indices, scenario)
+                lower = solve_scheme(SchemeId.S1, indices, scenario)
             except Infeasible:
                 continue
             reference = oracle.case2_lower_reference(
@@ -95,7 +93,7 @@ class TestSolveScheme1:
 
     def test_degenerate_keep_everything_uses_numeric_path(self):
         scenario = basic_scenario(t_s_th=1.0, t_r_th=2.0)
-        lower = solve_scheme1(Case2Indices(1, 1, 2), scenario)
+        lower = solve_scheme(SchemeId.S1, Case2Indices(1, 1, 2), scenario)
         assert lower.tau3 == 0.0
         # the engine's row multipliers give the duals on every Scheme-1 split
         assert all(math.isfinite(v) for v in (lower.psi, lower.lam, lower.eta1, lower.eta2))
@@ -107,22 +105,22 @@ class TestSolveScheme1:
     def test_impossible_device_deadline(self):
         scenario = basic_scenario(t_s_th=2e8 / 5e9 / 2, t_r_th=1.0)
         with pytest.raises(Infeasible):
-            solve_scheme1(Case2Indices(1, 1, 1), scenario)
+            solve_scheme(SchemeId.S1, Case2Indices(1, 1, 1), scenario)
 
     def test_tightening_relay_deadline_never_helps(self):
         scenario = basic_scenario()
         tight = basic_scenario(t_r_th=0.62)
-        loose_energy = solve_scheme1(Case2Indices(1, 1, 1), scenario).energy
-        tight_energy = solve_scheme1(Case2Indices(1, 1, 1), tight).energy
+        loose_energy = solve_scheme(SchemeId.S1, Case2Indices(1, 1, 1), scenario).energy
+        tight_energy = solve_scheme(SchemeId.S1, Case2Indices(1, 1, 1), tight).energy
         assert tight_energy >= loose_energy * (1 - 1e-9)
 
     def test_reports_relaxed_cap_violations(self):
         # 2e8 cycles in under 0.2 s on the device (cap 1e9 Hz) and in under
         # 0.1 s on the relay (cap 2e9 Hz): case 2 relaxes and reports both
         scenario = basic_scenario(t_s_th=0.15)
-        local = solve_scheme1(Case2Indices(2, 2, 1), scenario)
+        local = solve_scheme(SchemeId.S1, Case2Indices(2, 2, 1), scenario)
         assert local.t1 < 0.2 and local.cap_violations == ("device_cpu_cap",)
-        relayed = solve_scheme1(Case2Indices(1, 2, 1), scenario)
+        relayed = solve_scheme(SchemeId.S1, Case2Indices(1, 2, 1), scenario)
         assert relayed.t2 < 0.1 and relayed.cap_violations == ("relay_cpu_cap_device_block",)
 
     def test_kkt_residuals_on_interior_solutions(self):
@@ -141,7 +139,7 @@ class TestSolveScheme1:
                     for m1 in range(1, m + 2):
                         indices = Case2Indices(n1, n2, m1)
                         try:
-                            lower = solve_scheme1(indices, scenario)
+                            lower = solve_scheme(SchemeId.S1, indices, scenario)
                         except Infeasible:
                             continue
                         duals = (lower.psi, lower.lam, lower.eta1, lower.eta2)
@@ -179,7 +177,7 @@ class TestSolveScheme1:
         deadlines = dataclasses.replace(scenario.deadlines, t_s_th=0.5, t_r_th=0.5)
         scenario = dataclasses.replace(scenario, deadlines=deadlines)
         indices = Case2Indices(*indices)
-        lower = solve_scheme1(indices, scenario)
+        lower = solve_scheme(SchemeId.S1, indices, scenario)
         assert math.isfinite(lower.psi) and lower.psi > 0.0
         residuals = kkt_residuals_scheme1(lower, indices, scenario)
         assert "T1" in residuals
@@ -197,7 +195,7 @@ class TestNumericSchemes:
             deadlines=Deadlines(t0=0.1, t_s_th=1.0, t_r_th=2.0),
         )
         for scheme in (SchemeId.S2, SchemeId.S3):
-            lower = solve_scheme_numeric(scheme, Case2Indices(1, 1, 1), scenario)
+            lower = solve_scheme(scheme, Case2Indices(1, 1, 1), scenario)
             assert lower.energy == pytest.approx(0.0, abs=1e-12)
         solution = solve_case2(scenario)
         assert solution.lower.energy == pytest.approx(0.0, abs=1e-12)
@@ -211,7 +209,7 @@ class TestNumericSchemes:
             scenario = random_case2_scenario(rng)
             indices = Case2Indices(1, 1, 1)
             try:
-                lower = solve_scheme_numeric(SchemeId.S2, indices, scenario)
+                lower = solve_scheme(SchemeId.S2, indices, scenario)
             except Infeasible:
                 continue
             reference = oracle.case2_lower_reference(
@@ -232,8 +230,8 @@ class TestNumericSchemes:
             deadlines=Deadlines(t0=0.25, t_s_th=0.5, t_r_th=1.2),
         )
         indices = Case2Indices(1, 1, 1)
-        energy_s2 = solve_scheme_numeric(SchemeId.S2, indices, scenario).energy
-        energy_s1 = solve_scheme1(indices, scenario).energy
+        energy_s2 = solve_scheme(SchemeId.S2, indices, scenario).energy
+        energy_s1 = solve_scheme(SchemeId.S1, indices, scenario).energy
         assert energy_s2 < energy_s1
 
     def test_free_tau0_never_improves(self):
@@ -243,10 +241,10 @@ class TestNumericSchemes:
             scenario = random_case2_scenario(rng)
             indices = Case2Indices(1, 1, 1)
             try:
-                pinned = solve_scheme_numeric(SchemeId.S3, indices, scenario)
+                pinned = solve_scheme(SchemeId.S3, indices, scenario)
             except Infeasible:
                 continue
-            freed = solve_scheme_numeric(
+            freed = solve_scheme(
                 SchemeId.S3,
                 indices,
                 scenario,
@@ -256,10 +254,6 @@ class TestNumericSchemes:
             )
             assert freed.energy >= pinned.energy * (1 - 1e-6)
             checked += 1
-
-    def test_scheme1_rejected(self):
-        with pytest.raises(ValueError):
-            solve_scheme_numeric(SchemeId.S1, Case2Indices(1, 1, 1), basic_scenario())
 
 
 class TestSolveCase2:
@@ -587,6 +581,87 @@ class TestSplitFloor:
         assert (SchemeId.S2, Case2Indices(1, 1, 1)) not in calls
 
 
+class TestRoom:
+    """Each split's room and the rows, box, caps and feasibility built on it."""
+
+    def test_caps_bound_every_point_of_the_rows(self):
+        # points inside each scheme's rows: seeded random starts projected
+        # onto them, and every solver optimum; no duration may exceed the
+        # cap its scheme floor sets it to
+        options = Case2Options()
+        slack = 14.0 * options.feas_tol
+        rng = np.random.default_rng(67)
+        instances = [_relay_busy(factor) for factor in (1.0, 10.0, 1e3)]
+        instances += [_random_busy(seed, 2, 2) for seed in range(4)]
+        checked = 0
+        for scenario in instances:
+            for n1, n2, m1, sums in model.relay_busy_split_sums(scenario):
+                indices = Case2Indices(n1, n2, m1)
+                room = case2._Room(indices, scenario, sums)
+                for scheme in SchemeId:
+                    try:
+                        lower = solve_scheme(scheme, indices, scenario, options, sums=sums)
+                    except Infeasible:
+                        continue
+                    caps = np.array(case2._caps(scheme, room, slack))
+                    optimum = [lower.tau1, lower.tau2, lower.tau3, lower.t1, lower.t2, lower.t3]
+                    points = [np.array(optimum)]
+                    # S3 with its tau0 pinned at zero
+                    rows, bounds = case2._rows(scheme, room)
+                    rows = rows[:, : 7 if scheme is SchemeId.S2 else 6]
+                    n = rows.shape[1]
+                    project = case2._PolytopeProjector(
+                        np.zeros(n), np.full(n, math.inf), rows, bounds, tol=1e-13, max_sweeps=400
+                    )
+                    for _ in range(8):
+                        point = project(list(rng.uniform(0.0, 1.2 * room.horizon, n)))
+                        if project.violation(point) <= options.feas_tol:
+                            points.append(np.array(point[:6]))
+                    for x in points:
+                        assert np.all(x <= caps), (scheme, indices, x - caps)
+                        checked += 1
+        assert checked > 1000
+
+    def test_feasibility_is_the_corner_of_the_row_table(self):
+        # deadlines a few feas_tol either side of each scheme's boundaries:
+        # a pair is feasible exactly when the corner point of _feasible's
+        # docstring meets the scheme's rows to feas_tol
+        tol = Case2Options().feas_tol
+        rng = np.random.default_rng(71)
+        verdicts = {True: 0, False: 0}
+        for seed in range(6):
+            base = _random_busy(seed, 2, 1)
+            f_bs, t0 = base.compute.f_bs_max, base.deadlines.t0
+            for n1, n2, m1, sums in model.relay_busy_split_sums(base):
+                indices = Case2Indices(n1, n2, m1)
+                tau_s, relay_bs = sums.es / f_bs, sums.er / f_bs
+                for scheme in SchemeId:
+                    if scheme is SchemeId.S2:
+                        edge_s, edge_r = tau_s, max(tau_s, t0) + relay_bs
+                    else:
+                        edge_s, edge_r = t0 + tau_s, t0 + tau_s + relay_bs
+                    deadlines = dataclasses.replace(
+                        base.deadlines,
+                        t_s_th=edge_s + tol * rng.uniform(-3.0, 3.0),
+                        t_r_th=edge_r + tol * rng.uniform(-3.0, 3.0),
+                    )
+                    scenario = dataclasses.replace(base, deadlines=deadlines)
+                    room = case2._Room(indices, scenario, sums)
+                    rows, bounds = case2._rows(scheme, room)
+                    corner = np.zeros(rows.shape[1])
+                    if scheme is SchemeId.S2:
+                        corner[6] = max(room.tau_s, t0)  # t_c
+                    else:
+                        corner[3] = t0  # T1
+                    meets = bool(np.all(rows @ corner - bounds <= tol))
+                    assert case2._feasible(scheme, room, tol) == meets, (scheme, indices)
+                    if not meets:
+                        with pytest.raises(Infeasible):
+                            solve_scheme(scheme, indices, scenario, sums=sums)
+                    verdicts[meets] += 1
+        assert min(verdicts.values()) > 30
+
+
 def _engine_calls(monkeypatch, solve):
     """(energy, slopes, curvatures, rows, bounds, lo, hi, start, result) of
     every engine run ``solve`` makes."""
@@ -614,17 +689,20 @@ class TestDescentGradients:
             lambda: solve_scheme(SchemeId.S2, Case2Indices(1, 1, 1), _relay_busy(10.0)),
             lambda: solve_scheme(SchemeId.S2, Case2Indices(1, 2, 1), _relay_busy()),
             lambda: solve_scheme(SchemeId.S3, Case2Indices(1, 1, 1), _relay_busy()),
-            lambda: solve_scheme_numeric(
+            lambda: solve_scheme(
                 SchemeId.S3, Case2Indices(1, 2, 2), _relay_busy(), free_tau0=True
             ),
             # degenerate Scheme 1 (no relay upload), with the device's
             # offloaded load in tau2, in tau1 and in T2 alone
-            lambda: solve_scheme1(Case2Indices(1, 1, 2), _relay_busy()),
-            lambda: solve_scheme1(Case2Indices(1, 2, 2), _relay_busy()),
-            lambda: solve_scheme1(Case2Indices(1, 2, 2), _zero_data_device(_relay_busy())),
+            lambda: solve_scheme(SchemeId.S1, Case2Indices(1, 1, 2), _relay_busy()),
+            lambda: solve_scheme(SchemeId.S1, Case2Indices(1, 2, 2), _relay_busy()),
+            lambda: solve_scheme(
+                SchemeId.S1, Case2Indices(1, 2, 2), _zero_data_device(_relay_busy())
+            ),
             # the relay sends a long zero-data task to the BS, which leaves
             # its own block a short window
-            lambda: solve_scheme1(
+            lambda: solve_scheme(
+                SchemeId.S1,
                 Case2Indices(1, 1, 2),
                 _with_relay_chain(
                     basic_scenario(t_r_th=0.6), (Task(3e4, 1e8), Task(0.0, 2e9))
@@ -738,21 +816,22 @@ class TestActiveSetNewton:
     @pytest.mark.parametrize("scheme", [SchemeId.S2, SchemeId.S3])
     def test_cold_starts_agree(self, monkeypatch, scheme):
         starts = []
-        solve_numeric = case2._solve_numeric
+        cold_starts = case2._cold_starts
 
-        def spy(scheme, indices, scenario, options, cold, **kwargs):
-            starts.append((cold, kwargs))
-            return solve_numeric(scheme, indices, scenario, options, cold, **kwargs)
+        def spy(*args):
+            starts.append(cold_starts(*args))
+            return starts[-1]
 
-        monkeypatch.setattr(case2, "_solve_numeric", spy)
+        monkeypatch.setattr(case2, "_cold_starts", spy)
         scenario, indices = _relay_busy(), Case2Indices(1, 1, 1)
         solve_scheme(scheme, indices, scenario)
-        (cold, kwargs), = starts
+        (cold,) = starts
         assert len(cold) == 2
-        first, second = (
-            solve_numeric(scheme, indices, scenario, Case2Options(), [start], **kwargs).energy
-            for start in cold
-        )
+        energies = []
+        for start in cold:
+            monkeypatch.setattr(case2, "_cold_starts", lambda *args, start=start: [start])
+            energies.append(solve_scheme(scheme, indices, scenario).energy)
+        first, second = energies
         assert first == pytest.approx(second, rel=1e-10, abs=0.0)
 
     def test_projector_runs_once_per_start(self, monkeypatch):
@@ -847,10 +926,9 @@ def _face_rows(scheme):
     free_tau0 = scheme == "S3+tau0"
     scheme = SchemeId(scheme[:2])
     n_vars = 7 if scheme is SchemeId.S2 or free_tau0 else 6
-    scenario, indices = _relay_busy(), Case2Indices(1, 1, 1)
-    sums = split_sums(scenario, indices.n1, indices.n2, indices.m1)
-    rows, _ = case2._numeric_constraints(scheme, sums, scenario, n_vars, free_tau0)
-    return rows
+    room = case2._Room(Case2Indices(1, 1, 1), _relay_busy(), None)
+    rows, _ = case2._rows(scheme, room)
+    return rows[:, :n_vars]
 
 
 def _bordered_kkt(curvatures, rows, slopes):

@@ -108,6 +108,15 @@ class TestContract:
         assert points
         assert all(case.lo <= x <= case.hi for x in points)
 
+    def test_known_ends_keep_the_contract(self, case):
+        # fn(lo) and fn(hi) from the caller change only where the search
+        # starts
+        x, points = run_search(case, fn_lo=case.fn(case.lo), fn_hi=case.fn(case.hi))
+        value = case.fn(x)
+        assert value <= case.target
+        assert case.target - value <= REL_TOL * abs(case.target)
+        assert all(case.lo < x < case.hi for x in points)
+
     def test_no_iterations_returns_hi(self, case):
         x, points = run_search(case, max_iter=0)
         assert x == case.hi

@@ -75,12 +75,12 @@ class TestCase2Timeline:
             compute=random_case2_scenario(np.random.default_rng(1)).compute,
             deadlines=Deadlines(t0=0.0, t_s_th=0.6, t_r_th=1.2),
         )
-        from relay_offload.case2 import Case2Indices, solve_scheme1
+        from relay_offload.case2 import Case2Indices, solve_scheme
         from relay_offload.case2 import Case2Solution
         from relay_offload.model import energy_terms, split_sums
 
         indices = Case2Indices(1, 1, 1)
-        lower = solve_scheme1(indices, scenario)
+        lower = solve_scheme(SchemeId.S1, indices, scenario)
         solution = Case2Solution(
             scheme=SchemeId.S1,
             indices=indices,
