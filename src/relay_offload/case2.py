@@ -44,8 +44,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import model
 from .model import Infeasible, Scenario, SplitSums
 
@@ -191,7 +189,7 @@ class _Room:
         self.finish = tr - relay_bs
 
 
-def _rows(scheme: SchemeId, room: _Room) -> tuple[np.ndarray, np.ndarray]:
+def _rows(scheme: SchemeId, room: _Room) -> tuple[list[list[float]], list[float]]:
     """Rows A and bounds b of the scheme's timing constraints A x <= b.
 
     Columns: tau1, tau2, tau3, T1, T2, T3, then S2's epigraph variable t_c
@@ -223,7 +221,7 @@ def _rows(scheme: SchemeId, room: _Room) -> tuple[np.ndarray, np.ndarray]:
             ((0, 0, 1, 0, 0, 1, 1), room.window),  # the own block's window
             ((1, 1, 0, 1, 1, 0, 0), room.device),  # the device block's budget
         )
-    return np.array([a for a, _ in table], dtype=float), np.array([b for _, b in table])
+    return [[float(c) for c in a] for a, _ in table], [float(b) for _, b in table]
 
 
 def _feasible(scheme: SchemeId, room: _Room, tol: float) -> bool:
@@ -245,22 +243,21 @@ def _feasible(scheme: SchemeId, room: _Room, tol: float) -> bool:
 class _PolytopeProjector:
     """Cyclic projector onto lo <= x <= hi, A x <= b, for a few dimensions.
 
-    It only places the numeric engine's starting points on the polytope.
-    Plain-float inner loops over the nonzero coefficients: for the handful
-    of dimensions the solvers use, numpy's per-call overhead dominates the
-    arithmetic.  Halfspace reflections are over-relaxed while far from the
-    intersection, which breaks the slow zig-zag that plain alternating
-    projections exhibit at acute constraint angles.
+    It only places the numeric engine's starting points on the polytope,
+    with plain-float inner loops over the nonzero coefficients.  Halfspace
+    reflections are over-relaxed while far from the intersection, which
+    breaks the slow zig-zag that plain alternating projections exhibit at
+    acute constraint angles.
     """
 
     _OMEGA = 1.7
 
     def __init__(
         self,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        rows: np.ndarray,
-        bounds: np.ndarray,
+        lo: Sequence[float],
+        hi: Sequence[float],
+        rows: Sequence[Sequence[float]],
+        bounds: Sequence[float],
         tol: float,
         max_sweeps: int,
     ) -> None:
@@ -334,9 +331,9 @@ class NewtonResult:
     """
 
     point: list[float]
-    row_multipliers: np.ndarray
-    lower_multipliers: np.ndarray
-    upper_multipliers: np.ndarray
+    row_multipliers: list[float]
+    lower_multipliers: list[float]
+    upper_multipliers: list[float]
     converged: bool
     iterations: int
 
@@ -356,6 +353,11 @@ _DEPENDENT = 1e-10
 # 1 / (1 + _PIVOT_SLACK * sum_i M_if^2) of the move's curvature
 _PIVOT_SLACK = 4.0
 _MAX_ITER = 500
+
+
+def _positive(v: float) -> float:
+    """max(v, 0.0) that maps -0.0 to 0.0 and keeps a NaN."""
+    return 0.0 if v <= 0.0 else v
 
 
 def _least_squares(columns: list[list[float]], target: list[float]) -> list[float]:
@@ -556,11 +558,11 @@ def active_set_newton(
     energy: Callable[[list[float]], float],
     slopes: Callable[[list[float]], Sequence[float]],
     curvatures: Callable[[list[float]], Sequence[float]],
-    rows: np.ndarray,
-    bounds: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    start: list[float],
+    rows: Sequence[Sequence[float]],
+    bounds: Sequence[float],
+    lo: Sequence[float],
+    hi: Sequence[float],
+    start: Sequence[float],
 ) -> NewtonResult:
     """Minimise a separable convex energy over lo <= x <= hi, rows @ x <= bounds.
 
@@ -573,12 +575,14 @@ def active_set_newton(
     then joins the working set), and backtracks on ``energy``.  Once the step on
     the current face is negligible, the multipliers are solved for again to
     each coordinate's own accuracy, and the most negative one leaves the
-    working set; when none is negative, the point is optimal.
+    working set; when none is negative, the point is optimal.  ``rows``,
+    ``bounds``, ``lo`` and ``hi`` may be any float sequences.
     """
     n = len(start)
     x = [float(v) for v in start]
-    lo, hi = lo.tolist(), hi.tolist()
-    row_list, bound_list = rows.tolist(), bounds.tolist()
+    lo, hi = [float(v) for v in lo], [float(v) for v in hi]
+    row_list = [[float(c) for c in row] for row in rows]
+    bound_list = [float(b) for b in bounds]
     nonzeros = [[(j, c) for j, c in enumerate(row) if c] for row in row_list]
     # -1 at the lower bound, +1 at the upper bound, 0 free
     state = [0] * n
@@ -695,14 +699,14 @@ def active_set_newton(
             continue
         break  # no decrease left along a step that is not negligible
 
-    row_multipliers = np.zeros(len(row_list))
-    row_multipliers[working] = np.maximum(lam, 0.0)
-    bound_multipliers = np.maximum(-np.array(pull) * np.array(state), 0.0)
+    row_multipliers = [0.0] * len(row_list)
+    for i, mult in zip(working, lam):
+        row_multipliers[i] = _positive(mult)
     return NewtonResult(
         point=x,
         row_multipliers=row_multipliers,
-        lower_multipliers=np.where(np.array(state) < 0, bound_multipliers, 0.0),
-        upper_multipliers=np.where(np.array(state) > 0, bound_multipliers, 0.0),
+        lower_multipliers=[_positive(p) if s < 0 else 0.0 for p, s in zip(pull, state)],
+        upper_multipliers=[_positive(-p) if s > 0 else 0.0 for p, s in zip(pull, state)],
         converged=converged,
         iterations=iterations,
     )
@@ -786,13 +790,13 @@ def solve_scheme(
     # pinned zero-data transmissions leave the search space
     active = [i for i in range(n_vars) if i >= 3 or loads[i] > 0.0]
     rows, bounds = _rows(scheme, room)
-    rows = rows[:, active]
+    rows = [[row[i] for i in active] for row in rows]
     eps = 1e-12 * room.horizon
     # each Scheme-1 duration is already capped by its device row or its
     # window row; a box bound there could take over that row's price
     cap = math.inf if scheme is SchemeId.S1 else room.horizon
-    lo = np.array([eps if 3 <= i < 6 and loads[i] > 0.0 else 0.0 for i in active])
-    hi = np.array([cap if i < 6 else max(room.t_r, 1.0) for i in active])
+    lo = [eps if 3 <= i < 6 and loads[i] > 0.0 else 0.0 for i in active]
+    hi = [cap if i < 6 else max(room.t_r, 1.0) for i in active]
     durations = [(k, i) for k, i in enumerate(active) if i < 6]
 
     def embed(reduced: Sequence[float]) -> list[float]:

@@ -14,10 +14,9 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
-import numpy as np
-
-from . import model, oracle
+from . import model
 from .case1 import Case1LowerSolution, Case1Options, Case1Solution, SplitIndices, solve_case1
 from .case2 import (
     Case2Indices,
@@ -76,11 +75,17 @@ def _dump_json(doc: dict) -> str:
     return json.dumps(_json_ready(doc), indent=2, sort_keys=True) + "\n"
 
 
-def _emit(text: str, output: Path | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        output.write_text(text, encoding="utf-8")
+def _emit(text: str, output: Path | None) -> int:
+    """Write a command's output; the exit code, 1 if it cannot be written."""
+    try:
+        if output is None:
+            sys.stdout.write(text)
+        else:
+            output.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    return EXIT_OK
 
 
 def _normalized(energy: float, scenario: Scenario) -> float:
@@ -225,6 +230,9 @@ def _solve(scenario: Scenario, config: RunConfig):
 
 
 def _oracle_check_doc(solution, scenario: Scenario) -> dict:
+    # the grid oracle is the package's only numpy user; other commands skip it
+    from . import oracle
+
     if isinstance(solution, Case1Solution):
         reference = oracle.case1_lower_reference(
             solution.split.n1, solution.split.n2, scenario
@@ -281,15 +289,27 @@ def _resolve_sweep_field(doc: dict, dotted: str) -> tuple[str, str]:
     return hits[0], dotted
 
 
-def _run_sweep(base_doc: dict, config: RunConfig) -> tuple[int, str]:
+def _sweep_values(lo: float, hi: float, steps: int) -> Iterator[float]:
+    """numpy.linspace(lo, hi, steps), bit for bit, one value at a time."""
+    delta, div = hi - lo, steps - 1
+    if div <= 0:
+        # one value, or none
+        yield from (0 * delta + lo for _ in range(steps))
+        return
+    step = delta / div
+    for i in range(div):
+        # a step that underflows to zero scales the fraction i/div instead
+        yield (i / div * delta if step == 0 else i * step) + lo
+    yield hi
+
+
+def _run_sweep(base_doc: dict, config: RunConfig) -> str:
     assert config.sweep_var is not None and config.sweep_range is not None
     section, key = _resolve_sweep_field(base_doc, config.sweep_var)
-    lo, hi, steps = config.sweep_range
-    values = np.linspace(lo, hi, steps)
     lines = ["value,energy_joules,n1,n2,m1,scheme"]
-    for value in values:
+    for value in _sweep_values(*config.sweep_range):
         doc = json.loads(json.dumps(base_doc))
-        doc.setdefault(section, {})[key] = float(value)
+        doc.setdefault(section, {})[key] = value
         scenario = model.scenario_from_dict(doc)
         try:
             case, solution = _solve(scenario, config)
@@ -307,7 +327,7 @@ def _run_sweep(base_doc: dict, config: RunConfig) -> tuple[int, str]:
                 f"{solution.indices.n1},{solution.indices.n2},"
                 f"{solution.indices.m1},{solution.scheme.value}"
             )
-    return EXIT_OK, "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
 
 
 def run(config: RunConfig) -> int:
@@ -342,8 +362,7 @@ def run(config: RunConfig) -> int:
 
     if config.command == "validate":
         text = "ok\n" if not violations else "".join(f"{v}\n" for v in violations)
-        _emit(text, config.output)
-        return EXIT_INPUT_ERROR if errors else EXIT_OK
+        return _emit(text, config.output) or (EXIT_INPUT_ERROR if errors else EXIT_OK)
 
     for violation in warnings:
         print(str(violation), file=sys.stderr)
@@ -365,24 +384,18 @@ def run(config: RunConfig) -> int:
 
     try:
         if config.command == "sweep":
-            code, text = _run_sweep(raw_doc, config)
-            _emit(text, config.output)
-            return code
+            return _emit(_run_sweep(raw_doc, config), config.output)
 
         case, solution = _solve(scenario, config)
         if config.command == "gantt":
-            schedule = build_timeline(solution, scenario)
-            _emit(to_gantt_csv(schedule), config.output)
-            return EXIT_OK
+            return _emit(to_gantt_csv(build_timeline(solution, scenario)), config.output)
         if config.command == "oracle-check":
-            _emit(_dump_json(_oracle_check_doc(solution, scenario)), config.output)
-            return EXIT_OK
+            return _emit(_dump_json(_oracle_check_doc(solution, scenario)), config.output)
 
         doc = solution_to_doc(solution, scenario)
         if config.with_oracle:
             doc["oracle"] = _oracle_check_doc(solution, scenario)
-        _emit(_dump_json(doc), config.output)
-        return EXIT_OK
+        return _emit(_dump_json(doc), config.output)
     except ScenarioError as exc:
         # a sweep's field name or value
         print(f"error: {exc}", file=sys.stderr)
@@ -464,6 +477,13 @@ def main(argv: list[str] | None = None) -> None:
         except ValueError as exc:
             print(f"error: bad sweep range: {exc}", file=sys.stderr)
             sys.exit(EXIT_INPUT_ERROR)
+        for name, value in zip(("LO", "HI"), sweep_range):
+            if not math.isfinite(value):
+                print(
+                    f"error: {field_name}: expected a finite number, got {value!r} (sweep {name})",
+                    file=sys.stderr,
+                )
+                sys.exit(EXIT_INPUT_ERROR)
         if sweep_range[2] < 1:
             print("error: sweep needs at least one step", file=sys.stderr)
             sys.exit(EXIT_INPUT_ERROR)

@@ -607,7 +607,7 @@ class TestRoom:
                     optimum = [lower.tau1, lower.tau2, lower.tau3, lower.t1, lower.t2, lower.t3]
                     points = [np.array(optimum)]
                     # S3 with its tau0 pinned at zero
-                    rows, bounds = case2._rows(scheme, room)
+                    rows, bounds = map(np.asarray, case2._rows(scheme, room))
                     rows = rows[:, : 7 if scheme is SchemeId.S2 else 6]
                     n = rows.shape[1]
                     project = case2._PolytopeProjector(
@@ -647,7 +647,7 @@ class TestRoom:
                     )
                     scenario = dataclasses.replace(base, deadlines=deadlines)
                     room = case2._Room(indices, scenario, sums)
-                    rows, bounds = case2._rows(scheme, room)
+                    rows, bounds = map(np.asarray, case2._rows(scheme, room))
                     corner = np.zeros(rows.shape[1])
                     if scheme is SchemeId.S2:
                         corner[6] = max(room.tau_s, t0)  # t_c
@@ -772,13 +772,16 @@ class TestDescentGradients:
 def _certificate(rows, bounds, x, slopes, result):
     """Largest relative stationarity and complementarity residuals."""
     rows, x, slopes = np.asarray(rows), np.asarray(x), np.asarray(slopes)
-    terms = [slopes, -result.lower_multipliers, result.upper_multipliers]
-    terms += list(rows * result.row_multipliers[:, None])
+    row_mults, lower_mults, upper_mults = map(
+        np.asarray, (result.row_multipliers, result.lower_multipliers, result.upper_multipliers)
+    )
+    terms = [slopes, -lower_mults, upper_mults]
+    terms += list(rows * row_mults[:, None])
     scale = np.maximum(np.max(np.abs(terms), axis=0), 1e-300)
     stationarity = np.max(np.abs(np.sum(terms, axis=0)) / scale)
     activity = np.abs(bounds) + np.abs(rows) @ np.abs(x)
     complementarity = np.max(
-        np.abs((bounds - rows @ x) / np.maximum(activity, 1e-300)) * (result.row_multipliers > 0),
+        np.abs((bounds - rows @ x) / np.maximum(activity, 1e-300)) * (row_mults > 0),
         initial=0.0,
     )
     return stationarity, complementarity
@@ -877,9 +880,12 @@ class TestActiveSetNewton:
                         runs += _engine_calls(monkeypatch, solve)
         assert runs
         for _, slopes_of, _, rows, bounds, lo, hi, _, result in runs:
+            rows, bounds, lo, hi = map(np.asarray, (rows, bounds, lo, hi))
+            lower_mults = np.asarray(result.lower_multipliers)
+            upper_mults = np.asarray(result.upper_multipliers)
+            row_mults = np.asarray(result.row_multipliers)
             assert result.converged
-            assert min(result.row_multipliers.min(initial=0.0),
-                       result.lower_multipliers.min(), result.upper_multipliers.min()) >= 0.0
+            assert min(row_mults.min(initial=0.0), lower_mults.min(), upper_mults.min()) >= 0.0
             x = np.array(result.point)
             assert np.all(x >= lo) and np.all(x <= hi)
             activity = np.abs(bounds) + np.abs(rows) @ np.abs(x)
@@ -888,8 +894,8 @@ class TestActiveSetNewton:
             stationarity, complementarity = _certificate(rows, bounds, x, slopes, result)
             assert stationarity <= 1e-9 and complementarity <= 1e-9
             # bound multipliers sit on bounds
-            assert np.all((result.lower_multipliers == 0.0) | (x == lo))
-            assert np.all((result.upper_multipliers == 0.0) | (x == hi))
+            assert np.all((lower_mults == 0.0) | (x == lo))
+            assert np.all((upper_mults == 0.0) | (x == hi))
 
     @pytest.mark.parametrize("factor, budget", [(1.0, 200), (10.0, 150)])
     def test_iteration_budget(self, monkeypatch, factor, budget):
@@ -928,7 +934,7 @@ def _face_rows(scheme):
     n_vars = 7 if scheme is SchemeId.S2 or free_tau0 else 6
     room = case2._Room(Case2Indices(1, 1, 1), _relay_busy(), None)
     rows, _ = case2._rows(scheme, room)
-    return rows[:, :n_vars]
+    return np.asarray(rows)[:, :n_vars]
 
 
 def _bordered_kkt(curvatures, rows, slopes):

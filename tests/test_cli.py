@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from relay_offload import cli
@@ -193,6 +197,22 @@ class TestNonFiniteInput:
         assert excinfo.value.code == 1
         assert "deadlines.t_s: expected a finite number" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lo, hi, bad", [("nan", "0.5", "nan"), ("1", "inf", "inf")])
+    def test_sweep_endpoint_rejected_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, lo, hi, bad
+    ):
+        path = write_doc(tmp_path, all_local_doc())
+        solves = []
+        monkeypatch.setattr(cli, "_solve", lambda *args: solves.append(args))
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["sweep", "--scenario", str(path), "--sweep", "deadlines.t_s", lo, hi, "3"])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not solves
+        assert captured.err.startswith(f"error: deadlines.t_s: expected a finite number, got {bad}")
+        assert captured.err.count("\n") == 1
+
 
 class TestSweepCommand:
     def test_deadline_sweep_monotone(self, tmp_path, capsys):
@@ -237,6 +257,96 @@ class TestSweepCommand:
                 sweep_var="t_s",
                 sweep_range=(0.0, 1.0, 2),
             )
+
+    def test_values_match_linspace_bit_for_bit(self):
+        rng = np.random.default_rng(83)
+        cases = [(0.3, 0.8, n) for n in (0, 1, 2, 3, 7, 1000)]
+        cases += [(0.25, 0.25, 1), (0.25, 0.25, 4), (-0.0, -0.0, 3)]  # lo == hi
+        cases += [(0.8, 0.3, 7), (1e300, -1e300, 5), (-1e-300, -1e300, 7)]  # hi < lo
+        cases += [(0.0, 1e-320, 7), (0.0, 5e-324, 3), (1e-310, 1.5e-310, 6)]  # subnormal steps
+        cases.append((0.0, 1.5e-323, 7))  # a step that rounds to zero: values scale i / (n - 1)
+        for _ in range(200):
+            lo, hi = (rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 300) for _ in range(2))
+            cases.append((float(lo), float(hi), int(rng.choice([1, 2, 3, 7, 1000]))))
+        for lo, hi, n in cases:
+            got = [v.hex() for v in cli._sweep_values(lo, hi, n)]
+            assert got == [float(v).hex() for v in np.linspace(lo, hi, n)], (lo, hi, n)
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "command, make, extra",
+        [
+            ("validate", all_local_doc, ()),
+            ("solve-case1", all_local_doc, ()),
+            ("solve-case2", case2_doc, ()),
+            ("oracle-check", all_local_doc, ()),
+            ("gantt", case2_doc, ()),
+            ("sweep", all_local_doc, ("--sweep", "deadlines.t_s", "0.4", "0.6", "2")),
+        ],
+        ids=["validate", "solve-case1", "solve-case2", "oracle-check", "gantt", "sweep"],
+    )
+    def test_one_line_and_exit_1(self, tmp_path, capsys, command, make, extra):
+        path = write_doc(tmp_path, make())
+        out = tmp_path / "missing" / "out.txt"
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, "--scenario", str(path), "--out", str(out), *extra])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write output: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+
+_NUMPY_FREE_RUN = """
+import contextlib, io, json, sys
+import relay_offload, relay_offload.cli as cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli.main(list(argv))
+        except SystemExit as stop:
+            return stop.code
+
+codes = {}
+for name, field in (("relay_idle", "deadlines.t_s"), ("relay_busy", "deadlines.t_s_th")):
+    path = f"scenarios/{name}.json"
+    for command in ("validate", "solve-case1", "solve-case2", "gantt"):
+        codes[f"{command} {name}"] = run(command, "--scenario", path)
+    codes[f"sweep {name}"] = run("sweep", "--scenario", path, "--sweep", field, "0.5", "0.7", "3")
+before = "numpy" in sys.modules
+codes["oracle-check relay_idle"] = run("oracle-check", "--scenario", "scenarios/relay_idle.json")
+print(json.dumps({"codes": codes, "numpy_before": before, "numpy_after": "numpy" in sys.modules}))
+"""
+
+
+def test_only_the_oracle_loads_numpy():
+    # a fresh interpreter: pytest itself has numpy loaded
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_RUN],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["codes"] == {
+        "validate relay_idle": 0,
+        "solve-case1 relay_idle": 0,
+        "solve-case2 relay_idle": 1,
+        "gantt relay_idle": 0,
+        "sweep relay_idle": 0,
+        "validate relay_busy": 0,
+        "solve-case1 relay_busy": 1,
+        "solve-case2 relay_busy": 0,
+        "gantt relay_busy": 0,
+        "sweep relay_busy": 0,
+        "oracle-check relay_idle": 0,
+    }
+    assert not report["numpy_before"]
+    assert report["numpy_after"]
 
 
 class TestGanttCommand:
