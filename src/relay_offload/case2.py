@@ -2,12 +2,13 @@
 
 The shared uplink band admits three transmission orderings (schemes).  At
 a fixed split each scheme is a convex program in at most seven durations
-under at most five timing rows.  All three share the split's deadline
+under at most four timing rows.  All three share the split's deadline
 budgets, built once per split as its room (:class:`_Room`): the device
-budget, the relay-own budget, its window and S2's completion bound.  Each
-scheme's rows are one literal coefficient table over that room
-(:func:`_rows`), and the feasibility test, the engine's box, the energy
-floors' caps and Scheme 1's cold start read the same room.
+budget, the relay-own budget and its window.  Each scheme's rows are one
+literal coefficient table over that room (:func:`_rows`), and the
+feasibility test, the energy floors' caps and the cold starts read the
+same room.  Every duration has a row of nonnegative coefficients that caps
+it, so with the durations' lower bounds the rows alone bound each program.
 
 :func:`solve_scheme` is the one fixed-split solver.
 :func:`active_set_newton` solves each program exactly from the model's
@@ -157,17 +158,15 @@ class _Room:
     - own: O = t_r_th - t0 - er/f_bs, the relay-own block's budget, from
       the relay's arrival t0 until the BS must start on its tasks;
     - window: W = t_r_th - t0 - tau_s - er/f_bs, what is left of O once
-      the device's BS slot also comes first (S1 and S3);
-    - finish: t_r_th - er/f_bs, S2's bound on its completion time t_c;
-    - horizon: max(t_s_th, t_r_th), the scale of the S2/S3 cold starts
-      and boxes.
+      the device's BS slot also comes first;
+    - horizon: max(t_s_th, t_r_th), the scale of the S2/S3 cold starts.
 
     ``sums`` takes the split's totals when the caller already has them;
     they must equal ``model.split_sums`` of the split.  The traversal
     builds a room for every split, hence the slots.
     """
 
-    __slots__ = ("sums", "t0", "t_r", "horizon", "tau_s", "device", "own", "window", "finish")
+    __slots__ = ("sums", "t0", "horizon", "tau_s", "device", "own", "window")
 
     def __init__(
         self, indices: Case2Indices, scenario: Scenario, sums: SplitSums | None
@@ -180,21 +179,23 @@ class _Room:
         relay_bs = sums.er / f_bs
         self.sums = sums
         self.t0 = t0
-        self.t_r = tr
         self.horizon = max(ts, tr)
         self.tau_s = tau_s
         self.device = ts - tau_s
         self.own = tr - t0 - relay_bs
         self.window = tr - t0 - tau_s - relay_bs
-        self.finish = tr - relay_bs
 
 
 def _rows(scheme: SchemeId, room: _Room) -> tuple[list[list[float]], list[float]]:
     """Rows A and bounds b of the scheme's timing constraints A x <= b.
 
-    Columns: tau1, tau2, tau3, T1, T2, T3, then S2's epigraph variable t_c
-    of its completion-time max, or S3's relay-own transmission gap tau0,
-    a column only when it is optimised (see :func:`solve_scheme`).
+    Columns: tau1, tau2, tau3, T1, T2, T3, then S3's relay-own
+    transmission gap tau0, a column only when it is optimised (see
+    :func:`solve_scheme`).  S2's completion time, the max of the device
+    block's end plus its BS slot and the relay's own work from t0, must
+    leave the BS er/f_bs before t_r_th; that max is bounded by bounding
+    each of its two terms, which tightens the device row to
+    min(D, t0 + W).
     """
     t0 = room.t0
     if scheme is SchemeId.S1:
@@ -206,12 +207,11 @@ def _rows(scheme: SchemeId, room: _Room) -> tuple[list[list[float]], list[float]
         )
     elif scheme is SchemeId.S2:
         table = (
-            # tau1 tau2 tau3 T1 T2 T3 t_c
-            ((1, 1, 0, 1, 1, -1, 0), t0),  # ordering: the device block ends by t0 + T3
-            ((1, 1, 0, 1, 1, 0, -1), -room.tau_s),  # t_c covers it and its BS slot
-            ((0, 0, 1, 0, 1, 1, -1), -t0),  # t_c covers the relay's work from t0
-            ((0, 0, 0, 0, 0, 0, 1), room.finish),  # the BS then serves the relay in time
-            ((1, 1, 0, 1, 1, 0, 0), room.device),  # the device block's budget
+            # tau1 tau2 tau3 T1 T2 T3
+            ((1, 1, 0, 1, 1, -1), t0),  # ordering: the device block ends by t0 + T3
+            # the device block's budget, and its BS slot ends in time
+            ((1, 1, 0, 1, 1, 0), min(room.device, t0 + room.window)),
+            ((0, 0, 1, 0, 1, 1), room.own),  # the relay's work from t0 ends in time
         )
     else:
         table = (
@@ -227,21 +227,21 @@ def _rows(scheme: SchemeId, room: _Room) -> tuple[list[list[float]], list[float]
 def _feasible(scheme: SchemeId, room: _Room, tol: float) -> bool:
     """Whether the scheme's rows hold to ``tol`` at their corner point.
 
-    The corner has every duration at zero but T1 = t0 in S1 and S3, and
-    t_c = max(tau_s, t0) in S2.  The test is exact: dropping the
-    nonnegative durations from the rows shows that no point meets them
-    unless the corner does.  In S1 and S3 the ordering and device rows
-    need t0 <= D, the window row W >= 0; in S2 the device row needs
-    D >= 0, the completion rows max(tau_s, t0) <= finish.  Each condition
-    is one row's excess at the corner; the other rows hold there.
+    The corner has every duration at zero but T1 = t0 in S1 and S3; in
+    S2 it is the origin.  The test is exact: dropping the nonnegative
+    durations from the rows shows that no point meets them unless the
+    corner does.  In S1 and S3 the ordering and device rows need t0 <= D,
+    the window row W >= 0; in S2 the device row needs min(D, t0 + W) >= 0,
+    the relay row O >= 0.  Each condition is one row's excess at the
+    corner; the other rows hold there.
     """
     if scheme is SchemeId.S2:
-        return -room.device <= tol and max(room.tau_s, room.t0) - room.finish <= tol
+        return -min(room.device, room.t0 + room.window) <= tol and -room.own <= tol
     return room.t0 - room.device <= tol and -room.window <= tol
 
 
 class _PolytopeProjector:
-    """Cyclic projector onto lo <= x <= hi, A x <= b, for a few dimensions.
+    """Cyclic projector onto x >= lo, A x <= b, for a few dimensions.
 
     It only places the numeric engine's starting points on the polytope,
     with plain-float inner loops over the nonzero coefficients.  Halfspace
@@ -255,7 +255,6 @@ class _PolytopeProjector:
     def __init__(
         self,
         lo: Sequence[float],
-        hi: Sequence[float],
         rows: Sequence[Sequence[float]],
         bounds: Sequence[float],
         tol: float,
@@ -263,9 +262,7 @@ class _PolytopeProjector:
     ) -> None:
         self._tol = tol
         self._max_sweeps = max_sweeps
-        self._n = len(lo)
         self._lo = [float(v) for v in lo]
-        self._hi = [float(v) for v in hi]
         self._planes = []
         for a, b in zip(rows, bounds):
             nonzero = tuple((j, float(c)) for j, c in enumerate(a) if c != 0.0)
@@ -275,13 +272,9 @@ class _PolytopeProjector:
     def violation(self, x: list[float]) -> float:
         """Largest bound excess or row distance outside the polytope."""
         worst = 0.0
-        lo, hi = self._lo, self._hi
-        for j in range(self._n):
-            v = x[j]
-            if lo[j] - v > worst:
-                worst = lo[j] - v
-            if v - hi[j] > worst:
-                worst = v - hi[j]
+        for j, lo in enumerate(self._lo):
+            if lo - x[j] > worst:
+                worst = lo - x[j]
         for nonzero, bound, _, norm in self._planes:
             excess = -bound
             for j, c in nonzero:
@@ -291,8 +284,8 @@ class _PolytopeProjector:
         return worst
 
     def _clip(self, x: list[float]) -> None:
-        for j, (lo, hi) in enumerate(zip(self._lo, self._hi)):
-            x[j] = min(max(x[j], lo), hi)
+        for j, lo in enumerate(self._lo):
+            x[j] = max(x[j], lo)
 
     def __call__(self, point: list[float]) -> list[float]:
         x = [float(v) for v in point]
@@ -311,7 +304,7 @@ class _PolytopeProjector:
                     if excess > worst_plane * norm:
                         worst_plane = excess / norm
             if worst_plane <= 0.25 * self._tol:
-                # planes satisfied before relaxation; one exact box pass
+                # planes satisfied before relaxation; one exact bound pass
                 self._clip(x)
                 if self.violation(x) <= self._tol:
                     break
@@ -325,15 +318,14 @@ class NewtonResult:
 
     The multipliers are the optimality certificate: all are >= 0, only
     constraints that hold with equality carry a nonzero one, and
-    ``slopes + rows.T @ row_multipliers - lower_multipliers +
-    upper_multipliers`` vanishes at ``point`` when ``converged``.
+    ``slopes + rows.T @ row_multipliers - lower_multipliers`` vanishes at
+    ``point`` when ``converged``.
     ``iterations`` counts the Newton steps and working-set drops taken.
     """
 
     point: list[float]
     row_multipliers: list[float]
     lower_multipliers: list[float]
-    upper_multipliers: list[float]
     converged: bool
     iterations: int
 
@@ -436,9 +428,8 @@ class _Face:
     p_i; M_if = R[i][f] at every other column f.  The moves
     z_f = e_f - sum_i M_if e_{p_i} span the face {v : rows @ v = 0}, and
     keep the rows' +-1 structure, so a move of zero-cost coordinates alone
-    (no load, the S2 epigraph variable, the free tau0) has no curvature and
-    no slope.  When the rows are independent, E is the inverse of their
-    pivot block.
+    (no load, the free tau0) has no curvature and no slope.  When the rows
+    are independent, E is the inverse of their pivot block.
 
     The columns are taken as pivots in ``order``, ascending curvature, so
     no pivot in a move costs more than the move's own coordinate.  That
@@ -561,10 +552,9 @@ def active_set_newton(
     rows: Sequence[Sequence[float]],
     bounds: Sequence[float],
     lo: Sequence[float],
-    hi: Sequence[float],
     start: Sequence[float],
 ) -> NewtonResult:
-    """Minimise a separable convex energy over lo <= x <= hi, rows @ x <= bounds.
+    """Minimise a separable convex energy over x >= lo, rows @ x <= bounds.
 
     A primal active-set method (Nocedal & Wright, *Numerical
     Optimization*, ch. 16) with Newton steps: ``start`` must be feasible,
@@ -576,21 +566,20 @@ def active_set_newton(
     the current face is negligible, the multipliers are solved for again to
     each coordinate's own accuracy, and the most negative one leaves the
     working set; when none is negative, the point is optimal.  ``rows``,
-    ``bounds``, ``lo`` and ``hi`` may be any float sequences.
+    ``bounds`` and ``lo`` may be any float sequences.  The rows must bound
+    the polytope; the engine has no upper bounds.
     """
     n = len(start)
     x = [float(v) for v in start]
-    lo, hi = [float(v) for v in lo], [float(v) for v in hi]
+    lo = [float(v) for v in lo]
     row_list = [[float(c) for c in row] for row in rows]
     bound_list = [float(b) for b in bounds]
     nonzeros = [[(j, c) for j, c in enumerate(row) if c] for row in row_list]
-    # -1 at the lower bound, +1 at the upper bound, 0 free
-    state = [0] * n
+    # whether each coordinate is held at its lower bound
+    fixed = [False] * n
     for j in range(n):
         if x[j] <= lo[j]:
-            x[j], state[j] = lo[j], -1
-        elif x[j] >= hi[j]:
-            x[j], state[j] = hi[j], 1
+            x[j], fixed[j] = lo[j], True
     working: list[int] = []
     faces: dict[tuple[tuple[int, ...], tuple[int, ...]], _Face] = {}
     value = energy(x)
@@ -598,7 +587,7 @@ def active_set_newton(
     for iterations in range(1, _MAX_ITER + 1):
         g = list(slopes(x))
         h = [min(v, 1e300) for v in curvatures(x)]
-        free = [j for j in range(n) if state[j] == 0]
+        free = [j for j in range(n) if not fixed[j]]
         step = [0.0] * n
         lam = [0.0] * len(working)
         solved = True
@@ -633,9 +622,9 @@ def active_set_newton(
                 for i, mult in zip(working, lam)
             ]
             offers += [
-                (-state[j] * pull[j] / max(abs(g[j]) + abs(pull[j] - g[j]), 1e-300), n + j)
+                (pull[j] / max(abs(g[j]) + abs(pull[j] - g[j]), 1e-300), n + j)
                 for j in range(n)
-                if state[j]
+                if fixed[j]
             ]
             worst, drop = min(offers, default=(0.0, None))
             if worst >= -_DROP_REL:
@@ -644,7 +633,7 @@ def active_set_newton(
             if drop < n:
                 working.remove(drop)
             else:
-                state[drop - n] = 0
+                fixed[drop - n] = False
             continue
 
         # ratio test: how far along the step every constraint outside the
@@ -657,16 +646,15 @@ def active_set_newton(
             if rate > 0.0:
                 room = max(bound_list[i] - sum(c * x[j] for j, c in row), 0.0)
                 if room < reach * rate:
-                    reach, block = room / rate, (i, None)
+                    reach, block = room / rate, (i, False)
         for j in free:
-            if step[j] and not lo[j] <= x[j] + reach * step[j] <= hi[j]:
-                edge = lo[j] if step[j] < 0.0 else hi[j]
-                reach, block = max((edge - x[j]) / step[j], 0.0), (j, edge)
+            if step[j] < 0.0 and x[j] + reach * step[j] < lo[j]:
+                reach, block = max((lo[j] - x[j]) / step[j], 0.0), (j, True)
 
         def point_at(t: float) -> list[float]:
             trial = [v + t * p for v, p in zip(x, step)]
-            if t == reach and block[1] is not None:
-                trial[block[0]] = block[1]
+            if t == reach and block[1]:
+                trial[block[0]] = lo[block[0]]
             return trial
 
         decrease = sum(gj * pj for gj, pj in zip(g, step))
@@ -692,10 +680,10 @@ def active_set_newton(
                     t, trial, trial_value = longer, point_at(longer), longer_value
             x, value = trial, trial_value
             if t == reach:
-                if block[1] is None:
-                    working.append(block[0])
+                if block[1]:
+                    fixed[block[0]] = True
                 else:
-                    state[block[0]] = -1 if block[1] == lo[block[0]] else 1
+                    working.append(block[0])
             continue
         break  # no decrease left along a step that is not negligible
 
@@ -705,8 +693,7 @@ def active_set_newton(
     return NewtonResult(
         point=x,
         row_multipliers=row_multipliers,
-        lower_multipliers=[_positive(p) if s < 0 else 0.0 for p, s in zip(pull, state)],
-        upper_multipliers=[_positive(-p) if s > 0 else 0.0 for p, s in zip(pull, state)],
+        lower_multipliers=[_positive(p) if f else 0.0 for p, f in zip(pull, fixed)],
         converged=converged,
         iterations=iterations,
     )
@@ -721,8 +708,8 @@ def _cold_starts(scheme: SchemeId, room: _Room, free_tau0: bool) -> list[list[fl
     takes an equal share of what is left of D with the other loaded device
     durations.  Every duration is a fraction of a deadline budget, so the
     start stays usable at any time scale.  Schemes 2 and 3 start with every
-    duration at 5%, then 20%, of the horizon, S2's t_c at half of t_r_th
-    and S3's free tau0 at zero; the projector places them.
+    duration at 5%, then 20%, of the horizon, and S3's free tau0 at zero;
+    the projector places them.
     """
     sums, t0 = room.sums, room.t0
     if scheme is SchemeId.S1:
@@ -733,7 +720,7 @@ def _cold_starts(scheme: SchemeId, room: _Room, free_tau0: bool) -> list[list[fl
         share = (room.device - t0 - block) / (1 + sum(device))
         tau1, tau2, t2 = (share if loaded else 0.0 for loaded in device)
         return [[tau1, tau2, tau3, t0 + block + share, t2, t3]]
-    extra = [0.5 * room.t_r] if scheme is SchemeId.S2 else [0.0] if free_tau0 else []
+    extra = [0.0] if free_tau0 else []
     return [[frac * room.horizon] * 6 + extra for frac in (0.05, 0.2)]
 
 
@@ -752,9 +739,9 @@ def solve_scheme(
 
     The engine runs from the first usable start: ``warm_start``, then the
     cold starts of :func:`_cold_starts`.  A start is usable when its
-    projection onto the scheme's box and rows has finite energy; the
-    program is convex, so one run from it reaches the optimum.  Scheme 1's
-    duals come from the engine's row multipliers.
+    projection onto the scheme's lower bounds and rows has finite energy;
+    the program is convex, so one run from it reaches the optimum.
+    Scheme 1's duals come from the engine's row multipliers.
 
     The relay-own transmission gap tau0 of Scheme 3 is pinned to zero (its
     optimal value); pass ``free_tau0=True`` to optimize it explicitly,
@@ -772,17 +759,11 @@ def solve_scheme(
     if not _feasible(scheme, room, options.feas_tol):
         raise _infeasible(scheme, indices)
 
-    n_vars = 7 if scheme is SchemeId.S2 or free_tau0 else 6
+    n_vars = 7 if free_tau0 else 6
     starts = []
     if warm_start is not None:
         w = warm_start
-        warm = [w.tau1, w.tau2, w.tau3, w.t1, w.t2, w.t3]
-        if scheme is SchemeId.S2:
-            device_done = w.t1 + w.tau1 + w.t2 + w.tau2 + w.tau_s
-            warm.append(max(device_done, room.t0 + w.t2 + w.t3 + w.tau3))
-        elif free_tau0:
-            warm.append(0.0)
-        starts.append(warm)
+        starts.append([w.tau1, w.tau2, w.tau3, w.t1, w.t2, w.t3] + ([0.0] if free_tau0 else []))
     if not warm_only:
         starts += _cold_starts(scheme, room, free_tau0)
 
@@ -792,11 +773,7 @@ def solve_scheme(
     rows, bounds = _rows(scheme, room)
     rows = [[row[i] for i in active] for row in rows]
     eps = 1e-12 * room.horizon
-    # each Scheme-1 duration is already capped by its device row or its
-    # window row; a box bound there could take over that row's price
-    cap = math.inf if scheme is SchemeId.S1 else room.horizon
     lo = [eps if 3 <= i < 6 and loads[i] > 0.0 else 0.0 for i in active]
-    hi = [cap if i < 6 else max(room.t_r, 1.0) for i in active]
     durations = [(k, i) for k, i in enumerate(active) if i < 6]
 
     def embed(reduced: Sequence[float]) -> list[float]:
@@ -808,7 +785,7 @@ def solve_scheme(
     def objective(reduced: list[float]) -> float:
         return model.energy(sums, scenario, *embed(reduced))
 
-    # the epigraph t_c and the free tau0 carry no energy
+    # the free tau0 carries no energy
     def slopes(reduced: list[float]) -> list[float]:
         values = model.energy_slopes(sums, scenario, *embed(reduced))
         return [values[i] if i < 6 else 0.0 for i in active]
@@ -817,7 +794,7 @@ def solve_scheme(
         values = model.energy_curvatures(sums, scenario, *embed(reduced))
         return [values[i] if i < 6 else 0.0 for i in active]
 
-    project = _PolytopeProjector(lo, hi, rows, bounds, tol=1e-13, max_sweeps=400)
+    project = _PolytopeProjector(lo, rows, bounds, tol=1e-13, max_sweeps=400)
     for start in starts:
         point = project([start[i] for i in active])
         if project.violation(point) <= options.feas_tol and math.isfinite(
@@ -826,7 +803,7 @@ def solve_scheme(
             break
     else:
         raise _infeasible(scheme, indices)
-    result = active_set_newton(objective, slopes, curvatures, rows, bounds, lo, hi, point)
+    result = active_set_newton(objective, slopes, curvatures, rows, bounds, lo, point)
 
     # a step's rounding can leave a duration an ulp below its zero bound
     x = [max(v, 0.0) for v in embed(result.point)]
@@ -861,7 +838,7 @@ def kkt_residuals_scheme1(
 
     Only entries whose primal block is active are reported.  The duals
     stand for the engine's row multipliers; a multiplier the engine puts on
-    a box bound instead is not modelled.
+    a duration's lower bound instead is not modelled.
     """
     sums = model.split_sums(scenario, indices.n1, indices.n2, indices.m1)
     ch, co = scenario.channel, scenario.compute
@@ -905,12 +882,12 @@ def _caps(scheme: SchemeId, room: _Room, slack: float) -> tuple[float, ...]:
 
     - at most D, D, O, D, D, O in every scheme: the device row bounds the
       device durations; S1 and S3 bound tau3 + T3 by their window row, S2
-      by its completion-time rows.
+      by its relay row.
     - S1: D-t0, D-t0, min(W, D-t0), D, D-t0, min(W, D-t0).  The ordering
       row T1 >= t0 + tau3 + T3 leaves the other device durations at most
       D - T1 <= D - t0, and tau3 + T3 at most T1 - t0 <= D - t0.
-    - S2: D, D, O, D, min(D, O), O.  T2 also sits in the relay-own
-      completion row T2 + T3 + tau3 <= O.
+    - S2: D, D, O, D, min(D, O), O.  The device row's bound is at most D,
+      and T2 also sits in the relay row T2 + T3 + tau3 <= O.
     - S3: D, D-t0, min(W, D-t0), D, D, min(W, D-t0).  The ordering row
       T1 + tau1 + T2 >= t0 + T3 + tau3 leaves tau2 at most D - t0, and
       tau3 + T3 likewise.
@@ -944,8 +921,9 @@ def split_energy_floor(
     durations, O for the relay-own ones, which bounds every scheme.
 
     Every cap is widened by 14 feas_tol.  A solver accepts a start that
-    violates its rows and box by at most feas_tol in distance; the engine
-    clips that start into the box and never raises a row's excess.  So at
+    violates its rows and lower bounds by at most feas_tol in distance; the
+    engine clips that start onto its lower bounds and never raises a row's
+    excess.  So at
     the returned point no duration is negative, and a row of k <= 5 unit
     coefficients exceeds its bound by at most (sqrt(k) + k) feas_tol.  A
     duration then exceeds its cap by at most the excesses of the rows the

@@ -336,6 +336,18 @@ def run(config: RunConfig) -> int:
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    if config.command == "sweep":
+        for name, value in zip(("LO", "HI"), config.sweep_range):
+            if not math.isfinite(value):
+                print(
+                    f"error: {config.sweep_var}: expected a finite number, got {value!r} "
+                    f"(sweep {name})",
+                    file=sys.stderr,
+                )
+                return EXIT_INPUT_ERROR
+        if config.sweep_range[2] < 1:
+            print("error: sweep needs at least one step", file=sys.stderr)
+            return EXIT_INPUT_ERROR
 
     try:
         with open(config.scenario_path, encoding="utf-8") as fh:
@@ -470,22 +482,11 @@ def main(argv: list[str] | None = None) -> None:
     sweep_var = None
     sweep_range = None
     if args.command == "sweep":
-        field_name, lo, hi, steps = args.sweep
-        sweep_var = field_name
+        sweep_var, lo, hi, steps = args.sweep
         try:
             sweep_range = (float(lo), float(hi), int(steps))
         except ValueError as exc:
             print(f"error: bad sweep range: {exc}", file=sys.stderr)
-            sys.exit(EXIT_INPUT_ERROR)
-        for name, value in zip(("LO", "HI"), sweep_range):
-            if not math.isfinite(value):
-                print(
-                    f"error: {field_name}: expected a finite number, got {value!r} (sweep {name})",
-                    file=sys.stderr,
-                )
-                sys.exit(EXIT_INPUT_ERROR)
-        if sweep_range[2] < 1:
-            print("error: sweep needs at least one step", file=sys.stderr)
             sys.exit(EXIT_INPUT_ERROR)
     config = RunConfig(
         command=args.command,

@@ -23,6 +23,7 @@ from relay_offload.case2 import (
     Case2Indices,
     Case2LowerSolution,
     Case2Options,
+    Case2Solution,
     SchemeId,
     kkt_residuals_scheme1,
     solve_case2,
@@ -30,6 +31,7 @@ from relay_offload.case2 import (
     split_energy_floor,
 )
 from relay_offload.model import energy, energy_terms, split_sums
+from relay_offload.timeline import build_timeline, verify
 
 from scenario_tools import exit_only_relay_scenario, random_case2_scenario
 
@@ -582,7 +584,7 @@ class TestSplitFloor:
 
 
 class TestRoom:
-    """Each split's room and the rows, box, caps and feasibility built on it."""
+    """Each split's room and the rows, caps and feasibility built on it."""
 
     def test_caps_bound_every_point_of_the_rows(self):
         # points inside each scheme's rows: seeded random starts projected
@@ -608,10 +610,10 @@ class TestRoom:
                     points = [np.array(optimum)]
                     # S3 with its tau0 pinned at zero
                     rows, bounds = map(np.asarray, case2._rows(scheme, room))
-                    rows = rows[:, : 7 if scheme is SchemeId.S2 else 6]
+                    rows = rows[:, :6]
                     n = rows.shape[1]
                     project = case2._PolytopeProjector(
-                        np.zeros(n), np.full(n, math.inf), rows, bounds, tol=1e-13, max_sweeps=400
+                        np.zeros(n), rows, bounds, tol=1e-13, max_sweeps=400
                     )
                     for _ in range(8):
                         point = project(list(rng.uniform(0.0, 1.2 * room.horizon, n)))
@@ -649,9 +651,7 @@ class TestRoom:
                     room = case2._Room(indices, scenario, sums)
                     rows, bounds = map(np.asarray, case2._rows(scheme, room))
                     corner = np.zeros(rows.shape[1])
-                    if scheme is SchemeId.S2:
-                        corner[6] = max(room.tau_s, t0)  # t_c
-                    else:
+                    if scheme is not SchemeId.S2:
                         corner[3] = t0  # T1
                     meets = bool(np.all(rows @ corner - bounds <= tol))
                     assert case2._feasible(scheme, room, tol) == meets, (scheme, indices)
@@ -661,16 +661,46 @@ class TestRoom:
                     verdicts[meets] += 1
         assert min(verdicts.values()) > 30
 
+    @pytest.mark.parametrize("scheme", ["S1", "S2", "S3", "S3+tau0"])
+    def test_every_column_is_capped_by_a_row(self, scheme):
+        # a row of nonnegative coefficients caps each column it carries;
+        # with x >= lo that bounds the program, so the engine needs no
+        # upper bounds
+        rows = _face_rows(scheme)
+        capping = rows[np.all(rows >= 0.0, axis=1)]
+        assert np.all(np.any(capping > 0.0, axis=0)), capping
+
+    def test_every_solved_pair_lays_out_as_a_valid_schedule(self):
+        # the timeline re-derives each scheme's completion times from the
+        # durations alone, so it checks the rows independently
+        instances = [_relay_busy(factor) for factor in (1.0, 10.0, 1e3, 1e6, 1e9)]
+        instances += [_random_busy(seed, 2, 2) for seed in range(5)]
+        checked = 0
+        for scenario in instances:
+            for n1, n2, m1, sums in model.relay_busy_split_sums(scenario):
+                indices = Case2Indices(n1, n2, m1)
+                for scheme in SchemeId:
+                    try:
+                        lower = solve_scheme(scheme, indices, scenario, sums=sums)
+                    except Infeasible:
+                        continue
+                    durations = (lower.tau1, lower.tau2, lower.tau3, lower.t1, lower.t2, lower.t3)
+                    breakdown = energy_terms(sums, scenario, *durations)
+                    solution = Case2Solution(scheme, indices, lower, breakdown)
+                    assert verify(build_timeline(solution, scenario)) == [], (scheme, indices)
+                    checked += 1
+        assert checked > 300
+
 
 def _engine_calls(monkeypatch, solve):
-    """(energy, slopes, curvatures, rows, bounds, lo, hi, start, result) of
+    """(energy, slopes, curvatures, rows, bounds, lo, start, result) of
     every engine run ``solve`` makes."""
     calls = []
     engine = case2.active_set_newton
 
-    def spy(energy, slopes, curvatures, rows, bounds, lo, hi, start, **kwargs):
-        result = engine(energy, slopes, curvatures, rows, bounds, lo, hi, start, **kwargs)
-        calls.append((energy, slopes, curvatures, rows, bounds, lo, hi, list(start), result))
+    def spy(energy, slopes, curvatures, rows, bounds, lo, start, **kwargs):
+        result = engine(energy, slopes, curvatures, rows, bounds, lo, start, **kwargs)
+        calls.append((energy, slopes, curvatures, rows, bounds, lo, list(start), result))
         return result
 
     monkeypatch.setattr(case2, "active_set_newton", spy)
@@ -772,10 +802,8 @@ class TestDescentGradients:
 def _certificate(rows, bounds, x, slopes, result):
     """Largest relative stationarity and complementarity residuals."""
     rows, x, slopes = np.asarray(rows), np.asarray(x), np.asarray(slopes)
-    row_mults, lower_mults, upper_mults = map(
-        np.asarray, (result.row_multipliers, result.lower_multipliers, result.upper_multipliers)
-    )
-    terms = [slopes, -lower_mults, upper_mults]
+    row_mults, lower_mults = map(np.asarray, (result.row_multipliers, result.lower_multipliers))
+    terms = [slopes, -lower_mults]
     terms += list(rows * row_mults[:, None])
     scale = np.maximum(np.max(np.abs(terms), axis=0), 1e-300)
     stationarity = np.max(np.abs(np.sum(terms, axis=0)) / scale)
@@ -879,15 +907,14 @@ class TestActiveSetNewton:
 
                         runs += _engine_calls(monkeypatch, solve)
         assert runs
-        for _, slopes_of, _, rows, bounds, lo, hi, _, result in runs:
-            rows, bounds, lo, hi = map(np.asarray, (rows, bounds, lo, hi))
+        for _, slopes_of, _, rows, bounds, lo, _, result in runs:
+            rows, bounds, lo = map(np.asarray, (rows, bounds, lo))
             lower_mults = np.asarray(result.lower_multipliers)
-            upper_mults = np.asarray(result.upper_multipliers)
             row_mults = np.asarray(result.row_multipliers)
             assert result.converged
-            assert min(row_mults.min(initial=0.0), lower_mults.min(), upper_mults.min()) >= 0.0
+            assert min(row_mults.min(initial=0.0), lower_mults.min()) >= 0.0
             x = np.array(result.point)
-            assert np.all(x >= lo) and np.all(x <= hi)
+            assert np.all(x >= lo)
             activity = np.abs(bounds) + np.abs(rows) @ np.abs(x)
             assert np.all(rows @ x - bounds <= 1e-12 * activity)
             slopes = slopes_of(result.point)
@@ -895,7 +922,6 @@ class TestActiveSetNewton:
             assert stationarity <= 1e-9 and complementarity <= 1e-9
             # bound multipliers sit on bounds
             assert np.all((lower_mults == 0.0) | (x == lo))
-            assert np.all((upper_mults == 0.0) | (x == hi))
 
     @pytest.mark.parametrize("factor, budget", [(1.0, 200), (10.0, 150)])
     def test_iteration_budget(self, monkeypatch, factor, budget):
@@ -910,16 +936,15 @@ class TestActiveSetNewton:
 
 # faces of the schemes' programs on relay_busy.json at (1, 1, 1): scheme,
 # free columns, working rows, and columns without load (no curvature and no
-# slope).  Columns: tau1, tau2, tau3, T1, T2, T3, then S2's epigraph t_c or
-# S3's free tau0.
+# slope).  Columns: tau1, tau2, tau3, T1, T2, T3, then S3's free tau0.
 _FACES = {
     "S1-unconstrained": ("S1", range(6), [], ()),
     "S1-device": ("S1", range(6), [2], ()),
     "S1-all-rows": ("S1", range(6), [0, 1, 2], ()),
     "S1-unloaded-T2": ("S1", [0, 1, 2, 3, 4], [0, 2], (4,)),
-    "S2-epigraph-pinned": ("S2", range(7), [1, 2, 3], (6,)),
-    "S2-epigraph-device": ("S2", range(7), [0, 1, 4], (6,)),
-    "S2-unloaded-T3": ("S2", range(7), [1, 2, 4], (5, 6)),
+    "S2-device-relay": ("S2", range(6), [1, 2], ()),
+    "S2-ordering-device": ("S2", range(6), [0, 1], ()),
+    "S2-unloaded-T3": ("S2", range(6), [0, 1, 2], (5,)),
     "S3-all-rows": ("S3", range(6), [0, 1, 2, 3], ()),
     "S3-unloaded-T1": ("S3", [0, 1, 2, 3, 5], [0, 1, 3], (3,)),
     "S3-free-tau0": ("S3+tau0", range(7), [2, 3], (6,)),
@@ -931,7 +956,7 @@ _FACES = {
 def _face_rows(scheme):
     free_tau0 = scheme == "S3+tau0"
     scheme = SchemeId(scheme[:2])
-    n_vars = 7 if scheme is SchemeId.S2 or free_tau0 else 6
+    n_vars = 7 if free_tau0 else 6
     room = case2._Room(Case2Indices(1, 1, 1), _relay_busy(), None)
     rows, _ = case2._rows(scheme, room)
     return np.asarray(rows)[:, :n_vars]
@@ -1010,9 +1035,7 @@ class TestPolytopeProjector:
     def test_fast_projector_matches_feasibility(self):
         rows = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
         bounds = np.array([1.5, 1.0])
-        project = case2._PolytopeProjector(
-            np.zeros(3), np.full(3, 2.0), rows, bounds, tol=1e-12, max_sweeps=60
-        )
+        project = case2._PolytopeProjector(np.zeros(3), rows, bounds, tol=1e-12, max_sweeps=60)
         for start in ([3.0, 3.0, 3.0], [-1.0, 0.5, 4.0], [0.1, 0.1, 0.1]):
             point = project(start)
             assert project.violation(point) <= 1e-10
@@ -1021,8 +1044,7 @@ class TestPolytopeProjector:
 
     def test_interior_point_untouched(self):
         project = case2._PolytopeProjector(
-            np.zeros(2), np.ones(2), np.array([[1.0, 0.0]]), np.array([0.9]),
-            tol=1e-12, max_sweeps=60,
+            np.zeros(2), np.array([[1.0, 0.0]]), np.array([0.9]), tol=1e-12, max_sweeps=60
         )
         assert project([0.5, 0.5]) == [0.5, 0.5]
 

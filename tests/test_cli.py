@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -246,6 +247,26 @@ class TestSweepCommand:
         assert code == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert any("infeasible" in line for line in lines[1:])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "sweep_range, message",
+        [
+            ((1.0, math.inf, 3), "deadlines.t_s: expected a finite number, got inf (sweep HI)"),
+            ((1.0, 2.0, 0), "sweep needs at least one step"),
+            ((1.0, 2.0, -2), "sweep needs at least one step"),
+        ],
+    )
+    def test_run_checks_the_range(self, tmp_path, capsys, monkeypatch, sweep_range, message):
+        # the library entry checks the range itself, not only the command line
+        path = write_doc(tmp_path, all_local_doc())
+        solves = []
+        monkeypatch.setattr(cli, "_solve", lambda *args: solves.append(args))
+        code = run_cli("sweep", path, sweep_var="deadlines.t_s", sweep_range=sweep_range)
+        assert code == 1 and not solves
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_sweep_config_invariant(self, tmp_path):
         with pytest.raises(ValueError):
