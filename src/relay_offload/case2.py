@@ -2,13 +2,13 @@
 
 The shared uplink band admits three transmission orderings (schemes).  At
 a fixed split each scheme is a convex program in at most seven durations
-under at most four timing rows.  All three share the split's deadline
+under at most five timing rows.  All three share the split's deadline
 budgets, built once per split as its room (:class:`_Room`): the device
-budget, the relay-own budget and its window.  Each scheme's rows are one
-literal coefficient table over that room (:func:`_rows`), and the
-feasibility test, the energy floors' caps and the cold starts read the
-same room.  Every duration has a row of nonnegative coefficients that caps
-it, so with the durations' lower bounds the rows alone bound each program.
+budget, the relay-own budget, its window and S2's completion bound.  Each
+scheme's rows are one literal coefficient table over that room
+(:func:`_rows`), and the feasibility test, the energy floors' caps and the
+cold starts read the same room.  The rows cap every column, so with the
+durations' lower bounds they alone bound each program: there is no box.
 
 :func:`solve_scheme` is the one fixed-split solver.
 :func:`active_set_newton` solves each program exactly from the model's
@@ -158,7 +158,8 @@ class _Room:
     - own: O = t_r_th - t0 - er/f_bs, the relay-own block's budget, from
       the relay's arrival t0 until the BS must start on its tasks;
     - window: W = t_r_th - t0 - tau_s - er/f_bs, what is left of O once
-      the device's BS slot also comes first;
+      the device's BS slot also comes first (S1 and S3);
+    - finish: t_r_th - er/f_bs, S2's bound on its completion time t_c;
     - horizon: max(t_s_th, t_r_th), the scale of the S2/S3 cold starts.
 
     ``sums`` takes the split's totals when the caller already has them;
@@ -166,7 +167,7 @@ class _Room:
     builds a room for every split, hence the slots.
     """
 
-    __slots__ = ("sums", "t0", "horizon", "tau_s", "device", "own", "window")
+    __slots__ = ("sums", "t0", "t_r", "horizon", "tau_s", "device", "own", "window", "finish")
 
     def __init__(
         self, indices: Case2Indices, scenario: Scenario, sums: SplitSums | None
@@ -179,23 +180,24 @@ class _Room:
         relay_bs = sums.er / f_bs
         self.sums = sums
         self.t0 = t0
+        self.t_r = tr
         self.horizon = max(ts, tr)
         self.tau_s = tau_s
         self.device = ts - tau_s
         self.own = tr - t0 - relay_bs
         self.window = tr - t0 - tau_s - relay_bs
+        self.finish = tr - relay_bs
 
 
 def _rows(scheme: SchemeId, room: _Room) -> tuple[list[list[float]], list[float]]:
     """Rows A and bounds b of the scheme's timing constraints A x <= b.
 
-    Columns: tau1, tau2, tau3, T1, T2, T3, then S3's relay-own
-    transmission gap tau0, a column only when it is optimised (see
-    :func:`solve_scheme`).  S2's completion time, the max of the device
-    block's end plus its BS slot and the relay's own work from t0, must
-    leave the BS er/f_bs before t_r_th; that max is bounded by bounding
-    each of its two terms, which tightens the device row to
-    min(D, t0 + W).
+    Columns: tau1, tau2, tau3, T1, T2, T3, then S2's epigraph variable t_c
+    of its completion-time max, or S3's relay-own transmission gap tau0,
+    a column only when it is optimised (see :func:`solve_scheme`).  Every
+    column has a row of nonnegative coefficients that caps it, but S2's
+    tau3 and T3: its relay completion row plus its t_c row caps those,
+    tau3 + T2 + T3 <= finish - t0.
     """
     t0 = room.t0
     if scheme is SchemeId.S1:
@@ -207,11 +209,12 @@ def _rows(scheme: SchemeId, room: _Room) -> tuple[list[list[float]], list[float]
         )
     elif scheme is SchemeId.S2:
         table = (
-            # tau1 tau2 tau3 T1 T2 T3
-            ((1, 1, 0, 1, 1, -1), t0),  # ordering: the device block ends by t0 + T3
-            # the device block's budget, and its BS slot ends in time
-            ((1, 1, 0, 1, 1, 0), min(room.device, t0 + room.window)),
-            ((0, 0, 1, 0, 1, 1), room.own),  # the relay's work from t0 ends in time
+            # tau1 tau2 tau3 T1 T2 T3 t_c
+            ((1, 1, 0, 1, 1, -1, 0), t0),  # ordering: the device block ends by t0 + T3
+            ((1, 1, 0, 1, 1, 0, -1), -room.tau_s),  # t_c covers it and its BS slot
+            ((0, 0, 1, 0, 1, 1, -1), -t0),  # t_c covers the relay's work from t0
+            ((0, 0, 0, 0, 0, 0, 1), room.finish),  # the BS then serves the relay in time
+            ((1, 1, 0, 1, 1, 0, 0), room.device),  # the device block's budget
         )
     else:
         table = (
@@ -227,16 +230,16 @@ def _rows(scheme: SchemeId, room: _Room) -> tuple[list[list[float]], list[float]
 def _feasible(scheme: SchemeId, room: _Room, tol: float) -> bool:
     """Whether the scheme's rows hold to ``tol`` at their corner point.
 
-    The corner has every duration at zero but T1 = t0 in S1 and S3; in
-    S2 it is the origin.  The test is exact: dropping the nonnegative
-    durations from the rows shows that no point meets them unless the
-    corner does.  In S1 and S3 the ordering and device rows need t0 <= D,
-    the window row W >= 0; in S2 the device row needs min(D, t0 + W) >= 0,
-    the relay row O >= 0.  Each condition is one row's excess at the
-    corner; the other rows hold there.
+    The corner has every duration at zero but T1 = t0 in S1 and S3, and
+    t_c = max(tau_s, t0) in S2.  The test is exact: dropping the
+    nonnegative durations from the rows shows that no point meets them
+    unless the corner does.  In S1 and S3 the ordering and device rows
+    need t0 <= D, the window row W >= 0; in S2 the device row needs
+    D >= 0, the completion rows max(tau_s, t0) <= finish.  Each condition
+    is one row's excess at the corner; the other rows hold there.
     """
     if scheme is SchemeId.S2:
-        return -min(room.device, room.t0 + room.window) <= tol and -room.own <= tol
+        return -room.device <= tol and max(room.tau_s, room.t0) - room.finish <= tol
     return room.t0 - room.device <= tol and -room.window <= tol
 
 
@@ -428,8 +431,9 @@ class _Face:
     p_i; M_if = R[i][f] at every other column f.  The moves
     z_f = e_f - sum_i M_if e_{p_i} span the face {v : rows @ v = 0}, and
     keep the rows' +-1 structure, so a move of zero-cost coordinates alone
-    (no load, the free tau0) has no curvature and no slope.  When the rows
-    are independent, E is the inverse of their pivot block.
+    (no load, the S2 epigraph variable, the free tau0) has no curvature and
+    no slope.  When the rows are independent, E is the inverse of their
+    pivot block.
 
     The columns are taken as pivots in ``order``, ascending curvature, so
     no pivot in a move costs more than the move's own coordinate.  That
@@ -708,8 +712,8 @@ def _cold_starts(scheme: SchemeId, room: _Room, free_tau0: bool) -> list[list[fl
     takes an equal share of what is left of D with the other loaded device
     durations.  Every duration is a fraction of a deadline budget, so the
     start stays usable at any time scale.  Schemes 2 and 3 start with every
-    duration at 5%, then 20%, of the horizon, and S3's free tau0 at zero;
-    the projector places them.
+    duration at 5%, then 20%, of the horizon, S2's t_c at half of t_r_th
+    and S3's free tau0 at zero; the projector places them.
     """
     sums, t0 = room.sums, room.t0
     if scheme is SchemeId.S1:
@@ -720,7 +724,7 @@ def _cold_starts(scheme: SchemeId, room: _Room, free_tau0: bool) -> list[list[fl
         share = (room.device - t0 - block) / (1 + sum(device))
         tau1, tau2, t2 = (share if loaded else 0.0 for loaded in device)
         return [[tau1, tau2, tau3, t0 + block + share, t2, t3]]
-    extra = [0.0] if free_tau0 else []
+    extra = [0.5 * room.t_r] if scheme is SchemeId.S2 else [0.0] if free_tau0 else []
     return [[frac * room.horizon] * 6 + extra for frac in (0.05, 0.2)]
 
 
@@ -759,11 +763,17 @@ def solve_scheme(
     if not _feasible(scheme, room, options.feas_tol):
         raise _infeasible(scheme, indices)
 
-    n_vars = 7 if free_tau0 else 6
+    n_vars = 7 if scheme is SchemeId.S2 or free_tau0 else 6
     starts = []
     if warm_start is not None:
         w = warm_start
-        starts.append([w.tau1, w.tau2, w.tau3, w.t1, w.t2, w.t3] + ([0.0] if free_tau0 else []))
+        warm = [w.tau1, w.tau2, w.tau3, w.t1, w.t2, w.t3]
+        if scheme is SchemeId.S2:
+            device_done = w.t1 + w.tau1 + w.t2 + w.tau2 + w.tau_s
+            warm.append(max(device_done, room.t0 + w.t2 + w.t3 + w.tau3))
+        elif free_tau0:
+            warm.append(0.0)
+        starts.append(warm)
     if not warm_only:
         starts += _cold_starts(scheme, room, free_tau0)
 
@@ -785,7 +795,7 @@ def solve_scheme(
     def objective(reduced: list[float]) -> float:
         return model.energy(sums, scenario, *embed(reduced))
 
-    # the free tau0 carries no energy
+    # the epigraph t_c and the free tau0 carry no energy
     def slopes(reduced: list[float]) -> list[float]:
         values = model.energy_slopes(sums, scenario, *embed(reduced))
         return [values[i] if i < 6 else 0.0 for i in active]
@@ -882,12 +892,12 @@ def _caps(scheme: SchemeId, room: _Room, slack: float) -> tuple[float, ...]:
 
     - at most D, D, O, D, D, O in every scheme: the device row bounds the
       device durations; S1 and S3 bound tau3 + T3 by their window row, S2
-      by its relay row.
+      by its completion-time rows.
     - S1: D-t0, D-t0, min(W, D-t0), D, D-t0, min(W, D-t0).  The ordering
       row T1 >= t0 + tau3 + T3 leaves the other device durations at most
       D - T1 <= D - t0, and tau3 + T3 at most T1 - t0 <= D - t0.
-    - S2: D, D, O, D, min(D, O), O.  The device row's bound is at most D,
-      and T2 also sits in the relay row T2 + T3 + tau3 <= O.
+    - S2: D, D, O, D, min(D, O), O.  T2 also sits in the relay-own
+      completion row T2 + T3 + tau3 <= O.
     - S3: D, D-t0, min(W, D-t0), D, D, min(W, D-t0).  The ordering row
       T1 + tau1 + T2 >= t0 + T3 + tau3 leaves tau2 at most D - t0, and
       tau3 + T3 likewise.
@@ -923,12 +933,11 @@ def split_energy_floor(
     Every cap is widened by 14 feas_tol.  A solver accepts a start that
     violates its rows and lower bounds by at most feas_tol in distance; the
     engine clips that start onto its lower bounds and never raises a row's
-    excess.  So at
-    the returned point no duration is negative, and a row of k <= 5 unit
-    coefficients exceeds its bound by at most (sqrt(k) + k) feas_tol.  A
-    duration then exceeds its cap by at most the excesses of the rows the
-    cap combines: 6 + 7.3 feas_tol for the device row with S3's ordering
-    row, less for every other cap.  A cap <= 0 under nonzero load gives
+    excess.  So at the returned point no duration is negative, and a row of
+    k <= 5 unit coefficients exceeds its bound by at most (sqrt(k) + k)
+    feas_tol.  A duration then exceeds its cap by at most the excesses of
+    the rows the cap combines: 6 + 7.3 feas_tol for the device row with
+    S3's ordering row, less for every other cap.  A cap <= 0 under nonzero load gives
     inf.  ``sums`` takes the split's totals when the caller already has
     them; they must equal ``model.split_sums`` of the split.
     """

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from pathlib import Path
 
@@ -235,6 +236,14 @@ class TestNumericSchemes:
         energy_s2 = solve_scheme(SchemeId.S2, indices, scenario).energy
         energy_s1 = solve_scheme(SchemeId.S1, indices, scenario).energy
         assert energy_s2 < energy_s1
+
+    @pytest.mark.parametrize("factor", [70.0, 100.0, 200.0, 500.0])
+    def test_scheme2_solves_relay_busy_121_at_loose_deadlines(self, factor):
+        # without S2's epigraph column both horizon cold starts project
+        # tau1 onto zero here, and this pair was reported infeasible
+        lower = solve_scheme(SchemeId.S2, Case2Indices(1, 2, 1), _relay_busy(factor))
+        assert lower.tau1 > 0.0
+        assert lower.energy == pytest.approx(0.017425, rel=1e-4)
 
     def test_free_tau0_never_improves(self):
         rng = np.random.default_rng(59)
@@ -610,7 +619,7 @@ class TestRoom:
                     points = [np.array(optimum)]
                     # S3 with its tau0 pinned at zero
                     rows, bounds = map(np.asarray, case2._rows(scheme, room))
-                    rows = rows[:, :6]
+                    rows = rows[:, : 7 if scheme is SchemeId.S2 else 6]
                     n = rows.shape[1]
                     project = case2._PolytopeProjector(
                         np.zeros(n), rows, bounds, tol=1e-13, max_sweeps=400
@@ -651,7 +660,9 @@ class TestRoom:
                     room = case2._Room(indices, scenario, sums)
                     rows, bounds = map(np.asarray, case2._rows(scheme, room))
                     corner = np.zeros(rows.shape[1])
-                    if scheme is not SchemeId.S2:
+                    if scheme is SchemeId.S2:
+                        corner[6] = max(room.tau_s, t0)  # t_c
+                    else:
                         corner[3] = t0  # T1
                     meets = bool(np.all(rows @ corner - bounds <= tol))
                     assert case2._feasible(scheme, room, tol) == meets, (scheme, indices)
@@ -663,12 +674,18 @@ class TestRoom:
 
     @pytest.mark.parametrize("scheme", ["S1", "S2", "S3", "S3+tau0"])
     def test_every_column_is_capped_by_a_row(self, scheme):
-        # a row of nonnegative coefficients caps each column it carries;
-        # with x >= lo that bounds the program, so the engine needs no
-        # upper bounds
+        # a row, or a sum of two rows, of nonnegative coefficients caps
+        # each column it carries; with x >= lo that bounds the program, so
+        # the engine needs no upper bounds.  Only S2's tau3 and T3 need a
+        # sum: its relay completion row plus its t_c row.
         rows = _face_rows(scheme)
-        capping = rows[np.all(rows >= 0.0, axis=1)]
+        sums = [a + b for a, b in itertools.combinations(rows, 2)]
+        combos = np.vstack([rows, *sums])
+        capping = combos[np.all(combos >= 0.0, axis=1)]
         assert np.all(np.any(capping > 0.0, axis=0)), capping
+        singles = rows[np.all(rows >= 0.0, axis=1)]
+        uncapped = np.flatnonzero(~np.any(singles > 0.0, axis=0))
+        assert list(uncapped) == ([2, 5] if scheme == "S2" else []), uncapped
 
     def test_every_solved_pair_lays_out_as_a_valid_schedule(self):
         # the timeline re-derives each scheme's completion times from the
@@ -936,15 +953,16 @@ class TestActiveSetNewton:
 
 # faces of the schemes' programs on relay_busy.json at (1, 1, 1): scheme,
 # free columns, working rows, and columns without load (no curvature and no
-# slope).  Columns: tau1, tau2, tau3, T1, T2, T3, then S3's free tau0.
+# slope).  Columns: tau1, tau2, tau3, T1, T2, T3, then S2's epigraph t_c or
+# S3's free tau0.
 _FACES = {
     "S1-unconstrained": ("S1", range(6), [], ()),
     "S1-device": ("S1", range(6), [2], ()),
     "S1-all-rows": ("S1", range(6), [0, 1, 2], ()),
     "S1-unloaded-T2": ("S1", [0, 1, 2, 3, 4], [0, 2], (4,)),
-    "S2-device-relay": ("S2", range(6), [1, 2], ()),
-    "S2-ordering-device": ("S2", range(6), [0, 1], ()),
-    "S2-unloaded-T3": ("S2", range(6), [0, 1, 2], (5,)),
+    "S2-epigraph-pinned": ("S2", range(7), [1, 2, 3], (6,)),
+    "S2-epigraph-device": ("S2", range(7), [0, 1, 4], (6,)),
+    "S2-unloaded-T3": ("S2", range(7), [1, 2, 4], (5, 6)),
     "S3-all-rows": ("S3", range(6), [0, 1, 2, 3], ()),
     "S3-unloaded-T1": ("S3", [0, 1, 2, 3, 5], [0, 1, 3], (3,)),
     "S3-free-tau0": ("S3+tau0", range(7), [2, 3], (6,)),
@@ -956,7 +974,7 @@ _FACES = {
 def _face_rows(scheme):
     free_tau0 = scheme == "S3+tau0"
     scheme = SchemeId(scheme[:2])
-    n_vars = 7 if free_tau0 else 6
+    n_vars = 7 if scheme is SchemeId.S2 or free_tau0 else 6
     room = case2._Room(Case2Indices(1, 1, 1), _relay_busy(), None)
     rows, _ = case2._rows(scheme, room)
     return np.asarray(rows)[:, :n_vars]
