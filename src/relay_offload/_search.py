@@ -1,8 +1,8 @@
-"""Scalar search primitive of the relay-idle closed-form solver.
+"""Scalar search primitive of the one-price dual searches.
 
 ``bisect_decreasing`` finds the dual multiplier that makes a deadline bind
 (Illinois false position on log-log axes, with a geometric-midpoint
-fallback).
+fallback): case 1's lower solve, and the device-block floor of case 2.
 
 Kept separate from the oracle module on purpose: the oracles must not
 share machinery with the production search paths.

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from . import model
 from ._search import bisect_decreasing
-from .lambertw import lambert_w0
-from .model import ChannelParams, Infeasible, ModelDomainError, Scenario, SplitSums
+from .lambertw import lambert_w0  # noqa: F401  perfbench's patch test reads case1.lambert_w0
+from .model import Infeasible, ModelDomainError, Scenario, SplitSums, tau_from_lambda
 
 
 @dataclass(frozen=True)
@@ -74,50 +74,6 @@ _BREAKDOWN_NAMES = {
 
 def _sums(split: SplitIndices, scenario: Scenario) -> SplitSums:
     return model.split_sums(scenario, split.n1, split.n2)
-
-
-# W0 + 1 about the branch point, as a series in p = sqrt(2 * ratio): the
-# coefficients of p^1 .. p^8 (Corless et al., "On the Lambert W function")
-_BRANCH_SERIES = (
-    1.0,
-    -1.0 / 3.0,
-    11.0 / 72.0,
-    -43.0 / 540.0,
-    769.0 / 17280.0,
-    -221.0 / 8505.0,
-    680863.0 / 43545600.0,
-    -1963.0 / 204120.0,
-)
-# below this ratio the series replaces W0 + 1, which cancels near the
-# branch point; at the switch both are good to about 1e-13 relative
-_SERIES_RATIO_MAX = 1e-3
-
-
-def tau_from_lambda(
-    lam: float, data_nats: float, gain: float, channel: ChannelParams
-) -> float:
-    """Optimal transmit duration for dual value ``lam``.
-
-    d / (B * (W0((lam*gain/sigma2 - 1)/e) + 1)); strictly decreasing in
-    ``lam``.  Zero data transmits in zero time.
-    """
-    if data_nats == 0.0:
-        return 0.0
-    if lam <= 0.0:
-        raise ModelDomainError("dual multiplier must be positive for nonzero data")
-    ratio = lam * gain / channel.noise
-    if ratio < _SERIES_RATIO_MAX:
-        # the W argument (ratio - 1)/e sits near the branch point, and its
-        # offset from it is ratio/e exactly: sum the series in p by Horner
-        p = math.sqrt(2.0 * ratio)
-        w_plus_1 = 0.0
-        for coefficient in reversed(_BRANCH_SERIES):
-            w_plus_1 = (w_plus_1 + coefficient) * p
-    else:
-        w_plus_1 = lambert_w0((ratio - 1.0) / math.e) + 1.0
-    if w_plus_1 <= 0.0:
-        return math.inf
-    return data_nats / (channel.bandwidth * w_plus_1)
 
 
 def freq_from_lambda(lam: float, kappa: float, f_cap: float) -> float:
@@ -194,6 +150,20 @@ def _assemble_lower(
     )
 
 
+def _cap_price(kappa: float, cap: float, name: str) -> float:
+    """kappa cap^3, half the multiplier at which a CPU reaches its cap;
+    ScenarioError naming the cap when twice that overflows."""
+    try:
+        price = kappa * cap**3
+        if math.isfinite(2.0 * price):
+            return price
+    except OverflowError:
+        pass
+    raise model.ScenarioError(
+        f"compute.{name}: {cap!r} is too large: the multiplier search overflows"
+    )
+
+
 def solve_lower_case1(
     split: SplitIndices,
     scenario: Scenario,
@@ -250,8 +220,8 @@ def solve_lower_case1(
         return _completion_time(lam, sums, scenario)
 
     lam_hi = 2.0 * max(
-        compute.kappa_md * compute.f_md_max**3,
-        compute.kappa_relay * compute.f_relay_max**3,
+        _cap_price(compute.kappa_md, compute.f_md_max, "f_md_max"),
+        _cap_price(compute.kappa_relay, compute.f_relay_max, "f_relay_max"),
         channel.noise / min(channel.gain_md_relay, channel.gain_relay_bs),
     )
     for _ in range(options.max_doublings):

@@ -2,7 +2,8 @@
 
 Scenario ingestion, solver invocation, oracle cross-checks, parameter
 sweeps, and deterministic CSV/JSON emission.  Exit codes: 0 success,
-1 input error, 2 infeasible.
+1 input error, 2 infeasible, 3 a solution that does not lay out as a valid
+schedule (an internal inconsistency, reported in one line).
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ from .case2 import (
     solve_case2,
 )
 from .model import Infeasible, Scenario, ScenarioError
-from .timeline import build_timeline, to_gantt_csv
+from .timeline import TimelineError, build_timeline, to_gantt_csv
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_INFEASIBLE = 2
+EXIT_INCONSISTENT = 3
 
 _COMMANDS = ("solve-case1", "solve-case2", "oracle-check", "sweep", "validate", "gantt")
 
@@ -409,13 +411,16 @@ def run(config: RunConfig) -> int:
             doc["oracle"] = _oracle_check_doc(solution, scenario)
         return _emit(_dump_json(doc), config.output)
     except ScenarioError as exc:
-        # a sweep's field name or value
+        # a sweep's field name or value, or a frequency cap too large to search
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Infeasible as exc:
         names = ", ".join(exc.constraints) or "unspecified"
         print(f"infeasible: {exc} (constraints: {names})", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except TimelineError as exc:
+        print(f"error: the solution does not lay out as a schedule: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
 
 
 def _parse_tolerances(pairs: list[str]) -> dict[str, float]:

@@ -13,6 +13,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
+from ._search import bisect_decreasing
+from .lambertw import lambert_w0
+
 # exp() overflows IEEE doubles just above 709; keep headroom
 EXP_ARG_MAX = 700.0
 
@@ -352,6 +355,51 @@ def _compute_curvature(cycles: float, duration: float, kappa: float) -> float:
     return 6.0 * kappa * f * f * f / duration
 
 
+# W0 + 1 about the branch point, as a series in p = sqrt(2 * ratio): the
+# coefficients of p^1 .. p^8 (Corless et al., "On the Lambert W function")
+_BRANCH_SERIES = (
+    1.0,
+    -1.0 / 3.0,
+    11.0 / 72.0,
+    -43.0 / 540.0,
+    769.0 / 17280.0,
+    -221.0 / 8505.0,
+    680863.0 / 43545600.0,
+    -1963.0 / 204120.0,
+)
+# below this ratio the series replaces W0 + 1, which cancels near the
+# branch point; at the switch both are good to about 1e-13 relative
+_SERIES_RATIO_MAX = 1e-3
+
+
+def tau_from_lambda(
+    lam: float, data_nats: float, gain: float, channel: ChannelParams
+) -> float:
+    """Optimal transmit duration for dual value ``lam``: the tau at which
+    :func:`_transmit_slope` is -lam.
+
+    d / (B * (W0((lam*gain/sigma2 - 1)/e) + 1)); strictly decreasing in
+    ``lam``.  Zero data transmits in zero time.
+    """
+    if data_nats == 0.0:
+        return 0.0
+    if lam <= 0.0:
+        raise ModelDomainError("dual multiplier must be positive for nonzero data")
+    ratio = lam * gain / channel.noise
+    if ratio < _SERIES_RATIO_MAX:
+        # the W argument (ratio - 1)/e sits near the branch point, and its
+        # offset from it is ratio/e exactly: sum the series in p by Horner
+        p = math.sqrt(2.0 * ratio)
+        w_plus_1 = 0.0
+        for coefficient in reversed(_BRANCH_SERIES):
+            w_plus_1 = (w_plus_1 + coefficient) * p
+    else:
+        w_plus_1 = lambert_w0((ratio - 1.0) / math.e) + 1.0
+    if w_plus_1 <= 0.0:
+        return math.inf
+    return data_nats / (channel.bandwidth * w_plus_1)
+
+
 # breakdown order; totals add the terms left to right in this order
 ENERGY_TERMS = (
     "tx_md",
@@ -430,6 +478,51 @@ def _budget_floor(sums: SplitSums, scenario: Scenario, device: float, own: float
     inf.
     """
     return energy(sums, scenario, device, device, own, device, device, own)
+
+
+def device_block_floor(sums: SplitSums, scenario: Scenario, budget: float) -> float:
+    """Least tx_md + tx_relay_device + cpu_md + cpu_relay_device over
+    nonnegative (tau1, tau2, t1, t2) whose sum is at most ``budget``.
+
+    The relay-idle lower problem without frequency caps, through its one
+    price lam (Boyd & Vandenberghe, *Convex Optimization*, ch. 5).  At lam
+    each duration minimises its term plus lam times itself in closed form,
+    :func:`tau_from_lambda` or T = (2 kappa L^3 / lam)^(1/3), and
+    g(lam) = energy + lam (total duration - budget) is at most the minimum
+    for every lam >= 0.  The total falls with lam; it is at most the budget
+    at the steepest of the k loaded slopes at budget/k, and at least the
+    budget at the steepest at the budget.  ``bisect_decreasing`` finds the
+    lam between that fills the budget, where g is the minimum.  inf when
+    budget <= 0 under load; 0.0, which bounds nothing, with no load or if
+    the price or g leaves the floats.
+    """
+    ch, co = scenario.channel, scenario.compute
+    device = SplitSums(sums.ls, sums.rs, sums.es, 0.0, 0.0, sums.d1, sums.d2, 0.0)
+    loaded = sum(v > 0.0 for v in (sums.d1, sums.d2, sums.ls, sums.rs))
+    if not loaded:
+        return 0.0
+    if budget <= 0.0:
+        return math.inf
+
+    def durations(lam: float) -> tuple[float, float, float, float]:
+        return (
+            tau_from_lambda(lam, sums.d1, ch.gain_md_relay, ch),
+            tau_from_lambda(lam, sums.d2, ch.gain_relay_bs, ch),
+            sums.ls * (2.0 * co.kappa_md / lam) ** (1.0 / 3.0),
+            sums.rs * (2.0 * co.kappa_relay / lam) ** (1.0 / 3.0),
+        )
+
+    def price(x: float) -> float:
+        return -min(energy_slopes(device, scenario, x, x, 0.0, x, x, 0.0))
+
+    lam_lo, lam_hi = price(budget), price(budget / loaded)
+    if not 0.0 < lam_lo <= lam_hi < math.inf:
+        return 0.0
+    lam = bisect_decreasing(lambda lam: sum(durations(lam)), budget, lam_lo, lam_hi)
+    tau1, tau2, t1, t2 = durations(lam)
+    value = energy(device, scenario, tau1, tau2, 0.0, t1, t2, 0.0)
+    value += lam * (tau1 + tau2 + t1 + t2 - budget)
+    return value if math.isfinite(value) else 0.0
 
 
 def energy_slopes(

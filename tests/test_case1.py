@@ -89,7 +89,7 @@ class TestClosedForms:
         # unit channel and data: ratio = lam and tau = 1 / (W0 + 1); the
         # grid straddles the switch between the series and W0 itself
         ch = unit_channel()
-        switch = case1._SERIES_RATIO_MAX
+        switch = model._SERIES_RATIO_MAX
         ratios = list(np.logspace(-12, -2, 121)) + [
             switch * (1.0 + k * 1e-6) for k in (-2, -1, 0, 1, 2)
         ]

@@ -428,6 +428,20 @@ class TestSplitFloor:
         # 3 schemes x 3 device splits x 2 relay splits without skipping
         assert len(calls) <= 4
 
+    def test_relay_busy_solves_only_the_winner_at_x1(self, monkeypatch):
+        calls = []
+        solve = case2.solve_scheme
+
+        def counted(scheme, indices, *args, **kwargs):
+            calls.append((scheme, indices))
+            return solve(scheme, indices, *args, **kwargs)
+
+        monkeypatch.setattr(case2, "solve_scheme", counted)
+        solve_case2(_relay_busy())
+        # S1 and S3 at (1, 1, 1) have scheme floors below the winner's
+        # energy, but device-block bounds above it
+        assert calls == [(SchemeId.S2, Case2Indices(1, 1, 1))]
+
     def test_relay_busy_solves_only_the_winner_at_x10(self, monkeypatch):
         calls = []
         solve = case2.solve_scheme
@@ -482,6 +496,83 @@ class TestSplitFloor:
                     checked += 1
         assert checked > 3000
 
+    def test_device_block_keys_bound_every_solved_pair(self):
+        # the key a pair is solved at: the device block's one-price minimum
+        # plus the relay-own terms at the scheme's caps, or its scheme floor
+        options = Case2Options()
+        slack = 14.0 * options.feas_tol
+        instances = [_relay_busy(factor) for factor in (1.0, 3.0, 30.0, 1e3, 1e9)]
+        for n_tasks, m_tasks in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2)]:
+            instances += [_random_busy(seed, n_tasks, m_tasks) for seed in range(20, 25)]
+        checked = tightened = 0
+        for scenario in instances:
+            for n1, n2, m1, sums in model.relay_busy_split_sums(scenario):
+                indices = Case2Indices(n1, n2, m1)
+                room = case2._Room(indices, scenario, sums)
+                device = model.device_block_floor(sums, scenario, room.device + slack)
+                for scheme in SchemeId:
+                    try:
+                        lower = solve_scheme(scheme, indices, scenario, options, sums=sums)
+                    except Infeasible:
+                        continue
+                    floor = split_energy_floor(
+                        indices, scenario, options, scheme=scheme, sums=sums
+                    )
+                    terms = energy_terms(sums, scenario, *case2._caps(scheme, room, slack))
+                    block = device + terms["tx_relay_own"] + terms["cpu_relay_own"]
+                    key = max(block, floor)
+                    assert floor <= key <= lower.energy * (1 + model.FLOOR_MARGIN), (
+                        scheme,
+                        indices,
+                    )
+                    checked += 1
+                    tightened += block > floor * (1 + 1e-6)
+        assert checked > 1000
+        assert tightened > checked // 4
+
+    def test_device_block_floor_is_the_uncapped_case1_optimum(self):
+        # with no frequency cap in reach, case 1's lower problem at a split
+        # is the device block under its deadline budget t_s - es/f_bs
+        rng = np.random.default_rng(83)
+        compared = 0
+        for _ in range(12):
+            scenario = _random_busy(int(rng.integers(1000)), int(rng.integers(1, 5)), 1)
+            compute = dataclasses.replace(scenario.compute, f_md_max=1e15, f_relay_max=1e15)
+            idle = dataclasses.replace(
+                scenario,
+                relay_chain=None,
+                compute=compute,
+                deadlines=Deadlines(t_s=scenario.deadlines.t_s_th),
+            )
+            for n1, n2, sums in model.device_split_sums(idle):
+                budget = idle.deadlines.t_s - sums.es / compute.f_bs_max
+                floor = model.device_block_floor(sums, idle, budget)
+                try:
+                    lower = solve_lower_case1(SplitIndices(n1, n2), idle, sums=sums)
+                except Infeasible:
+                    assert floor == math.inf
+                    continue
+                assert floor <= lower.energy * (1 + model.FLOOR_MARGIN)
+                assert floor >= lower.energy * (1 - 1e-8), (n1, n2)
+                compared += 1
+        assert compared > 30
+
+    def test_device_block_floor_edges(self):
+        scenario = _relay_busy()
+        sums = split_sums(scenario, 1, 1, 1)
+        assert model.device_block_floor(sums, scenario, 0.0) == math.inf
+        assert model.device_block_floor(sums, scenario, -1.0) == math.inf
+        idle = split_sums(scenario, 2, 2, 1)  # only local work
+        assert idle.d1 == idle.d2 == idle.rs == 0.0 < idle.ls
+        # one loaded duration takes the whole budget
+        alone = energy_terms(idle, scenario, 0, 0, 1, 0.3, 0, 1)["cpu_md"]
+        assert model.device_block_floor(idle, scenario, 0.3) == pytest.approx(alone, rel=1e-12)
+        nothing = dataclasses.replace(idle, ls=0.0)
+        assert model.device_block_floor(nothing, scenario, 0.3) == 0.0
+        assert model.device_block_floor(nothing, scenario, -1.0) == 0.0
+        # a budget so short the price overflows bounds nothing, and never raises
+        assert model.device_block_floor(sums, scenario, 1e-300) == 0.0
+
     def test_infeasible_budget_gives_inf(self):
         # the BS slot alone overruns the device deadline
         scenario = basic_scenario(t_s_th=2e8 / 5e9 / 2, t_r_th=1.0)
@@ -495,8 +586,22 @@ class TestSplitFloor:
             (lambda: _random_busy(2, 1, 3), Case2Options()),
             (lambda: _random_busy(6, 2, 2), Case2Options(tie_rel=1e-6)),
             (lambda: _relay_busy(10.0), Case2Options(tie_rel=1e-6)),
+            (lambda: _random_busy(6, 3, 1), Case2Options(tie_rel=1e-6)),
+            (lambda: _random_busy(2, 1, 3), Case2Options(tie_rel=1e-6)),
+            (lambda: _random_busy(11, 2, 2), Case2Options()),
+            (lambda: _random_busy(11, 2, 2), Case2Options(tie_rel=1e-6)),
         ],
-        ids=["2x2-6", "3x1-6", "1x3-2", "2x2-6-tie1e-6", "busy-x10-tie1e-6"],
+        ids=[
+            "2x2-6",
+            "3x1-6",
+            "1x3-2",
+            "2x2-6-tie1e-6",
+            "busy-x10-tie1e-6",
+            "3x1-6-tie1e-6",
+            "1x3-2-tie1e-6",
+            "2x2-11",
+            "2x2-11-tie1e-6",
+        ],
     )
     def test_floor_order_keeps_the_exhaustive_winner(self, make, options):
         scenario = make()
@@ -549,6 +654,8 @@ class TestSplitFloor:
 
         monkeypatch.setattr(case2, "solve_scheme", fake_solve)
         monkeypatch.setattr(case2, "split_energy_floor", fake_floor)
+        # the device-block stage tightens nothing over the synthetic floors
+        monkeypatch.setattr(model, "device_block_floor", lambda *args: -math.inf)
         for seed in range(40):
             rng = np.random.default_rng(seed)
             for scheme in SchemeId:

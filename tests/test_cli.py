@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from relay_offload import cli
-from relay_offload.timeline import build_timeline, verify
+from relay_offload.timeline import InconsistentSolution, build_timeline, verify
 from relay_offload.model import scenario_from_dict
 
 
@@ -214,6 +214,32 @@ class TestNonFiniteInput:
         assert captured.err.startswith(f"error: deadlines.t_s: expected a finite number, got {bad}")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("key", ["f_md_max", "f_relay_max"])
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("solve-case1", ()),
+            ("gantt", ()),
+            ("oracle-check", ()),
+            ("sweep", ("--sweep", "deadlines.t_s", "0.4", "0.6", "2")),
+        ],
+        ids=["solve-case1", "gantt", "oracle-check", "sweep"],
+    )
+    def test_overflowing_frequency_cap_is_named(self, tmp_path, capsys, command, extra, key):
+        # a finite cap whose cube overflows the case-1 multiplier search
+        doc = all_local_doc()
+        doc["compute"][key] = 1e300
+        path = write_doc(tmp_path, doc)
+        assert run_cli("validate", path) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, "--scenario", str(path), *extra])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: compute.{key}: 1e+300 is too large")
+        assert captured.err.count("\n") == 1
+
 
 class TestSweepCommand:
     def test_deadline_sweep_monotone(self, tmp_path, capsys):
@@ -385,6 +411,23 @@ class TestGanttCommand:
         run_cli("gantt", path, out=out1)
         run_cli("gantt", path, out=out2)
         assert out1.read_bytes() == out2.read_bytes()
+
+
+    def test_a_plan_that_does_not_lay_out_is_one_line(self, tmp_path, capsys, monkeypatch):
+        def inconsistent(solution, scenario):
+            raise InconsistentSolution("device chain completes at 2, deadline 1")
+
+        monkeypatch.setattr(cli, "build_timeline", inconsistent)
+        path = write_doc(tmp_path, case2_doc())
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["gantt", "--scenario", str(path)])
+        assert excinfo.value.code == cli.EXIT_INCONSISTENT == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the solution does not lay out as a schedule: "
+            "device chain completes at 2, deadline 1\n"
+        )
 
 
 class TestOracleCheckCommand:

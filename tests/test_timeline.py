@@ -1,4 +1,7 @@
 import dataclasses
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from relay_offload import (
     Scenario,
     Task,
     TaskChain,
+    cli,
+    scenario_from_dict,
 )
 from relay_offload.case1 import solve_case1
 from relay_offload.case2 import SchemeId, solve_case2
@@ -118,6 +123,41 @@ class TestCase2Timeline:
             assert verify(schedule) == [], (solution.scheme, solution.indices)
             assert schedule.deadlines_met == {"device": True, "relay": True}
             checked += 1
+
+
+RELAY_BUSY = Path(__file__).resolve().parents[1] / "scenarios" / "relay_busy.json"
+
+
+def _relay_busy_rescaled(s):
+    """relay_busy.json with every time s times longer and every energy
+    unchanged."""
+    doc = json.loads(RELAY_BUSY.read_text(encoding="utf-8"))
+    doc["deadlines"] = {key: value * s for key, value in doc["deadlines"].items()}
+    doc["channel"]["B"] /= s
+    doc["channel"]["sigma2"] /= s
+    for key in ("f_md_max", "f_relay_max", "f_bs_max"):
+        doc["compute"][key] /= s
+    for key in ("kappa_md", "kappa_relay"):
+        doc["compute"][key] *= s * s
+    return doc
+
+
+class TestTimeScale:
+    @pytest.mark.parametrize("s", [1e-3, 1.0, 1e6, 1e9, 1e12])
+    def test_the_winner_lays_out_at_any_time_scale(self, tmp_path, capsys, s):
+        # at 1e9 an absolute 1e-9 s tolerance rejected the winner, whose
+        # device chain ends on its deadline to rounding (one ulp is 6e-8 s)
+        doc = _relay_busy_rescaled(s)
+        scenario = scenario_from_dict(doc)
+        solution = solve_case2(scenario)
+        unit = solve_case2(scenario_from_dict(_relay_busy_rescaled(1.0)))
+        assert (solution.scheme, solution.indices) == (unit.scheme, unit.indices)
+        assert math.isclose(solution.lower.energy, unit.lower.energy, rel_tol=1e-9)
+        assert verify(build_timeline(solution, scenario)) == []
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.run(cli.RunConfig(command="gantt", scenario_path=path)) == 0
+        assert capsys.readouterr().err == ""
 
 
 def make_timeline(*events):
