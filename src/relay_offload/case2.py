@@ -23,15 +23,15 @@ point.
 The upper level builds every split's totals once, at O(1) cost each
 (:func:`model.relay_busy_split_sums`), and solves the (scheme, split) pairs
 in ascending order of energy floors it refines lazily: a split's
-scheme-free floor, then each pair's scheme floor (each duration at the
-largest value the scheme's own rows allow), then the pair's device-block
-bound (the one-price minimum of the device terms under the device row,
-:func:`model.device_block_floor`, plus the relay-own terms at their caps).
-It stops at the first floor above the lowest energy solved so far by more
-than a skip margin.  The winner is then picked by replaying the tie rule
-over the solved pairs in the canonical S1 -> S2 -> S3 lexicographic order;
-the margin is wide enough that the skipped pairs could not have changed
-that pick, so the winner is the exhaustive traversal's.
+scheme-free floor, then each pair's, the larger of its scheme floor (each
+duration at the largest value the scheme's own rows allow) and its
+device-block bound (the one-price minimum of the device terms under the
+device row, :func:`model.device_block_floor`, plus the relay-own terms at
+their caps).  It stops at the first floor above the lowest energy solved
+so far by more than a skip margin.  The winner is then picked by replaying
+the tie rule over the solved pairs in the canonical S1 -> S2 -> S3
+lexicographic order; the margin is wide enough that the skipped pairs could
+not have changed that pick, so the winner is the exhaustive traversal's.
 
 Device/relay frequency-cap constraints are relaxed throughout (the BS
 capacity constraints remain); violations of the relaxed caps are reported
@@ -965,17 +965,17 @@ def solve_case2(
 
     Each split's totals come once from :func:`model.relay_busy_split_sums`
     and serve its floors, its solves and the winner's breakdown.  A heap
-    orders the pairs by floors it refines in three lazy stages.  Each split
-    enters at its scheme-free floor, which bounds every scheme there.  When
-    it comes up, its three pairs go back in at their scheme floors
-    (:func:`split_energy_floor`).  When a pair comes up, it goes back in at
-    its device-block bound, :func:`model.device_block_floor` at the device
-    budget D (computed once per split) plus the relay-own terms at the
-    scheme's caps, both with the caps' slack of 14 feas_tol; it is solved
-    when it comes up again.  Each key is raised to the one it refines where
-    rounding leaves it below, so popped keys never fall, and every key is a
-    floor of its pair's energy.  The traversal stops at the first entry
-    whose floor f satisfies
+    orders the pairs by floors it refines lazily.  Each split enters at its
+    scheme-free floor, which bounds every scheme there.  When it comes up,
+    its three pairs go back in, each at the larger of two floors: its
+    scheme floor (:func:`split_energy_floor`), and its device-block bound,
+    :func:`model.device_block_floor` at the device budget D (computed once
+    per split) plus the relay-own terms at the scheme's caps, both with the
+    caps' slack of 14 feas_tol.  A pair is solved when it comes up.  Each
+    key is raised to the split's where rounding leaves it below, so popped
+    keys never fall, and every key is a floor of its pair's energy.  So
+    only the splits that reach the front pay for the pair floors.  The
+    traversal stops at the first entry whose floor f satisfies
     f * (1 - FLOOR_MARGIN - (s + 1) * tie_rel) > E, where E is the lowest
     energy solved so far and s the number of feasible pairs solved.  Every
     later pair has a floor at least f, and each pair's energy is at least
@@ -1009,39 +1009,30 @@ def solve_case2(
         raise model.ScenarioError("relay task arrival must be nonnegative")
 
     splits: list[tuple[Case2Indices, SplitSums]] = []
-    # (floor, stage, scheme position, split position); stage 0 is a whole
-    # split, 1 a pair at its scheme floor, 2 a pair at its device-block bound
-    heap: list[tuple[float, int, int, int]] = []
+    # (floor, scheme position or -1 for the whole split, split position)
+    heap: list[tuple[float, int, int]] = []
     for i, (n1, n2, m1, sums) in enumerate(model.relay_busy_split_sums(scenario)):
         indices = Case2Indices(n1, n2, m1)
         splits.append((indices, sums))
-        heap.append((split_energy_floor(indices, scenario, options, sums=sums), 0, -1, i))
+        heap.append((split_energy_floor(indices, scenario, options, sums=sums), -1, i))
     heapq.heapify(heap)
     schemes = (SchemeId.S1, SchemeId.S2, SchemeId.S3)
     slack = 14.0 * options.feas_tol
-    # each split's room and device-block floor, once one of its pairs comes up
-    blocks: dict[int, tuple[_Room, float]] = {}
     solved: list[tuple[int, int, Case2LowerSolution]] = []
     lowest = math.inf
     while heap:
-        floor, stage, k, i = heapq.heappop(heap)
+        floor, k, i = heapq.heappop(heap)
         margin = model.FLOOR_MARGIN + (len(solved) + 1) * options.tie_rel
         if floor * (1.0 - margin) > lowest:
             break
         indices, sums = splits[i]
-        if stage == 0:
+        if k < 0:
+            room = _Room(indices, scenario, sums)
+            device = model.device_block_floor(sums, scenario, room.device + slack)
             for k, scheme in enumerate(schemes):
                 own = split_energy_floor(indices, scenario, options, scheme=scheme, sums=sums)
-                heapq.heappush(heap, (max(own, floor), 1, k, i))
-            continue
-        if stage == 1:
-            if i not in blocks:
-                room = _Room(indices, scenario, sums)
-                device = model.device_block_floor(sums, scenario, room.device + slack)
-                blocks[i] = room, device
-            room, device = blocks[i]
-            terms = model._term_values(sums, scenario, *_caps(schemes[k], room, slack))
-            heapq.heappush(heap, (max(device + terms[2] + terms[5], floor), 2, k, i))
+                terms = model._term_values(sums, scenario, *_caps(scheme, room, slack))
+                heapq.heappush(heap, (max(own, device + terms[2] + terms[5], floor), k, i))
             continue
         scheme = schemes[k]
         warm = None

@@ -18,14 +18,14 @@ from .case1 import Case1Solution
 from .case2 import Case2Solution, SchemeId
 from .model import Scenario, split_sums
 
-# the rounding every check forgives, per second of the scenario's time scale
-# (its latest deadline): 1e-9 s on a one-second schedule
-_REL_TOL = 1e-9
+# the rounding each check forgives: this fraction of the largest time it
+# compares, and never less than this many seconds, the solvers' own
+# feasibility tolerance (so 1e-9 s wherever every time is at most 1 s)
+_TOL = 1e-9
 
 
-def _tolerance(scenario: Scenario) -> float:
-    dl = scenario.deadlines
-    return _REL_TOL * max(t for t in (dl.t_s, dl.t0, dl.t_s_th, dl.t_r_th) if t is not None)
+def _slack(*times: float) -> float:
+    return _TOL * max(1.0, *map(abs, times))
 
 
 class TimelineError(Exception):
@@ -70,16 +70,15 @@ class Event:
     def duration(self) -> float:
         return self.end - self.start
 
+    def lasts(self) -> bool:
+        """Longer than rounding; shorter events are exempt from overlap rules."""
+        return self.duration > _slack(self.start, self.end)
+
 
 @dataclass(frozen=True)
 class Timeline:
-    """A solution's events.  ``tol`` is the rounding :func:`verify`
-    forgives, set from the scenario's time scale by :func:`build_timeline`
-    (the default is a one-second scale's)."""
-
     events: tuple[Event, ...]
     deadlines_met: dict[str, bool]
-    tol: float = _REL_TOL
 
 
 def _bs_schedule(
@@ -140,8 +139,8 @@ def _relay_own_segments(
     ]
 
 
-def _check_deadline(name: str, completion: float, deadline: float, tol: float) -> None:
-    if completion > deadline + tol:
+def _check_deadline(name: str, completion: float, deadline: float) -> None:
+    if completion > deadline + _slack(deadline):
         raise InconsistentSolution(
             f"{name} chain completes at {completion:.12g}, deadline {deadline:.12g}"
         )
@@ -167,9 +166,8 @@ def _build_case1(solution: Case1Solution, scenario: Scenario) -> Timeline:
     events.append(Event(Node.RELAY, EventKind.TX_RELAY_TO_BS_DEVICE, t, t + lower.tau2))
     t += lower.tau2
     events.append(Event(Node.BS, EventKind.BS_COMPUTE_DEVICE, t, t + bs_time))
-    tol = _tolerance(scenario)
-    _check_deadline("device", t + bs_time, deadline, tol)
-    return Timeline(events=tuple(events), deadlines_met={"device": True}, tol=tol)
+    _check_deadline("device", t + bs_time, deadline)
+    return Timeline(events=tuple(events), deadlines_met={"device": True})
 
 
 def _build_case2(solution: Case2Solution, scenario: Scenario) -> Timeline:
@@ -235,11 +233,10 @@ def _build_case2(solution: Case2Solution, scenario: Scenario) -> Timeline:
 
     device_completion = bs_device.end
     relay_completion = max(own_end, tx3.end, bs_relay_segments[-1].end)
-    tol = _tolerance(scenario)
-    _check_deadline("device", device_completion, dl.t_s_th, tol)
-    _check_deadline("relay", relay_completion, dl.t_r_th, tol)
+    _check_deadline("device", device_completion, dl.t_s_th)
+    _check_deadline("relay", relay_completion, dl.t_r_th)
     return Timeline(
-        events=tuple(events), deadlines_met={"device": True, "relay": True}, tol=tol
+        events=tuple(events), deadlines_met={"device": True, "relay": True}
     )
 
 
@@ -249,8 +246,8 @@ def build_timeline(
     """Reconstruct the schedule a solver solution implies.
 
     Raises :class:`InconsistentSolution` when any chain's completion time
-    exceeds its declared deadline by more than 1e-9 of the scenario's
-    latest deadline.
+    exceeds its declared deadline by more than 1e-9 of that deadline, or
+    by more than 1e-9 s if the deadline is under a second.
     """
     if isinstance(solution, Case1Solution):
         return _build_case1(solution, scenario)
@@ -268,22 +265,21 @@ def verify(timeline: Timeline) -> list[str]:
 
     Zero-length events are exempt from overlap rules.  The BS priority
     rule is preemptive: once the device's task is at the BS and not yet
-    finished, no relay-task compute may run.
+    finished, no relay-task compute may run.  Each comparison forgives
+    1e-9 of the largest time it compares, and at least 1e-9 s.
     """
-    tol = timeline.tol
     violations: list[str] = []
     for event in timeline.events:
+        tol = _slack(event.start, event.end)
         if event.start < -tol or event.end < event.start - tol:
             violations.append(
                 f"malformed event {event.kind.value}: [{event.start}, {event.end}]"
             )
 
-    tx_events = [
-        e for e in timeline.events if e.kind in _TX_KINDS and e.duration > tol
-    ]
+    tx_events = [e for e in timeline.events if e.kind in _TX_KINDS and e.lasts()]
     for i, first in enumerate(tx_events):
         for second in tx_events[i + 1 :]:
-            if _overlap(first, second) > tol:
+            if _overlap(first, second) > _slack(first.end, second.end):
                 violations.append(
                     "band conflict: "
                     f"{first.kind.value} overlaps {second.kind.value}"
@@ -294,17 +290,18 @@ def verify(timeline: Timeline) -> list[str]:
         for e in timeline.events
         if e.node is Node.RELAY
         and e.kind is EventKind.COMPUTE_DEVICE
-        and e.duration > tol
+        and e.lasts()
     ]
     if len(relay_blocks) > 1:
         violations.append("relay priority: device-task block is not contiguous")
     uploads = [
         e
         for e in timeline.events
-        if e.kind is EventKind.TX_DEVICE_TO_RELAY and e.duration > tol
+        if e.kind is EventKind.TX_DEVICE_TO_RELAY and e.lasts()
     ]
     if relay_blocks and uploads:
-        if abs(relay_blocks[0].start - uploads[0].end) > tol:
+        arrival, start = uploads[0].end, relay_blocks[0].start
+        if abs(start - arrival) > _slack(start, arrival):
             violations.append(
                 "relay priority: device-task block does not start at arrival"
             )
@@ -312,29 +309,29 @@ def verify(timeline: Timeline) -> list[str]:
     bs_device = [
         e
         for e in timeline.events
-        if e.kind is EventKind.BS_COMPUTE_DEVICE and e.duration > tol
+        if e.kind is EventKind.BS_COMPUTE_DEVICE and e.lasts()
     ]
     bs_relay = [
         e
         for e in timeline.events
-        if e.kind is EventKind.BS_COMPUTE_RELAY and e.duration > tol
+        if e.kind is EventKind.BS_COMPUTE_RELAY and e.lasts()
     ]
     for i, first in enumerate(bs_device + bs_relay):
         for second in (bs_device + bs_relay)[i + 1 :]:
-            if _overlap(first, second) > tol:
+            if _overlap(first, second) > _slack(first.end, second.end):
                 violations.append("BS compute blocks overlap")
     if bs_device:
         device_tx = [
             e
             for e in timeline.events
-            if e.kind is EventKind.TX_RELAY_TO_BS_DEVICE and e.duration > tol
+            if e.kind is EventKind.TX_RELAY_TO_BS_DEVICE and e.lasts()
         ]
         pending_from = device_tx[0].end if device_tx else bs_device[0].start
         pending_to = bs_device[0].end
         for segment in bs_relay:
             if (
                 min(segment.end, pending_to) - max(segment.start, pending_from)
-                > tol
+                > _slack(segment.end, pending_to)
             ):
                 violations.append(
                     "BS priority: relay-task compute while the device task is pending"

@@ -7,6 +7,8 @@ deadline-driven frequencies in a comparable band.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from relay_offload import (
@@ -120,3 +122,18 @@ def exit_only_relay_scenario(rng: np.random.Generator, n_tasks: int = 2) -> Scen
         compute=base.compute,
         deadlines=Deadlines(t0=0.0, t_s_th=t_s, t_r_th=2.0 * t_s),
     )
+
+
+def rescale_time(doc: dict, s: float) -> dict:
+    """A copy of the scenario document ``doc`` with every time s times
+    longer and every energy unchanged: deadlines x s; B, sigma2 and the
+    three frequency caps / s; both kappas x s^2."""
+    doc = copy.deepcopy(doc)
+    doc["deadlines"] = {key: value * s for key, value in doc["deadlines"].items()}
+    doc["channel"]["B"] /= s
+    doc["channel"]["sigma2"] /= s
+    for key in ("f_md_max", "f_relay_max", "f_bs_max"):
+        doc["compute"][key] /= s
+    for key in ("kappa_md", "kappa_relay"):
+        doc["compute"][key] *= s * s
+    return doc

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from relay_offload import (
     load_scenario,
     model,
     oracle,
+    scenario_from_dict,
 )
 from relay_offload.case1 import SplitIndices, solve_lower_case1
 from relay_offload.case2 import (
@@ -34,7 +36,7 @@ from relay_offload.case2 import (
 from relay_offload.model import energy, energy_terms, split_sums
 from relay_offload.timeline import build_timeline, verify
 
-from scenario_tools import exit_only_relay_scenario, random_case2_scenario
+from scenario_tools import exit_only_relay_scenario, random_case2_scenario, rescale_time
 
 
 RELAY_BUSY = Path(__file__).resolve().parents[1] / "scenarios" / "relay_busy.json"
@@ -654,7 +656,7 @@ class TestSplitFloor:
 
         monkeypatch.setattr(case2, "solve_scheme", fake_solve)
         monkeypatch.setattr(case2, "split_energy_floor", fake_floor)
-        # the device-block stage tightens nothing over the synthetic floors
+        # the device-block bound tightens nothing over the synthetic floors
         monkeypatch.setattr(model, "device_block_floor", lambda *args: -math.inf)
         for seed in range(40):
             rng = np.random.default_rng(seed)
@@ -799,6 +801,10 @@ class TestRoom:
         # durations alone, so it checks the rows independently
         instances = [_relay_busy(factor) for factor in (1.0, 10.0, 1e3, 1e6, 1e9)]
         instances += [_random_busy(seed, 2, 2) for seed in range(5)]
+        # every time 1e-3 times as long: rows the solver meets to its
+        # absolute feas_tol must still lay out
+        doc = rescale_time(json.loads(RELAY_BUSY.read_text(encoding="utf-8")), 1e-3)
+        instances.append(scenario_from_dict(doc))
         checked = 0
         for scenario in instances:
             for n1, n2, m1, sums in model.relay_busy_split_sums(scenario):

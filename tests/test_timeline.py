@@ -28,7 +28,7 @@ from relay_offload.timeline import (
     verify,
 )
 
-from scenario_tools import random_case1_scenario, random_case2_scenario
+from scenario_tools import random_case1_scenario, random_case2_scenario, rescale_time
 from test_case1 import all_local_scenario
 
 
@@ -129,17 +129,7 @@ RELAY_BUSY = Path(__file__).resolve().parents[1] / "scenarios" / "relay_busy.jso
 
 
 def _relay_busy_rescaled(s):
-    """relay_busy.json with every time s times longer and every energy
-    unchanged."""
-    doc = json.loads(RELAY_BUSY.read_text(encoding="utf-8"))
-    doc["deadlines"] = {key: value * s for key, value in doc["deadlines"].items()}
-    doc["channel"]["B"] /= s
-    doc["channel"]["sigma2"] /= s
-    for key in ("f_md_max", "f_relay_max", "f_bs_max"):
-        doc["compute"][key] /= s
-    for key in ("kappa_md", "kappa_relay"):
-        doc["compute"][key] *= s * s
-    return doc
+    return rescale_time(json.loads(RELAY_BUSY.read_text(encoding="utf-8")), s)
 
 
 class TestTimeScale:
@@ -158,6 +148,33 @@ class TestTimeScale:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert cli.run(cli.RunConfig(command="gantt", scenario_path=path)) == 0
         assert capsys.readouterr().err == ""
+
+    def test_device_checks_keep_their_own_scale(self):
+        # a relay deadline of 9e8 s must not loosen the checks on the device
+        # chain, whose deadline is 0.5 s: 1e-7 s of overrun or overlap there
+        # is a fault, though it is far below 1e-9 of the relay's deadline
+        doc = json.loads(RELAY_BUSY.read_text(encoding="utf-8"))
+        doc["deadlines"]["t_r_th"] *= 1e9
+        scenario = scenario_from_dict(doc)
+        solution = solve_case2(scenario)
+        schedule = build_timeline(solution, scenario)
+        assert verify(schedule) == []
+        by_kind = {e.kind: e for e in schedule.events}
+        device_end = by_kind[EventKind.BS_COMPUTE_DEVICE].end
+        late = scenario.deadlines.t_s_th - device_end + 1e-7
+        overrun = dataclasses.replace(
+            solution, lower=dataclasses.replace(solution.lower, t1=solution.lower.t1 + late)
+        )
+        with pytest.raises(InconsistentSolution, match="device chain"):
+            build_timeline(overrun, scenario)
+        upload = by_kind[EventKind.TX_DEVICE_TO_RELAY]
+        forward = by_kind[EventKind.TX_RELAY_TO_BS_DEVICE]
+        overlapping = tuple(
+            dataclasses.replace(e, end=forward.start + 1e-7) if e is upload else e
+            for e in schedule.events
+        )
+        conflicts = verify(dataclasses.replace(schedule, events=overlapping))
+        assert any("band conflict" in v for v in conflicts), conflicts
 
 
 def make_timeline(*events):
