@@ -17,8 +17,8 @@ analytic slopes and curvatures (:func:`model.energy_slopes`,
 the optimum.  For Scheme 1 those multipliers are the duals of its
 semi-closed KKT system (psi, lambda, eta1, eta2).  Each Newton step is a
 Cholesky solve of a few moves on the working face's echelon form, which is
-built once per face; a cyclic projector only places the engine's starting
-point.
+factored once per process, in a bounded table every solve shares; a cyclic
+projector only places the engine's starting point.
 
 The upper level builds every split's totals once, at O(1) cost each
 (:func:`model.relay_busy_split_sums`), and solves the (scheme, split) pairs
@@ -40,6 +40,7 @@ in the solution metadata instead of being enforced.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -165,7 +166,8 @@ class _Room:
 
     ``sums`` takes the split's totals when the caller already has them;
     they must equal ``model.split_sums`` of the split.  The traversal
-    builds a room for every split, hence the slots.
+    builds one for every split that comes up, and hands it to the split's
+    scheme floors and solves.
     """
 
     __slots__ = ("sums", "t0", "t_r", "horizon", "tau_s", "device", "own", "window", "finish")
@@ -442,11 +444,13 @@ class _Face:
     curvature, and the scaled reduced Hessian stays well conditioned however
     far the curvatures spread; pivoting on a costly coordinate would make
     the moves through it nearly parallel.  The engine keeps one face per
-    free set and working set, and builds it again only when the curvatures
-    have moved so far that it no longer :meth:`fits` them.
+    free set and working set, and takes another only when the curvatures
+    have moved so far that it no longer :meth:`fits` them.  A face depends
+    on its rows and pivot order alone and is never changed once built, so
+    :func:`_shared_face` factors each once per process for every run.
     """
 
-    def __init__(self, rows: list[list[float]], order: Sequence[int]) -> None:
+    def __init__(self, rows: Sequence[Sequence[float]], order: Sequence[int]) -> None:
         n, k = len(order), len(rows)
         m = [list(row) + [float(i == j) for j in range(k)] for i, row in enumerate(rows)]
         pivots: list[int] = []
@@ -550,6 +554,20 @@ class _Face:
         return _least_squares(columns, [v * w for v, w in zip(pull, weight)])
 
 
+# the most faces :func:`_shared_face` keeps; at about 2.7 kB each with its
+# key, the table holds at most about 1.4 MB
+_FACE_TABLE_SIZE = 512
+
+
+@functools.lru_cache(maxsize=_FACE_TABLE_SIZE)
+def _shared_face(rows: tuple[tuple[float, ...], ...], order: tuple[int, ...]) -> _Face:
+    """``_Face(rows, order)``, built once per process while it stays among
+    the _FACE_TABLE_SIZE most recently used.  Every program's rows are one
+    of three literal tables, so the same faces recur across splits,
+    deadlines and scenarios; a face is never changed once built."""
+    return _Face(rows, order)
+
+
 def active_set_newton(
     energy: Callable[[list[float]], float],
     slopes: Callable[[list[float]], Sequence[float]],
@@ -565,11 +583,15 @@ def active_set_newton(
     Optimization*, ch. 16) with Newton steps: ``start`` must be feasible,
     and every iterate stays so.  Each iteration solves the KKT system of
     the working set (the rows and bounds held at equality) with the
-    diagonal Hessian ``curvatures`` on the face's cached echelon form (see
+    diagonal Hessian ``curvatures`` on the face's echelon form (see
     :class:`_Face`), cuts the step at the first blocking row or bound (which
-    then joins the working set), and backtracks on ``energy``.  Once the step on
-    the current face is negligible, the multipliers are solved for again to
-    each coordinate's own accuracy, and the most negative one leaves the
+    then joins the working set), and backtracks on ``energy``.  The faces
+    are factored once per process, in a table of at most _FACE_TABLE_SIZE
+    keyed by the working rows on the free coordinates and the pivot order
+    (:func:`_shared_face`); which face an iteration uses is decided per
+    run, so the table changes no iterate.  Once the step on the current
+    face is negligible, the multipliers are solved for again to each
+    coordinate's own accuracy, and the most negative one leaves the
     working set; when none is negative, the point is optimal.  ``rows``,
     ``bounds`` and ``lo`` may be any float sequences.  The rows must bound
     the polytope; the engine has no upper bounds.
@@ -601,9 +623,9 @@ def active_set_newton(
             key = (tuple(free), tuple(working))
             face = faces.get(key)
             if face is None or not face.fits(h_free):
-                rows_on_face = [[row_list[i][j] for j in free] for i in working]
-                order = sorted(range(len(free)), key=h_free.__getitem__)
-                face = faces[key] = _Face(rows_on_face, order)
+                rows_on_face = tuple([tuple([row_list[i][j] for j in free]) for i in working])
+                order = tuple(sorted(range(len(free)), key=h_free.__getitem__))
+                face = faces[key] = _shared_face(rows_on_face, order)
             p_free, pull_free = face.newton_step(g_free, h_free)
             lam = face.multipliers(pull_free)
             for j, p in zip(free, p_free):
@@ -739,6 +761,7 @@ def solve_scheme(
     warm_start: Case2LowerSolution | None = None,
     warm_only: bool = False,
     sums: SplitSums | None = None,
+    room: _Room | None = None,
 ) -> Case2LowerSolution:
     """Minimize one scheme at a fixed split with :func:`active_set_newton`.
 
@@ -752,14 +775,15 @@ def solve_scheme(
     optimal value); pass ``free_tau0=True`` to optimize it explicitly,
     which exists so tests can confirm the pin never loses energy.
     ``warm_only`` restricts the starting points to ``warm_start``, for
-    perturbation studies against a known solution.  ``sums`` is as in
-    :func:`split_energy_floor`.
+    perturbation studies against a known solution.  ``sums`` and ``room``
+    are as in :func:`split_energy_floor`.
     """
     if free_tau0 and scheme is not SchemeId.S3:
         raise ValueError("tau0 exists only in scheme 3")
     if warm_only and warm_start is None:
         raise ValueError("warm_only requires a warm_start")
-    room = _Room(indices, scenario, sums)
+    if room is None:
+        room = _Room(indices, scenario, sums)
     sums = room.sums
     if not _feasible(scheme, room, options.feas_tol):
         raise _infeasible(scheme, indices)
@@ -920,6 +944,7 @@ def split_energy_floor(
     *,
     scheme: SchemeId | None = None,
     sums: SplitSums | None = None,
+    room: _Room | None = None,
 ) -> float:
     """Lower bound on the energy of ``scheme`` at one split, or of every
     scheme there when ``scheme`` is None.
@@ -940,13 +965,22 @@ def split_energy_floor(
     the rows the cap combines: 6 + 7.3 feas_tol for the device row with
     S3's ordering row, less for every other cap.  A cap <= 0 under nonzero load gives
     inf.  ``sums`` takes the split's totals when the caller already has
-    them; they must equal ``model.split_sums`` of the split.
+    them; they must equal ``model.split_sums`` of the split.  ``room``
+    gives a scheme's floor the split's room instead, so it builds none;
+    the scheme-free floor needs only the totals.
     """
-    room = _Room(indices, scenario, sums)
     slack = 14.0 * options.feas_tol
-    if scheme is None:
-        return model._budget_floor(room.sums, scenario, room.device + slack, room.own + slack)
-    return model.energy(room.sums, scenario, *_caps(scheme, room, slack))
+    if scheme is not None:
+        if room is None:
+            room = _Room(indices, scenario, sums)
+        return model.energy(room.sums, scenario, *_caps(scheme, room, slack))
+    if sums is None:
+        sums = model.split_sums(scenario, indices.n1, indices.n2, indices.m1)
+    # the room's device and relay-own budgets, D and O
+    t0, ts, tr = _deadline_triple(scenario)
+    f_bs = scenario.compute.f_bs_max
+    device, own = ts - sums.es / f_bs, tr - t0 - sums.er / f_bs
+    return model._budget_floor(sums, scenario, device + slack, own + slack)
 
 
 def solve_case2(
@@ -964,9 +998,11 @@ def solve_case2(
     lexicographically smallest (scheme, n1, n2, m1).
 
     Each split's totals come once from :func:`model.relay_busy_split_sums`
-    and serve its floors, its solves and the winner's breakdown.  A heap
-    orders the pairs by floors it refines lazily.  Each split enters at its
-    scheme-free floor, which bounds every scheme there.  When it comes up,
+    and serve its floors, its solves and the winner's breakdown; its room
+    (:class:`_Room`) is built once, when the split comes up, and serves its
+    scheme floors and solves.  A heap orders the pairs by floors it refines
+    lazily.  Each split enters at its scheme-free floor, which bounds every
+    scheme there.  When it comes up,
     its three pairs go back in, each at the larger of two floors: its
     scheme floor (:func:`split_energy_floor`), and its device-block bound,
     :func:`model.device_block_floor` at the device budget D (computed once
@@ -1009,6 +1045,8 @@ def solve_case2(
         raise model.ScenarioError("relay task arrival must be nonnegative")
 
     splits: list[tuple[Case2Indices, SplitSums]] = []
+    # the room of each split that has come up, by split position
+    rooms: dict[int, _Room] = {}
     # (floor, scheme position or -1 for the whole split, split position)
     heap: list[tuple[float, int, int]] = []
     for i, (n1, n2, m1, sums) in enumerate(model.relay_busy_split_sums(scenario)):
@@ -1027,10 +1065,10 @@ def solve_case2(
             break
         indices, sums = splits[i]
         if k < 0:
-            room = _Room(indices, scenario, sums)
+            room = rooms[i] = _Room(indices, scenario, sums)
             device = model.device_block_floor(sums, scenario, room.device + slack)
             for k, scheme in enumerate(schemes):
-                own = split_energy_floor(indices, scenario, options, scheme=scheme, sums=sums)
+                own = split_energy_floor(indices, scenario, options, scheme=scheme, room=room)
                 terms = model._term_values(sums, scenario, *_caps(scheme, room, slack))
                 heapq.heappush(heap, (max(own, device + terms[2] + terms[5], floor), k, i))
             continue
@@ -1044,7 +1082,7 @@ def solve_case2(
             warm = warm_start.lower
         try:
             lower = solve_scheme(
-                scheme, indices, scenario, options, warm_start=warm, sums=sums
+                scheme, indices, scenario, options, warm_start=warm, room=rooms[i]
             )
         except Infeasible:
             continue

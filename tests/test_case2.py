@@ -642,13 +642,15 @@ class TestSplitFloor:
         ]
         energies, floors = {}, {}
 
-        def fake_solve(scheme, indices, scenario, options, *, warm_start=None, sums=None):
+        def fake_solve(
+            scheme, indices, scenario, options, *, warm_start=None, sums=None, room=None
+        ):
             energy = energies[scheme, indices]
             if energy is None:
                 raise Infeasible("synthetic", ("synthetic",))
             return Case2LowerSolution(*[1.0] * 7, *[math.nan] * 4, energy)
 
-        def fake_floor(indices, scenario, options, *, scheme=None, sums=None):
+        def fake_floor(indices, scenario, options, *, scheme=None, sums=None, room=None):
             # the floor of a whole split bounds each of its schemes' floors
             if scheme is None:
                 return min(floors[s, indices] for s in SchemeId)
@@ -699,6 +701,27 @@ class TestSplitFloor:
         # the winning split (1,1,2)
         assert len(calls) <= 3
         assert (SchemeId.S2, Case2Indices(1, 1, 1)) not in calls
+
+    def test_one_room_per_split_that_comes_up(self, monkeypatch):
+        # the heap's scheme-free floors read the split totals alone, and a
+        # split that comes up builds one room for its scheme floors and
+        # solves: each plan has 6,027 splits, of which one or two come up
+        rooms, fronts = [], []
+        room, block = case2._Room, model.device_block_floor
+
+        def counted_room(*args):
+            rooms.append(None)
+            return room(*args)
+
+        def counted_block(*args):
+            fronts.append(None)
+            return block(*args)
+
+        monkeypatch.setattr(case2, "_Room", counted_room)
+        monkeypatch.setattr(model, "device_block_floor", counted_block)
+        for seed in range(3):
+            solve_case2(_random_busy(seed, 40, 6))
+        assert 0 < len(rooms) <= len(fronts)
 
 
 class TestRoom:
@@ -945,16 +968,21 @@ def _certificate(rows, bounds, x, slopes, result):
     return stationarity, complementarity
 
 
-def _solve_every_pair(scenario):
+def _every_pair(scenario):
     n, m = scenario.device_chain.n, scenario.relay_chain.n
     for scheme in SchemeId:
         for n1 in range(1, n + 2):
             for n2 in range(n1, n + 2):
                 for m1 in range(1, m + 2):
-                    try:
-                        solve_scheme(scheme, Case2Indices(n1, n2, m1), scenario)
-                    except Infeasible:
-                        pass
+                    yield scheme, Case2Indices(n1, n2, m1)
+
+
+def _solve_every_pair(scenario):
+    for scheme, indices in _every_pair(scenario):
+        try:
+            solve_scheme(scheme, indices, scenario)
+        except Infeasible:
+            pass
 
 
 class TestActiveSetNewton:
@@ -1160,6 +1188,75 @@ class TestStructuredStep:
         curvatures = [1e8, 1e-8, 1e-6, 1.0]
         assert not case2._Face(rows, [0, 1, 2, 3]).fits(curvatures)
         assert case2._Face(rows, [1, 2, 3, 0]).fits(curvatures)
+
+
+class TestFaceTable:
+    """The process-wide table of the engine's working faces."""
+
+    def test_a_warm_table_changes_no_result(self, monkeypatch):
+        # every pair solved with the table cleared before it, then again
+        # with the faces every earlier solve left in it
+        instances = [_relay_busy(factor) for factor in (1.0, 10.0, 1000.0)]
+        instances += [_random_busy(seed, 2, 2) for seed in range(2)]
+        instances.append(_random_busy(0, 3, 1))
+        pairs = [(sc, *pair) for sc in instances for pair in _every_pair(sc)]
+
+        def solve_all(clear):
+            out = []
+            for scenario, scheme, indices in pairs:
+                if clear:
+                    case2._shared_face.cache_clear()
+
+                def solve():
+                    try:
+                        out.append(solve_scheme(scheme, indices, scenario))
+                    except Infeasible as exc:
+                        out.append((str(exc), exc.constraints))
+
+                out.append([run[-1] for run in _engine_calls(monkeypatch, solve)])
+            return out
+
+        cold = solve_all(clear=True)
+        before = case2._shared_face.cache_info()
+        warm = solve_all(clear=False)
+        after = case2._shared_face.cache_info()
+        assert warm == cold
+        # the warm pass finds faces that earlier solves built
+        assert after.hits > before.hits
+
+    def test_the_table_stays_at_its_bound(self):
+        case2._shared_face.cache_clear()
+        size = case2._FACE_TABLE_SIZE
+        for k in range(size + 40):
+            face = case2._shared_face(((1.0, float(k + 2), 0.0),), (2, 0, 1))
+        assert case2._shared_face.cache_info().currsize == size
+        # the newest face is found again, and is the face the key builds
+        assert case2._shared_face(((1.0, float(size + 41), 0.0),), (2, 0, 1)) is face
+        assert vars(face) == vars(case2._Face(((1.0, float(size + 41), 0.0),), (2, 0, 1)))
+        case2._shared_face.cache_clear()
+
+    def test_faces_are_built_once_per_process(self, monkeypatch):
+        # 300 distinct small plans share most of their working faces
+        built = []
+        face = case2._Face
+
+        def counted(*args):
+            built.append(None)
+            return face(*args)
+
+        monkeypatch.setattr(case2, "_Face", counted)
+        plans = [_random_busy(seed, 1 + seed % 3, 1 + seed // 3 % 2) for seed in range(300)]
+        counts = []
+        table = case2._shared_face
+        for lookup in (table.__wrapped__, table):
+            table.cache_clear()
+            monkeypatch.setattr(case2, "_shared_face", lookup)
+            built.clear()
+            for scenario in plans:
+                solve_case2(scenario)
+            counts.append(len(built))
+        without, with_table = counts
+        assert 4 * with_table <= without, counts
 
 
 class TestPolytopeProjector:

@@ -14,6 +14,7 @@ from relay_offload import (
     TaskChain,
     cli,
     scenario_from_dict,
+    scenario_to_dict,
 )
 from relay_offload.case1 import solve_case1
 from relay_offload.case2 import SchemeId, solve_case2
@@ -148,6 +149,29 @@ class TestTimeScale:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert cli.run(cli.RunConfig(command="gantt", scenario_path=path)) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("case", ["relay-idle", "relay-busy"])
+    def test_seeded_plans_keep_their_answer_at_any_time_scale(self, case):
+        # a time rescaling leaves every energy term as it is, so each plan
+        # keeps its split, its scheme and its energy, and still lays out
+        rng = np.random.default_rng(89)
+        for _ in range(20):
+            if case == "relay-idle":
+                base, solve = random_case1_scenario(rng), solve_case1
+            else:
+                n_tasks, m_tasks = (int(v) for v in rng.integers(1, 4, 2))
+                base, solve = random_case2_scenario(rng, n_tasks, m_tasks), solve_case2
+            doc = scenario_to_dict(base)
+            unit = solve(scenario_from_dict(doc))
+            for s in (1e-3, 1e3, 1e6, 1e9):
+                scenario = scenario_from_dict(rescale_time(doc, s))
+                plan = solve(scenario)
+                if case == "relay-idle":
+                    assert plan.split == unit.split, s
+                else:
+                    assert (plan.scheme, plan.indices) == (unit.scheme, unit.indices), s
+                assert math.isclose(plan.lower.energy, unit.lower.energy, rel_tol=1e-9), s
+                assert verify(build_timeline(plan, scenario)) == [], s
 
     def test_device_checks_keep_their_own_scale(self):
         # a relay deadline of 9e8 s must not loosen the checks on the device
