@@ -348,19 +348,17 @@ def solve_case1(
         raise model.ScenarioError(
             "solve_case1 applies only when the relay has no tasks of its own"
         )
-    chain = scenario.device_chain
     data_rule = prune and scenario.compute.f_relay_max <= scenario.compute.f_bs_max * (
         1.0 + 1e-12
     )
 
     best: tuple[SplitIndices, Case1LowerSolution, SplitSums] | None = None
+    row_d2 = 0.0
     for n1, n2, sums in model.device_split_sums(scenario):
-        if (
-            data_rule
-            and n2 > n1
-            and sums.d2 > 0.0
-            and sums.d2 >= chain.data(n2 - 1)
-        ):
+        # at n2 > n1 the split before is (n1, n2 - 1), whose d2 is the data
+        # size of task n2 - 1: the rule's predecessor, read without a lookup
+        previous_d2, row_d2 = row_d2, sums.d2
+        if data_rule and n2 > n1 and row_d2 > 0.0 and row_d2 >= previous_d2:
             # inherits the predecessor's value as a lower bound; the
             # predecessor was already considered, so skip the solve
             continue

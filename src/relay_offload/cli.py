@@ -218,6 +218,10 @@ def _tolerance_error(overrides: dict[str, float]) -> str | None:
             return f"unknown tolerance {name!r}"
         if not (math.isfinite(value) and value > 0.0):
             return f"tolerance {name!r} must be finite and positive, got {value!r}"
+        if name.endswith("_rel") and value >= 1.0:
+            # a 100% band swallows the quantity it measures: with tie_rel=1
+            # no pair can replace the first feasible one
+            return f"tolerance {name!r} is relative and must be below 1, got {value!r}"
         if isinstance(defaults[name], int) and value != int(value):
             return f"tolerance {name!r} must be a whole number, got {value!r}"
     return None

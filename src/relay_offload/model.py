@@ -12,6 +12,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from ._search import bisect_decreasing
 from .lambertw import lambert_w0
@@ -170,8 +171,7 @@ class Violation:
         return f"{self.severity}: {self.where}: {self.message}"
 
 
-@dataclass(frozen=True)
-class SplitSums:
+class SplitSums(NamedTuple):
     """Cycle and data totals of one split.
 
     Device cycles computed locally (``ls``), at the relay (``rs``) and at
@@ -245,8 +245,8 @@ def device_split_sums(scenario: Scenario) -> Iterator[tuple[int, int, SplitSums]
         for n2 in range(n1, n + 2):
             if n2 > n1:
                 rs += cycles[n2 - 2]
-            # in field order (ls, rs, es, lr, er, d1, d2, d3): a keyword
-            # call costs a third more, once per split
+            # positional, in field order (ls, rs, es, lr, er, d1, d2, d3):
+            # a keyword call costs twice as much, once per split
             yield n1, n2, SplitSums(ls, rs, es[n2 - 1], 0.0, 0.0, data[n1 - 1], data[n2 - 1], 0.0)
 
 

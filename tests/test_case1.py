@@ -477,3 +477,58 @@ class TestSplitFloor:
         monkeypatch.setattr(case1, "solve_lower_case1", recorded_split)
         solve_case1(scenario)
         assert 0 < len(solved) < 0.1 * (31 * 32 // 2)
+
+    def test_data_rule_solves_the_splits_of_the_reference_loop(self, monkeypatch):
+        # the rule reads the d2 of the split before it in the row; the
+        # reference loop reads chain.data(n2 - 1), as the rule states it
+        skips = {"rule": 0, "tie": 0}
+
+        def reference_solved(scenario):
+            chain = scenario.device_chain
+            compute = scenario.compute
+            data_rule = compute.f_relay_max <= compute.f_bs_max * (1.0 + 1e-12)
+            best, solved = None, []
+            for n1 in range(1, chain.n + 2):
+                for n2 in range(n1, chain.n + 2):
+                    sums = model.split_sums(scenario, n1, n2)
+                    before = chain.data(n2 - 1) if n2 > n1 else None
+                    if data_rule and before is not None and sums.d2 > 0.0 and sums.d2 >= before:
+                        skips["rule"] += 1
+                        skips["tie"] += sums.d2 == before
+                        continue
+                    floor = case1._energy_floor(sums, scenario)
+                    if best is not None and floor * (1.0 - model.FLOOR_MARGIN) > best:
+                        continue
+                    split = SplitIndices(n1, n2)
+                    solved.append(split)
+                    try:
+                        energy = solve_lower_case1(split, scenario, sums=sums).energy
+                    except Infeasible:
+                        continue
+                    if best is None or energy < best * (1.0 - Case1Options().tie_rel):
+                        best = energy
+            return solved
+
+        solved = []
+        solve_lower = case1.solve_lower_case1
+
+        def recorded_split(split, *args, **kwargs):
+            solved.append(split)
+            return solve_lower(split, *args, **kwargs)
+
+        monkeypatch.setattr(case1, "solve_lower_case1", recorded_split)
+        rng = np.random.default_rng(43)
+        for n_tasks in range(1, 41):
+            scenario = random_case1_scenario(rng, n_tasks=n_tasks)
+            # each data size twice in a row, so a split's d2 often equals
+            # its predecessor's
+            tasks = scenario.device_chain.tasks
+            repeated = TaskChain(
+                tuple(Task(tasks[i // 2].data_nats, task.cycles) for i, task in enumerate(tasks))
+            )
+            tied = dataclasses.replace(scenario, device_chain=repeated)
+            for instance in (scenario, fast_relay(scenario), tied):
+                solved.clear()
+                solve_case1(instance)
+                assert solved == reference_solved(instance), n_tasks
+        assert skips["rule"] > 1000 and skips["tie"] > 100

@@ -353,6 +353,27 @@ class TestSolveCase2:
         with pytest.raises(ScenarioError, match="deadline ordering"):
             solve_case2(scenario)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 3: the projected S2 cold start reports a feasible pair infeasible",
+    )
+    @pytest.mark.parametrize(
+        "seed, n_tasks, m_tasks, indices",
+        [(15, 1, 1, (1, 1, 2)), (17, 3, 1, (2, 2, 2))],
+        ids=["1x1-15", "3x1-17"],
+    )
+    def test_winner_reaches_the_oracle_at_a_falsely_infeasible_pair(
+        self, seed, n_tasks, m_tasks, indices
+    ):
+        # solve_scheme calls S2 at these indices infeasible, so the winner
+        # is S3 (1.007101e-3 J) or S1 (3.073224e-3 J), about 2.4% and 2.2%
+        # above the oracle's S2 point
+        scenario = random_case2_scenario(
+            np.random.default_rng(seed), n_tasks=n_tasks, m_tasks=m_tasks
+        )
+        reference = oracle.case2_lower_reference("S2", *indices, scenario)
+        assert solve_case2(scenario).lower.energy == pytest.approx(reference.value, rel=5e-3)
+
 
 def _relay_busy(t_r_factor=1.0):
     scenario = load_scenario(RELAY_BUSY)
@@ -569,7 +590,7 @@ class TestSplitFloor:
         # one loaded duration takes the whole budget
         alone = energy_terms(idle, scenario, 0, 0, 1, 0.3, 0, 1)["cpu_md"]
         assert model.device_block_floor(idle, scenario, 0.3) == pytest.approx(alone, rel=1e-12)
-        nothing = dataclasses.replace(idle, ls=0.0)
+        nothing = idle._replace(ls=0.0)
         assert model.device_block_floor(nothing, scenario, 0.3) == 0.0
         assert model.device_block_floor(nothing, scenario, -1.0) == 0.0
         # a budget so short the price overflows bounds nothing, and never raises

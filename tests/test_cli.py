@@ -465,6 +465,9 @@ class TestMainEntry:
             "bisect_rel=inf",
             "bisect_rel=-1",
             "bisect_rel=0",
+            "bisect_rel=1",
+            "tie_rel=1e6",
+            "feas_rel=2.5",
         ],
     )
     def test_unusable_tolerance_value(self, tmp_path, capsys, override):
@@ -477,6 +480,21 @@ class TestMainEntry:
         name = override.partition("=")[0]
         assert captured.err.startswith(f"error: tolerance {name!r}")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("tie_rel, code", [("1", 1), ("0.5", 0)])
+    def test_relative_tolerance_must_be_below_one(self, capsys, tie_rel, code):
+        # a 100% tie band kept relay_busy.json's first feasible pair, S1
+        # (1,1,1), 6.4% above the S2 (1,1,1) winner, and exited 0
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "relay_busy.json"
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["solve-case2", "--scenario", str(path), "--tol", f"tie_rel={tie_rel}"])
+        assert excinfo.value.code == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert captured.err == "error: tolerance 'tie_rel' is relative and must be below 1, got 1.0\n"
+        else:
+            assert json.loads(captured.out)["case"] == 2
 
     @pytest.mark.parametrize(
         "name",

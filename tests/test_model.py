@@ -263,6 +263,24 @@ class TestTaskChain:
         assert chain.cycles_between(4, 4) == 0.0
 
 
+class TestSplitSums:
+    FIELDS = ("ls", "rs", "es", "lr", "er", "d1", "d2", "d3")
+
+    def test_fields_keep_their_names_and_order(self):
+        assert SplitSums._fields == self.FIELDS
+        values = [float(i) for i in range(1, 9)]
+        by_name = SplitSums(**dict(zip(self.FIELDS, values)))
+        assert by_name == SplitSums(*values)
+        assert [getattr(by_name, name) for name in self.FIELDS] == values
+
+    def test_fields_cannot_be_assigned(self):
+        sums = SplitSums(1.0, 2.0, 3.0, 0.0, 0.0, 4.0, 5.0, 0.0)
+        for name in self.FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(sums, name, 0.0)
+        assert sums == SplitSums(1.0, 2.0, 3.0, 0.0, 0.0, 4.0, 5.0, 0.0)
+
+
 # --- analytic energy slopes --------------------------------------------------
 
 _DURATIONS = ("tau1", "tau2", "tau3", "t1", "t2", "t3")

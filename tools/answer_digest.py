@@ -16,7 +16,13 @@ The check set:
   0-4;
 - ``solve_scheme`` on every (scheme, split) pair of those plans with at
   most three device tasks;
-- ``solve_case1`` on seeded relay-idle chains of 1-12 tasks.
+- ``solve_case1`` on seeded relay-idle chains of 1-12 tasks at rng 0-23,
+  and of 13-40 tasks at rng 24-135, four chains of each length.  Those
+  are the lengths of perfbench's idle-chains workload, where the
+  data-size rule and the energy floor skip most splits.  Each long chain
+  is also solved with the relay's cap above the BS's, which turns the
+  data-size rule off, and with each data size repeated on the next task,
+  which ties the rule's comparison.
 
 Each line names its instance and holds the result's ``repr``, or the
 ``Infeasible`` it raised; the last line is a SHA-256 digest of the others.
@@ -38,7 +44,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tests"))
 
-from relay_offload import Infeasible, Scenario, load_scenario  # noqa: E402
+from relay_offload import Infeasible, Scenario, Task, TaskChain, load_scenario  # noqa: E402
 from relay_offload.case1 import solve_case1  # noqa: E402
 from relay_offload.case2 import Case2Indices, SchemeId, solve_case2, solve_scheme  # noqa: E402
 from scenario_tools import random_case1_scenario, random_case2_scenario  # noqa: E402
@@ -83,6 +89,30 @@ def lines() -> Iterator[str]:
     for seed in range(24):
         scenario = random_case1_scenario(np.random.default_rng(seed), n_tasks=1 + seed % 12)
         yield f"relay-idle rng {seed}: {_answer(lambda: solve_case1(scenario))}"
+    for seed in range(24, 136):
+        n = 13 + (seed - 24) % 28
+        scenario = random_case1_scenario(np.random.default_rng(seed), n_tasks=n)
+        tasks = scenario.device_chain.tasks
+        variants = {
+            "": scenario,
+            # a relay faster than the BS turns the data-size rule off
+            " fast relay": dataclasses.replace(
+                scenario,
+                compute=dataclasses.replace(
+                    scenario.compute, f_relay_max=1.5 * scenario.compute.f_bs_max
+                ),
+            ),
+            # each data size twice in a row ties the rule's comparison
+            " paired data": dataclasses.replace(
+                scenario,
+                device_chain=TaskChain(
+                    tuple(Task(tasks[i // 2].data_nats, t.cycles) for i, t in enumerate(tasks))
+                ),
+            ),
+        }
+        for label, variant in variants.items():
+            answer = _answer(lambda: solve_case1(variant))
+            yield f"relay-idle {n} tasks rng {seed}{label}: {answer}"
 
 
 def main() -> None:
