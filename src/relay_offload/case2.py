@@ -1,14 +1,19 @@
 """Solver for the case where the relay has its own task chain.
 
 The shared uplink band admits three transmission orderings (schemes).  At
-a fixed split each scheme is a convex program in at most seven durations
-under at most five timing rows.  All three share the split's deadline
-budgets, built once per split as its room (:class:`_Room`): the device
-budget, the relay-own budget, its window and S2's completion bound.  Each
-scheme's rows are one literal coefficient table over that room
-(:func:`_rows`), and the feasibility test, the energy floors' caps and the
-cold starts read the same room.  The rows cap every column, so with the
-durations' lower bounds they alone bound each program: there is no box.
+a fixed split each scheme is a convex program in six durations, and S3's
+relay-own gap tau0 when it is optimised, under at most four timing rows.
+All three share the split's deadline budgets, built once per split as its
+room (:class:`_Room`): the device budget, the relay-own budget, its window
+and S2's completion bound.  Each scheme's rows are one literal coefficient
+table over that room, and the feasibility test, the energy floors' caps
+and the cold starts read the same room.  The starts are placed on
+:func:`_rows`, where S2 still carries an epigraph column t_c for its
+completion time (five rows); the engine solves the equivalent program of
+:func:`_engine_rows`, where t_c is eliminated and S2 has three rows, with
+each unloaded duration that only uses up budget pinned at zero.  The rows
+cap every column, so with the durations' lower bounds they alone bound
+each program: there is no box.
 
 :func:`solve_scheme` is the one fixed-split solver.
 :func:`active_set_newton` solves each program exactly from the model's
@@ -193,14 +198,16 @@ class _Room:
 
 
 def _rows(scheme: SchemeId, room: _Room) -> tuple[list[list[float]], list[float]]:
-    """Rows A and bounds b of the scheme's timing constraints A x <= b.
+    """Rows A and bounds b of the scheme's timing constraints A x <= b, as
+    the starting points are placed on them.
 
     Columns: tau1, tau2, tau3, T1, T2, T3, then S2's epigraph variable t_c
     of its completion-time max, or S3's relay-own transmission gap tau0,
     a column only when it is optimised (see :func:`solve_scheme`).  Every
     column has a row of nonnegative coefficients that caps it, but S2's
     tau3 and T3: its relay completion row plus its t_c row caps those,
-    tau3 + T2 + T3 <= finish - t0.
+    tau3 + T2 + T3 <= finish - t0.  The engine solves S2 without t_c, on
+    :func:`_engine_rows`.
     """
     t0 = room.t0
     if scheme is SchemeId.S1:
@@ -227,6 +234,28 @@ def _rows(scheme: SchemeId, room: _Room) -> tuple[list[list[float]], list[float]
             ((0, 0, 1, 0, 0, 1, 1), room.window),  # the own block's window
             ((1, 1, 0, 1, 1, 0, 0), room.device),  # the device block's budget
         )
+    return [[float(c) for c in a] for a, _ in table], [float(b) for _, b in table]
+
+
+def _engine_rows(scheme: SchemeId, room: _Room) -> tuple[list[list[float]], list[float]]:
+    """The rows the engine solves each scheme on: :func:`_rows`, but S2's
+    without its epigraph column t_c.
+
+    A t_c meets S2's five rows exactly when the device block plus tau_s
+    and t0 + tau3 + T2 + T3 both fit ``finish``, since t_c = the larger of
+    the two then does.  Eliminating t_c (Fourier-Motzkin) leaves three rows
+    over the six durations, the second and third each the sum of a t_c row
+    and its bound.
+    """
+    if scheme is not SchemeId.S2:
+        return _rows(scheme, room)
+    t0 = room.t0
+    table = (
+        # tau1 tau2 tau3 T1 T2 T3
+        ((1, 1, 0, 1, 1, -1), t0),  # ordering: the device block ends by t0 + T3
+        ((1, 1, 0, 1, 1, 0), min(room.device, t0 + room.window)),  # it and its BS slot in time
+        ((0, 0, 1, 0, 1, 1), room.own),  # the relay's work from t0, then its BS slot
+    )
     return [[float(c) for c in a] for a, _ in table], [float(b) for _, b in table]
 
 
@@ -434,8 +463,8 @@ class _Face:
     p_i; M_if = R[i][f] at every other column f.  The moves
     z_f = e_f - sum_i M_if e_{p_i} span the face {v : rows @ v = 0}, and
     keep the rows' +-1 structure, so a move of zero-cost coordinates alone
-    (no load, the S2 epigraph variable, the free tau0) has no curvature and
-    no slope.  When the rows are independent, E is the inverse of their
+    (an unloaded duration the engine keeps, the free tau0) has no curvature
+    and no slope.  When the rows are independent, E is the inverse of their
     pivot block.
 
     The columns are taken as pivots in ``order``, ascending curvature, so
@@ -767,9 +796,15 @@ def solve_scheme(
 
     The engine runs from the first usable start: ``warm_start``, then the
     cold starts of :func:`_cold_starts`.  A start is usable when its
-    projection onto the scheme's lower bounds and rows has finite energy;
-    the program is convex, so one run from it reaches the optimum.
-    Scheme 1's duals come from the engine's row multipliers.
+    projection onto the scheme's lower bounds and :func:`_rows` has finite
+    energy.  The engine then solves the same program on
+    :func:`_engine_rows`, which drops S2's epigraph column t_c, with every
+    unloaded duration that only uses up budget pinned at zero: a
+    zero-data transmission, and an unloaded compute duration with no
+    negative coefficient (S1's T2 and T3, S2's T1 and T2).  The start,
+    restricted to the engine's columns, still meets its rows and keeps
+    its energy; the program is convex, so one run from it reaches the
+    optimum.  Scheme 1's duals come from the engine's row multipliers.
 
     The relay-own transmission gap tau0 of Scheme 3 is pinned to zero (its
     optimal value); pass ``free_tau0=True`` to optimize it explicitly,
@@ -803,12 +838,44 @@ def solve_scheme(
         starts += _cold_starts(scheme, room, free_tau0)
 
     loads = (sums.d1, sums.d2, sums.d3, sums.ls, sums.rs, sums.lr)
-    # pinned zero-data transmissions leave the search space
-    active = [i for i in range(n_vars) if i >= 3 or loads[i] > 0.0]
-    rows, bounds = _rows(scheme, room)
-    rows = [[row[i] for i in active] for row in rows]
     eps = 1e-12 * room.horizon
-    lo = [eps if 3 <= i < 6 and loads[i] > 0.0 else 0.0 for i in active]
+    lo = [eps if 3 <= i < 6 and loads[i] > 0.0 else 0.0 for i in range(n_vars)]
+
+    # the starts are placed on _rows' program, where only zero-data
+    # transmissions leave the search space
+    rows, bounds = _rows(scheme, room)
+    placed = [i for i in range(n_vars) if i >= 3 or loads[i] > 0.0]
+    project = _PolytopeProjector(
+        [lo[i] for i in placed],
+        [[row[i] for i in placed] for row in rows],
+        bounds,
+        tol=1e-13,
+        max_sweeps=400,
+    )
+    for start in starts:
+        point = project([start[i] for i in placed])
+        accepted = [0.0] * n_vars
+        for k, i in enumerate(placed):
+            accepted[i] = point[k]
+        if project.violation(point) <= options.feas_tol and math.isfinite(
+            model.energy(sums, scenario, *accepted[:6])
+        ):
+            break
+    else:
+        raise _infeasible(scheme, indices)
+
+    # The engine solves the equivalent program of _engine_rows.  An
+    # unloaded duration is pinned at zero and leaves the search space when
+    # it is a transmission, or a compute duration whose coefficients are
+    # all >= 0: it costs nothing and only uses up budget, so zero is
+    # optimal, and the start stays feasible with it at zero.
+    rows, bounds = _engine_rows(scheme, room)
+    active = [
+        i
+        for i in range(7 if free_tau0 else 6)
+        if i >= 6 or loads[i] > 0.0 or (i >= 3 and any(row[i] < 0.0 for row in rows))
+    ]
+    rows = [[row[i] for i in active] for row in rows]
     durations = [(k, i) for k, i in enumerate(active) if i < 6]
 
     def embed(reduced: Sequence[float]) -> list[float]:
@@ -820,7 +887,7 @@ def solve_scheme(
     def objective(reduced: list[float]) -> float:
         return model.energy(sums, scenario, *embed(reduced))
 
-    # the epigraph t_c and the free tau0 carry no energy
+    # the free tau0 carries no energy
     def slopes(reduced: list[float]) -> list[float]:
         values = model.energy_slopes(sums, scenario, *embed(reduced))
         return [values[i] if i < 6 else 0.0 for i in active]
@@ -829,16 +896,8 @@ def solve_scheme(
         values = model.energy_curvatures(sums, scenario, *embed(reduced))
         return [values[i] if i < 6 else 0.0 for i in active]
 
-    project = _PolytopeProjector(lo, rows, bounds, tol=1e-13, max_sweeps=400)
-    for start in starts:
-        point = project([start[i] for i in active])
-        if project.violation(point) <= options.feas_tol and math.isfinite(
-            objective(point)
-        ):
-            break
-    else:
-        raise _infeasible(scheme, indices)
-    result = active_set_newton(objective, slopes, curvatures, rows, bounds, lo, point)
+    lo, start = [lo[i] for i in active], [accepted[i] for i in active]
+    result = active_set_newton(objective, slopes, curvatures, rows, bounds, lo, start)
 
     # a step's rounding can leave a duration an ulp below its zero bound
     x = [max(v, 0.0) for v in embed(result.point)]

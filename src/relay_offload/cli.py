@@ -3,7 +3,9 @@
 Scenario ingestion, solver invocation, oracle cross-checks, parameter
 sweeps, and deterministic CSV/JSON emission.  Exit codes: 0 success,
 1 input error, 2 infeasible, 3 a solution that does not lay out as a valid
-schedule (an internal inconsistency, reported in one line).
+schedule (an internal inconsistency, reported in one line), 4 a grid
+oracle that finds no feasible point at the solution's split, so it cannot
+referee it (also one line).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_INFEASIBLE = 2
 EXIT_INCONSISTENT = 3
+_EXIT_UNREFEREED = 4
 
 _COMMANDS = ("solve-case1", "solve-case2", "oracle-check", "sweep", "validate", "gantt")
 
@@ -235,29 +238,26 @@ def _solve(scenario: Scenario, config: RunConfig):
     return 1, solve_case1(scenario, case1_options)
 
 
+class _Unrefereed(Exception):
+    """The grid oracle found no feasible point at the solution's split."""
+
+
 def _oracle_check_doc(solution, scenario: Scenario) -> dict:
     # the grid oracle is the package's only numpy user; other commands skip it
     from . import oracle
 
     if isinstance(solution, Case1Solution):
-        reference = oracle.case1_lower_reference(
-            solution.split.n1, solution.split.n2, scenario
-        )
-        solver_energy = solution.lower.energy
+        split = (solution.split.n1, solution.split.n2)
+        refer, args, pair = oracle.case1_lower_reference, split, f"split {split}"
         doc = {
             "case": 1,
             "indices": {"n1": solution.split.n1, "n2": solution.split.n2},
             "scheme": None,
         }
     else:
-        reference = oracle.case2_lower_reference(
-            solution.scheme.value,
-            solution.indices.n1,
-            solution.indices.n2,
-            solution.indices.m1,
-            scenario,
-        )
-        solver_energy = solution.lower.energy
+        split = (solution.indices.n1, solution.indices.n2, solution.indices.m1)
+        refer, args = oracle.case2_lower_reference, (solution.scheme.value, *split)
+        pair = f"scheme {solution.scheme.value} at split {split}"
         doc = {
             "case": 2,
             "indices": {
@@ -267,6 +267,13 @@ def _oracle_check_doc(solution, scenario: Scenario) -> dict:
             },
             "scheme": solution.scheme.value,
         }
+    try:
+        reference = refer(*args, scenario)
+    except oracle.NoFeasiblePoint as exc:
+        # the grid is not scale-free (ROADMAP item 2), so a valid answer
+        # can leave it without a feasible point
+        raise _Unrefereed(f"the grid oracle cannot referee {pair}: {exc}") from None
+    solver_energy = solution.lower.energy
     scale = max(abs(reference.value), 1e-300)
     doc.update(
         {
@@ -425,6 +432,9 @@ def run(config: RunConfig) -> int:
     except TimelineError as exc:
         print(f"error: the solution does not lay out as a schedule: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    except _Unrefereed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_UNREFEREED
 
 
 def _parse_tolerances(pairs: list[str]) -> dict[str, float]:

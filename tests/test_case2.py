@@ -1280,6 +1280,186 @@ class TestFaceTable:
         assert 4 * with_table <= without, counts
 
 
+# the durations pinned at zero when unloaded: every transmission, and the
+# compute durations with no negative coefficient in the scheme's rows
+_PINNABLE = {
+    SchemeId.S1: (0, 1, 2, 4, 5),
+    SchemeId.S2: (0, 1, 2, 3, 4),
+    SchemeId.S3: (0, 1, 2),
+}
+
+
+def _loads(sums):
+    return (sums.d1, sums.d2, sums.d3, sums.ls, sums.rs, sums.lr)
+
+
+def _full_rows_optimum(scheme, indices, scenario, start):
+    """The energy the engine reaches from ``start`` on the scheme's whole
+    :func:`case2._rows` program: S2 with its epigraph column t_c, and only
+    the zero-data transmissions left out, the columns the starts are
+    placed in."""
+    room = case2._Room(indices, scenario, None)
+    sums, loads = room.sums, _loads(room.sums)
+    n_vars = 7 if scheme is SchemeId.S2 else 6
+    placed = [i for i in range(n_vars) if i >= 3 or loads[i] > 0.0]
+    rows, bounds = case2._rows(scheme, room)
+    rows = [[row[i] for i in placed] for row in rows]
+    lo = [1e-12 * room.horizon if 3 <= i < 6 and loads[i] > 0.0 else 0.0 for i in placed]
+
+    def durations(x):
+        full = [0.0] * 6
+        for k, i in enumerate(placed):
+            if i < 6:
+                full[i] = x[k]
+        return full
+
+    def on_placed(values):
+        return [values[i] if i < 6 else 0.0 for i in placed]
+
+    result = case2.active_set_newton(
+        lambda x: energy(sums, scenario, *durations(x)),
+        lambda x: on_placed(model.energy_slopes(sums, scenario, *durations(x))),
+        lambda x: on_placed(model.energy_curvatures(sums, scenario, *durations(x))),
+        rows,
+        bounds,
+        lo,
+        start,
+    )
+    assert result.converged
+    return energy(sums, scenario, *[max(v, 0.0) for v in durations(result.point)])
+
+
+class TestEngineProgram:
+    """The engine solves S2 without its epigraph column, and with each
+    unloaded duration that only uses up budget pinned at zero."""
+
+    def test_scheme2_rows_hold_exactly_when_the_epigraph_rows_do(self):
+        # t_c = max(device block + tau_s, t0 + tau3 + T2 + T3) is the
+        # smallest t_c its two covering rows allow, so the five rows hold
+        # at some t_c exactly when they hold at it
+        rng = np.random.default_rng(83)
+        verdicts = {True: 0, False: 0}
+        plans = [_random_busy(seed, n, n) for seed in range(6) for n in (1, 2)]
+        # with the relay deadline before the device's (the rows need no
+        # order), the device block and its BS slot must end well before D,
+        # at t0 + W
+        plans += [
+            dataclasses.replace(
+                plan,
+                deadlines=dataclasses.replace(plan.deadlines, t_r_th=0.6 * plan.deadlines.t_s_th),
+            )
+            for plan in plans
+        ]
+        for scenario in plans:
+            for n1, n2, m1, sums in model.relay_busy_split_sums(scenario):
+                room = case2._Room(Case2Indices(n1, n2, m1), scenario, sums)
+                five, five_b = map(np.asarray, case2._rows(SchemeId.S2, room))
+                three, three_b = map(np.asarray, case2._engine_rows(SchemeId.S2, room))
+                assert three.shape == (3, 6)
+                budgets = np.abs([room.device] * 2 + [room.own] + [room.device] * 2 + [room.own])
+                tol = 1e-12 * max(room.horizon, 1.0)
+                points = [
+                    # some durations at zero, as unloaded ones often are
+                    rng.uniform(0.0, 0.5, 6) * budgets * (rng.random(6) > 0.3)
+                    for _ in range(10)
+                ]
+                # tau3 = T2 = 0 and T3 = O, where the ordering and relay
+                # rows let the device block run to t0 + O = t0 + W + tau_s
+                # and only the device row's bound stops it at t0 + W
+                for _ in range(4):
+                    x = np.zeros(6)
+                    x[5] = room.own
+                    end = room.t0 + room.window + rng.uniform(-1.0, 1.0) * room.tau_s
+                    x[[0, 1, 3]] = rng.dirichlet(np.ones(3)) * end
+                    points.append(x)
+                for x in points:
+                    t_c = max(x[[0, 1, 3, 4]].sum() + room.tau_s, room.t0 + x[[2, 4, 5]].sum())
+                    holds = bool(np.all(three @ x - three_b <= tol))
+                    assert holds == bool(np.all(five @ np.append(x, t_c) - five_b <= tol))
+                    other = t_c * rng.uniform(0.5, 1.5)
+                    if np.all(five @ np.append(x, other) - five_b <= tol):
+                        assert holds
+                    verdicts[holds] += 1
+        assert min(verdicts.values()) > 100, verdicts
+
+    def test_the_engine_sees_each_scheme_without_its_pinned_columns(self, monkeypatch):
+        # S2's program has three rows; each program keeps exactly the
+        # durations that carry load or are not pinnable
+        instances = [_relay_busy(factor) for factor in (1.0, 10.0, 1000.0)]
+        instances += [_random_busy(seed, 2, 2) for seed in range(3)]
+        pinned = 0
+        for scenario in instances:
+            for scheme, indices in _every_pair(scenario):
+                room = case2._Room(indices, scenario, None)
+                loads = _loads(room.sums)
+
+                def solve():
+                    try:
+                        solve_scheme(scheme, indices, scenario)
+                    except Infeasible:
+                        pass
+
+                for run in _engine_calls(monkeypatch, solve):
+                    rows, start = run[3], run[6]
+                    kept = [
+                        i for i in range(6) if loads[i] > 0.0 or i not in _PINNABLE[scheme]
+                    ]
+                    table, _ = case2._engine_rows(scheme, room)
+                    assert rows == [[row[i] for i in kept] for row in table]
+                    assert len(rows) == (4 if scheme is SchemeId.S3 else 3)
+                    assert len(start) == len(kept)
+                    pinned += 6 - len(kept)
+        assert pinned > 200
+
+    def test_the_engine_program_matches_the_full_rows_program(self, monkeypatch):
+        # the same optimum, to rounding, as the engine on _rows' whole
+        # program from the start solve_scheme placed and accepted
+        instances = [_relay_busy(factor) for factor in (1.0, 10.0, 1000.0)]
+        instances += [_random_busy(seed, 2, 2) for seed in range(3)]
+        placed = []
+        project = case2._PolytopeProjector.__call__
+
+        def spy(self, point):
+            placed.append(project(self, point))
+            return placed[-1]
+
+        monkeypatch.setattr(case2._PolytopeProjector, "__call__", spy)
+        checked = {scheme: 0 for scheme in SchemeId}
+        for scenario in instances:
+            for scheme, indices in _every_pair(scenario):
+                placed.clear()
+                try:
+                    lower = solve_scheme(scheme, indices, scenario)
+                except Infeasible:
+                    continue
+                reference = _full_rows_optimum(scheme, indices, scenario, placed[-1])
+                assert lower.energy == pytest.approx(reference, rel=1e-13, abs=0.0), (
+                    scheme,
+                    indices,
+                )
+                checked[scheme] += 1
+        assert min(checked.values()) >= 10, checked
+
+    def test_pinned_durations_report_exactly_zero(self):
+        instances = [_relay_busy(factor) for factor in (1.0, 10.0, 1000.0)]
+        instances += [_random_busy(seed, 2, 2) for seed in range(3)]
+        instances.append(_zero_data_device(_relay_busy()))
+        checked = 0
+        for scenario in instances:
+            for scheme, indices in _every_pair(scenario):
+                try:
+                    lower = solve_scheme(scheme, indices, scenario)
+                except Infeasible:
+                    continue
+                loads = _loads(split_sums(scenario, indices.n1, indices.n2, indices.m1))
+                values = (lower.tau1, lower.tau2, lower.tau3, lower.t1, lower.t2, lower.t3)
+                for i in _PINNABLE[scheme]:
+                    if loads[i] == 0.0:
+                        assert values[i] == 0.0 and math.copysign(1.0, values[i]) == 1.0
+                        checked += 1
+        assert checked > 200
+
+
 class TestPolytopeProjector:
     def test_fast_projector_matches_feasibility(self):
         rows = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])

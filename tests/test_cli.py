@@ -438,6 +438,27 @@ class TestOracleCheckCommand:
         assert doc["case"] == 1
         assert abs(doc["relative_delta"]) <= 5e-3
 
+    @pytest.mark.parametrize(
+        "argv", [["oracle-check"], ["solve-case2", "--oracle"]], ids=["oracle-check", "--oracle"]
+    )
+    def test_a_grid_with_no_feasible_point_is_one_line(self, tmp_path, capsys, argv):
+        # at t_r_th x20 (18 s) the solver's S1 (1, 1, 1) is fine, but the
+        # oracle's grid for it has no feasible point (ROADMAP item 2)
+        doc = case2_doc()
+        doc["deadlines"]["t_r_th"] = 18.0
+        path = write_doc(tmp_path, doc)
+        assert run_cli("solve-case2", path) == cli.EXIT_OK
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*argv, "--scenario", str(path)])
+        assert excinfo.value.code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the grid oracle cannot referee scheme S1 at split (1, 1, 1): "
+            "no feasible point found on the grid\n"
+        )
+
 
 class TestMainEntry:
     def test_argparse_wiring(self, tmp_path, capsys):

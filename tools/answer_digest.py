@@ -29,15 +29,30 @@ Each line names its instance and holds the result's ``repr``, or the
 The package is imported from ``PYTHONPATH``; the random plans come from
 ``tests/scenario_tools.py`` beside this file, so numpy is needed.  It
 takes about ten seconds.
+
+A change that may move the numbers but no decision is checked with
+``--compare``, which reads two such outputs and pairs their results by
+instance:
+
+    PYTHONPATH=src python3 tools/answer_digest.py --compare before.txt after.txt
+
+It lists every change of outcome (a result gained or lost, a different
+``Infeasible``, scheme, split or any other non-float part of a ``repr``),
+then each float field's largest relative change and where it happened.
+It exits 1 on an outcome change or on an energy drift above
+ENERGY_DRIFT relative, and 0 otherwise.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
+import math
+import re
 import sys
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -115,7 +130,86 @@ def lines() -> Iterator[str]:
             yield f"relay-idle {n} tasks rng {seed}{label}: {answer}"
 
 
-def main() -> None:
+# the largest relative change of a result's energy that --compare forgives
+ENERGY_DRIFT = 1e-12
+
+# a field's name (``name=`` or a dict's ``'name': ``) or a float's repr
+_TOKEN = re.compile(
+    r"(\w+)=|'(\w+)': |(?<![\w.])(-?(?:\d+\.\d*(?:e[-+]?\d+)?|\d+e[-+]?\d+|nan|inf))(?![\w.])"
+)
+
+
+def _results(text_lines: Iterable[str]) -> dict[str, str]:
+    """Each result line's answer by its instance label; the digest line,
+    which has no ``": "``, is skipped."""
+    out = {}
+    for line in text_lines:
+        label, sep, answer = line.rstrip("\n").partition(": ")
+        if sep:
+            out[label] = answer
+    return out
+
+
+def _parse(answer: str) -> tuple[str, list[tuple[str, float]]]:
+    """An answer's outcome, its ``repr`` with every float replaced by
+    ``#``, and its floats, each named by the field it follows.  An
+    ``Infeasible`` is all outcome."""
+    if answer.startswith("Infeasible("):
+        return answer, []
+    fields, name = [], ""
+    for match in _TOKEN.finditer(answer):
+        if match.group(3) is None:
+            name = match.group(1) or match.group(2)
+        else:
+            fields.append((name, float(match.group(3))))
+    return _TOKEN.sub(lambda m: "#" if m.group(3) else m.group(0), answer), fields
+
+
+def _relative_change(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def compare(before: Iterable[str], after: Iterable[str]) -> tuple[list[str], int]:
+    """The report on two digests' results, and the exit status."""
+    old, new = _results(before), _results(after)
+    changes = [
+        f"  {label}: {old.get(label, '(missing)')} -> {new.get(label, '(missing)')}"
+        for label in sorted(old.keys() ^ new.keys())
+    ]
+    worst: dict[str, tuple[float, str]] = {}
+    paired = [label for label in old if label in new]
+    moved = 0
+    for label in paired:
+        (old_outcome, old_fields), (new_outcome, new_fields) = map(_parse, (old[label], new[label]))
+        if old_outcome != new_outcome:
+            changes.append(f"  {label}: {old[label]} -> {new[label]}")
+            continue
+        moved += old[label] != new[label]
+        for (name, a), (_, b) in zip(old_fields, new_fields):
+            change = _relative_change(a, b)
+            if change > worst.get(name, (-1.0, ""))[0]:
+                worst[name] = (change, label)
+    report = [f"{len(changes)} outcome changes over {len(paired)} paired results", *changes]
+    report.append(f"{moved} results moved a float; largest relative change by field:")
+    for name, (change, label) in sorted(worst.items()):
+        report.append(f"  {name} {change:.3g}" + (f" ({label})" if change else ""))
+    drift = worst.get("energy", (0.0, ""))[0]
+    return report, int(bool(changes) or drift > ENERGY_DRIFT)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"))
+    args = parser.parse_args()
+    if args.compare:
+        before, after = (Path(path).read_text(encoding="utf-8").splitlines() for path in args.compare)
+        report, status = compare(before, after)
+        print("\n".join(report))
+        return status
     digest = hashlib.sha256()
     count = 0
     for line in lines():
@@ -123,7 +217,8 @@ def main() -> None:
         digest.update(line.encode() + b"\n")
         count += 1
     print(f"sha256 {digest.hexdigest()} over {count} results")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
