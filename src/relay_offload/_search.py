@@ -1,8 +1,9 @@
-"""Scalar search primitive of the one-price dual searches.
+"""Scalar search primitive of the one-price dual search.
 
-``bisect_decreasing`` finds the dual multiplier that makes a deadline bind
+``bisect_decreasing`` finds the price at which durations fill a budget
 (Illinois false position on log-log axes, with a geometric-midpoint
-fallback): case 1's lower solve, and the device-block floor of case 2.
+fallback) for ``model.fill_device_block``: case 1's lower solve, and the
+device-block floor of case 2.
 
 Kept separate from the oracle module on purpose: the oracles must not
 share machinery with the production search paths.
@@ -77,7 +78,7 @@ def bisect_decreasing(
     progress = True  # the last step at least halved its end's gap
     opening = True
     for _ in range(max_iter):
-        x = math.sqrt(lo * hi)
+        x = math.sqrt(lo) * math.sqrt(hi)  # lo * hi can overflow
         if progress and gap_lo is not None and gap_hi is not None:
             secant = lo * (hi / lo) ** (gap_lo / (gap_lo - gap_hi))
             if lo < secant < hi:

@@ -2,11 +2,11 @@
 
 Bi-level decomposition: for a fixed split (n1, n2) the continuous problem
 collapses, through its first-order optimality system, to a single dual
-multiplier, found by a bracketed false-position search on log completion
-time against log multiplier (``_search.bisect_decreasing``); the integer
-split is then enumerated with a monotonicity-based pruning rule on
-offloaded data sizes, and a split whose energy floor exceeds the incumbent
-is not solved.
+multiplier, found by ``model.fill_device_block``: a closed-form bracket
+and a false-position search on log completion time against log price; the
+integer split is then enumerated with a monotonicity-based pruning rule
+on offloaded data sizes, and a split whose energy floor exceeds the
+incumbent is not solved.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 
 from . import model
-from ._search import bisect_decreasing
 from .lambertw import lambert_w0  # noqa: F401  perfbench's patch test reads case1.lambert_w0
-from .model import Infeasible, ModelDomainError, Scenario, SplitSums, tau_from_lambda
+from .model import Infeasible, ModelDomainError, Scenario, SplitSums, freq_from_lambda
+from .model import tau_from_lambda  # noqa: F401  importable from here, beside freq_from_lambda
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,8 @@ class Case1LowerSolution:
 
     One CPU frequency per site suffices at the optimum, so ``f_local`` and
     ``f_relay`` are scalars (zero when the corresponding task group is
-    empty).  ``slack`` is the residual deadline margin, ~0 when the
-    deadline binds.
+    empty).  ``slack`` is the residual deadline margin (the budget
+    t_s - es/f_bs less the durations), ~0 when the deadline binds.
     """
 
     tau1: float
@@ -58,7 +58,6 @@ class Case1Solution:
 class Case1Options:
     bisect_rel: float = 1e-9
     max_bisect_iter: int = 200
-    max_doublings: int = 200
     tie_rel: float = 1e-12
     feas_rel: float = 1e-12
 
@@ -76,13 +75,6 @@ def _sums(split: SplitIndices, scenario: Scenario) -> SplitSums:
     return model.split_sums(scenario, split.n1, split.n2)
 
 
-def freq_from_lambda(lam: float, kappa: float, f_cap: float) -> float:
-    """Optimal shared CPU frequency min{(lam/2k)^(1/3), cap}."""
-    if lam < 0.0:
-        raise ModelDomainError("dual multiplier must be nonnegative")
-    return min((lam / (2.0 * kappa)) ** (1.0 / 3.0), f_cap)
-
-
 def deadline_lhs(lam: float, split: SplitIndices, scenario: Scenario) -> float:
     """Total completion time at dual value ``lam`` (BS pinned to its cap).
 
@@ -91,22 +83,9 @@ def deadline_lhs(lam: float, split: SplitIndices, scenario: Scenario) -> float:
     """
     if lam <= 0.0:
         raise ModelDomainError("dual multiplier must be positive")
-    return _completion_time(lam, _sums(split, scenario), scenario)
-
-
-def _completion_time(lam: float, sums: SplitSums, scenario: Scenario) -> float:
-    compute = scenario.compute
-    channel = scenario.channel
-    total = sums.es / compute.f_bs_max
-    if sums.ls > 0.0:
-        total += sums.ls / freq_from_lambda(lam, compute.kappa_md, compute.f_md_max)
-    if sums.rs > 0.0:
-        total += sums.rs / freq_from_lambda(
-            lam, compute.kappa_relay, compute.f_relay_max
-        )
-    total += tau_from_lambda(lam, sums.d1, channel.gain_md_relay, channel)
-    total += tau_from_lambda(lam, sums.d2, channel.gain_relay_bs, channel)
-    return total
+    sums = _sums(split, scenario)
+    durations = model.device_durations(sums, scenario, lam, capped=True)
+    return sums.es / scenario.compute.f_bs_max + sum(durations)
 
 
 def _durations(
@@ -118,45 +97,12 @@ def _durations(
     return tau1, tau2, 0.0, t1, t2, 0.0
 
 
-def _assemble_lower(
-    lam: float, sums: SplitSums, scenario: Scenario, deadline: float
-) -> Case1LowerSolution:
-    compute = scenario.compute
-    channel = scenario.channel
-    f_local = (
-        freq_from_lambda(lam, compute.kappa_md, compute.f_md_max)
-        if sums.ls > 0.0
-        else 0.0
-    )
-    f_relay = (
-        freq_from_lambda(lam, compute.kappa_relay, compute.f_relay_max)
-        if sums.rs > 0.0
-        else 0.0
-    )
-    tau1 = tau_from_lambda(lam, sums.d1, channel.gain_md_relay, channel)
-    tau2 = tau_from_lambda(lam, sums.d2, channel.gain_relay_bs, channel)
-    durations = _durations(sums, tau1, tau2, f_local, f_relay)
-    t1, t2 = durations[3], durations[4]
-    # the completion time at lam, added in _completion_time's order
-    finish = sums.es / compute.f_bs_max + t1 + t2 + tau1 + tau2
-    return Case1LowerSolution(
-        tau1=tau1,
-        tau2=tau2,
-        f_local=f_local,
-        f_relay=f_relay,
-        lam=lam,
-        energy=model.energy(sums, scenario, *durations),
-        slack=deadline - finish,
-    )
-
-
-def _cap_price(kappa: float, cap: float, name: str) -> float:
-    """kappa cap^3, half the multiplier at which a CPU reaches its cap;
-    ScenarioError naming the cap when twice that overflows."""
+def _check_cap(kappa: float, cap: float, name: str) -> None:
+    """ScenarioError naming the cap when 2 kappa cap^3, the multiplier at
+    which its CPU reaches the cap, overflows."""
     try:
-        price = kappa * cap**3
-        if math.isfinite(2.0 * price):
-            return price
+        if math.isfinite(2.0 * kappa * cap**3):
+            return
     except OverflowError:
         pass
     raise model.ScenarioError(
@@ -174,14 +120,14 @@ def solve_lower_case1(
     """Solve the fixed-split continuous subproblem.
 
     The deadline constraint is active at any optimum with nonzero work, so
-    the dual multiplier is bracketed by doubling and halving, then searched
-    until the completion time meets the deadline from below, within
-    ``bisect_rel`` of it.  The completion time is a sum of near power laws
-    in the multiplier, so false position on its logarithm converges in a
-    handful of evaluations.  Raises :class:`Infeasible` when even
-    frequency caps plus vanishing transmit times overshoot the deadline.
-    ``sums`` takes the split's totals when the caller already has them;
-    they must equal ``model.split_sums`` of the split.
+    the device block fills its budget t_s - es/f_bs: the dual multiplier
+    is the price ``model.fill_device_block`` finds with the frequency caps
+    as duration floors, within ``bisect_rel`` of the budget and never over
+    it.  Raises :class:`Infeasible` when even frequency caps plus vanishing
+    transmit times overshoot the deadline, or when the time the caps leave
+    holds no transmission of finite energy.  ``sums`` takes the split's
+    totals when the caller already has them; they must equal
+    ``model.split_sums`` of the split.
     """
     deadline = scenario.deadlines.t_s
     if deadline is None or deadline <= 0.0:
@@ -189,7 +135,6 @@ def solve_lower_case1(
     if sums is None:
         sums = _sums(split, scenario)
     compute = scenario.compute
-    channel = scenario.channel
 
     lhs_cap = sums.es / compute.f_bs_max
     if sums.ls > 0.0:
@@ -206,58 +151,28 @@ def solve_lower_case1(
     lam_free = sums.ls == 0.0 and sums.rs == 0.0 and sums.d1 == 0.0 and sums.d2 == 0.0
     if lam_free:
         # nothing depends on the multiplier: all work sits at the BS cap
-        return Case1LowerSolution(
-            tau1=0.0,
-            tau2=0.0,
-            f_local=0.0,
-            f_relay=0.0,
-            lam=0.0,
-            energy=0.0,
-            slack=deadline - lhs_cap,
-        )
+        return Case1LowerSolution(0.0, 0.0, 0.0, 0.0, lam=0.0, energy=0.0, slack=deadline - lhs_cap)
 
-    def lhs(lam: float) -> float:
-        return _completion_time(lam, sums, scenario)
-
-    lam_hi = 2.0 * max(
-        _cap_price(compute.kappa_md, compute.f_md_max, "f_md_max"),
-        _cap_price(compute.kappa_relay, compute.f_relay_max, "f_relay_max"),
-        channel.noise / min(channel.gain_md_relay, channel.gain_relay_bs),
+    _check_cap(compute.kappa_md, compute.f_md_max, "f_md_max")
+    _check_cap(compute.kappa_relay, compute.f_relay_max, "f_relay_max")
+    budget = deadline - sums.es / compute.f_bs_max
+    fill = model.fill_device_block(
+        sums, scenario, budget, capped=True, rel_tol=options.bisect_rel,
+        max_iter=options.max_bisect_iter,
     )
-    for _ in range(options.max_doublings):
-        lhs_hi = lhs(lam_hi)
-        if lhs_hi <= deadline:
-            break
-        lam_hi *= 2.0
-    else:
+    if fill is None:
         raise Infeasible(
-            f"split ({split.n1}, {split.n2}): deadline cannot be reached within "
-            "the multiplier search range",
+            f"split ({split.n1}, {split.n2}) cannot meet the deadline: the time "
+            "its frequency caps leave holds no transmission of finite energy",
             ("deadline",),
         )
-
-    lam_lo, lhs_lo = 1e-18, None
-    for _ in range(options.max_doublings):
-        if lam_lo >= lam_hi:
-            break
-        value = lhs(lam_lo)
-        if value >= deadline:
-            lhs_lo = value
-            break
-        lam_lo *= 0.5
-
-    # the search opens on the bracket ends' known values
-    lam = bisect_decreasing(
-        lhs,
-        deadline,
-        min(lam_lo, lam_hi),
-        lam_hi,
-        rel_tol=options.bisect_rel,
-        max_iter=options.max_bisect_iter,
-        fn_lo=lhs_lo,
-        fn_hi=lhs_hi,
-    )
-    return _assemble_lower(lam, sums, scenario, deadline)
+    lam, (tau1, tau2, t1, t2) = fill
+    # the frequencies t1 and t2 came from
+    f_local = freq_from_lambda(lam, compute.kappa_md, compute.f_md_max) if t1 else 0.0
+    f_relay = freq_from_lambda(lam, compute.kappa_relay, compute.f_relay_max) if t2 else 0.0
+    energy = model.energy(sums, scenario, tau1, tau2, 0.0, t1, t2, 0.0)
+    slack = budget - (tau1 + tau2 + t1 + t2)
+    return Case1LowerSolution(tau1, tau2, f_local, f_relay, lam, energy, slack)
 
 
 def kkt_residuals(

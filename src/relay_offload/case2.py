@@ -139,6 +139,13 @@ def _deadline_triple(scenario: Scenario) -> tuple[float, float, float]:
     return dl.t0, dl.t_s_th, dl.t_r_th
 
 
+def _budgets(sums: SplitSums, scenario: Scenario) -> tuple[float, float]:
+    """The device and relay-own budgets D and O of :class:`_Room`."""
+    t0, ts, tr = _deadline_triple(scenario)
+    f_bs = scenario.compute.f_bs_max
+    return ts - sums.es / f_bs, tr - t0 - sums.er / f_bs
+
+
 def _cap_violations(
     sums: SplitSums, t1: float, t2: float, t3: float, scenario: Scenario
 ) -> tuple[str, ...]:
@@ -191,8 +198,7 @@ class _Room:
         self.t_r = tr
         self.horizon = max(ts, tr)
         self.tau_s = tau_s
-        self.device = ts - tau_s
-        self.own = tr - t0 - relay_bs
+        self.device, self.own = _budgets(sums, scenario)
         self.window = tr - t0 - tau_s - relay_bs
         self.finish = tr - relay_bs
 
@@ -1035,10 +1041,7 @@ def split_energy_floor(
         return model.energy(room.sums, scenario, *_caps(scheme, room, slack))
     if sums is None:
         sums = model.split_sums(scenario, indices.n1, indices.n2, indices.m1)
-    # the room's device and relay-own budgets, D and O
-    t0, ts, tr = _deadline_triple(scenario)
-    f_bs = scenario.compute.f_bs_max
-    device, own = ts - sums.es / f_bs, tr - t0 - sums.er / f_bs
+    device, own = _budgets(sums, scenario)
     return model._budget_floor(sums, scenario, device + slack, own + slack)
 
 

@@ -400,6 +400,13 @@ def tau_from_lambda(
     return data_nats / (channel.bandwidth * w_plus_1)
 
 
+def freq_from_lambda(lam: float, kappa: float, f_cap: float) -> float:
+    """Optimal shared CPU frequency min{(lam/2k)^(1/3), cap}."""
+    if lam < 0.0:
+        raise ModelDomainError("dual multiplier must be nonnegative")
+    return min((lam / (2.0 * kappa)) ** (1.0 / 3.0), f_cap)
+
+
 # breakdown order; totals add the terms left to right in this order
 ENERGY_TERMS = (
     "tx_md",
@@ -480,46 +487,115 @@ def _budget_floor(sums: SplitSums, scenario: Scenario, device: float, own: float
     return energy(sums, scenario, device, device, own, device, device, own)
 
 
+def device_durations(
+    sums: SplitSums, scenario: Scenario, lam: float, *, capped: bool = False
+) -> tuple[float, float, float, float]:
+    """The device block's durations (tau1, tau2, t1, t2) at price ``lam``.
+
+    Each minimises its energy term plus lam times itself in closed form:
+    :func:`tau_from_lambda`, or cycles over :func:`freq_from_lambda`.
+    ``capped`` holds each CPU to its frequency cap, so a compute duration
+    never falls below cycles / f_cap; without it the caps are relaxed.
+    Each is non-increasing in lam, and an unloaded one is 0.
+    """
+    ch, co = scenario.channel, scenario.compute
+    md_cap, relay_cap = (co.f_md_max, co.f_relay_max) if capped else (math.inf, math.inf)
+    return (
+        tau_from_lambda(lam, sums.d1, ch.gain_md_relay, ch),
+        tau_from_lambda(lam, sums.d2, ch.gain_relay_bs, ch),
+        sums.ls / freq_from_lambda(lam, co.kappa_md, md_cap) if sums.ls > 0.0 else 0.0,
+        sums.rs / freq_from_lambda(lam, co.kappa_relay, relay_cap) if sums.rs > 0.0 else 0.0,
+    )
+
+
+def fill_device_block(
+    sums: SplitSums,
+    scenario: Scenario,
+    budget: float,
+    *,
+    capped: bool = False,
+    rel_tol: float = 1e-9,
+    max_iter: int = 200,
+) -> tuple[float, tuple[float, float, float, float]] | None:
+    """The price lam at which the device block fills ``budget`` and its
+    :func:`device_durations` there, whose total is at most the budget and
+    within ``rel_tol`` of it; None when no durations of finite energy fit.
+
+    Take the floors F (cycles / f_cap on a loaded compute duration when
+    ``capped``, else 0), the room r = budget - sum(F) and the k loaded
+    durations.  At the steepest loaded price at F + r, its duration alone
+    takes F + r, so the total is at least the budget; at the steepest at
+    F + r/k none exceeds F + r/k, so it is at most the budget.  A
+    transmission is priced no shorter than d / (EXP_ARG_MAX B), its least
+    time of finite energy.  ``bisect_decreasing`` opens on both ends'
+    totals; a one-price bracket (one loaded duration) is returned when it
+    fits.  An upper end that rounding leaves over the budget doubles once;
+    still over, the transmissions do not fit at finite energy: None, as
+    when a bracket price leaves the positive floats or the ends cross
+    (r < 0, or r = 0 under a transmission).  Needs a loaded duration.
+    """
+    ch, co = scenario.channel, scenario.compute
+    device = SplitSums(sums.ls, sums.rs, sums.es, 0.0, 0.0, sums.d1, sums.d2, 0.0)
+    f1 = sums.ls / co.f_md_max if capped and sums.ls > 0.0 else 0.0
+    f2 = sums.rs / co.f_relay_max if capped and sums.rs > 0.0 else 0.0
+    room = budget - (f1 + f2)
+    share = room / sum(v > 0.0 for v in (sums.d1, sums.d2, sums.ls, sums.rs))
+
+    def price(tau1: float, tau2: float, extra: float) -> float:
+        return -min(energy_slopes(device, scenario, tau1, tau2, 0.0, f1 + extra, f2 + extra, 0.0))
+
+    def shortest(d: float) -> float:
+        # a few ulps above the floor, so the exponent rounds to at most EXP_ARG_MAX
+        return max(share, d / (EXP_ARG_MAX * ch.bandwidth) * (1.0 + 2.0**-48))
+
+    lam_lo = price(room, room, room)
+    lam_hi = price(shortest(sums.d1), shortest(sums.d2), share)
+    if not 0.0 < lam_lo <= lam_hi < math.inf:
+        return None
+    seen: dict[float, tuple[float, float, float, float]] = {}
+
+    def total(lam: float) -> float:
+        tau1, tau2, t1, t2 = seen[lam] = device_durations(sums, scenario, lam, capped=capped)
+        return tau1 + tau2 + t1 + t2
+
+    total_hi = total(lam_hi)
+    if total_hi <= budget:
+        if lam_lo == lam_hi:
+            return lam_hi, seen[lam_hi]
+        total_lo = total(lam_lo)
+    else:
+        lam_lo, total_lo, lam_hi = lam_hi, total_hi, 2.0 * lam_hi
+        total_hi = total(lam_hi) if lam_hi < math.inf else math.inf
+        if total_hi > budget:
+            return None
+    lam = bisect_decreasing(
+        total, budget, lam_lo, lam_hi, rel_tol=rel_tol, max_iter=max_iter, fn_lo=total_lo,
+        fn_hi=total_hi,
+    )
+    return lam, seen[lam]
+
+
 def device_block_floor(sums: SplitSums, scenario: Scenario, budget: float) -> float:
     """Least tx_md + tx_relay_device + cpu_md + cpu_relay_device over
     nonnegative (tau1, tau2, t1, t2) whose sum is at most ``budget``.
 
     The relay-idle lower problem without frequency caps, through its one
-    price lam (Boyd & Vandenberghe, *Convex Optimization*, ch. 5).  At lam
-    each duration minimises its term plus lam times itself in closed form,
-    :func:`tau_from_lambda` or T = (2 kappa L^3 / lam)^(1/3), and
-    g(lam) = energy + lam (total duration - budget) is at most the minimum
-    for every lam >= 0.  The total falls with lam; it is at most the budget
-    at the steepest of the k loaded slopes at budget/k, and at least the
-    budget at the steepest at the budget.  ``bisect_decreasing`` finds the
-    lam between that fills the budget, where g is the minimum.  inf when
-    budget <= 0 under load; 0.0, which bounds nothing, with no load or if
-    the price or g leaves the floats.
+    price lam (Boyd & Vandenberghe, *Convex Optimization*, ch. 5):
+    g(lam) = energy + lam (total - budget) at :func:`device_durations` is
+    at most the minimum for every lam >= 0, and meets it, to the search
+    band, at :func:`fill_device_block`'s lam.  inf when budget <= 0 under
+    load; 0.0, which bounds nothing, with no load, when nothing of finite
+    energy fits, or if g leaves the floats.
     """
-    ch, co = scenario.channel, scenario.compute
-    device = SplitSums(sums.ls, sums.rs, sums.es, 0.0, 0.0, sums.d1, sums.d2, 0.0)
-    loaded = sum(v > 0.0 for v in (sums.d1, sums.d2, sums.ls, sums.rs))
-    if not loaded:
+    if not (sums.d1 > 0.0 or sums.d2 > 0.0 or sums.ls > 0.0 or sums.rs > 0.0):
         return 0.0
     if budget <= 0.0:
         return math.inf
-
-    def durations(lam: float) -> tuple[float, float, float, float]:
-        return (
-            tau_from_lambda(lam, sums.d1, ch.gain_md_relay, ch),
-            tau_from_lambda(lam, sums.d2, ch.gain_relay_bs, ch),
-            sums.ls * (2.0 * co.kappa_md / lam) ** (1.0 / 3.0),
-            sums.rs * (2.0 * co.kappa_relay / lam) ** (1.0 / 3.0),
-        )
-
-    def price(x: float) -> float:
-        return -min(energy_slopes(device, scenario, x, x, 0.0, x, x, 0.0))
-
-    lam_lo, lam_hi = price(budget), price(budget / loaded)
-    if not 0.0 < lam_lo <= lam_hi < math.inf:
+    fill = fill_device_block(sums, scenario, budget)
+    if fill is None:
         return 0.0
-    lam = bisect_decreasing(lambda lam: sum(durations(lam)), budget, lam_lo, lam_hi)
-    tau1, tau2, t1, t2 = durations(lam)
+    lam, (tau1, tau2, t1, t2) = fill
+    device = SplitSums(sums.ls, sums.rs, sums.es, 0.0, 0.0, sums.d1, sums.d2, 0.0)
     value = energy(device, scenario, tau1, tau2, 0.0, t1, t2, 0.0)
     value += lam * (tau1 + tau2 + t1 + t2 - budget)
     return value if math.isfinite(value) else 0.0

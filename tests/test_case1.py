@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from relay_offload.model import ModelDomainError
 
 from scenario_tools import random_case1_scenario
 from test_lambertw import newton_reference
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def unit_channel(bandwidth=1.0, noise=1.0):
@@ -315,7 +318,8 @@ class TestUpperSolver:
         scenario = random_case1_scenario(np.random.default_rng(23), n_tasks=12)
         counts = {"calls": 0, "evals": 0}
         solved = []
-        bisect = case1.bisect_decreasing
+        one_price = []
+        bisect = model.bisect_decreasing
         solve_lower = case1.solve_lower_case1
 
         def counted_bisect(fn, *args, **kwargs):
@@ -327,16 +331,21 @@ class TestUpperSolver:
 
             return bisect(counted_fn, *args, **kwargs)
 
-        def recorded_split(*args, **kwargs):
-            lower = solve_lower(*args, **kwargs)
+        def recorded_split(split, *args, **kwargs):
+            lower = solve_lower(split, *args, **kwargs)
             solved.append(lower)
+            sums = model.split_sums(scenario, split.n1, split.n2)
+            one_price.append(sum(v > 0.0 for v in (sums.d1, sums.d2, sums.ls, sums.rs)) == 1)
             return lower
 
-        monkeypatch.setattr(case1, "bisect_decreasing", counted_bisect)
+        monkeypatch.setattr(model, "bisect_decreasing", counted_bisect)
         monkeypatch.setattr(case1, "solve_lower_case1", recorded_split)
         solve_case1(scenario, prune=False)
-        # every solved split sends data, so each one was bisected
-        assert len(solved) == counts["calls"] > 0
+        # every solved split has work, so each one was bisected but those with
+        # one loaded duration: their bracket is their price, searched only
+        # when rounding leaves its total over the budget
+        assert len(solved) - sum(one_price) <= counts["calls"] <= len(solved)
+        assert counts["calls"] > 0
         # geometric bisection over the ~20-decade bracket needs about 33
         assert counts["evals"] <= 12 * counts["calls"]
         band = Case1Options().bisect_rel * scenario.deadlines.t_s
@@ -348,18 +357,18 @@ class TestUpperSolver:
         counts = {"evals": 0}
         at_search_end = []
         evals_per_split = []
-        completion_time = case1._completion_time
-        bisect = case1.bisect_decreasing
+        durations = model.device_durations
+        fill = model.fill_device_block
         solve_lower = case1.solve_lower_case1
 
-        def counted_completion_time(*args):
+        def counted_durations(*args, **kwargs):
             counts["evals"] += 1
-            return completion_time(*args)
+            return durations(*args, **kwargs)
 
-        def recorded_bisect(*args, **kwargs):
-            lam = bisect(*args, **kwargs)
+        def recorded_fill(*args, **kwargs):
+            found = fill(*args, **kwargs)
             at_search_end.append(counts["evals"])
-            return lam
+            return found
 
         def recorded_split(split, *args, **kwargs):
             start = counts["evals"]
@@ -368,11 +377,12 @@ class TestUpperSolver:
             assert counts["evals"] == at_search_end[-1]
             evals_per_split.append(counts["evals"] - start)
             sums = model.split_sums(scenario, split.n1, split.n2)
-            assert lower.slack == deadline - completion_time(lower.lam, sums, scenario)
+            budget = deadline - sums.es / scenario.compute.f_bs_max
+            assert lower.slack == budget - sum(durations(sums, scenario, lower.lam, capped=True))
             return lower
 
-        monkeypatch.setattr(case1, "_completion_time", counted_completion_time)
-        monkeypatch.setattr(case1, "bisect_decreasing", recorded_bisect)
+        monkeypatch.setattr(model, "device_durations", counted_durations)
+        monkeypatch.setattr(model, "fill_device_block", recorded_fill)
         monkeypatch.setattr(case1, "solve_lower_case1", recorded_split)
         solve_case1(scenario, prune=False)
         assert len(evals_per_split) == len(at_search_end) == 13 * 14 // 2
@@ -382,20 +392,20 @@ class TestUpperSolver:
         # the bracketing already evaluates the completion time at both ends
         # of the multiplier's bracket; a search that started without those
         # values took 10.7 evaluations per split here, the first two at
-        # midpoints of the ~18-decade bracket
+        # midpoints of a doubling search's ~18-decade bracket
         counts = {"evals": 0, "splits": 0}
-        completion_time = case1._completion_time
+        durations = model.device_durations
         solve_lower = case1.solve_lower_case1
 
-        def counted_completion_time(*args):
+        def counted_durations(*args, **kwargs):
             counts["evals"] += 1
-            return completion_time(*args)
+            return durations(*args, **kwargs)
 
         def counted_split(*args, **kwargs):
             counts["splits"] += 1
             return solve_lower(*args, **kwargs)
 
-        monkeypatch.setattr(case1, "_completion_time", counted_completion_time)
+        monkeypatch.setattr(model, "device_durations", counted_durations)
         monkeypatch.setattr(case1, "solve_lower_case1", counted_split)
         for seed in (23, 5, 7):
             solve_case1(random_case1_scenario(np.random.default_rng(seed), n_tasks=12), prune=False)
@@ -412,6 +422,118 @@ class TestUpperSolver:
         tight = solve_case1(scenario, Case1Options(bisect_rel=1e-12))
         default = solve_case1(scenario)
         assert tight.lower.energy == pytest.approx(default.lower.energy, rel=1e-8)
+
+
+class TestPriceBracket:
+    """Case 1's lower solve through ``model.fill_device_block``: the price
+    bracket, the returned slack, and splits with no time to transmit."""
+
+    @staticmethod
+    def instances():
+        # tight deadlines hold many compute blocks at their frequency caps
+        rng = np.random.default_rng(47)
+        for tightness in (1.0, 1.02, 1.05, 2.0):
+            for _ in range(3):
+                scenario = random_case1_scenario(rng, n_tasks=6, tightness=tightness)
+                yield scenario
+                yield fast_relay(scenario)
+
+    def test_bracket_ends_hold_the_budget_between_them(self, monkeypatch):
+        brackets = []
+        bisect = model.bisect_decreasing
+
+        def recorded_bisect(fn, target, lo, hi, **kwargs):
+            brackets.append((target, lo, hi, kwargs["fn_lo"], kwargs["fn_hi"]))
+            return bisect(fn, target, lo, hi, **kwargs)
+
+        monkeypatch.setattr(model, "bisect_decreasing", recorded_bisect)
+        capped = free = bisected = 0
+        for scenario in self.instances():
+            co = scenario.compute
+            for n1, n2, sums in model.device_split_sums(scenario):
+                brackets.clear()
+                try:
+                    lower = solve_lower_case1(SplitIndices(n1, n2), scenario, sums=sums)
+                except Infeasible:
+                    continue
+                at_cap = lower.f_local == co.f_md_max or lower.f_relay == co.f_relay_max
+                capped += at_cap
+                free += not at_cap
+                bisected += len(brackets)
+                for target, lo, hi, total_lo, total_hi in brackets:
+                    assert total_lo >= target >= total_hi, (n1, n2)
+                    for lam, total in ((lo, total_lo), (hi, total_hi)):
+                        durations = model.device_durations(sums, scenario, lam, capped=True)
+                        assert sum(durations) == total
+        assert capped > 10 and free > 100 and bisected > 500
+
+    def test_every_slack_lies_in_the_search_band(self):
+        checked = 0
+        for scenario in self.instances():
+            band = Case1Options().bisect_rel * scenario.deadlines.t_s
+            for n1, n2, sums in model.device_split_sums(scenario):
+                try:
+                    lower = solve_lower_case1(SplitIndices(n1, n2), scenario, sums=sums)
+                except Infeasible:
+                    continue
+                assert 0.0 <= lower.slack <= band, (n1, n2, lower.slack)
+                checked += 1
+        assert checked > 500
+
+    @pytest.mark.parametrize("capped", [True, False])
+    @pytest.mark.parametrize("field", ["d1", "d2", "ls", "rs"])
+    def test_one_loaded_duration_fills_the_budget_from_below(self, field, capped):
+        # the bracket is one price: the loaded duration takes the whole budget
+        filled = 0
+        for scenario in self.instances():
+            sums = model.split_sums(scenario, 1, 1)
+            alone = model.SplitSums(*(0.0,) * 8)._replace(**{field: getattr(sums, field) or 1e8})
+            for budget in np.geomspace(1e-3, 10.0, 9) * scenario.deadlines.t_s:
+                found = model.fill_device_block(alone, scenario, budget, capped=capped)
+                if found is None:
+                    continue
+                total = sum(found[1])
+                assert budget * (1.0 - 1e-9) <= total <= budget
+                filled += 1
+        assert filled > 80
+
+    def test_a_transmission_longer_than_its_share_still_brackets(self):
+        # d1 needs 0.6 of the budget to keep its energy finite, more than its
+        # even share r/2 of it; the upper end prices it at that least time
+        scenario = model.load_scenario(SCENARIOS / "relay_idle.json")
+        budget = 0.5
+        d1 = 0.6 * budget * model.EXP_ARG_MAX * scenario.channel.bandwidth
+        sums = model.SplitSums(0.0, 0.0, 0.0, 0.0, 0.0, d1, 1e-3 * d1, 0.0)
+        found = model.fill_device_block(sums, scenario, budget)
+        assert found is not None
+        tau1, tau2, t1, t2 = found[1]
+        assert budget * (1.0 - 1e-9) <= tau1 + tau2 <= budget
+        assert math.isfinite(model.energy(sums, scenario, tau1, tau2, 0.0, t1, t2, 0.0))
+
+    @pytest.mark.parametrize("split", [(1, 2), (2, 4), (1, 4)])
+    @pytest.mark.parametrize("extra", [0.0, 5e-13])
+    def test_no_time_to_transmit_raises_at_once(self, monkeypatch, split, extra):
+        # t_s at the caps' completion time leaves the transmissions no time,
+        # and 5e-13 s more leaves them none of finite energy; a doubling
+        # search once took 200 completion-time evaluations to give up
+        base = model.load_scenario(SCENARIOS / "relay_idle.json")
+        co = base.compute
+        sums = model.split_sums(base, *split)
+        at_caps = sums.es / co.f_bs_max + sums.ls / co.f_md_max + sums.rs / co.f_relay_max
+        deadlines = dataclasses.replace(base.deadlines, t_s=at_caps + extra)
+        scenario = dataclasses.replace(base, deadlines=deadlines)
+        evals = []
+        durations = model.device_durations
+
+        def counted_durations(*args, **kwargs):
+            evals.append(None)
+            return durations(*args, **kwargs)
+
+        monkeypatch.setattr(model, "device_durations", counted_durations)
+        with pytest.raises(Infeasible) as raised:
+            solve_lower_case1(SplitIndices(*split), scenario)
+        assert raised.value.constraints == ("deadline",)
+        assert len(evals) <= 2
 
 
 def fast_relay(scenario: Scenario) -> Scenario:

@@ -538,6 +538,16 @@ class TestMainEntry:
         assert captured.out == ""
         assert captured.err == f"error: unknown tolerance {name!r}\n"
 
+    def test_removed_doubling_tolerance_rejected(self, tmp_path, capsys):
+        # case 1 brackets its price in closed form, with no doubling to bound
+        path = write_doc(tmp_path, all_local_doc())
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["solve-case1", "--scenario", str(path), "--tol", "max_doublings=5"])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown tolerance 'max_doublings'\n"
+
     def test_whole_number_tolerance_accepted(self, tmp_path, capsys):
         path = write_doc(tmp_path, all_local_doc())
         with pytest.raises(SystemExit) as excinfo:

@@ -130,6 +130,16 @@ def test_zero_target_returns_feasible_side():
     assert x == pytest.approx(1.0, rel=1e-12)
 
 
+def test_midpoint_of_ends_whose_product_overflows():
+    # 1e200 * 1e300 is past the largest float; the root is e^500 ~ 1.4e217
+    for ends in ({}, {"fn_lo": 1.0 / math.log(1e200), "fn_hi": 1.0 / math.log(1e300)}):
+        x = bisect_decreasing(
+            lambda x: 1.0 / math.log(x), 1.0 / 500.0, 1e200, 1e300, rel_tol=REL_TOL, **ends
+        )
+        assert 1e200 < x < 1e300
+        assert 1.0 / 500.0 * (1.0 - REL_TOL) <= 1.0 / math.log(x) <= 1.0 / 500.0
+
+
 def bisection_evaluations(case: Case) -> int:
     points: list[float] = []
     geometric_bisection(
