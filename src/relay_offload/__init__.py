@@ -15,7 +15,6 @@ from .case1 import (
     freq_from_lambda,
     solve_case1,
     solve_lower_case1,
-    tau_from_lambda,
 )
 from .case2 import (
     Case2Indices,
@@ -42,6 +41,7 @@ from .model import (
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    tau_from_lambda,
     transmission_energy,
     validate_scenario,
 )

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from . import model
 from .lambertw import lambert_w0  # noqa: F401  perfbench's patch test reads case1.lambert_w0
 from .model import Infeasible, ModelDomainError, Scenario, SplitSums, freq_from_lambda
-from .model import tau_from_lambda  # noqa: F401  importable from here, beside freq_from_lambda
 
 
 @dataclass(frozen=True)
@@ -178,45 +177,20 @@ def solve_lower_case1(
 def kkt_residuals(
     split: SplitIndices, solution: Case1LowerSolution, scenario: Scenario
 ) -> dict[str, float]:
-    """Relative stationarity and primal residuals at a returned solution.
+    """Relative KKT residuals of a returned solution (:func:`model.kkt_residuals`).
 
-    Frequency stationarity is only meaningful off the cap (interior); at
-    the cap the inactive entry is omitted.
+    The program has one row, the device block within its budget
+    t_s - es/f_bs, priced ``lam``; a compute duration's floor is its
+    cycles over its frequency cap, so a capped frequency has no entry.
     """
     sums = _sums(split, scenario)
-    channel = scenario.channel
     compute = scenario.compute
-    lam = solution.lam
-    out: dict[str, float] = {}
-
-    def tx_residual(d: float, tau: float, gain: float) -> float:
-        s = d / (channel.bandwidth * tau)
-        t1 = lam
-        t2 = channel.noise / gain * math.expm1(s)
-        t3 = -channel.noise * d * math.exp(s) / (channel.bandwidth * gain * tau)
-        scale = max(abs(t1), abs(t2), abs(t3), 1e-300)
-        return (t1 + t2 + t3) / scale
-
-    if sums.d1 > 0.0 and solution.tau1 > 0.0:
-        out["tau1"] = tx_residual(sums.d1, solution.tau1, channel.gain_md_relay)
-    if sums.d2 > 0.0 and solution.tau2 > 0.0:
-        out["tau2"] = tx_residual(sums.d2, solution.tau2, channel.gain_relay_bs)
-
-    def freq_residual(f: float, kappa: float) -> float:
-        t1 = 2.0 * kappa * f
-        t2 = -lam / (f * f)
-        scale = max(abs(t1), abs(t2), 1e-300)
-        return (t1 + t2) / scale
-
-    if sums.ls > 0.0 and solution.f_local < compute.f_md_max * (1 - 1e-12):
-        out["f_local"] = freq_residual(solution.f_local, compute.kappa_md)
-    if sums.rs > 0.0 and solution.f_relay < compute.f_relay_max * (1 - 1e-12):
-        out["f_relay"] = freq_residual(solution.f_relay, compute.kappa_relay)
-
-    deadline = scenario.deadlines.t_s
-    if deadline:
-        out["primal"] = -solution.slack / deadline
-    return out
+    durations = _durations(sums, solution.tau1, solution.tau2, solution.f_local, solution.f_relay)
+    floors = (0.0, 0.0, 0.0, sums.ls / compute.f_md_max, sums.rs / compute.f_relay_max, 0.0)
+    budget = scenario.deadlines.t_s - sums.es / compute.f_bs_max
+    return model.kkt_residuals(
+        sums, scenario, durations, [(1, 1, 0, 1, 1, 0)], [budget], [solution.lam], floors
+    )
 
 
 def _energy_floor(sums: SplitSums, scenario: Scenario) -> float:

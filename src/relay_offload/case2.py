@@ -19,8 +19,10 @@ each program: there is no box.
 :func:`active_set_newton` solves each program exactly from the model's
 analytic slopes and curvatures (:func:`model.energy_slopes`,
 :func:`model.energy_curvatures`) and returns KKT multipliers that certify
-the optimum.  For Scheme 1 those multipliers are the duals of its
-semi-closed KKT system (psi, lambda, eta1, eta2).  Each Newton step is a
+the optimum.  Each solution keeps them as its row prices, and
+:func:`kkt_residuals` checks any scheme's solution against its rows and
+the model's slopes alone; for Scheme 1 the prices are also the duals of
+its semi-closed KKT system (psi, lambda, eta1, eta2).  Each Newton step is a
 Cholesky solve of a few moves on the working face's echelon form, which is
 factored once per process, in a bounded table every solve shares; a cyclic
 projector only places the engine's starting point.
@@ -48,7 +50,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -84,10 +86,12 @@ class Case2LowerSolution:
 
     t1/t2/t3 are the compute-block durations (device local, relay for the
     device, relay for itself); tau_s is the BS slot reserved for device
-    tasks.  The duals are Scheme 1's (psi on the device deadline row,
-    lam on the ordering row, eta1 and eta2 on the BS-capacity rows) and
-    are NaN for Schemes 2 and 3.  cap_violations names relaxed frequency
-    caps the solution exceeds.
+    tasks.  ``prices``, out of the repr and equality, are the multipliers
+    of :func:`_engine_rows`, in order (empty when rebuilt from a document).
+    The duals are Scheme 1's prices by the paper's names (psi on the device
+    deadline row, lam on the ordering row, eta1 and eta2 on the BS-capacity
+    rows) and are NaN for Schemes 2 and 3.  cap_violations names relaxed
+    frequency caps the solution exceeds.
     """
 
     tau1: float
@@ -103,6 +107,7 @@ class Case2LowerSolution:
     eta2: float
     energy: float
     cap_violations: tuple[str, ...] = ()
+    prices: tuple[float, ...] = field(default=(), repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -795,7 +800,6 @@ def solve_scheme(
     free_tau0: bool = False,
     warm_start: Case2LowerSolution | None = None,
     warm_only: bool = False,
-    sums: SplitSums | None = None,
     room: _Room | None = None,
 ) -> Case2LowerSolution:
     """Minimize one scheme at a fixed split with :func:`active_set_newton`.
@@ -810,21 +814,22 @@ def solve_scheme(
     negative coefficient (S1's T2 and T3, S2's T1 and T2).  The start,
     restricted to the engine's columns, still meets its rows and keeps
     its energy; the program is convex, so one run from it reaches the
-    optimum.  Scheme 1's duals come from the engine's row multipliers.
+    optimum.  The engine's row multipliers are the solution's prices, and
+    Scheme 1's duals are read from them.
 
     The relay-own transmission gap tau0 of Scheme 3 is pinned to zero (its
     optimal value); pass ``free_tau0=True`` to optimize it explicitly,
     which exists so tests can confirm the pin never loses energy.
     ``warm_only`` restricts the starting points to ``warm_start``, for
-    perturbation studies against a known solution.  ``sums`` and ``room``
-    are as in :func:`split_energy_floor`.
+    perturbation studies against a known solution.  ``room`` is as in
+    :func:`split_energy_floor`.
     """
     if free_tau0 and scheme is not SchemeId.S3:
         raise ValueError("tau0 exists only in scheme 3")
     if warm_only and warm_start is None:
         raise ValueError("warm_only requires a warm_start")
     if room is None:
-        room = _Room(indices, scenario, sums)
+        room = _Room(indices, scenario, None)
     sums = room.sums
     if not _feasible(scheme, room, options.feas_tol):
         raise _infeasible(scheme, indices)
@@ -907,11 +912,12 @@ def solve_scheme(
 
     # a step's rounding can leave a duration an ulp below its zero bound
     x = [max(v, 0.0) for v in embed(result.point)]
+    prices = tuple(map(float, result.row_multipliers))
     psi = lam = eta1 = eta2 = math.nan
     if scheme is SchemeId.S1:
-        # the rows in _rows order: ordering, window, device
+        # the rows in _engine_rows order: ordering, window, device
         f_bs = scenario.compute.f_bs_max
-        lam, window, psi = (float(v) for v in result.row_multipliers)
+        lam, window, psi = prices
         eta2 = window / f_bs
         eta1 = eta2 + psi / f_bs
     return Case2LowerSolution(
@@ -928,52 +934,24 @@ def solve_scheme(
         eta2=eta2,
         energy=model.energy(sums, scenario, *x),
         cap_violations=_cap_violations(sums, x[3], x[4], x[5], scenario),
+        prices=prices,
     )
 
 
-def kkt_residuals_scheme1(
-    solution: Case2LowerSolution, indices: Case2Indices, scenario: Scenario
+def kkt_residuals(
+    scheme: SchemeId, indices: Case2Indices, solution: Case2LowerSolution, scenario: Scenario
 ) -> dict[str, float]:
-    """Relative stationarity residuals of the Scheme-1 first-order system.
-
-    Only entries whose primal block is active are reported.  The duals
-    stand for the engine's row multipliers; a multiplier the engine puts on
-    a duration's lower bound instead is not modelled.
+    """Relative KKT residuals (:func:`model.kkt_residuals`) of a
+    :func:`solve_scheme` solution with tau0 pinned: its durations, floored
+    at zero, on :func:`_engine_rows`' six duration columns, priced by
+    ``solution.prices``.  Raises ValueError on a solution with no prices.
     """
-    sums = model.split_sums(scenario, indices.n1, indices.n2, indices.m1)
-    ch, co = scenario.channel, scenario.compute
-    psi, lam, eta2 = solution.psi, solution.lam, solution.eta2
-    out: dict[str, float] = {}
-
-    def tx_residual(d: float, tau: float, gain: float, dual: float) -> float:
-        s = d / (ch.bandwidth * tau)
-        t1 = ch.noise / gain * math.expm1(s)
-        t2 = -ch.noise * d * math.exp(s) / (ch.bandwidth * gain * tau)
-        scale = max(abs(t1), abs(t2), abs(dual), 1e-300)
-        return (t1 + t2 + dual) / scale
-
-    if sums.d1 > 0 and solution.tau1 > 0:
-        out["tau1"] = tx_residual(sums.d1, solution.tau1, ch.gain_md_relay, psi)
-    if sums.d2 > 0 and solution.tau2 > 0:
-        out["tau2"] = tx_residual(sums.d2, solution.tau2, ch.gain_relay_bs, psi)
-    if sums.d3 > 0 and solution.tau3 > 0:
-        out["tau3"] = tx_residual(
-            sums.d3, solution.tau3, ch.gain_relay_bs, lam + eta2 * co.f_bs_max
-        )
-    if sums.ls > 0 and solution.t1 > 0:
-        t1_term = -2.0 * co.kappa_md * sums.ls**3 / solution.t1**3
-        scale = max(abs(t1_term), abs(psi), abs(lam), 1e-300)
-        out["T1"] = (t1_term + psi - lam) / scale
-    if sums.rs > 0 and solution.t2 > 0:
-        t2_term = -2.0 * co.kappa_relay * sums.rs**3 / solution.t2**3
-        scale = max(abs(t2_term), abs(psi), 1e-300)
-        out["T2"] = (t2_term + psi) / scale
-    if sums.lr > 0 and solution.t3 > 0:
-        t3_term = -2.0 * co.kappa_relay * sums.lr**3 / solution.t3**3
-        dual = lam + eta2 * co.f_bs_max
-        scale = max(abs(t3_term), abs(dual), 1e-300)
-        out["T3"] = (t3_term + dual) / scale
-    return out
+    room = _Room(indices, scenario, None)
+    rows, bounds = _engine_rows(scheme, room)
+    s = solution
+    durations = (s.tau1, s.tau2, s.tau3, s.t1, s.t2, s.t3)
+    rows = [row[:6] for row in rows]
+    return model.kkt_residuals(room.sums, scenario, durations, rows, bounds, s.prices, [0.0] * 6)
 
 
 def _caps(scheme: SchemeId, room: _Room, slack: float) -> tuple[float, ...]:

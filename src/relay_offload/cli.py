@@ -270,8 +270,8 @@ def _oracle_check_doc(solution, scenario: Scenario) -> dict:
     try:
         reference = refer(*args, scenario)
     except oracle.NoFeasiblePoint as exc:
-        # the grid is not scale-free (ROADMAP item 2), so a valid answer
-        # can leave it without a feasible point
+        # the grid is not scale-free (ROADMAP item 3, referees that work at
+        # any scale), so a valid answer can leave it without a feasible point
         raise _Unrefereed(f"the grid oracle cannot referee {pair}: {exc}") from None
     solver_energy = solution.lower.energy
     scale = max(abs(reference.value), 1e-300)

@@ -2,14 +2,15 @@
 
 Task chains, channel and CPU parameters, the per-split cycle and data
 totals, the Shannon transmission-energy formula, the cubic CPU energy
-model, scenario validation, and the scenario JSON wire format.
+model with its slopes and the KKT residuals both lower levels are checked
+by, scenario validation, and the scenario JSON wire format.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -625,6 +626,43 @@ def energy_slopes(
         _compute_slope(sums.rs, t2, co.kappa_relay),
         _compute_slope(sums.lr, t3, co.kappa_relay),
     )
+
+
+def kkt_residuals(
+    sums: SplitSums,
+    scenario: Scenario,
+    durations: Sequence[float],
+    rows: Sequence[Sequence[float]],
+    bounds: Sequence[float],
+    prices: Sequence[float],
+    floors: Sequence[float],
+) -> dict[str, float]:
+    """Relative KKT residuals of ``durations`` as the minimiser of
+    :func:`energy` over durations >= floors, rows @ durations <= bounds,
+    the rows priced by ``prices``; only the model's slopes are trusted.
+
+    - Stationarity of each loaded duration more than 1e-12 relative above
+      its floor (at its floor, the floor's multiplier takes the rest), by
+      name tau1..T3: its :func:`energy_slopes` entry plus sum_i prices_i
+      rows_ij, over the largest of those terms.
+    - Complementarity of each row with a positive price, ``row<i>``:
+      rows_i @ durations - bounds_i, over the largest of |bounds_i| and
+      sum_j |rows_ij durations_j|.
+    """
+    if len(prices) != len(rows):
+        raise ValueError(f"{len(prices)} prices for {len(rows)} rows")
+    slopes = energy_slopes(sums, scenario, *durations)
+    loads = (sums.d1, sums.d2, sums.d3, sums.ls, sums.rs, sums.lr)
+    out: dict[str, float] = {}
+    for j, name in enumerate(("tau1", "tau2", "tau3", "T1", "T2", "T3")):
+        if loads[j] > 0.0 and durations[j] > floors[j] * (1.0 + 1e-12):
+            terms = [slopes[j]] + [price * row[j] for price, row in zip(prices, rows)]
+            out[name] = sum(terms) / max(max(map(abs, terms)), 1e-300)
+    for i, (row, bound, price) in enumerate(zip(rows, bounds, prices)):
+        if price > 0.0:
+            used = [c * x for c, x in zip(row, durations)]
+            out[f"row{i}"] = (sum(used) - bound) / max(abs(bound), sum(map(abs, used)), 1e-300)
+    return out
 
 
 def energy_curvatures(

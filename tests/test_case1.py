@@ -24,9 +24,8 @@ from relay_offload.case1 import (
     kkt_residuals,
     solve_case1,
     solve_lower_case1,
-    tau_from_lambda,
 )
-from relay_offload.model import ModelDomainError
+from relay_offload.model import ModelDomainError, tau_from_lambda
 
 from scenario_tools import random_case1_scenario
 from test_lambertw import newton_reference

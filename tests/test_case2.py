@@ -28,7 +28,7 @@ from relay_offload.case2 import (
     Case2Options,
     Case2Solution,
     SchemeId,
-    kkt_residuals_scheme1,
+    kkt_residuals,
     solve_case2,
     solve_scheme,
     split_energy_floor,
@@ -128,39 +128,27 @@ class TestSolveScheme1:
         relayed = solve_scheme(SchemeId.S1, Case2Indices(1, 2, 1), scenario)
         assert relayed.t2 < 0.1 and relayed.cap_violations == ("relay_cpu_cap_device_block",)
 
-    def test_kkt_residuals_on_interior_solutions(self):
-        # every feasible split of seeded instances, duals from the engine's
-        # row multipliers: the ordering row binds on all of them, 36 have
-        # tau3 = 0 (no relay upload) and 36 an empty own block
+    def test_duals_are_the_row_prices(self):
+        # every feasible split of seeded instances: the ordering row binds
+        # on all of them, 36 have tau3 = 0 (no relay upload) and 36 an
+        # empty own block
         rng = np.random.default_rng(47)
         checked = 0
         for shape in ((1, 1), (2, 1), (1, 2), (2, 2)) * 2:
             scenario = random_case2_scenario(rng, *shape)
-            n, m = shape
             f_bs = scenario.compute.f_bs_max
-            t0, t_s = scenario.deadlines.t0, scenario.deadlines.t_s_th
-            for n1 in range(1, n + 2):
-                for n2 in range(n1, n + 2):
-                    for m1 in range(1, m + 2):
-                        indices = Case2Indices(n1, n2, m1)
-                        try:
-                            lower = solve_scheme(SchemeId.S1, indices, scenario)
-                        except Infeasible:
-                            continue
-                        duals = (lower.psi, lower.lam, lower.eta1, lower.eta2)
-                        assert all(math.isfinite(v) and v >= 0.0 for v in duals), indices
-                        assert lower.eta1 == lower.eta2 + lower.psi / f_bs
-                        # complementarity: a priced row holds with equality
-                        if lower.lam > 0.0:
-                            waited = t0 + lower.tau3 + lower.t3
-                            assert lower.t1 == pytest.approx(waited, rel=1e-9)
-                        if lower.psi > 0.0:
-                            busy = lower.tau1 + lower.tau2 + lower.t1 + lower.t2
-                            assert busy == pytest.approx(t_s - lower.tau_s, rel=1e-9)
-                        residuals = kkt_residuals_scheme1(lower, indices, scenario)
-                        for name, value in residuals.items():
-                            assert abs(value) <= 1e-9, (name, value, indices)
-                        checked += 1
+            for scheme, indices in _every_pair(scenario):
+                if scheme is not SchemeId.S1:
+                    continue
+                try:
+                    lower = solve_scheme(scheme, indices, scenario)
+                except Infeasible:
+                    continue
+                # the rows in _engine_rows order: ordering, window, device
+                lam, window, psi = lower.prices
+                assert (lower.lam, lower.psi, lower.eta2) == (lam, psi, window / f_bs)
+                assert lower.eta1 == lower.eta2 + lower.psi / f_bs
+                checked += 1
         assert checked >= 90
 
     def test_relay_busy_at_x1e9(self):
@@ -184,10 +172,49 @@ class TestSolveScheme1:
         indices = Case2Indices(*indices)
         lower = solve_scheme(SchemeId.S1, indices, scenario)
         assert math.isfinite(lower.psi) and lower.psi > 0.0
-        residuals = kkt_residuals_scheme1(lower, indices, scenario)
+        residuals = kkt_residuals(SchemeId.S1, indices, lower, scenario)
         assert "T1" in residuals
         for name, value in residuals.items():
             assert abs(value) <= 1e-9, (name, value)
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda scheme: scheme.value)
+def test_kkt_residuals_of_every_scheme(scheme):
+    # every feasible pair of seeded plans and of relay_busy.json at t_r_th
+    # x1 to x1e9: one nonnegative price per engine row, and with them the
+    # model's slopes make every loaded duration stationary and every
+    # priced row hold with equality
+    instances = [_relay_busy(10.0**k) for k in range(10)]
+    for shape in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2)):
+        instances += [_random_busy(seed, *shape) for seed in range(5)]
+    checked, entries = 0, set()
+    for scenario in instances:
+        for pair_scheme, indices in _every_pair(scenario):
+            if pair_scheme is not scheme:
+                continue
+            try:
+                lower = solve_scheme(scheme, indices, scenario)
+            except Infeasible:
+                continue
+            rows, _ = case2._engine_rows(scheme, case2._Room(indices, scenario, None))
+            assert len(lower.prices) == len(rows), indices
+            assert all(price >= 0.0 for price in lower.prices), (indices, lower.prices)
+            residuals = kkt_residuals(scheme, indices, lower, scenario)
+            for name, value in residuals.items():
+                assert abs(value) <= 1e-9, (name, value, indices)
+            entries.update(residuals)
+            checked += 1
+    assert checked >= 300
+    # every duration and every row was checked somewhere
+    assert entries >= {"tau1", "tau2", "tau3", "T1", "T2", "T3", "row0"}, entries
+
+
+def test_kkt_residuals_need_the_prices():
+    scenario = _relay_busy()
+    indices = Case2Indices(1, 1, 1)
+    lower = dataclasses.replace(solve_scheme(SchemeId.S2, indices, scenario), prices=())
+    with pytest.raises(ValueError, match="0 prices for 3 rows"):
+        kkt_residuals(SchemeId.S2, indices, lower, scenario)
 
 
 class TestNumericSchemes:
@@ -511,7 +538,7 @@ class TestSplitFloor:
                 budget_floor = split_energy_floor(indices, scenario, sums=sums)
                 for scheme in SchemeId:
                     try:
-                        lower = solve_scheme(scheme, indices, scenario, sums=sums)
+                        lower = solve_scheme(scheme, indices, scenario)
                     except Infeasible:
                         continue
                     floor = split_energy_floor(indices, scenario, scheme=scheme, sums=sums)
@@ -535,7 +562,7 @@ class TestSplitFloor:
                 device = model.device_block_floor(sums, scenario, room.device + slack)
                 for scheme in SchemeId:
                     try:
-                        lower = solve_scheme(scheme, indices, scenario, options, sums=sums)
+                        lower = solve_scheme(scheme, indices, scenario, options, room=room)
                     except Infeasible:
                         continue
                     floor = split_energy_floor(
@@ -663,9 +690,7 @@ class TestSplitFloor:
         ]
         energies, floors = {}, {}
 
-        def fake_solve(
-            scheme, indices, scenario, options, *, warm_start=None, sums=None, room=None
-        ):
+        def fake_solve(scheme, indices, scenario, options, *, warm_start=None, room=None):
             energy = energies[scheme, indices]
             if energy is None:
                 raise Infeasible("synthetic", ("synthetic",))
@@ -764,7 +789,7 @@ class TestRoom:
                 room = case2._Room(indices, scenario, sums)
                 for scheme in SchemeId:
                     try:
-                        lower = solve_scheme(scheme, indices, scenario, options, sums=sums)
+                        lower = solve_scheme(scheme, indices, scenario, options, room=room)
                     except Infeasible:
                         continue
                     caps = np.array(case2._caps(scheme, room, slack))
@@ -821,7 +846,7 @@ class TestRoom:
                     assert case2._feasible(scheme, room, tol) == meets, (scheme, indices)
                     if not meets:
                         with pytest.raises(Infeasible):
-                            solve_scheme(scheme, indices, scenario, sums=sums)
+                            solve_scheme(scheme, indices, scenario)
                     verdicts[meets] += 1
         assert min(verdicts.values()) > 30
 
@@ -855,7 +880,7 @@ class TestRoom:
                 indices = Case2Indices(n1, n2, m1)
                 for scheme in SchemeId:
                     try:
-                        lower = solve_scheme(scheme, indices, scenario, sums=sums)
+                        lower = solve_scheme(scheme, indices, scenario)
                     except Infeasible:
                         continue
                     durations = (lower.tau1, lower.tau2, lower.tau3, lower.t1, lower.t2, lower.t3)
@@ -1494,8 +1519,9 @@ def test_solution_fields_are_plain_floats(scheme, indices):
     indices = Case2Indices(*indices)
     lower = solve_scheme(scheme, indices, scenario)
     for field in dataclasses.fields(Case2LowerSolution):
-        if field.name != "cap_violations":
+        if field.name not in ("cap_violations", "prices"):
             assert type(getattr(lower, field.name)) is float, field.name
+    assert lower.prices and all(type(price) is float for price in lower.prices)
     sums = split_sums(scenario, indices.n1, indices.n2, indices.m1)
     assert lower.tau_s == pytest.approx(sums.es / scenario.compute.f_bs_max, rel=1e-14, abs=0.0)
     durations = (lower.tau1, lower.tau2, lower.tau3, lower.t1, lower.t2, lower.t3)

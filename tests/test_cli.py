@@ -91,6 +91,28 @@ class TestSolveCommands:
         scenario = scenario_from_dict(all_local_doc())
         assert verify(build_timeline(solution, scenario)) == []
 
+    @pytest.mark.parametrize(
+        "command, make, keys, duals",
+        [
+            ("solve-case1", all_local_doc, {"indices", "frequencies"}, {"lambda"}),
+            (
+                "solve-case2",
+                case2_doc,
+                {"scheme", "indices", "cap_violations"},
+                {"psi", "lambda", "eta1", "eta2"},
+            ),
+        ],
+    )
+    def test_default_document_keys(self, tmp_path, capsys, command, make, keys, duals):
+        # a solution's row prices stay out of the default document
+        path = write_doc(tmp_path, make())
+        assert run_cli(command, path) == 0
+        text = capsys.readouterr().out
+        doc = json.loads(text)
+        assert set(doc) == {"case", "times", "duals", "energy"} | keys
+        assert set(doc["duals"]) == duals
+        assert "prices" not in text
+
     def test_wrong_solver_for_scenario(self, tmp_path):
         path1 = write_doc(tmp_path, all_local_doc(), "a.json")
         path2 = write_doc(tmp_path, case2_doc(), "b.json")

@@ -19,7 +19,8 @@ import pytest
 
 from relay_offload import ChannelParams
 from relay_offload._search import bisect_decreasing
-from relay_offload.case1 import freq_from_lambda, tau_from_lambda
+from relay_offload.case1 import freq_from_lambda
+from relay_offload.model import tau_from_lambda
 
 REL_TOL = 1e-9
 
