@@ -6,7 +6,9 @@ multiplier, found by ``model.fill_device_block``: a closed-form bracket
 and a false-position search on log completion time against log price; the
 integer split is then enumerated with a monotonicity-based pruning rule
 on offloaded data sizes, and a split whose energy floor exceeds the
-incumbent is not solved.
+incumbent is not solved.  The floor's budget and its forward term depend
+on n2 alone, so they are taken once per n2 (:func:`_row_terms`), and a
+split adds only its own three terms (:func:`_split_floor`).
 """
 
 from __future__ import annotations
@@ -74,6 +76,13 @@ def _sums(split: SplitIndices, scenario: Scenario) -> SplitSums:
     return model.split_sums(scenario, split.n1, split.n2)
 
 
+def _deadline(scenario: Scenario) -> float:
+    deadline = scenario.deadlines.t_s
+    if deadline is None or deadline <= 0.0:
+        raise model.ScenarioError("relay-idle case requires a positive t_s deadline")
+    return deadline
+
+
 def deadline_lhs(lam: float, split: SplitIndices, scenario: Scenario) -> float:
     """Total completion time at dual value ``lam`` (BS pinned to its cap).
 
@@ -128,9 +137,7 @@ def solve_lower_case1(
     totals when the caller already has them; they must equal
     ``model.split_sums`` of the split.
     """
-    deadline = scenario.deadlines.t_s
-    if deadline is None or deadline <= 0.0:
-        raise model.ScenarioError("relay-idle case requires a positive t_s deadline")
+    deadline = _deadline(scenario)
     if sums is None:
         sums = _sums(split, scenario)
     compute = scenario.compute
@@ -193,18 +200,37 @@ def kkt_residuals(
     )
 
 
-def _energy_floor(sums: SplitSums, scenario: Scenario) -> float:
-    """Lower bound on the energy of every solution at one split.
+def _row_terms(sums: SplitSums, scenario: Scenario, deadline: float) -> tuple[float, float]:
+    """The parts of a split's energy floor that depend on n2 alone, from
+    any split of that n2: its budget t_s - es/f_bs, and tx_relay_device
+    with its duration at that budget."""
+    channel = scenario.channel
+    budget = deadline - sums.es / scenario.compute.f_bs_max
+    return budget, model._transmit_term(sums.d2, budget, channel.gain_relay_bs, channel)
+
+
+def _split_floor(sums: SplitSums, row: tuple[float, float], scenario: Scenario) -> float:
+    """Lower bound on the energy of every solution at one split, from
+    ``row``, its n2's :func:`_row_terms`.
 
     The completion time es/f_bs + T1 + T2 + tau1 + tau2 of a returned
     solution is within the deadline t_s, and durations are nonnegative,
     so each duration is at most the budget t_s - es/f_bs; every energy
     term is non-increasing in its own duration, so the energy with every
-    duration at the budget is at most the split's energy.  A budget <= 0
-    under nonzero work gives inf.
+    duration at the budget is at most the split's energy.  That is
+    ``model._budget_floor(sums, scenario, budget, 0.0)``, bit for bit: the
+    split's own terms are added to ``forward`` in the model's term order,
+    and the two zero relay-own terms add nothing.  A budget <= 0 under
+    nonzero work gives inf.
     """
-    budget = scenario.deadlines.t_s - sums.es / scenario.compute.f_bs_max
-    return model._budget_floor(sums, scenario, budget, 0.0)
+    budget, forward = row
+    channel, compute = scenario.channel, scenario.compute
+    return (
+        model._transmit_term(sums.d1, budget, channel.gain_md_relay, channel)
+        + forward
+        + model._compute_term(sums.ls, budget, compute.kappa_md)
+        + model._compute_term(sums.rs, budget, compute.kappa_relay)
+    )
 
 
 def solve_case1(
@@ -227,7 +253,10 @@ def solve_case1(
       floor (every duration set to the deadline budget t_s - es/f_bs,
       which no solution can exceed) is above the incumbent's energy by
       more than a relative 1e-9 could never replace it.  This rule
-      applies whatever the frequency caps.
+      applies whatever the frequency caps.  The first row, n1 = 1,
+      visits every n2, and there each n2's budget and forward term are
+      taken once (:func:`_row_terms`); a split that reaches the test adds
+      its own three terms to them (:func:`_split_floor`).
 
     Neither rule changes the winner: it is the one ``prune=False``, the
     exhaustive traversal, finds.  Ties are broken toward the
@@ -237,13 +266,18 @@ def solve_case1(
         raise model.ScenarioError(
             "solve_case1 applies only when the relay has no tasks of its own"
         )
+    deadline = _deadline(scenario)
     data_rule = prune and scenario.compute.f_relay_max <= scenario.compute.f_bs_max * (
         1.0 + 1e-12
     )
 
     best: tuple[SplitIndices, Case1LowerSolution, SplitSums] | None = None
+    # (budget, forward term) of each n2's floor, by n2 - 1
+    rows: list[tuple[float, float]] = []
     row_d2 = 0.0
     for n1, n2, sums in model.device_split_sums(scenario):
+        if n1 == 1:
+            rows.append(_row_terms(sums, scenario, deadline))
         # at n2 > n1 the split before is (n1, n2 - 1), whose d2 is the data
         # size of task n2 - 1: the rule's predecessor, read without a lookup
         previous_d2, row_d2 = row_d2, sums.d2
@@ -254,7 +288,7 @@ def solve_case1(
         if (
             prune
             and best is not None
-            and _energy_floor(sums, scenario) * (1.0 - model.FLOOR_MARGIN)
+            and _split_floor(sums, rows[n2 - 1], scenario) * (1.0 - model.FLOOR_MARGIN)
             > best[1].energy
         ):
             continue

@@ -30,8 +30,10 @@ projector only places the engine's starting point.
 The upper level builds every split's totals once, at O(1) cost each
 (:func:`model.relay_busy_split_sums`), and solves the (scheme, split) pairs
 in ascending order of energy floors it refines lazily: a split's
-scheme-free floor, then each pair's, the larger of its scheme floor (each
-duration at the largest value the scheme's own rows allow) and its
+scheme-free floor (:func:`_split_floors`, whose terms are taken once per
+(n1, n2) or once per m1, so each split's costs four additions), then each
+pair's, the larger of its scheme floor (each duration at the largest
+value the scheme's own rows allow) and its
 device-block bound (the one-price minimum of the device terms under the
 device row, :func:`model.device_block_floor`, plus the relay-own terms at
 their caps).  It stops at the first floor above the lowest energy solved
@@ -985,19 +987,15 @@ def split_energy_floor(
     scenario: Scenario,
     options: Case2Options = Case2Options(),
     *,
-    scheme: SchemeId | None = None,
-    sums: SplitSums | None = None,
+    scheme: SchemeId,
     room: _Room | None = None,
 ) -> float:
-    """Lower bound on the energy of ``scheme`` at one split, or of every
-    scheme there when ``scheme`` is None.
+    """Lower bound on the energy of ``scheme`` at one split.
 
     Each duration is set to the largest value the scheme's own rows allow
     (:func:`_caps`).  Every energy term is non-increasing in its own
     duration, so the energy there is at most the energy of any point the
-    scheme's solver returns.  With no scheme, every duration is at its
-    block's whole budget (:func:`model._budget_floor`): D for the device
-    durations, O for the relay-own ones, which bounds every scheme.
+    scheme's solver returns.
 
     Every cap is widened by 14 feas_tol.  A solver accepts a start that
     violates its rows and lower bounds by at most feas_tol in distance; the
@@ -1006,21 +1004,52 @@ def split_energy_floor(
     k <= 5 unit coefficients exceeds its bound by at most (sqrt(k) + k)
     feas_tol.  A duration then exceeds its cap by at most the excesses of
     the rows the cap combines: 6 + 7.3 feas_tol for the device row with
-    S3's ordering row, less for every other cap.  A cap <= 0 under nonzero load gives
-    inf.  ``sums`` takes the split's totals when the caller already has
-    them; they must equal ``model.split_sums`` of the split.  ``room``
-    gives a scheme's floor the split's room instead, so it builds none;
-    the scheme-free floor needs only the totals.
+    S3's ordering row, less for every other cap.  A cap <= 0 under nonzero
+    load gives inf.  ``room`` gives the floor the split's room, so it
+    builds none.
     """
+    if room is None:
+        room = _Room(indices, scenario, None)
+    return model.energy(room.sums, scenario, *_caps(scheme, room, 14.0 * options.feas_tol))
+
+
+def _split_floors(
+    splits: Sequence[tuple[int, int, int, SplitSums]], scenario: Scenario, options: Case2Options
+) -> list[float]:
+    """Each split's floor over every scheme, for ``splits`` in the order of
+    :func:`model.relay_busy_split_sums`.
+
+    Every duration is at its block's whole budget, widened by the caps'
+    slack of 14 feas_tol: D for the device durations, O for the relay-own
+    ones, whose rows every scheme keeps, so the floor bounds each scheme's
+    :func:`split_energy_floor`.  D depends on n2 and O on m1 alone, and
+    the splits come in one block of m1 = 1..m+1 per (n1, n2); so the
+    device terms are taken once per (n1, n2), the relay-own terms once per
+    m1, from the first block, and each floor adds them in
+    :func:`model._term_values` order.  It is
+    ``model._budget_floor(sums, scenario, D + slack, O + slack)``, bit for
+    bit.  A budget <= 0 under nonzero load gives inf.
+    """
+    channel, compute = scenario.channel, scenario.compute
     slack = 14.0 * options.feas_tol
-    if scheme is not None:
-        if room is None:
-            room = _Room(indices, scenario, sums)
-        return model.energy(room.sums, scenario, *_caps(scheme, room, slack))
-    if sums is None:
-        sums = model.split_sums(scenario, indices.n1, indices.n2, indices.m1)
-    device, own = _budgets(sums, scenario)
-    return model._budget_floor(sums, scenario, device + slack, own + slack)
+    block = scenario.relay_chain.n + 1
+    own_terms: list[tuple[float, float]] = []
+    for _, _, _, sums in splits[:block]:
+        own = _budgets(sums, scenario)[1] + slack
+        upload = model._transmit_term(sums.d3, own, channel.gain_relay_bs, channel)
+        own_terms.append((upload, model._compute_term(sums.lr, own, compute.kappa_relay)))
+    floors: list[float] = []
+    for start in range(0, len(splits), block):
+        sums = splits[start][3]
+        device = _budgets(sums, scenario)[0] + slack
+        transmit = (
+            model._transmit_term(sums.d1, device, channel.gain_md_relay, channel)
+            + model._transmit_term(sums.d2, device, channel.gain_relay_bs, channel)
+        )
+        local = model._compute_term(sums.ls, device, compute.kappa_md)
+        relay = model._compute_term(sums.rs, device, compute.kappa_relay)
+        floors += [transmit + upload + local + relay + kept for upload, kept in own_terms]
+    return floors
 
 
 def solve_case2(
@@ -1038,11 +1067,13 @@ def solve_case2(
     lexicographically smallest (scheme, n1, n2, m1).
 
     Each split's totals come once from :func:`model.relay_busy_split_sums`
-    and serve its floors, its solves and the winner's breakdown; its room
-    (:class:`_Room`) is built once, when the split comes up, and serves its
-    scheme floors and solves.  A heap orders the pairs by floors it refines
-    lazily.  Each split enters at its scheme-free floor, which bounds every
-    scheme there.  When it comes up,
+    and serve its floors, its solves and the winner's breakdown; its
+    indices and room (:class:`_Room`) are built once, when the split comes
+    up, and serve its scheme floors and solves.  A heap orders the pairs
+    by floors it refines lazily.  Each split enters at its scheme-free
+    floor (:func:`_split_floors`: every duration at its block's budget,
+    from device terms taken once per (n1, n2) and relay-own terms taken
+    once per m1), which bounds every scheme there.  When it comes up,
     its three pairs go back in, each at the larger of two floors: its
     scheme floor (:func:`split_energy_floor`), and its device-block bound,
     :func:`model.device_block_floor` at the device budget D (computed once
@@ -1084,15 +1115,11 @@ def solve_case2(
     if t0 < 0.0:
         raise model.ScenarioError("relay task arrival must be nonnegative")
 
-    splits: list[tuple[Case2Indices, SplitSums]] = []
-    # the room of each split that has come up, by split position
-    rooms: dict[int, _Room] = {}
+    splits = list(model.relay_busy_split_sums(scenario))
+    # the indices and room of each split that has come up, by split position
+    rooms: dict[int, tuple[Case2Indices, _Room]] = {}
     # (floor, scheme position or -1 for the whole split, split position)
-    heap: list[tuple[float, int, int]] = []
-    for i, (n1, n2, m1, sums) in enumerate(model.relay_busy_split_sums(scenario)):
-        indices = Case2Indices(n1, n2, m1)
-        splits.append((indices, sums))
-        heap.append((split_energy_floor(indices, scenario, options, sums=sums), -1, i))
+    heap = [(floor, -1, i) for i, floor in enumerate(_split_floors(splits, scenario, options))]
     heapq.heapify(heap)
     schemes = (SchemeId.S1, SchemeId.S2, SchemeId.S3)
     slack = 14.0 * options.feas_tol
@@ -1103,9 +1130,11 @@ def solve_case2(
         margin = model.FLOOR_MARGIN + (len(solved) + 1) * options.tie_rel
         if floor * (1.0 - margin) > lowest:
             break
-        indices, sums = splits[i]
         if k < 0:
-            room = rooms[i] = _Room(indices, scenario, sums)
+            n1, n2, m1, sums = splits[i]
+            indices = Case2Indices(n1, n2, m1)
+            room = _Room(indices, scenario, sums)
+            rooms[i] = indices, room
             device = model.device_block_floor(sums, scenario, room.device + slack)
             for k, scheme in enumerate(schemes):
                 own = split_energy_floor(indices, scenario, options, scheme=scheme, room=room)
@@ -1113,6 +1142,7 @@ def solve_case2(
                 heapq.heappush(heap, (max(own, device + terms[2] + terms[5], floor), k, i))
             continue
         scheme = schemes[k]
+        indices, room = rooms[i]
         warm = None
         if (
             warm_start is not None
@@ -1121,9 +1151,7 @@ def solve_case2(
         ):
             warm = warm_start.lower
         try:
-            lower = solve_scheme(
-                scheme, indices, scenario, options, warm_start=warm, room=rooms[i]
-            )
+            lower = solve_scheme(scheme, indices, scenario, options, warm_start=warm, room=room)
         except Infeasible:
             continue
         if not math.isfinite(lower.energy):
@@ -1141,11 +1169,11 @@ def solve_case2(
             ("deadline",),
         )
     k, i, lower = best
-    indices, sums = splits[i]
+    indices, room = rooms[i]
     durations = (lower.tau1, lower.tau2, lower.tau3, lower.t1, lower.t2, lower.t3)
     return Case2Solution(
         scheme=schemes[k],
         indices=indices,
         lower=lower,
-        energy_breakdown=model.energy_terms(sums, scenario, *durations),
+        energy_breakdown=model.energy_terms(room.sums, scenario, *durations),
     )

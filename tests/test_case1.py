@@ -544,6 +544,24 @@ def fast_relay(scenario: Scenario) -> Scenario:
     return dataclasses.replace(scenario, compute=compute)
 
 
+def budget_floor(sums: model.SplitSums, scenario: Scenario) -> float:
+    """The energy with every duration at the split's deadline budget
+    t_s - es/f_bs, the floor ``solve_case1`` prunes by."""
+    budget = scenario.deadlines.t_s - sums.es / scenario.compute.f_bs_max
+    return model._budget_floor(sums, scenario, budget, 0.0)
+
+
+def table_floors(scenario: Scenario):
+    """``(n1, n2, sums, budget, floor)`` for every split, the floor built
+    as ``solve_case1`` builds it: each n2's row terms from the first row,
+    then the split's own terms."""
+    rows = {}
+    for n1, n2, sums in model.device_split_sums(scenario):
+        if n1 == 1:
+            rows[n2] = case1._row_terms(sums, scenario, scenario.deadlines.t_s)
+        yield n1, n2, sums, rows[n2][0], case1._split_floor(sums, rows[n2], scenario)
+
+
 class TestSplitFloor:
     SIZES = (1, 2, 3, 5, 8, 13, 21, 30)
 
@@ -569,7 +587,7 @@ class TestSplitFloor:
                         lower = solve_lower_case1(SplitIndices(n1, n2), instance)
                     except Infeasible:
                         continue
-                    floor = case1._energy_floor(sums, instance)
+                    floor = budget_floor(sums, instance)
                     assert floor <= lower.energy * (1.0 + 1e-9), (n1, n2)
                     checked += 1
         assert checked > 100
@@ -617,7 +635,7 @@ class TestSplitFloor:
                         skips["rule"] += 1
                         skips["tie"] += sums.d2 == before
                         continue
-                    floor = case1._energy_floor(sums, scenario)
+                    floor = budget_floor(sums, scenario)
                     if best is not None and floor * (1.0 - model.FLOOR_MARGIN) > best:
                         continue
                     split = SplitIndices(n1, n2)
@@ -653,3 +671,50 @@ class TestSplitFloor:
                 solve_case1(instance)
                 assert solved == reference_solved(instance), n_tasks
         assert skips["rule"] > 1000 and skips["tie"] > 100
+
+    def test_table_floors_are_budget_floors_bit_for_bit(self):
+        rng = np.random.default_rng(47)
+        instances = []
+        for n_tasks in range(1, 31):
+            scenario = random_case1_scenario(rng, n_tasks=n_tasks)
+            instances += [scenario, fast_relay(scenario)]
+        # every other task carries no data
+        tasks = instances[-2].device_chain.tasks
+        silent = TaskChain(
+            tuple(Task(0.0 if i % 2 else t.data_nats, t.cycles) for i, t in enumerate(tasks))
+        )
+        instances.append(dataclasses.replace(instances[-2], device_chain=silent))
+        # a deadline shorter than the BS alone needs for the first tasks
+        tight = instances[10]
+        short = 0.5 * tight.device_chain.total_cycles / tight.compute.f_bs_max
+        instances.append(dataclasses.replace(tight, deadlines=Deadlines(t_s=short)))
+        checked = overrun = 0
+        for scenario in instances:
+            for n1, n2, sums, budget, floor in table_floors(scenario):
+                assert budget == scenario.deadlines.t_s - sums.es / scenario.compute.f_bs_max
+                assert floor == budget_floor(sums, scenario), (n1, n2)
+                checked += 1
+                if budget <= 0.0:
+                    assert floor == math.inf, (n1, n2)
+                    overrun += 1
+        assert checked > 10_000 and overrun > 0
+
+    def test_solve_case1_prunes_by_the_budget_floor(self, monkeypatch):
+        # each floor the traversal tests is the one its split's own budget
+        # gives, so the row terms come from the split's n2
+        floors = []
+        split_floor = case1._split_floor
+
+        def checked_floor(sums, row, scenario):
+            floor = split_floor(sums, row, scenario)
+            assert floor == budget_floor(sums, scenario)
+            floors.append(floor)
+            return floor
+
+        monkeypatch.setattr(case1, "_split_floor", checked_floor)
+        rng = np.random.default_rng(53)
+        for n_tasks in self.SIZES:
+            scenario = random_case1_scenario(rng, n_tasks=n_tasks)
+            for instance in (scenario, fast_relay(scenario)):
+                solve_case1(instance)
+        assert len(floors) > 1000

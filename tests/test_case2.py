@@ -436,6 +436,14 @@ def _exhaustive_case2(scenario, options=Case2Options()):
     return best
 
 
+def _budget_floor(sums, scenario, options=Case2Options()):
+    """Every duration at its block's whole budget, D or O, widened by the
+    caps' slack: the floor a split enters the traversal's heap at."""
+    device, own = case2._budgets(sums, scenario)
+    slack = 14.0 * options.feas_tol
+    return model._budget_floor(sums, scenario, device + slack, own + slack)
+
+
 def _random_busy(seed, n_tasks, m_tasks):
     return random_case2_scenario(
         np.random.default_rng(seed), n_tasks=n_tasks, m_tasks=m_tasks
@@ -535,13 +543,14 @@ class TestSplitFloor:
         for scenario in instances:
             for n1, n2, m1, sums in model.relay_busy_split_sums(scenario):
                 indices = Case2Indices(n1, n2, m1)
-                budget_floor = split_energy_floor(indices, scenario, sums=sums)
+                budget_floor = _budget_floor(sums, scenario)
+                room = case2._Room(indices, scenario, sums)
                 for scheme in SchemeId:
                     try:
                         lower = solve_scheme(scheme, indices, scenario)
                     except Infeasible:
                         continue
-                    floor = split_energy_floor(indices, scenario, scheme=scheme, sums=sums)
+                    floor = split_energy_floor(indices, scenario, scheme=scheme, room=room)
                     assert budget_floor <= floor <= lower.energy * (1 + 1e-9), (scheme, indices)
                     checked += 1
         assert checked > 3000
@@ -566,7 +575,7 @@ class TestSplitFloor:
                     except Infeasible:
                         continue
                     floor = split_energy_floor(
-                        indices, scenario, options, scheme=scheme, sums=sums
+                        indices, scenario, options, scheme=scheme, room=room
                     )
                     terms = energy_terms(sums, scenario, *case2._caps(scheme, room, slack))
                     block = device + terms["tx_relay_own"] + terms["cpu_relay_own"]
@@ -626,7 +635,40 @@ class TestSplitFloor:
     def test_infeasible_budget_gives_inf(self):
         # the BS slot alone overruns the device deadline
         scenario = basic_scenario(t_s_th=2e8 / 5e9 / 2, t_r_th=1.0)
-        assert split_energy_floor(Case2Indices(1, 1, 1), scenario) == math.inf
+        splits = list(model.relay_busy_split_sums(scenario))
+        assert splits[0][:3] == (1, 1, 1)
+        assert case2._split_floors(splits, scenario, Case2Options())[0] == math.inf
+        for scheme in SchemeId:
+            assert split_energy_floor(Case2Indices(1, 1, 1), scenario, scheme=scheme) == math.inf
+
+    def test_split_floors_are_budget_floors_bit_for_bit(self):
+        instances = [
+            _random_busy(seed, n_tasks, m_tasks)
+            for n_tasks in (1, 2, 3)
+            for m_tasks in (1, 2)
+            for seed in range(8)
+        ]
+        instances += [_relay_busy(10.0**power) for power in range(10)]
+        # the last seeded plan with a zero-data and a zero-cycle task on each chain
+        plan = instances[-11]
+        device = plan.device_chain.tasks + (Task(0.0, 3e7), Task(2e4, 0.0))
+        relay = plan.relay_chain.tasks + (Task(2e4, 0.0), Task(0.0, 3e7))
+        instances.append(
+            dataclasses.replace(plan, device_chain=TaskChain(device), relay_chain=TaskChain(relay))
+        )
+        # budgets the BS slots overrun: D < 0 at n2 = 1, O < 0 at m1 = 1
+        instances.append(basic_scenario(t_s_th=0.02, t_r_th=0.06))
+        checked = overrun = 0
+        for scenario in instances:
+            for options in (Case2Options(), Case2Options(feas_tol=1e-4)):
+                splits = list(model.relay_busy_split_sums(scenario))
+                floors = case2._split_floors(splits, scenario, options)
+                assert len(floors) == len(splits)
+                for (n1, n2, m1, sums), floor in zip(splits, floors):
+                    assert floor == _budget_floor(sums, scenario, options), (n1, n2, m1)
+                    overrun += floor == math.inf
+                    checked += 1
+        assert checked > 1000 and overrun > 0
 
     @pytest.mark.parametrize(
         "make, options",
@@ -696,14 +738,19 @@ class TestSplitFloor:
                 raise Infeasible("synthetic", ("synthetic",))
             return Case2LowerSolution(*[1.0] * 7, *[math.nan] * 4, energy)
 
-        def fake_floor(indices, scenario, options, *, scheme=None, sums=None, room=None):
-            # the floor of a whole split bounds each of its schemes' floors
-            if scheme is None:
-                return min(floors[s, indices] for s in SchemeId)
+        def fake_floor(indices, scenario, options, *, scheme, room=None):
             return floors[scheme, indices]
+
+        def fake_split_floors(splits, scenario, options):
+            # the floor of a whole split bounds each of its schemes' floors
+            return [
+                min(floors[s, Case2Indices(n1, n2, m1)] for s in SchemeId)
+                for n1, n2, m1, _ in splits
+            ]
 
         monkeypatch.setattr(case2, "solve_scheme", fake_solve)
         monkeypatch.setattr(case2, "split_energy_floor", fake_floor)
+        monkeypatch.setattr(case2, "_split_floors", fake_split_floors)
         # the device-block bound tightens nothing over the synthetic floors
         monkeypatch.setattr(model, "device_block_floor", lambda *args: -math.inf)
         for seed in range(40):
