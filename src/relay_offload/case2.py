@@ -17,9 +17,9 @@ each program: there is no box.
 
 :func:`solve_scheme` is the one fixed-split solver.
 :func:`active_set_newton` solves each program exactly from the model's
-analytic slopes and curvatures (:func:`model.energy_slopes`,
-:func:`model.energy_curvatures`) and returns KKT multipliers that certify
-the optimum.  Each solution keeps them as its row prices, and
+analytic energy terms, slopes and curvatures, taken on the program's
+loaded columns alone, and returns KKT multipliers that certify the
+optimum.  Each solution keeps them as its row prices, and
 :func:`kkt_residuals` checks any scheme's solution against its rows and
 the model's slopes alone; for Scheme 1 the prices are also the duals of
 its semi-closed KKT system (psi, lambda, eta1, eta2).  Each Newton step is a
@@ -32,12 +32,13 @@ The upper level builds every split's totals once, at O(1) cost each
 in ascending order of energy floors it refines lazily: a split's
 scheme-free floor (:func:`_split_floors`, whose terms are taken once per
 (n1, n2) or once per m1, so each split's costs four additions), then each
-pair's, the larger of its scheme floor (each duration at the largest
-value the scheme's own rows allow) and its
+pair's (:func:`_pair_floors`), the larger of its scheme floor (each
+duration at the largest value the scheme's own rows allow) and its
 device-block bound (the one-price minimum of the device terms under the
 device row, :func:`model.device_block_floor`, plus the relay-own terms at
-their caps).  It stops at the first floor above the lowest energy solved
-so far by more than a skip margin.  The winner is then picked by replaying
+their caps), both from one set of capped terms per scheme.  It stops at
+the first floor above the lowest energy solved so far by more than a
+skip margin.  The winner is then picked by replaying
 the tie rule over the solved pairs in the canonical S1 -> S2 -> S3
 lexicographic order; the margin is wide enough that the skipped pairs could
 not have changed that pick, so the winner is the exhaustive traversal's.
@@ -406,18 +407,24 @@ def _least_squares(columns: list[list[float]], target: list[float]) -> list[floa
     Modified Gram-Schmidt with column pivoting on unit-length columns, each
     one orthogonalised twice.  A column whose remainder is below 1e-10
     depends on the earlier ones and gets coefficient 0."""
-    lengths = [math.sqrt(sum(v * v for v in col)) or 1.0 for col in columns]
+    def norm_sq(vec: list[float]) -> float:
+        return sum(v * v for v in vec)
+
+    lengths = [math.sqrt(norm_sq(col)) or 1.0 for col in columns]
     rest = [[v / length for v in col] for col, length in zip(columns, lengths)]
     rest_target = list(target)
     order: list[int] = []
     coef: list[float] = []
     r: dict[tuple[int, int], float] = {}
     while len(order) < len(columns):
-        i = max(
-            (i for i in range(len(columns)) if i not in order),
-            key=lambda i: sum(v * v for v in rest[i]),
-        )
-        size = math.sqrt(sum(v * v for v in rest[i]))
+        # the first column of the largest remainder, as max() picks it
+        i, largest = -1, 0.0
+        for c in range(len(columns)):
+            if c not in order:
+                size_sq = norm_sq(rest[c])
+                if i < 0 or size_sq > largest:
+                    i, largest = c, size_sq
+        size = math.sqrt(largest)
         if size <= 1e-10:
             break
         q = [v / size for v in rest[i]]
@@ -672,11 +679,16 @@ def active_set_newton(
             lam = face.multipliers(pull_free)
             for j, p in zip(free, p_free):
                 step[j] = p
-            solved = all(
-                abs(h[j] * step[j])
-                <= _FACE_REL * max([abs(g[j])] + [abs(r[k] * y) for r, y in zip(face.rows, lam)])
-                for k, j in enumerate(free)
-            )
+            for k, j in enumerate(free):
+                # the largest stationarity term, kept as max() keeps it
+                largest = abs(g[j])
+                for r, y in zip(face.rows, lam):
+                    term = abs(r[k] * y)
+                    if term > largest:
+                        largest = term
+                if not abs(h[j] * step[j]) <= _FACE_REL * largest:
+                    solved = False
+                    break
             if solved and face.inverse is not None:
                 lam = face.certificate(pull_free)
         # what the working rows leave of each slope; a bound takes the rest
@@ -816,8 +828,12 @@ def solve_scheme(
     negative coefficient (S1's T2 and T3, S2's T1 and T2).  The start,
     restricted to the engine's columns, still meets its rows and keeps
     its energy; the program is convex, so one run from it reaches the
-    optimum.  The engine's row multipliers are the solution's prices, and
-    Scheme 1's duals are read from them.
+    optimum.  The engine's energy, slopes and curvatures loop over the
+    program's loaded columns alone, calling the model's per-term kernels
+    and adding the energy terms in :func:`model.energy`'s order, so each
+    value equals the six-term model's; an unloaded column the engine keeps
+    and the free tau0 read 0.  The engine's row multipliers are the
+    solution's prices, and Scheme 1's duals are read from them.
 
     The relay-own transmission gap tau0 of Scheme 3 is pinned to zero (its
     optimal value); pass ``free_tau0=True`` to optimize it explicitly,
@@ -889,31 +905,56 @@ def solve_scheme(
         if i >= 6 or loads[i] > 0.0 or (i >= 3 and any(row[i] < 0.0 for row in rows))
     ]
     rows = [[row[i] for i in active] for row in rows]
-    durations = [(k, i) for k, i in enumerate(active) if i < 6]
 
-    def embed(reduced: Sequence[float]) -> list[float]:
-        full = [0.0] * 6
-        for k, i in durations:
-            full[i] = reduced[k]
-        return full
+    # The loaded columns, in model._term_values order: (reduced index, data,
+    # gain) of each transmission, (reduced index, cycles, kappa) of each
+    # compute duration.  An unloaded column and the free tau0 carry no
+    # energy, and the terms are nonnegative, so leaving their zeros out of
+    # the sum changes no bit of model.energy.
+    ch, co = scenario.channel, scenario.compute
+    coefficients = (
+        ch.gain_md_relay, ch.gain_relay_bs, ch.gain_relay_bs, co.kappa_md, co.kappa_relay,
+        co.kappa_relay,
+    )
+    loaded = [(k, i) for k, i in enumerate(active) if i < 6 and loads[i] > 0.0]
+    sends = [(k, loads[i], coefficients[i]) for k, i in loaded if i < 3]
+    works = [(k, loads[i], coefficients[i]) for k, i in loaded if i >= 3]
+    transmit_term, compute_term = model._transmit_term, model._compute_term
+    transmit_slope, compute_slope = model._transmit_slope, model._compute_slope
+    transmit_curvature, compute_curvature = model._transmit_curvature, model._compute_curvature
 
     def objective(reduced: list[float]) -> float:
-        return model.energy(sums, scenario, *embed(reduced))
+        total = 0.0
+        for k, d, gain in sends:
+            total += transmit_term(d, reduced[k], gain, ch)
+        for k, cycles, kappa in works:
+            total += compute_term(cycles, reduced[k], kappa)
+        return total
 
-    # the free tau0 carries no energy
     def slopes(reduced: list[float]) -> list[float]:
-        values = model.energy_slopes(sums, scenario, *embed(reduced))
-        return [values[i] if i < 6 else 0.0 for i in active]
+        values = [0.0] * len(active)
+        for k, d, gain in sends:
+            values[k] = transmit_slope(d, reduced[k], gain, ch)
+        for k, cycles, kappa in works:
+            values[k] = compute_slope(cycles, reduced[k], kappa)
+        return values
 
     def curvatures(reduced: list[float]) -> list[float]:
-        values = model.energy_curvatures(sums, scenario, *embed(reduced))
-        return [values[i] if i < 6 else 0.0 for i in active]
+        values = [0.0] * len(active)
+        for k, d, gain in sends:
+            values[k] = transmit_curvature(d, reduced[k], gain, ch)
+        for k, cycles, kappa in works:
+            values[k] = compute_curvature(cycles, reduced[k], kappa)
+        return values
 
     lo, start = [lo[i] for i in active], [accepted[i] for i in active]
     result = active_set_newton(objective, slopes, curvatures, rows, bounds, lo, start)
 
     # a step's rounding can leave a duration an ulp below its zero bound
-    x = [max(v, 0.0) for v in embed(result.point)]
+    x = [0.0] * 6
+    for k, i in enumerate(active):
+        if i < 6:
+            x[i] = max(result.point[k], 0.0)
     prices = tuple(map(float, result.row_multipliers))
     psi = lam = eta1 = eta2 = math.nan
     if scheme is SchemeId.S1:
@@ -1013,6 +1054,26 @@ def split_energy_floor(
     return model.energy(room.sums, scenario, *_caps(scheme, room, 14.0 * options.feas_tol))
 
 
+def _pair_floors(room: _Room, scenario: Scenario, options: Case2Options) -> list[float]:
+    """Each scheme's floor at the split of ``room``, in S1, S2, S3 order.
+
+    A pair's floor is the larger of its scheme floor,
+    :func:`split_energy_floor`, and its device-block bound: the one-price
+    minimum of the device terms under the device budget,
+    :func:`model.device_block_floor` at D plus the caps' slack, plus the
+    relay-own terms at the scheme's caps.  Each scheme's six capped terms
+    are taken once and serve both; their sum, in :func:`model.energy`'s
+    order, is the scheme floor bit for bit.
+    """
+    slack = 14.0 * options.feas_tol
+    device = model.device_block_floor(room.sums, scenario, room.device + slack)
+    floors = []
+    for scheme in (SchemeId.S1, SchemeId.S2, SchemeId.S3):
+        a, b, c, d, e, f = model._term_values(room.sums, scenario, *_caps(scheme, room, slack))
+        floors.append(max(a + b + c + d + e + f, device + c + f))
+    return floors
+
+
 def _split_floors(
     splits: Sequence[tuple[int, int, int, SplitSums]], scenario: Scenario, options: Case2Options
 ) -> list[float]:
@@ -1074,11 +1135,12 @@ def solve_case2(
     floor (:func:`_split_floors`: every duration at its block's budget,
     from device terms taken once per (n1, n2) and relay-own terms taken
     once per m1), which bounds every scheme there.  When it comes up,
-    its three pairs go back in, each at the larger of two floors: its
-    scheme floor (:func:`split_energy_floor`), and its device-block bound,
-    :func:`model.device_block_floor` at the device budget D (computed once
-    per split) plus the relay-own terms at the scheme's caps, both with the
-    caps' slack of 14 feas_tol.  A pair is solved when it comes up.  Each
+    its three pairs go back in, each at the larger of two floors
+    (:func:`_pair_floors`): its scheme floor (:func:`split_energy_floor`),
+    and its device-block bound, :func:`model.device_block_floor` at the
+    device budget D (computed once per split) plus the relay-own terms at
+    the scheme's caps, both with the caps' slack of 14 feas_tol and from
+    the same six capped terms.  A pair is solved when it comes up.  Each
     key is raised to the split's where rounding leaves it below, so popped
     keys never fall, and every key is a floor of its pair's energy.  So
     only the splits that reach the front pay for the pair floors.  The
@@ -1122,7 +1184,6 @@ def solve_case2(
     heap = [(floor, -1, i) for i, floor in enumerate(_split_floors(splits, scenario, options))]
     heapq.heapify(heap)
     schemes = (SchemeId.S1, SchemeId.S2, SchemeId.S3)
-    slack = 14.0 * options.feas_tol
     solved: list[tuple[int, int, Case2LowerSolution]] = []
     lowest = math.inf
     while heap:
@@ -1135,11 +1196,8 @@ def solve_case2(
             indices = Case2Indices(n1, n2, m1)
             room = _Room(indices, scenario, sums)
             rooms[i] = indices, room
-            device = model.device_block_floor(sums, scenario, room.device + slack)
-            for k, scheme in enumerate(schemes):
-                own = split_energy_floor(indices, scenario, options, scheme=scheme, room=room)
-                terms = model._term_values(sums, scenario, *_caps(scheme, room, slack))
-                heapq.heappush(heap, (max(own, device + terms[2] + terms[5], floor), k, i))
+            for k, pair_floor in enumerate(_pair_floors(room, scenario, options)):
+                heapq.heappush(heap, (max(pair_floor, floor), k, i))
             continue
         scheme = schemes[k]
         indices, room = rooms[i]

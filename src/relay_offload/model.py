@@ -290,12 +290,21 @@ def _transmit_term(d: float, tau: float, gain: float, channel: ChannelParams) ->
 
 
 def _compute_term(cycles: float, duration: float, kappa: float) -> float:
-    """kappa * cycles^3 / duration^2; inf when the duration is infeasible."""
+    """kappa * cycles^3 / duration^2; inf when the duration is infeasible.
+
+    Where cycles^3 overflows or duration^2 underflows to 0, the value is
+    kappa * cycles * f^2 with f = cycles / duration, as in
+    :func:`_compute_slope`: it cannot raise, and a product past the
+    largest float is inf."""
     if cycles <= 0.0:
         return 0.0
     if duration <= 0.0:
         return math.inf
-    return kappa * cycles**3 / (duration * duration)
+    try:
+        return kappa * cycles**3 / (duration * duration)
+    except (OverflowError, ZeroDivisionError):
+        f = cycles / duration
+        return kappa * cycles * f * f
 
 
 def _transmit_slope(d: float, tau: float, gain: float, channel: ChannelParams) -> float:

@@ -367,6 +367,17 @@ class TestSolveCase2:
         with pytest.raises(Infeasible, match="globally infeasible"):
             solve_case2(scenario)
 
+    def test_overflowing_cycle_count_is_infeasible(self):
+        # kappa * cycles^3 of 1e120 cycles overflows, which escaped from the
+        # split floors as OverflowError; every split is infeasible there
+        scenario = load_scenario(RELAY_BUSY)
+        (task,) = scenario.device_chain.tasks
+        scenario = dataclasses.replace(
+            scenario, device_chain=TaskChain((Task(task.data_nats, 1e120),))
+        )
+        with pytest.raises(Infeasible, match="globally infeasible"):
+            solve_case2(scenario)
+
     def test_warm_start_keeps_quality(self):
         scenario = basic_scenario()
         cold = solve_case2(scenario)
@@ -589,6 +600,36 @@ class TestSplitFloor:
         assert checked > 1000
         assert tightened > checked // 4
 
+    def test_pair_floors_take_the_capped_terms_once(self, monkeypatch):
+        # each scheme's six capped terms serve both of its pair floor's
+        # parts; without the device-block bound the key is
+        # split_energy_floor bit for bit
+        options = Case2Options()
+        slack = 14.0 * options.feas_tol
+        instances = [_relay_busy(factor) for factor in (1.0, 10.0, 1e3, 1e9)]
+        for n_tasks, m_tasks in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]:
+            instances += [_random_busy(seed, n_tasks, m_tasks) for seed in range(5)]
+        checked = 0
+        for scenario in instances:
+            for n1, n2, m1, sums in model.relay_busy_split_sums(scenario):
+                indices = Case2Indices(n1, n2, m1)
+                room = case2._Room(indices, scenario, sums)
+                device = model.device_block_floor(sums, scenario, room.device + slack)
+                floors = case2._pair_floors(room, scenario, options)
+                with monkeypatch.context() as patch:
+                    patch.setattr(model, "device_block_floor", lambda *args: -math.inf)
+                    scheme_floors = case2._pair_floors(room, scenario, options)
+                for scheme, floor, scheme_floor in zip(SchemeId, floors, scheme_floors):
+                    reference = split_energy_floor(
+                        indices, scenario, options, scheme=scheme, room=room
+                    )
+                    assert scheme_floor == reference, (scheme, indices)
+                    terms = energy_terms(sums, scenario, *case2._caps(scheme, room, slack))
+                    block = device + terms["tx_relay_own"] + terms["cpu_relay_own"]
+                    assert floor == max(reference, block), (scheme, indices)
+                    checked += 1
+        assert checked > 1000
+
     def test_device_block_floor_is_the_uncapped_case1_optimum(self):
         # with no frequency cap in reach, case 1's lower problem at a split
         # is the device block under its deadline budget t_s - es/f_bs
@@ -738,8 +779,15 @@ class TestSplitFloor:
                 raise Infeasible("synthetic", ("synthetic",))
             return Case2LowerSolution(*[1.0] * 7, *[math.nan] * 4, energy)
 
-        def fake_floor(indices, scenario, options, *, scheme, room=None):
-            return floors[scheme, indices]
+        # a room carries its split's totals, which tell the splits apart here
+        split_of = {
+            sums: Case2Indices(n1, n2, m1)
+            for n1, n2, m1, sums in model.relay_busy_split_sums(scenario)
+        }
+        assert len(split_of) == len(splits)
+
+        def fake_pair_floors(room, scenario, options):
+            return [floors[s, split_of[room.sums]] for s in SchemeId]
 
         def fake_split_floors(splits, scenario, options):
             # the floor of a whole split bounds each of its schemes' floors
@@ -749,10 +797,8 @@ class TestSplitFloor:
             ]
 
         monkeypatch.setattr(case2, "solve_scheme", fake_solve)
-        monkeypatch.setattr(case2, "split_energy_floor", fake_floor)
+        monkeypatch.setattr(case2, "_pair_floors", fake_pair_floors)
         monkeypatch.setattr(case2, "_split_floors", fake_split_floors)
-        # the device-block bound tightens nothing over the synthetic floors
-        monkeypatch.setattr(model, "device_block_floor", lambda *args: -math.inf)
         for seed in range(40):
             rng = np.random.default_rng(seed)
             for scheme in SchemeId:
@@ -1033,16 +1079,19 @@ class TestDescentGradients:
         # projected descent took 5,703 energy evaluations in this solve;
         # the engine takes about one per Newton step
         calls = []
-        term_values = model._term_values
+        engine = case2.active_set_newton
 
-        def counted(*args):
-            calls.append(None)
-            return term_values(*args)
+        def counted(energy_of, *args):
+            def evaluate(x):
+                calls.append(None)
+                return energy_of(x)
 
-        monkeypatch.setattr(model, "_term_values", counted)
+            return engine(evaluate, *args)
+
+        monkeypatch.setattr(case2, "active_set_newton", counted)
         lower = solve_scheme(SchemeId.S2, Case2Indices(1, 1, 1), _relay_busy(10.0))
         assert math.isfinite(lower.energy)
-        assert len(calls) <= 100
+        assert 0 < len(calls) <= 100
 
 
 def _certificate(rows, bounds, x, slopes, result):
@@ -1365,6 +1414,29 @@ def _loads(sums):
     return (sums.d1, sums.d2, sums.d3, sums.ls, sums.rs, sums.lr)
 
 
+def _six_term_callbacks(sums, scenario, active):
+    """Engine callbacks the six-term way: embed the point's ``active``
+    columns into the six durations, then call :func:`model.energy`,
+    :func:`model.energy_slopes` and :func:`model.energy_curvatures`; a
+    column past the six (S2's t_c, S3's free tau0) reads 0."""
+
+    def embed(reduced):
+        full = [0.0] * 6
+        for k, i in enumerate(active):
+            if i < 6:
+                full[i] = reduced[k]
+        return full
+
+    def on_active(values):
+        return [values[i] if i < 6 else 0.0 for i in active]
+
+    return (
+        lambda x: energy(sums, scenario, *embed(x)),
+        lambda x: on_active(model.energy_slopes(sums, scenario, *embed(x))),
+        lambda x: on_active(model.energy_curvatures(sums, scenario, *embed(x))),
+    )
+
+
 def _full_rows_optimum(scheme, indices, scenario, start):
     """The energy the engine reaches from ``start`` on the scheme's whole
     :func:`case2._rows` program: S2 with its epigraph column t_c, and only
@@ -1377,28 +1449,10 @@ def _full_rows_optimum(scheme, indices, scenario, start):
     rows, bounds = case2._rows(scheme, room)
     rows = [[row[i] for i in placed] for row in rows]
     lo = [1e-12 * room.horizon if 3 <= i < 6 and loads[i] > 0.0 else 0.0 for i in placed]
-
-    def durations(x):
-        full = [0.0] * 6
-        for k, i in enumerate(placed):
-            if i < 6:
-                full[i] = x[k]
-        return full
-
-    def on_placed(values):
-        return [values[i] if i < 6 else 0.0 for i in placed]
-
-    result = case2.active_set_newton(
-        lambda x: energy(sums, scenario, *durations(x)),
-        lambda x: on_placed(model.energy_slopes(sums, scenario, *durations(x))),
-        lambda x: on_placed(model.energy_curvatures(sums, scenario, *durations(x))),
-        rows,
-        bounds,
-        lo,
-        start,
-    )
+    energy_of, slopes_of, curvatures_of = _six_term_callbacks(sums, scenario, placed)
+    result = case2.active_set_newton(energy_of, slopes_of, curvatures_of, rows, bounds, lo, start)
     assert result.converged
-    return energy(sums, scenario, *[max(v, 0.0) for v in durations(result.point)])
+    return energy_of([max(v, 0.0) for v in result.point])
 
 
 class TestEngineProgram:
@@ -1530,6 +1584,69 @@ class TestEngineProgram:
                         assert values[i] == 0.0 and math.copysign(1.0, values[i]) == 1.0
                         checked += 1
         assert checked > 200
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestEngineCallbacks:
+    """solve_scheme's callbacks loop over the program's loaded columns
+    alone; the six-term callbacks are their reference."""
+
+    def test_loaded_columns_give_the_six_term_values(self, monkeypatch):
+        instances = [_relay_busy(10.0**decade) for decade in range(10)]
+        for n_tasks, m_tasks in [(1, 1), (2, 1), (1, 2), (2, 2)]:
+            instances += [_random_busy(seed, n_tasks, m_tasks) for seed in range(3)]
+        instances.append(_zero_data_device(_relay_busy()))
+        points = free = unloaded = 0
+        for scenario in instances:
+            for scheme, indices in _every_pair(scenario):
+                room = case2._Room(indices, scenario, None)
+                loads = _loads(room.sums)
+                table, _ = case2._engine_rows(scheme, room)
+                for free_tau0 in (False, True) if scheme is SchemeId.S3 else (False,):
+
+                    def solve():
+                        try:
+                            solve_scheme(scheme, indices, scenario, free_tau0=free_tau0)
+                        except Infeasible:
+                            pass
+
+                    with monkeypatch.context() as patch:
+                        runs = _engine_calls(patch, solve)
+                    active = [
+                        i for i in range(6) if loads[i] > 0.0 or i not in _PINNABLE[scheme]
+                    ] + [6] * free_tau0
+                    reference = _six_term_callbacks(room.sums, scenario, active)
+                    for run in runs:
+                        energy_of, slopes_of, curvatures_of, rows, bounds, lo, start, result = run
+                        assert rows == [[row[i] for i in active] for row in table]
+                        # replay the run, recording every point the engine evaluates
+                        seen = []
+
+                        def recorded(callback):
+                            def call(x):
+                                seen.append(list(x))
+                                return callback(x)
+
+                            return call
+
+                        replay = case2.active_set_newton(
+                            recorded(energy_of), recorded(slopes_of), recorded(curvatures_of),
+                            rows, bounds, lo, start,
+                        )
+                        assert replay == result
+                        for x in seen:
+                            assert _same(energy_of(x), reference[0](x)), (scheme, indices, x)
+                            for new, old in zip(slopes_of(x), reference[1](x), strict=True):
+                                assert _same(new, old), (scheme, indices, x)
+                            for new, old in zip(curvatures_of(x), reference[2](x), strict=True):
+                                assert _same(new, old), (scheme, indices, x)
+                        points += len(seen)
+                        free += free_tau0
+                        unloaded += any(i < 6 and loads[i] == 0.0 for i in active)
+        assert points > 20000 and free > 100 and unloaded > 300, (points, free, unloaded)
 
 
 class TestPolytopeProjector:

@@ -262,6 +262,26 @@ class TestNonFiniteInput:
         assert captured.err.startswith(f"error: compute.{key}: 1e+300 is too large")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["solve-case2", "gantt", "oracle-check"])
+    def test_overflowing_cycle_count_is_infeasible(self, tmp_path, capsys, command):
+        # 1e120 cycles, whose cube overflows the compute energy's product:
+        # after the scenario's own warning, one line and exit 2, where the
+        # split floors once raised OverflowError with a traceback
+        doc = case2_doc()
+        doc["device_tasks"][0]["cycles"] = 1e120
+        path = write_doc(tmp_path, doc)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, "--scenario", str(path)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "warning: deadlines: even the base station at its cap cannot finish the "
+            "device chain within the deadline; instance is likely infeasible\n"
+            "infeasible: globally infeasible: no scheme and split meets both deadlines "
+            "(constraints: deadline)\n"
+        )
+
 
 class TestSweepCommand:
     def test_deadline_sweep_monotone(self, tmp_path, capsys):

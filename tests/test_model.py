@@ -23,6 +23,9 @@ from relay_offload.model import (
     ModelDomainError,
     ScenarioError,
     SplitSums,
+    _compute_curvature,
+    _compute_slope,
+    _compute_term,
     _transmit_curvature,
     _transmit_slope,
     energy,
@@ -114,6 +117,40 @@ class TestComputeModel:
             compute_time(1.0, 0.0)
         with pytest.raises(ModelDomainError):
             compute_energy(1.0, 0.0, 1e-27)
+
+    @pytest.mark.parametrize(
+        "cycles, duration",
+        [
+            (1e120, 1e100),  # cycles^3 overflows, the energy does not
+            (1e120, 1.0),  # both overflow
+            (1e-150, 1e-170),  # duration^2 underflows to 0, the energy does not
+            (1.0, 1e-170),  # it underflows and the energy overflows
+        ],
+    )
+    def test_term_at_the_float_extremes(self, cycles, duration):
+        # kappa * cycles^3 / duration^2 raised OverflowError or
+        # ZeroDivisionError here; the term is now the energy, or inf exactly
+        # where the energy leaves the floats, as its slope and curvature are
+        kappa = 1e-27
+        with localcontext() as ctx:
+            ctx.prec = 40
+            exact = Decimal(kappa) * Decimal(cycles) ** 3 / Decimal(duration) ** 2
+        term = _compute_term(cycles, duration, kappa)
+        if exact > Decimal(np.finfo(float).max):
+            assert term == math.inf
+            assert _compute_slope(cycles, duration, kappa) == -math.inf
+            assert _compute_curvature(cycles, duration, kappa) == math.inf
+        else:
+            assert term == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "cycles, freq, expected",
+        [(1e120, 1e9, 1e111), (1e-150, 1e20, 1e-137), (1e200, 1e200, math.inf)],
+    )
+    def test_energy_at_the_float_extremes(self, cycles, freq, expected):
+        # kappa * cycles * f^2, where cycles^3 overflows (the first and last)
+        # or the block time's square underflows (the second)
+        assert compute_energy(cycles, freq, 1e-27) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_energy_time_identity(self):
         # E * t == kappa * l^2 * f
