@@ -93,7 +93,7 @@ def deadline_lhs(lam: float, split: SplitIndices, scenario: Scenario) -> float:
         raise ModelDomainError("dual multiplier must be positive")
     sums = _sums(split, scenario)
     durations = model.device_durations(sums, scenario, lam, capped=True)
-    return sums.es / scenario.compute.f_bs_max + sum(durations)
+    return sums.es / scenario.compute.f_bs_max + model.plain_sum(durations)
 
 
 def _durations(

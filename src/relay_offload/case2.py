@@ -401,39 +401,55 @@ def _positive(v: float) -> float:
     return 0.0 if v <= 0.0 else v
 
 
+def _dot(u: Sequence[float], v: Sequence[float]) -> float:
+    """u @ v, its products added left to right from 0.0 as
+    :func:`model.plain_sum` adds, so the answer is the same on every
+    Python version."""
+    total = 0.0
+    for a, b in zip(u, v):
+        total += a * b
+    return total
+
+
+def _finite(values: Sequence[float]) -> bool:
+    """Whether every value is finite (not infinite, not NaN)."""
+    for v in values:
+        if not -math.inf < v < math.inf:
+            return False
+    return True
+
+
 def _least_squares(columns: list[list[float]], target: list[float]) -> list[float]:
     """Coefficients y minimising |sum_i y_i columns[i] - target|.
 
     Modified Gram-Schmidt with column pivoting on unit-length columns, each
     one orthogonalised twice.  A column whose remainder is below 1e-10
     depends on the earlier ones and gets coefficient 0."""
-    def norm_sq(vec: list[float]) -> float:
-        return sum(v * v for v in vec)
-
-    lengths = [math.sqrt(norm_sq(col)) or 1.0 for col in columns]
+    lengths = [math.sqrt(_dot(col, col)) or 1.0 for col in columns]
     rest = [[v / length for v in col] for col, length in zip(columns, lengths)]
     rest_target = list(target)
+    left = list(range(len(columns)))  # the columns not yet taken, ascending
     order: list[int] = []
     coef: list[float] = []
     r: dict[tuple[int, int], float] = {}
-    while len(order) < len(columns):
+    while left:
         # the first column of the largest remainder, as max() picks it
         i, largest = -1, 0.0
-        for c in range(len(columns)):
-            if c not in order:
-                size_sq = norm_sq(rest[c])
-                if i < 0 or size_sq > largest:
-                    i, largest = c, size_sq
+        for c in left:
+            size_sq = _dot(rest[c], rest[c])
+            if i < 0 or size_sq > largest:
+                i, largest = c, size_sq
         size = math.sqrt(largest)
         if size <= 1e-10:
             break
         q = [v / size for v in rest[i]]
         r[i, i] = size
-        for j in [j for j in range(len(columns)) if j != i and j not in order] + [-1]:
+        left.remove(i)
+        for j in left + [-1]:
             vec = rest[j] if j >= 0 else rest_target
             total = 0.0
             for _ in range(2):
-                dot = sum(a * b for a, b in zip(q, vec))
+                dot = _dot(q, vec)
                 vec = [a - dot * b for a, b in zip(vec, q)]
                 total += dot
             if j >= 0:
@@ -445,34 +461,47 @@ def _least_squares(columns: list[list[float]], target: list[float]) -> list[floa
     y = [0.0] * len(columns)
     for a in range(len(order) - 1, -1, -1):
         i = order[a]
-        y[i] = (coef[a] - sum(r[i, j] * y[j] for j in order[a + 1 :])) / r[i, i]
+        known = 0.0
+        for j in order[a + 1 :]:
+            known += r[i, j] * y[j]
+        y[i] = (coef[a] - known) / r[i, i]
     return [v / length for v, length in zip(y, lengths)]
 
 
 def _pivoted_solve(a: list[list[float]], b: list[float]) -> list[float]:
     """Solve a @ u = b for a positive semidefinite matrix with a unit
     diagonal, by Cholesky elimination that pivots on the largest remaining
-    diagonal; a and b are overwritten.  Once that diagonal falls to
-    _DEPENDENT, the moves left depend on the ones eliminated and get
-    coefficient 0."""
+    diagonal (the first of equals); a and b are overwritten.  Once that
+    diagonal falls to _DEPENDENT, the moves left depend on the ones
+    eliminated and get coefficient 0."""
     left = list(range(len(b)))
     order: list[int] = []
     while left:
-        k = max(left, key=lambda i: a[i][i])
-        if a[k][k] <= _DEPENDENT:
+        k = left[0]
+        for i in left:
+            if a[i][i] > a[k][k]:
+                k = i
+        pivot = a[k][k]
+        if pivot <= _DEPENDENT:
             break
         left.remove(k)
         order.append(k)
+        row_k = a[k]
         for i in left:
-            factor = a[i][k] / a[k][k]
+            row_i = a[i]
+            factor = row_i[k] / pivot
             if factor:
                 for j in left:
-                    a[i][j] -= factor * a[k][j]
+                    row_i[j] -= factor * row_k[j]
                 b[i] -= factor * b[k]
     u = [0.0] * len(b)
     for pos in range(len(order) - 1, -1, -1):
         k = order[pos]
-        u[k] = (b[k] - sum(a[k][j] * u[j] for j in order[pos + 1 :])) / a[k][k]
+        row_k = a[k]
+        known = 0.0
+        for j in order[pos + 1 :]:
+            known += row_k[j] * u[j]
+        u[k] = (b[k] - known) / row_k[k]
     return u
 
 
@@ -543,7 +572,10 @@ class _Face:
         """Whether no pivot in a move costs more than _PIVOT_SLACK times the
         move's own coordinate, so the reduced Hessian is still well
         conditioned at these curvatures."""
-        return all(curvatures[p] <= _PIVOT_SLACK * curvatures[f] for p, f in self.spans)
+        for p, f in self.spans:
+            if not curvatures[p] <= _PIVOT_SLACK * curvatures[f]:
+                return False
+        return True
 
     def newton_step(
         self, slopes: list[float], curvatures: list[float]
@@ -556,26 +588,39 @@ class _Face:
         Z^T H Z = H_N + M^T H_P M.  Each move is scaled to unit curvature,
         and the reduced system is solved by :func:`_pivoted_solve`; a move
         with no curvature, or one that depends on the others, gets
-        coefficient 0.
+        coefficient 0.  When no two moves share a pivot, the reduced system
+        is the identity, and its solution is the right-hand side itself, as
+        :func:`_pivoted_solve` returns it while every entry is finite.
         """
         kept, scales, rhs = [], [], []
-        slot = [-1] * len(self.moves)  # each move's row in the reduced system
         for a, z in enumerate(self.moves):
-            curvature = sum(curvatures[j] * v * v for j, v in z)
+            curvature = 0.0
+            for j, v in z:
+                curvature += curvatures[j] * v * v
             if 0.0 < curvature < math.inf:
-                slot[a] = len(kept)
                 scale = 1.0 / math.sqrt(curvature)
+                slope = 0.0
+                for j, v in z:
+                    slope += slopes[j] * v
                 kept.append(a)
                 scales.append(scale)
-                rhs.append(-scale * sum(slopes[j] * v for j, v in z))
-        reduced = [[float(a == b) for b in range(len(kept))] for a in range(len(kept))]
-        for a, b, common in self.couplings:
-            a, b = slot[a], slot[b]
-            if a >= 0 and b >= 0:
-                coupling = scales[a] * scales[b] * sum(curvatures[j] * w for j, w in common)
-                reduced[a][b] = reduced[b][a] = coupling
+                rhs.append(-scale * slope)
+        solution = rhs
+        if self.couplings or not _finite(rhs):
+            slot = [-1] * len(self.moves)  # each move's row in the reduced system
+            for row, a in enumerate(kept):
+                slot[a] = row
+            reduced = [[float(a == b) for b in range(len(kept))] for a in range(len(kept))]
+            for a, b, common in self.couplings:
+                a, b = slot[a], slot[b]
+                if a >= 0 and b >= 0:
+                    coupling = 0.0
+                    for j, w in common:
+                        coupling += curvatures[j] * w
+                    reduced[a][b] = reduced[b][a] = scales[a] * scales[b] * coupling
+            solution = _pivoted_solve(reduced, rhs)
         step = [0.0] * len(slopes)
-        for a, scale, u in zip(kept, scales, _pivoted_solve(reduced, rhs)):
+        for a, scale, u in zip(kept, scales, solution):
             if u:
                 for j, v in self.moves[a]:
                     step[j] += scale * u * v
@@ -588,7 +633,13 @@ class _Face:
         certificate solve."""
         if self.inverse is None:
             return self.certificate(pull)
-        return [sum(c * pull[p] for p, c in column) for column in self.inverse]
+        lam = []
+        for column in self.inverse:
+            total = 0.0
+            for p, c in column:
+                total += c * pull[p]
+            lam.append(total)
+        return lam
 
     def certificate(self, pull: list[float]) -> list[float]:
         """Least-squares multipliers of rows.T @ lam = pull, weighted by each
@@ -598,7 +649,8 @@ class _Face:
         sizes = [abs(v) for v in pull if v]
         if not self.rows or not sizes:
             return [0.0] * len(self.rows)
-        weight = [1.0 / (abs(v) if v else min(sizes)) for v in pull]
+        smallest = min(sizes)
+        weight = [1.0 / (abs(v) if v else smallest) for v in pull]
         columns = [[c * w for c, w in zip(row, weight)] for row in self.rows]
         return _least_squares(columns, [v * w for v, w in zip(pull, weight)])
 
@@ -658,46 +710,71 @@ def active_set_newton(
             x[j], fixed[j] = lo[j], True
     working: list[int] = []
     faces: dict[tuple[tuple[int, ...], tuple[int, ...]], _Face] = {}
+    # the free coordinates and their face are looked up again only after
+    # the free set or the working set has changed
+    changed = True
     value = energy(x)
     converged = False
+
+    def pulled() -> list[float]:
+        """What the working rows leave of each slope; a bound takes the rest."""
+        pull = list(g)
+        for i, mult in zip(working, lam):
+            for j, c in nonzeros[i]:
+                pull[j] += c * mult
+        return pull
+
+    def point_at(t: float) -> list[float]:
+        trial = [v + t * p for v, p in zip(x, step)]
+        if t == reach and block[1]:
+            trial[block[0]] = lo[block[0]]
+        return trial
+
     for iterations in range(1, _MAX_ITER + 1):
-        g = list(slopes(x))
-        h = [min(v, 1e300) for v in curvatures(x)]
-        free = [j for j in range(n) if not fixed[j]]
-        step = [0.0] * n
-        lam = [0.0] * len(working)
-        solved = True
-        if free:
-            g_free, h_free = [g[j] for j in free], [h[j] for j in free]
+        g = slopes(x)
+        h = [1e300 if v > 1e300 else v for v in curvatures(x)]  # min(v, 1e300), call-free
+        if changed:
+            free = [j for j in range(n) if not fixed[j]]
+            whole = len(free) == n  # then the face's coordinates are x's own
             key = (tuple(free), tuple(working))
             face = faces.get(key)
+            changed = False
+        lam = [0.0] * len(working)
+        solved = True
+        if not free:
+            step = [0.0] * n
+        else:
+            if whole:
+                g_free, h_free = g, h
+            else:
+                g_free, h_free = [g[j] for j in free], [h[j] for j in free]
             if face is None or not face.fits(h_free):
                 rows_on_face = tuple([tuple([row_list[i][j] for j in free]) for i in working])
                 order = tuple(sorted(range(len(free)), key=h_free.__getitem__))
                 face = faces[key] = _shared_face(rows_on_face, order)
             p_free, pull_free = face.newton_step(g_free, h_free)
             lam = face.multipliers(pull_free)
-            for j, p in zip(free, p_free):
-                step[j] = p
-            for k, j in enumerate(free):
+            if whole:
+                step = p_free
+            else:
+                step = [0.0] * n
+                for j, p in zip(free, p_free):
+                    step[j] = p
+            for k, p in enumerate(p_free):
                 # the largest stationarity term, kept as max() keeps it
-                largest = abs(g[j])
+                largest = abs(g_free[k])
                 for r, y in zip(face.rows, lam):
                     term = abs(r[k] * y)
                     if term > largest:
                         largest = term
-                if not abs(h[j] * step[j]) <= _FACE_REL * largest:
+                if not abs(h_free[k] * p) <= _FACE_REL * largest:
                     solved = False
                     break
             if solved and face.inverse is not None:
                 lam = face.certificate(pull_free)
-        # what the working rows leave of each slope; a bound takes the rest
-        pull = list(g)
-        for i, mult in zip(working, lam):
-            for j, c in nonzeros[i]:
-                pull[j] += c * mult
 
         if solved:
+            pull = pulled()
             offers = [
                 (mult / max(max(abs(g[j]) for j, _ in nonzeros[i]), 1e-300), i)
                 for i, mult in zip(working, lam)
@@ -715,6 +792,7 @@ def active_set_newton(
                 working.remove(drop)
             else:
                 fixed[drop - n] = False
+            changed = True
             continue
 
         # ratio test: how far along the step every constraint outside the
@@ -723,22 +801,21 @@ def active_set_newton(
         for i, row in enumerate(nonzeros):
             if i in working:
                 continue
-            rate = sum(c * step[j] for j, c in row)
+            rate = 0.0
+            for j, c in row:
+                rate += c * step[j]
             if rate > 0.0:
-                room = max(bound_list[i] - sum(c * x[j] for j, c in row), 0.0)
+                used = 0.0
+                for j, c in row:
+                    used += c * x[j]
+                room = max(bound_list[i] - used, 0.0)
                 if room < reach * rate:
                     reach, block = room / rate, (i, False)
         for j in free:
             if step[j] < 0.0 and x[j] + reach * step[j] < lo[j]:
                 reach, block = max((lo[j] - x[j]) / step[j], 0.0), (j, True)
 
-        def point_at(t: float) -> list[float]:
-            trial = [v + t * p for v, p in zip(x, step)]
-            if t == reach and block[1]:
-                trial[block[0]] = lo[block[0]]
-            return trial
-
-        decrease = sum(gj * pj for gj, pj in zip(g, step))
+        decrease = _dot(g, step)
         t = min(1.0, reach)
         trial = point_at(t)
         trial_value = energy(trial)
@@ -755,19 +832,24 @@ def active_set_newton(
                 # full step is doubled while the energy keeps falling
                 while t < reach:
                     longer = min(2.0 * t, reach)
-                    longer_value = energy(point_at(longer))
+                    longer_point = point_at(longer)
+                    longer_value = energy(longer_point)
                     if not longer_value < trial_value:
                         break
-                    t, trial, trial_value = longer, point_at(longer), longer_value
+                    t, trial, trial_value = longer, longer_point, longer_value
             x, value = trial, trial_value
             if t == reach:
                 if block[1]:
                     fixed[block[0]] = True
                 else:
                     working.append(block[0])
+                changed = True
             continue
         break  # no decrease left along a step that is not negligible
 
+    if not solved:
+        # the working set has at most gained a row since lam was solved
+        pull = pulled()
     row_multipliers = [0.0] * len(row_list)
     for i, mult in zip(working, lam):
         row_multipliers[i] = _positive(mult)

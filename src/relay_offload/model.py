@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -417,6 +417,18 @@ def freq_from_lambda(lam: float, kappa: float, f_cap: float) -> float:
     return min((lam / (2.0 * kappa)) ** (1.0 / 3.0), f_cap)
 
 
+def plain_sum(values: Iterable[float]) -> float:
+    """The values added left to right from 0.0.
+
+    That is what ``sum()`` returns for floats before Python 3.12, which
+    compensates its additions (Neumaier); the package takes every float
+    total this way, so its answers are the same on every version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 # breakdown order; totals add the terms left to right in this order
 ENERGY_TERMS = (
     "tx_md",
@@ -666,11 +678,13 @@ def kkt_residuals(
     for j, name in enumerate(("tau1", "tau2", "tau3", "T1", "T2", "T3")):
         if loads[j] > 0.0 and durations[j] > floors[j] * (1.0 + 1e-12):
             terms = [slopes[j]] + [price * row[j] for price, row in zip(prices, rows)]
-            out[name] = sum(terms) / max(max(map(abs, terms)), 1e-300)
+            out[name] = plain_sum(terms) / max(max(map(abs, terms)), 1e-300)
     for i, (row, bound, price) in enumerate(zip(rows, bounds, prices)):
         if price > 0.0:
             used = [c * x for c, x in zip(row, durations)]
-            out[f"row{i}"] = (sum(used) - bound) / max(abs(bound), sum(map(abs, used)), 1e-300)
+            out[f"row{i}"] = (plain_sum(used) - bound) / max(
+                abs(bound), plain_sum(map(abs, used)), 1e-300
+            )
     return out
 
 

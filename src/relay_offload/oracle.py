@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import Scenario
+from .model import Scenario, plain_sum
 
 
 class NoFeasiblePoint(Exception):
@@ -173,7 +173,7 @@ def case1_lower_reference(
     # frequencies carry no energy and only help feasibility, so they sit
     # at the cap by dominance
     absorber = "tau2" if d2 > 0.0 else ("tau1" if d1 > 0.0 else None)
-    bs_time = sum(
+    bs_time = plain_sum(
         work[i - 1] / co.f_bs_max for i in range(n2, n + 1) if work[i - 1] > 0.0
     )
 

@@ -1331,6 +1331,69 @@ class TestStructuredStep:
         assert not case2._Face(rows, [0, 1, 2, 3]).fits(curvatures)
         assert case2._Face(rows, [1, 2, 3, 0]).fits(curvatures)
 
+    def test_uncoupled_moves_skip_the_reduced_solve_bit_for_bit(self, monkeypatch):
+        # every Newton step the engine takes on the relay_busy.json ladder
+        # and 24 seeded plans, taken again on the general route: the
+        # identity's _pivoted_solve, forced by calling every side non-finite
+        taken = []
+        newton_step = case2._Face.newton_step
+
+        def recorded(face, slopes, curvatures):
+            taken.append((face, list(slopes), list(curvatures)))
+            return newton_step(face, slopes, curvatures)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(case2._Face, "newton_step", recorded)
+            for scenario in [_relay_busy(10.0**decade) for decade in range(10)] + [
+                _random_busy(seed, 1 + seed % 3, 1 + seed // 3 % 2) for seed in range(24)
+            ]:
+                _solve_every_pair(scenario)
+        uncoupled = [step for step in taken if not step[0].couplings]
+        assert len(uncoupled) > 1000 and len(uncoupled) < len(taken)
+
+        solves = []
+        pivoted = case2._pivoted_solve
+        monkeypatch.setattr(case2, "_pivoted_solve", lambda a, b: solves.append(b) or pivoted(a, b))
+
+        def bits(pairs):
+            # repr keeps the sign of a zero, and every NaN reads "nan"
+            return [[list(map(repr, values)) for values in pair] for pair in pairs]
+
+        shortcut = bits(face.newton_step(g, h) for face, g, h in uncoupled)
+        assert not solves
+        monkeypatch.setattr(case2, "_finite", lambda values: False)
+        general = bits(face.newton_step(g, h) for face, g, h in uncoupled)
+        assert len(solves) == len(uncoupled)
+        assert shortcut == general
+
+    @pytest.mark.parametrize("infinity", [math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "rows, order, slopes",
+        [
+            ([], [0, 1], [1.0]),  # no working row: two unit moves
+            ([[1.0, 1.0, 0.0]], [0, 1, 2], [1.0, 2.0]),  # tau1 + tau2 held, T1 apart
+        ],
+    )
+    def test_an_infinite_side_takes_the_general_route(
+        self, monkeypatch, rows, order, slopes, infinity
+    ):
+        face = case2._Face(rows, order)
+        assert not face.couplings and len(face.moves) == 2
+        solves = []
+        pivoted = case2._pivoted_solve
+        monkeypatch.setattr(
+            case2, "_pivoted_solve", lambda a, b: solves.append(list(b)) or pivoted(a, b)
+        )
+        # the last move's slope is infinite, so its side, -slope / sqrt(4), is
+        # -infinity
+        step, pull = face.newton_step(slopes + [infinity], [4.0] * len(order))
+        assert len(solves) == 1 and solves[0][1] == -infinity
+        # back substitution multiplies that side's coefficient by the zero
+        # coupling, which leaves the first move's coefficient NaN, as it
+        # always has; the right-hand side alone would have kept it finite
+        assert math.isnan(step[0]) and step[-1] == -infinity
+        assert all(math.isnan(v) for v in pull)
+
 
 class TestFaceTable:
     """The process-wide table of the engine's working faces."""
