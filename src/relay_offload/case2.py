@@ -90,7 +90,7 @@ class Case2LowerSolution:
     t1/t2/t3 are the compute-block durations (device local, relay for the
     device, relay for itself); tau_s is the BS slot reserved for device
     tasks.  ``prices``, out of the repr and equality, are the multipliers
-    of :func:`_engine_rows`, in order (empty when rebuilt from a document).
+    of :func:`_engine_rows`, in order.
     The duals are Scheme 1's prices by the paper's names (psi on the device
     deadline row, lam on the ordering row, eta1 and eta2 on the BS-capacity
     rows) and are NaN for Schemes 2 and 3.  cap_violations names relaxed

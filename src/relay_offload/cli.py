@@ -15,20 +15,12 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
 from . import model
-from .case1 import Case1LowerSolution, Case1Options, Case1Solution, SplitIndices, solve_case1
-from .case2 import (
-    Case2Indices,
-    Case2LowerSolution,
-    Case2Options,
-    Case2Solution,
-    SchemeId,
-    solve_case2,
-)
+from .case1 import Case1Options, Case1Solution, solve_case1
+from .case2 import Case2Options, Case2Solution, solve_case2
 from .model import Infeasible, Scenario, ScenarioError
 from .timeline import TimelineError, build_timeline, to_gantt_csv
 
@@ -38,27 +30,14 @@ EXIT_INFEASIBLE = 2
 EXIT_INCONSISTENT = 3
 _EXIT_UNREFEREED = 4
 
-_COMMANDS = ("solve-case1", "solve-case2", "oracle-check", "sweep", "validate", "gantt")
-
-
-@dataclass
-class RunConfig:
-    """One CLI invocation; sweep fields are present exactly for sweeps."""
-
-    command: str
-    scenario_path: Path
-    output: Path | None = None
-    sweep_var: str | None = None
-    sweep_range: tuple[float, float, int] | None = None
-    with_oracle: bool = False
-    tolerances: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.command not in _COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        has_sweep = self.sweep_var is not None and self.sweep_range is not None
-        if (self.command == "sweep") != has_sweep:
-            raise ValueError("sweep parameters are required exactly for sweeps")
+_COMMANDS = {
+    "solve-case1": "solve a scenario where the relay has no own tasks",
+    "solve-case2": "solve a scenario where the relay has its own task chain",
+    "oracle-check": "compare the solver against the grid-search oracle",
+    "sweep": "re-solve over a range of one scenario field, emit CSV",
+    "validate": "check a scenario file and report violations",
+    "gantt": "solve and emit the schedule as CSV",
+}
 
 
 def _json_ready(value):
@@ -93,39 +72,38 @@ def _emit(text: str, output: Path | None) -> int:
     return EXIT_OK
 
 
-def _normalized(energy: float, scenario: Scenario) -> float:
-    # joules relative to the sigma^2/g power scale, for cross-scenario reading
-    return energy * scenario.channel.gain_relay_bs / scenario.channel.noise
+def _indices(solution: Case1Solution | Case2Solution) -> dict[str, int]:
+    if isinstance(solution, Case1Solution):
+        return dataclasses.asdict(solution.split)
+    return dataclasses.asdict(solution.indices)
 
 
 def solution_to_doc(
     solution: Case1Solution | Case2Solution, scenario: Scenario
 ) -> dict:
-    """Solution JSON document (round-trips through solution_from_doc)."""
-    if isinstance(solution, Case1Solution):
-        lower = solution.lower
-        return {
-            "case": 1,
-            "indices": {"n1": solution.split.n1, "n2": solution.split.n2},
-            "times": {"tau1": lower.tau1, "tau2": lower.tau2, "slack": lower.slack},
-            "frequencies": {"f_local": lower.f_local, "f_relay": lower.f_relay},
-            "duals": {"lambda": lower.lam},
-            "energy": {
-                "total_joules": lower.energy,
-                "normalized": _normalized(lower.energy, scenario),
-                "breakdown": dict(solution.energy_breakdown),
-            },
-        }
+    """Solution JSON document."""
     lower = solution.lower
-    return {
-        "case": 2,
-        "scheme": solution.scheme.value,
-        "indices": {
-            "n1": solution.indices.n1,
-            "n2": solution.indices.n2,
-            "m1": solution.indices.m1,
+    doc = {
+        "indices": _indices(solution),
+        "energy": {
+            "total_joules": lower.energy,
+            # joules relative to the sigma^2/g power scale, for cross-scenario reading
+            "normalized": lower.energy * scenario.channel.gain_relay_bs / scenario.channel.noise,
+            "breakdown": dict(solution.energy_breakdown),
         },
-        "times": {
+    }
+    if isinstance(solution, Case1Solution):
+        doc.update(
+            case=1,
+            times={"tau1": lower.tau1, "tau2": lower.tau2, "slack": lower.slack},
+            frequencies={"f_local": lower.f_local, "f_relay": lower.f_relay},
+            duals={"lambda": lower.lam},
+        )
+        return doc
+    doc.update(
+        case=2,
+        scheme=solution.scheme.value,
+        times={
             "tau1": lower.tau1,
             "tau2": lower.tau2,
             "tau3": lower.tau3,
@@ -134,83 +112,27 @@ def solution_to_doc(
             "T3": lower.t3,
             "tau_s": lower.tau_s,
         },
-        "duals": {
-            "psi": lower.psi,
-            "lambda": lower.lam,
-            "eta1": lower.eta1,
-            "eta2": lower.eta2,
-        },
-        "cap_violations": list(lower.cap_violations),
-        "energy": {
-            "total_joules": lower.energy,
-            "normalized": _normalized(lower.energy, scenario),
-            "breakdown": dict(solution.energy_breakdown),
-        },
-    }
-
-
-def _num(value) -> float:
-    return math.nan if value is None else float(value)
-
-
-def solution_from_doc(doc: dict) -> Case1Solution | Case2Solution:
-    """Rebuild a solution object from its JSON document."""
-    if doc["case"] == 1:
-        times, freqs = doc["times"], doc["frequencies"]
-        lower = Case1LowerSolution(
-            tau1=_num(times["tau1"]),
-            tau2=_num(times["tau2"]),
-            f_local=_num(freqs["f_local"]),
-            f_relay=_num(freqs["f_relay"]),
-            lam=_num(doc["duals"]["lambda"]),
-            energy=_num(doc["energy"]["total_joules"]),
-            slack=_num(times["slack"]),
-        )
-        return Case1Solution(
-            split=SplitIndices(doc["indices"]["n1"], doc["indices"]["n2"]),
-            lower=lower,
-            energy_breakdown={
-                k: _num(v) for k, v in doc["energy"]["breakdown"].items()
-            },
-        )
-    times, duals = doc["times"], doc["duals"]
-    lower = Case2LowerSolution(
-        tau1=_num(times["tau1"]),
-        tau2=_num(times["tau2"]),
-        tau3=_num(times["tau3"]),
-        t1=_num(times["T1"]),
-        t2=_num(times["T2"]),
-        t3=_num(times["T3"]),
-        tau_s=_num(times["tau_s"]),
-        psi=_num(duals["psi"]),
-        lam=_num(duals["lambda"]),
-        eta1=_num(duals["eta1"]),
-        eta2=_num(duals["eta2"]),
-        energy=_num(doc["energy"]["total_joules"]),
-        cap_violations=tuple(doc.get("cap_violations", ())),
+        duals={"psi": lower.psi, "lambda": lower.lam, "eta1": lower.eta1, "eta2": lower.eta2},
+        cap_violations=list(lower.cap_violations),
     )
-    return Case2Solution(
-        scheme=SchemeId(doc["scheme"]),
-        indices=Case2Indices(
-            doc["indices"]["n1"], doc["indices"]["n2"], doc["indices"]["m1"]
-        ),
-        lower=lower,
-        energy_breakdown={k: _num(v) for k, v in doc["energy"]["breakdown"].items()},
-    )
+    return doc
 
 
-def _apply_tolerances(options, overrides: dict[str, float]):
-    known = {f.name for f in dataclasses.fields(options)}
-    updates = {}
-    for name, value in overrides.items():
-        if name in known:
-            current = getattr(options, name)
-            updates[name] = int(value) if isinstance(current, int) else value
-    return dataclasses.replace(options, **updates) if updates else options
+_Options = tuple[Case1Options, Case2Options]
 
 
-def _tolerance_error(overrides: dict[str, float]) -> str | None:
-    """One line naming the first unusable override, or None if all are usable."""
+def _options(pairs: list[str]) -> _Options:
+    """Both solvers' options with each ``--tol NAME=VALUE`` applied.
+
+    A ValueError names the first unusable pair.  Every pair is parsed
+    before any is checked, and a name given twice keeps its last value.
+    """
+    overrides: dict[str, float] = {}
+    for pair in pairs:
+        name, _, value = pair.partition("=")
+        if not name or not value:
+            raise ValueError(f"expected NAME=VALUE, got {pair!r}")
+        overrides[name] = float(value)
     defaults = {
         f.name: f.default
         for options in (Case1Options, Case2Options)
@@ -218,21 +140,27 @@ def _tolerance_error(overrides: dict[str, float]) -> str | None:
     }
     for name, value in overrides.items():
         if name not in defaults:
-            return f"unknown tolerance {name!r}"
+            raise ValueError(f"unknown tolerance {name!r}")
         if not (math.isfinite(value) and value > 0.0):
-            return f"tolerance {name!r} must be finite and positive, got {value!r}"
+            raise ValueError(f"tolerance {name!r} must be finite and positive, got {value!r}")
         if name.endswith("_rel") and value >= 1.0:
             # a 100% band swallows the quantity it measures: with tie_rel=1
             # no pair can replace the first feasible one
-            return f"tolerance {name!r} is relative and must be below 1, got {value!r}"
-        if isinstance(defaults[name], int) and value != int(value):
-            return f"tolerance {name!r} must be a whole number, got {value!r}"
-    return None
+            raise ValueError(f"tolerance {name!r} is relative and must be below 1, got {value!r}")
+        if isinstance(defaults[name], int):
+            if value != int(value):
+                raise ValueError(f"tolerance {name!r} must be a whole number, got {value!r}")
+            overrides[name] = int(value)
+
+    def apply(cls):
+        names = {f.name for f in dataclasses.fields(cls)}
+        return cls(**{k: v for k, v in overrides.items() if k in names})
+
+    return apply(Case1Options), apply(Case2Options)
 
 
-def _solve(scenario: Scenario, config: RunConfig):
-    case1_options = _apply_tolerances(Case1Options(), config.tolerances)
-    case2_options = _apply_tolerances(Case2Options(), config.tolerances)
+def _solve(scenario: Scenario, options: _Options):
+    case1_options, case2_options = options
     if scenario.has_relay_tasks:
         return 2, solve_case2(scenario, case2_options)
     return 1, solve_case1(scenario, case1_options)
@@ -246,27 +174,16 @@ def _oracle_check_doc(solution, scenario: Scenario) -> dict:
     # the grid oracle is the package's only numpy user; other commands skip it
     from . import oracle
 
+    indices = _indices(solution)
+    split = tuple(indices.values())
     if isinstance(solution, Case1Solution):
-        split = (solution.split.n1, solution.split.n2)
+        case, scheme = 1, None
         refer, args, pair = oracle.case1_lower_reference, split, f"split {split}"
-        doc = {
-            "case": 1,
-            "indices": {"n1": solution.split.n1, "n2": solution.split.n2},
-            "scheme": None,
-        }
     else:
-        split = (solution.indices.n1, solution.indices.n2, solution.indices.m1)
-        refer, args = oracle.case2_lower_reference, (solution.scheme.value, *split)
-        pair = f"scheme {solution.scheme.value} at split {split}"
-        doc = {
-            "case": 2,
-            "indices": {
-                "n1": solution.indices.n1,
-                "n2": solution.indices.n2,
-                "m1": solution.indices.m1,
-            },
-            "scheme": solution.scheme.value,
-        }
+        case, scheme = 2, solution.scheme.value
+        refer, args = oracle.case2_lower_reference, (scheme, *split)
+        pair = f"scheme {scheme} at split {split}"
+    doc = {"case": case, "indices": indices, "scheme": scheme}
     try:
         reference = refer(*args, scenario)
     except oracle.NoFeasiblePoint as exc:
@@ -316,16 +233,39 @@ def _sweep_values(lo: float, hi: float, steps: int) -> Iterator[float]:
     yield hi
 
 
-def _run_sweep(base_doc: dict, config: RunConfig) -> str:
-    assert config.sweep_var is not None and config.sweep_range is not None
-    section, key = _resolve_sweep_field(base_doc, config.sweep_var)
+_Sweep = tuple[str, float, float, int]
+
+
+def _sweep_span(name: str, lo: str, hi: str, steps: str) -> _Sweep:
+    """``--sweep FIELD LO HI STEPS`` as numbers; a ValueError names what is unusable."""
+    try:
+        span = (float(lo), float(hi), int(steps))
+    except ValueError as exc:
+        raise ValueError(f"bad sweep range: {exc}") from None
+    for end, value in zip(("LO", "HI"), span):
+        if not math.isfinite(value):
+            raise ValueError(f"{name}: expected a finite number, got {value!r} (sweep {end})")
+    if span[2] < 1:
+        raise ValueError("sweep needs at least one step")
+    return (name, *span)
+
+
+def _run_sweep(base_doc: dict, sweep: _Sweep, options: _Options) -> str:
+    name, lo, hi, steps = sweep
+    section, key = _resolve_sweep_field(base_doc, name)
     lines = ["value,energy_joules,n1,n2,m1,scheme"]
-    for value in _sweep_values(*config.sweep_range):
+    for value in _sweep_values(lo, hi, steps):
         doc = json.loads(json.dumps(base_doc))
         doc.setdefault(section, {})[key] = value
         scenario = model.scenario_from_dict(doc)
+        # the base scenario's warnings were printed once, before the sweep
+        for violation in model.validate_scenario(scenario):
+            if violation.severity == "error":
+                raise ScenarioError(
+                    f"sweep {section}.{key}={value!r}: {violation.where}: {violation.message}"
+                )
         try:
-            case, solution = _solve(scenario, config)
+            case, solution = _solve(scenario, options)
         except Infeasible:
             lines.append(f"{value:.12g},infeasible,,,,")
             continue
@@ -343,27 +283,22 @@ def _run_sweep(base_doc: dict, config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
-    problem = _tolerance_error(config.tolerances)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
+def run(argv: list[str] | None = None) -> int:
+    """Parse, check and execute one command line; returns the process exit code."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:
+        # --help, or a usage error argparse has already printed
+        return stop.code
+    try:
+        options = _options(args.tol)
+        sweep = _sweep_span(*args.sweep) if args.command == "sweep" else None
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if config.command == "sweep":
-        for name, value in zip(("LO", "HI"), config.sweep_range):
-            if not math.isfinite(value):
-                print(
-                    f"error: {config.sweep_var}: expected a finite number, got {value!r} "
-                    f"(sweep {name})",
-                    file=sys.stderr,
-                )
-                return EXIT_INPUT_ERROR
-        if config.sweep_range[2] < 1:
-            print("error: sweep needs at least one step", file=sys.stderr)
-            return EXIT_INPUT_ERROR
 
     try:
-        with open(config.scenario_path, encoding="utf-8") as fh:
+        with open(args.scenario, encoding="utf-8") as fh:
             raw_doc = json.load(fh)
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
@@ -385,9 +320,9 @@ def run(config: RunConfig) -> int:
     errors = [v for v in violations if v.severity == "error"]
     warnings = [v for v in violations if v.severity == "warning"]
 
-    if config.command == "validate":
+    if args.command == "validate":
         text = "ok\n" if not violations else "".join(f"{v}\n" for v in violations)
-        return _emit(text, config.output) or (EXIT_INPUT_ERROR if errors else EXIT_OK)
+        return _emit(text, args.out) or (EXIT_INPUT_ERROR if errors else EXIT_OK)
 
     for violation in warnings:
         print(str(violation), file=sys.stderr)
@@ -396,31 +331,27 @@ def run(config: RunConfig) -> int:
             print(str(violation), file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    if config.command == "solve-case1" and scenario.has_relay_tasks:
-        print(
-            "error: scenario has relay tasks; use solve-case2", file=sys.stderr
-        )
+    if args.command == "solve-case1" and scenario.has_relay_tasks:
+        print("error: scenario has relay tasks; use solve-case2", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if config.command == "solve-case2" and not scenario.has_relay_tasks:
-        print(
-            "error: scenario has no relay tasks; use solve-case1", file=sys.stderr
-        )
+    if args.command == "solve-case2" and not scenario.has_relay_tasks:
+        print("error: scenario has no relay tasks; use solve-case1", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
     try:
-        if config.command == "sweep":
-            return _emit(_run_sweep(raw_doc, config), config.output)
+        if sweep is not None:
+            return _emit(_run_sweep(raw_doc, sweep, options), args.out)
 
-        case, solution = _solve(scenario, config)
-        if config.command == "gantt":
-            return _emit(to_gantt_csv(build_timeline(solution, scenario)), config.output)
-        if config.command == "oracle-check":
-            return _emit(_dump_json(_oracle_check_doc(solution, scenario)), config.output)
+        case, solution = _solve(scenario, options)
+        if args.command == "gantt":
+            return _emit(to_gantt_csv(build_timeline(solution, scenario)), args.out)
+        if args.command == "oracle-check":
+            return _emit(_dump_json(_oracle_check_doc(solution, scenario)), args.out)
 
         doc = solution_to_doc(solution, scenario)
-        if config.with_oracle:
+        if args.oracle:
             doc["oracle"] = _oracle_check_doc(solution, scenario)
-        return _emit(_dump_json(doc), config.output)
+        return _emit(_dump_json(doc), args.out)
     except ScenarioError as exc:
         # a sweep's field name or value, or a frequency cap too large to search
         print(f"error: {exc}", file=sys.stderr)
@@ -437,16 +368,6 @@ def run(config: RunConfig) -> int:
         return _EXIT_UNREFEREED
 
 
-def _parse_tolerances(pairs: list[str]) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for pair in pairs:
-        name, _, value = pair.partition("=")
-        if not name or not value:
-            raise ValueError(f"expected NAME=VALUE, got {pair!r}")
-        out[name] = float(value)
-    return out
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relay-offload",
@@ -456,16 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "solve-case1": "solve a scenario where the relay has no own tasks",
-        "solve-case2": "solve a scenario where the relay has its own task chain",
-        "oracle-check": "compare the solver against the grid-search oracle",
-        "sweep": "re-solve over a range of one scenario field, emit CSV",
-        "validate": "check a scenario file and report violations",
-        "gantt": "solve and emit the schedule as CSV",
-    }
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name, help=descriptions[name])
+    for name, description in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=description)
         cmd.add_argument("--scenario", required=True, type=Path)
         cmd.add_argument("--out", type=Path, default=None)
         cmd.add_argument(
@@ -492,31 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> None:
-    args = build_parser().parse_args(argv)
-    try:
-        tolerances = _parse_tolerances(args.tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(EXIT_INPUT_ERROR)
-    sweep_var = None
-    sweep_range = None
-    if args.command == "sweep":
-        sweep_var, lo, hi, steps = args.sweep
-        try:
-            sweep_range = (float(lo), float(hi), int(steps))
-        except ValueError as exc:
-            print(f"error: bad sweep range: {exc}", file=sys.stderr)
-            sys.exit(EXIT_INPUT_ERROR)
-    config = RunConfig(
-        command=args.command,
-        scenario_path=args.scenario,
-        output=args.out,
-        sweep_var=sweep_var,
-        sweep_range=sweep_range,
-        with_oracle=getattr(args, "oracle", False),
-        tolerances=tolerances,
-    )
-    sys.exit(run(config))
+    sys.exit(run(argv))
 
 
 if __name__ == "__main__":

@@ -55,6 +55,41 @@ def test_an_energy_drift_above_the_bound_fails():
     assert report[0] == "0 outcome changes over 2 paired results"
 
 
+_CASE1 = (
+    "relay-idle rng 1: Case1Solution(split=SplitIndices(n1=1, n2=1), lower=Case1LowerSolution("
+    "tau1=0.7444470178708594, tau2=0.3805990468523444, f_local=0.0, f_relay=0.0, "
+    "lam=2.2854971164935544e-05, energy={energy!r}, slack={slack!r}), energy_breakdown="
+    "{{'tx_md': 0.00039373113506284077, 'tx_relay': 0.000101553933256256, 'cpu_md': 0.0, "
+    "'cpu_relay': 0.0}})"
+)
+_CASE1_ENERGY, _CASE1_SLACK = 0.0004952850683190967, 1.1288747714388592e-12
+
+
+@pytest.mark.parametrize(
+    "energy_change, slack_change, status",
+    [
+        # lam * 1e-9 s is 2.29e-14 J, 4.6e-11 of the energy
+        (2e-14, 1e-9, 0),
+        (3e-14, 1e-9, 1),
+        # with the slack unchanged only ENERGY_DRIFT is forgiven
+        (2e-14, 0.0, 1),
+    ],
+    ids=["inside", "beyond", "no-slack-change"],
+)
+def test_a_case1_energy_may_move_by_lam_times_its_slack_change(energy_change, slack_change, status):
+    def digest(energy, slack):
+        return [_CASE1.format(energy=energy, slack=slack), "sha256 0123abcd over 1 results"]
+
+    before = digest(_CASE1_ENERGY, _CASE1_SLACK)
+    after = digest(_CASE1_ENERGY + energy_change, _CASE1_SLACK + slack_change)
+    report, got = answer_digest.compare(before, after)
+    assert got == status
+    assert report[0] == "0 outcome changes over 1 paired results"
+    assert report[-1 - status] == f"{status} energies moved beyond their allowance"
+    if status:
+        assert report[-1] == "  relay-idle rng 1"
+
+
 @pytest.mark.parametrize(
     "after",
     [

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from relay_offload import cli
-from relay_offload.timeline import InconsistentSolution, build_timeline, verify
-from relay_offload.model import scenario_from_dict
+from relay_offload.timeline import InconsistentSolution
 
 
 def all_local_doc():
@@ -52,11 +51,11 @@ def write_doc(tmp_path: Path, doc, name="scenario.json") -> Path:
     return path
 
 
-def run_cli(command, scenario_path, out=None, **kwargs):
-    config = cli.RunConfig(
-        command=command, scenario_path=scenario_path, output=out, **kwargs
-    )
-    return cli.run(config)
+def run_cli(command, scenario_path, *extra, out=None):
+    argv = [command, "--scenario", str(scenario_path), *extra]
+    if out is not None:
+        argv += ["--out", str(out)]
+    return cli.run(argv)
 
 
 class TestSolveCommands:
@@ -72,24 +71,6 @@ class TestSolveCommands:
         assert doc["energy"]["normalized"] == pytest.approx(
             doc["energy"]["total_joules"] * 1e-9 / 1e-6, rel=1e-9
         )
-
-    def test_case2_solution_round_trips_through_timeline(self, tmp_path, capsys):
-        path = write_doc(tmp_path, case2_doc())
-        assert run_cli("solve-case2", path) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["case"] == 2
-        solution = cli.solution_from_doc(doc)
-        scenario = scenario_from_dict(case2_doc())
-        schedule = build_timeline(solution, scenario)
-        assert verify(schedule) == []
-
-    def test_case1_round_trips_through_timeline(self, tmp_path, capsys):
-        path = write_doc(tmp_path, all_local_doc())
-        run_cli("solve-case1", path)
-        doc = json.loads(capsys.readouterr().out)
-        solution = cli.solution_from_doc(doc)
-        scenario = scenario_from_dict(all_local_doc())
-        assert verify(build_timeline(solution, scenario)) == []
 
     @pytest.mark.parametrize(
         "command, make, keys, duals",
@@ -138,19 +119,19 @@ class TestSolveCommands:
 
     def test_oracle_attachment(self, tmp_path, capsys):
         path = write_doc(tmp_path, all_local_doc())
-        assert run_cli("solve-case1", path, with_oracle=True) == 0
+        assert run_cli("solve-case1", path, "--oracle") == 0
         doc = json.loads(capsys.readouterr().out)
         assert "oracle" in doc
         assert abs(doc["oracle"]["relative_delta"]) <= 5e-3
 
     def test_tolerance_override(self, tmp_path, capsys):
         path = write_doc(tmp_path, all_local_doc())
-        assert run_cli("solve-case1", path, tolerances={"bisect_rel": 1e-6}) == 0
+        assert run_cli("solve-case1", path, "--tol", "bisect_rel=1e-6") == 0
         json.loads(capsys.readouterr().out)
 
     def test_unknown_tolerance_rejected(self, tmp_path, capsys):
         path = write_doc(tmp_path, all_local_doc())
-        assert run_cli("solve-case1", path, tolerances={"warp_factor": 9.0}) == 1
+        assert run_cli("solve-case1", path, "--tol", "warp_factor=9.0") == 1
         assert "unknown tolerance" in capsys.readouterr().err
 
 
@@ -286,12 +267,7 @@ class TestNonFiniteInput:
 class TestSweepCommand:
     def test_deadline_sweep_monotone(self, tmp_path, capsys):
         path = write_doc(tmp_path, all_local_doc())
-        code = run_cli(
-            "sweep",
-            path,
-            sweep_var="deadlines.t_s",
-            sweep_range=(0.3, 0.8, 10),
-        )
+        code = run_cli("sweep", path, "--sweep", "deadlines.t_s", "0.3", "0.8", "10")
         assert code == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "value,energy_joules,n1,n2,m1,scheme"
@@ -301,17 +277,13 @@ class TestSweepCommand:
 
     def test_bare_field_name_resolves(self, tmp_path, capsys):
         path = write_doc(tmp_path, all_local_doc())
-        assert (
-            run_cli("sweep", path, sweep_var="t_s", sweep_range=(0.4, 0.6, 3)) == 0
-        )
+        assert run_cli("sweep", path, "--sweep", "t_s", "0.4", "0.6", "3") == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 4
 
     def test_infeasible_rows_are_marked(self, tmp_path, capsys):
         path = write_doc(tmp_path, all_local_doc())
-        code = run_cli(
-            "sweep", path, sweep_var="deadlines.t_s", sweep_range=(1e-6, 0.5, 4)
-        )
+        code = run_cli("sweep", path, "--sweep", "deadlines.t_s", "1e-6", "0.5", "4")
         assert code == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert any("infeasible" in line for line in lines[1:])
@@ -326,26 +298,47 @@ class TestSweepCommand:
         ],
     )
     def test_run_checks_the_range(self, tmp_path, capsys, monkeypatch, sweep_range, message):
-        # the library entry checks the range itself, not only the command line
+        # an unusable range stops before any solve
         path = write_doc(tmp_path, all_local_doc())
         solves = []
         monkeypatch.setattr(cli, "_solve", lambda *args: solves.append(args))
-        code = run_cli("sweep", path, sweep_var="deadlines.t_s", sweep_range=sweep_range)
+        code = run_cli("sweep", path, "--sweep", "deadlines.t_s", *map(str, sweep_range))
         assert code == 1 and not solves
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
-    def test_sweep_config_invariant(self, tmp_path):
-        with pytest.raises(ValueError):
-            cli.RunConfig(command="sweep", scenario_path=Path("x"))
-        with pytest.raises(ValueError):
-            cli.RunConfig(
-                command="validate",
-                scenario_path=Path("x"),
-                sweep_var="t_s",
-                sweep_range=(0.0, 1.0, 2),
-            )
+    @pytest.mark.parametrize(
+        "field, lo, hi, finding",
+        [
+            ("compute.f_bs_max", "0", "1e9", "compute.f_bs_max=0.0: compute.f_bs_max: must be positive"),
+            ("channel.B", "0", "1e6", "channel.B=0.0: channel.B: bandwidth must be positive"),
+            ("channel.sigma2", "0", "1e-9", "channel.sigma2=0.0: channel.sigma2: noise must be positive"),
+            ("compute.kappa_md", "-1", "1e-27", "compute.kappa_md=-1.0: compute.kappa_md: must be positive"),
+            # the first value solves; the output is held until the last
+            ("compute.f_bs_max", "5e9", "0", "compute.f_bs_max=0.0: compute.f_bs_max: must be positive"),
+        ],
+        ids=["f_bs_max", "B", "sigma2", "kappa_md", "after-a-solved-value"],
+    )
+    def test_a_swept_value_the_validator_rejects_is_one_line(self, capsys, field, lo, hi, finding):
+        # the first four once escaped as ZeroDivisionError, and a negative
+        # kappa as a TypeError from a complex cube root
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "relay_idle.json"
+        assert run_cli("sweep", path, "--sweep", field, lo, hi, "2") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: sweep {finding}\n"
+
+    def test_a_warning_is_printed_once_per_sweep(self, tmp_path, capsys):
+        doc = all_local_doc()
+        doc["device_tasks"].append({"d_nats": 0.0, "cycles": 0.0})
+        path = write_doc(tmp_path, doc)
+        assert run_cli("sweep", path, "--sweep", "deadlines.t_s", "0.4", "0.6", "3") == 0
+        captured = capsys.readouterr()
+        assert captured.out.count("\n") == 4
+        assert captured.err == (
+            "warning: device_tasks[3]: task carries no data and no work; exit tasks are implicit\n"
+        )
 
     def test_values_match_linspace_bit_for_bit(self):
         rng = np.random.default_rng(83)
@@ -596,6 +589,70 @@ class TestMainEntry:
             cli.main(["solve-case1", "--scenario", str(path), "--tol", "max_bisect_iter=50.0"])
         assert excinfo.value.code == 0
         assert json.loads(capsys.readouterr().out)["case"] == 1
+
+    @pytest.mark.parametrize(
+        "command, extra, message",
+        [
+            ("solve-case1", ("--tol", "tie_rel"), "expected NAME=VALUE, got 'tie_rel'"),
+            ("solve-case1", ("--tol", "nope=1"), "unknown tolerance 'nope'"),
+            (
+                "solve-case1",
+                ("--tol", "tie_rel=nan"),
+                "tolerance 'tie_rel' must be finite and positive, got nan",
+            ),
+            (
+                "solve-case1",
+                ("--tol", "tie_rel=1"),
+                "tolerance 'tie_rel' is relative and must be below 1, got 1.0",
+            ),
+            (
+                "solve-case1",
+                ("--tol", "max_bisect_iter=2.5"),
+                "tolerance 'max_bisect_iter' must be a whole number, got 2.5",
+            ),
+            (
+                "sweep",
+                ("--sweep", "deadlines.t_s", "a", "1", "3"),
+                "bad sweep range: could not convert string to float: 'a'",
+            ),
+            (
+                "sweep",
+                ("--sweep", "deadlines.t_s", "0.5", "inf", "3"),
+                "deadlines.t_s: expected a finite number, got inf (sweep HI)",
+            ),
+            ("sweep", ("--sweep", "deadlines.t_s", "0.5", "1", "0"), "sweep needs at least one step"),
+        ],
+        ids=[
+            "tol-no-equals",
+            "tol-unknown",
+            "tol-nan",
+            "tol-relative-1",
+            "tol-fractional-count",
+            "sweep-not-a-number",
+            "sweep-infinite",
+            "sweep-no-steps",
+        ],
+    )
+    def test_an_argv_error_is_one_line_from_run_and_main(self, tmp_path, capsys, command, extra, message):
+        # checked before the scenario is read: the file does not exist
+        argv = [command, "--scenario", str(tmp_path / "never-read.json"), *extra]
+        assert cli.run(argv) == cli.EXIT_INPUT_ERROR
+        from_run = capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr() == from_run
+        assert from_run.out == ""
+        assert from_run.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, code, stream",
+        [(["--help"], 0, "out"), (["sweep", "--scenario", "x.json"], 2, "err")],
+        ids=["help", "usage-error"],
+    )
+    def test_argparse_exits_are_returned(self, capsys, argv, code, stream):
+        assert cli.run(argv) == code
+        assert getattr(capsys.readouterr(), stream).startswith("usage: relay-offload")
 
     def test_missing_file(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

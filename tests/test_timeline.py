@@ -147,7 +147,7 @@ class TestTimeScale:
         assert verify(build_timeline(solution, scenario)) == []
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        assert cli.run(cli.RunConfig(command="gantt", scenario_path=path)) == 0
+        assert cli.run(["gantt", "--scenario", str(path)]) == 0
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("case", ["relay-idle", "relay-busy"])
