@@ -285,8 +285,10 @@ def _run_sweep(base_doc: dict, sweep: _Sweep, options: _Options) -> str:
 
 def run(argv: list[str] | None = None) -> int:
     """Parse, check and execute one command line; returns the process exit code."""
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as stop:
         # --help, or a usage error argparse has already printed
         return stop.code
@@ -368,7 +370,13 @@ def run(argv: list[str] | None = None) -> int:
         return _EXIT_UNREFEREED
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; given a known command name, only that command's.
+
+    A command line that begins with that name parses, and fails with the
+    same output, on either parser.  Building one subparser instead of six
+    is most of a short command's time.
+    """
     parser = argparse.ArgumentParser(
         prog="relay-offload",
         description=(
@@ -376,9 +384,16 @@ def build_parser() -> argparse.ArgumentParser:
             "with sequential task chains"
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, description in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=description)
+    known = command in _COMMANDS
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        # the usage line printed for an unrecognized argument lists every
+        # command; argparse would list only the subparsers it was given
+        metavar="{" + ",".join(_COMMANDS) + "}" if known else None,
+    )
+    for name in [command] if known else _COMMANDS:
+        cmd = sub.add_parser(name, help=_COMMANDS[name])
         cmd.add_argument("--scenario", required=True, type=Path)
         cmd.add_argument("--out", type=Path, default=None)
         cmd.add_argument(

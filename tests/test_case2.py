@@ -393,7 +393,7 @@ class TestSolveCase2:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 3: the projected S2 cold start reports a feasible pair infeasible",
+        reason="ROADMAP item 2: the projected S2 cold start reports a feasible pair infeasible",
     )
     @pytest.mark.parametrize(
         "seed, n_tasks, m_tasks, indices",

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -495,7 +496,62 @@ class TestOracleCheckCommand:
         )
 
 
+# argparse stops each of these before the scenario file is read
+_ARGV_TABLE = {
+    "no-args": [],
+    "help": ["--help"],
+    "bogus": ["bogus"],
+    **{f"{name}-help": [name, "--help"] for name in cli._COMMANDS},
+    "missing-scenario": ["validate"],
+    "missing-sweep": ["sweep", "--scenario", "x.json"],
+    "unrecognized-option": ["validate", "--scenario", "x.json", "--bogus"],
+    "unrecognized-option-after-sweep": [
+        "sweep", "--scenario", "x.json", "--sweep", "deadlines.t_s", "0.5", "0.7", "3", "--bogus",
+    ],
+    "oracle-on-gantt": ["gantt", "--scenario", "x.json", "--oracle"],
+    "sweep-too-few-values": ["sweep", "--scenario", "x.json", "--sweep", "deadlines.t_s", "0.5"],
+}
+
+
 class TestMainEntry:
+    @pytest.mark.parametrize("argv", _ARGV_TABLE.values(), ids=_ARGV_TABLE.keys())
+    def test_a_command_line_reads_as_on_the_full_parser(self, capsys, monkeypatch, argv):
+        # run builds only the named command's subparser; help, usage and
+        # errors must match the parser that holds all six, byte for byte
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as stop:
+            cli.build_parser().parse_args(argv)
+        full = (stop.value.code, capsys.readouterr())
+        assert (cli.run(argv), capsys.readouterr()) == full
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [
+            *(([name, "--help"], [name]) for name in cli._COMMANDS),
+            ([], list(cli._COMMANDS)),
+            (["--help"], list(cli._COMMANDS)),
+            (["bogus"], list(cli._COMMANDS)),
+            (["--tol", "tie_rel=0.5", "validate"], list(cli._COMMANDS)),
+        ],
+        ids=[*(f"{name}-help" for name in cli._COMMANDS), "no-args", "help", "bogus", "option-first"],
+    )
+    def test_run_and_main_build_only_the_named_command(self, capsys, monkeypatch, argv, built):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(sub, name, **kwargs):
+            names.append(name)
+            return add_parser(sub, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        from_run = (cli.run(argv), names[:], capsys.readouterr())
+        assert from_run[1] == built
+        names.clear()
+        monkeypatch.setattr(sys, "argv", ["relay-offload", *argv])
+        with pytest.raises(SystemExit) as stop:
+            cli.main()
+        assert (stop.value.code, names, capsys.readouterr()) == from_run
+
     def test_argparse_wiring(self, tmp_path, capsys):
         path = write_doc(tmp_path, all_local_doc())
         with pytest.raises(SystemExit) as excinfo:
