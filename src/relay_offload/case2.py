@@ -141,9 +141,7 @@ def _infeasible(scheme: SchemeId, indices: Case2Indices) -> Infeasible:
 def _deadline_triple(scenario: Scenario) -> tuple[float, float, float]:
     dl = scenario.deadlines
     if dl.t0 is None or dl.t_s_th is None or dl.t_r_th is None:
-        raise model.ScenarioError(
-            "relay-busy case requires t0, t_s_th and t_r_th deadlines"
-        )
+        raise model.ScenarioError("relay-busy case requires t0, t_s_th and t_r_th deadlines")
     return dl.t0, dl.t_s_th, dl.t_r_th
 
 
@@ -292,11 +290,12 @@ def _feasible(scheme: SchemeId, room: _Room, tol: float) -> bool:
 class _PolytopeProjector:
     """Cyclic projector onto x >= lo, A x <= b, for a few dimensions.
 
-    It only places the numeric engine's starting points on the polytope,
-    with plain-float inner loops over the nonzero coefficients.  Halfspace
-    reflections are over-relaxed while far from the intersection, which
-    breaks the slow zig-zag that plain alternating projections exhibit at
-    acute constraint angles.
+    It only places the numeric engine's starting points on the polytope.
+    Each sweep clips x to its bounds and reflects it off every violated
+    row, in one plain-float loop over the rows' nonzero coefficients from
+    :func:`_plane_table`.  Reflections are over-relaxed while far from the
+    intersection, which breaks the slow zig-zag that plain alternating
+    projections exhibit at acute constraint angles.
     """
 
     _OMEGA = 1.7
@@ -311,17 +310,14 @@ class _PolytopeProjector:
     ) -> None:
         self._tol = tol
         self._max_sweeps = max_sweeps
-        self._lo = [float(v) for v in lo]
-        self._planes = []
-        for a, b in zip(rows, bounds):
-            nonzero = tuple((j, float(c)) for j, c in enumerate(a) if c != 0.0)
-            norm_sq = sum(c * c for _, c in nonzero)
-            self._planes.append((nonzero, float(b), 1.0 / norm_sq, math.sqrt(norm_sq)))
+        self._lows = list(enumerate(map(float, lo)))
+        table = _plane_table(tuple(map(tuple, rows)))
+        self._planes = [(nz, float(b), inv, norm) for (nz, inv, norm), b in zip(table, bounds)]
 
     def violation(self, x: list[float]) -> float:
         """Largest bound excess or row distance outside the polytope."""
         worst = 0.0
-        for j, lo in enumerate(self._lo):
+        for j, lo in self._lows:
             if lo - x[j] > worst:
                 worst = lo - x[j]
         for nonzero, bound, _, norm in self._planes:
@@ -332,17 +328,17 @@ class _PolytopeProjector:
                 worst = excess / norm
         return worst
 
-    def _clip(self, x: list[float]) -> None:
-        for j, lo in enumerate(self._lo):
-            x[j] = max(x[j], lo)
-
     def __call__(self, point: list[float]) -> list[float]:
         x = [float(v) for v in point]
-        relax = self._OMEGA
-        for sweep in range(self._max_sweeps):
-            self._clip(x)
+        lows, planes, tol, relax = self._lows, self._planes, self._tol, self._OMEGA
+        settled, far = 0.25 * tol, 100.0 * tol
+        for _ in range(self._max_sweeps):
+            # x = max(x, lo), NaN and signed zeros as max() leaves them
+            for j, lo in lows:
+                if lo > x[j]:
+                    x[j] = lo
             worst_plane = 0.0
-            for nonzero, bound, inv_norm_sq, norm in self._planes:
+            for nonzero, bound, inv_norm_sq, norm in planes:
                 excess = -bound
                 for j, c in nonzero:
                     excess += c * x[j]
@@ -352,13 +348,27 @@ class _PolytopeProjector:
                         x[j] -= c * shift
                     if excess > worst_plane * norm:
                         worst_plane = excess / norm
-            if worst_plane <= 0.25 * self._tol:
+            if worst_plane <= settled:
                 # planes satisfied before relaxation; one exact bound pass
-                self._clip(x)
-                if self.violation(x) <= self._tol:
+                for j, lo in lows:
+                    if lo > x[j]:
+                        x[j] = lo
+                if self.violation(x) <= tol:
                     break
-            relax = self._OMEGA if worst_plane > 100.0 * self._tol else 1.0
+            relax = self._OMEGA if worst_plane > far else 1.0
         return x
+
+
+@functools.lru_cache(maxsize=64)  # solve_scheme asks for at most 32 tables
+def _plane_table(rows: tuple[tuple[float, ...], ...]) -> tuple[tuple, ...]:
+    """Each row's nonzero coefficients as (column, value), its 1/|a|^2 and
+    its |a|: no bound, so one table per row shape serves every split."""
+    planes = []
+    for a in rows:
+        nonzero = tuple((j, float(c)) for j, c in enumerate(a) if c != 0.0)
+        norm_sq = sum(c * c for _, c in nonzero)
+        planes.append((nonzero, 1.0 / norm_sq, math.sqrt(norm_sq)))
+    return tuple(planes)
 
 
 @dataclass(frozen=True)
@@ -901,9 +911,11 @@ def solve_scheme(
     """Minimize one scheme at a fixed split with :func:`active_set_newton`.
 
     The engine runs from the first usable start: ``warm_start``, then the
-    cold starts of :func:`_cold_starts`.  A start is usable when its
-    projection onto the scheme's lower bounds and :func:`_rows` has finite
-    energy.  The engine then solves the same program on
+    cold starts of :func:`_cold_starts`.  A start is usable when
+    :class:`_PolytopeProjector` places it within feas_tol of the scheme's
+    lower bounds and :func:`_rows` at finite energy; the projector's planes
+    are built once per row shape (:func:`_plane_table`), so a split only
+    supplies its bounds.  The engine then solves the same program on
     :func:`_engine_rows`, which drops S2's epigraph column t_c, with every
     unloaded duration that only uses up budget pinned at zero: a
     zero-data transmission, and an unloaded compute duration with no
@@ -956,13 +968,8 @@ def solve_scheme(
     # transmissions leave the search space
     rows, bounds = _rows(scheme, room)
     placed = [i for i in range(n_vars) if i >= 3 or loads[i] > 0.0]
-    project = _PolytopeProjector(
-        [lo[i] for i in placed],
-        [[row[i] for i in placed] for row in rows],
-        bounds,
-        tol=1e-13,
-        max_sweeps=400,
-    )
+    rows = [[row[i] for i in placed] for row in rows]
+    project = _PolytopeProjector([lo[i] for i in placed], rows, bounds, tol=1e-13, max_sweeps=400)
     for start in starts:
         point = project([start[i] for i in placed])
         accepted = [0.0] * n_vars
@@ -1002,8 +1009,6 @@ def solve_scheme(
     sends = [(k, loads[i], coefficients[i]) for k, i in loaded if i < 3]
     works = [(k, loads[i], coefficients[i]) for k, i in loaded if i >= 3]
     transmit_term, compute_term = model._transmit_term, model._compute_term
-    transmit_slope, compute_slope = model._transmit_slope, model._compute_slope
-    transmit_curvature, compute_curvature = model._transmit_curvature, model._compute_curvature
 
     def objective(reduced: list[float]) -> float:
         total = 0.0
@@ -1013,21 +1018,20 @@ def solve_scheme(
             total += compute_term(cycles, reduced[k], kappa)
         return total
 
-    def slopes(reduced: list[float]) -> list[float]:
-        values = [0.0] * len(active)
-        for k, d, gain in sends:
-            values[k] = transmit_slope(d, reduced[k], gain, ch)
-        for k, cycles, kappa in works:
-            values[k] = compute_slope(cycles, reduced[k], kappa)
+    def per_column(transmit: Callable, compute: Callable) -> Callable[[list[float]], list[float]]:
+        # each reduced column's slope or curvature, 0.0 where it carries no load
+        def values(reduced: list[float]) -> list[float]:
+            out = [0.0] * len(active)
+            for k, d, gain in sends:
+                out[k] = transmit(d, reduced[k], gain, ch)
+            for k, cycles, kappa in works:
+                out[k] = compute(cycles, reduced[k], kappa)
+            return out
+
         return values
 
-    def curvatures(reduced: list[float]) -> list[float]:
-        values = [0.0] * len(active)
-        for k, d, gain in sends:
-            values[k] = transmit_curvature(d, reduced[k], gain, ch)
-        for k, cycles, kappa in works:
-            values[k] = compute_curvature(cycles, reduced[k], kappa)
-        return values
+    slopes = per_column(model._transmit_slope, model._compute_slope)
+    curvatures = per_column(model._transmit_curvature, model._compute_curvature)
 
     lo, start = [lo[i] for i in active], [accepted[i] for i in active]
     result = active_set_newton(objective, slopes, curvatures, rows, bounds, lo, start)
@@ -1253,9 +1257,7 @@ def solve_case2(
         raise model.ScenarioError("solve_case2 requires a relay task chain")
     t0, ts, tr = _deadline_triple(scenario)
     if ts > tr:
-        raise model.ScenarioError(
-            "deadline ordering violated: device chain must finish first"
-        )
+        raise model.ScenarioError("deadline ordering violated: device chain must finish first")
     if t0 < 0.0:
         raise model.ScenarioError("relay task arrival must be nonnegative")
 
@@ -1283,13 +1285,8 @@ def solve_case2(
             continue
         scheme = schemes[k]
         indices, room = rooms[i]
-        warm = None
-        if (
-            warm_start is not None
-            and warm_start.scheme is scheme
-            and warm_start.indices == indices
-        ):
-            warm = warm_start.lower
+        matched = warm_start is not None and warm_start.scheme is scheme
+        warm = warm_start.lower if matched and warm_start.indices == indices else None
         try:
             lower = solve_scheme(scheme, indices, scenario, options, warm_start=warm, room=room)
         except Infeasible:

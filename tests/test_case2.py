@@ -1729,6 +1729,146 @@ class TestPolytopeProjector:
         )
         assert project([0.5, 0.5]) == [0.5, 0.5]
 
+    def test_the_sweep_is_the_reference_bit_for_bit(self, monkeypatch):
+        # every program solve_scheme places a start on, replayed from the
+        # starts it placed and from seeded ones, against the reference loop
+        programs = []
+        init, call = case2._PolytopeProjector.__init__, case2._PolytopeProjector.__call__
+
+        def made(self, lo, rows, bounds, tol, max_sweeps):
+            init(self, lo, rows, bounds, tol, max_sweeps)
+            programs.append((label, (list(lo), rows, list(bounds), tol, max_sweeps), []))
+
+        def placed(self, point):
+            programs[-1][2].append(list(point))
+            return call(self, point)
+
+        monkeypatch.setattr(case2._PolytopeProjector, "__init__", made)
+        monkeypatch.setattr(case2._PolytopeProjector, "__call__", placed)
+        instances = [(f"busy-x{10**decade}", _relay_busy(10.0**decade)) for decade in range(10)]
+        for n_tasks, m_tasks in [(1, 1), (2, 1), (1, 2), (2, 2)]:
+            instances += [
+                (f"{n_tasks}x{m_tasks}-{seed}", _random_busy(seed, n_tasks, m_tasks))
+                for seed in range(3)
+            ]
+        instances.append(("zero-data", _zero_data_device(_relay_busy())))
+        for name, scenario in instances:
+            for scheme, indices in _every_pair(scenario):
+                for free_tau0 in (False, True) if scheme is SchemeId.S3 else (False,):
+                    label = (name, scheme, indices, free_tau0)
+                    try:
+                        solve_scheme(scheme, indices, scenario, free_tau0=free_tau0)
+                    except Infeasible:
+                        pass
+        monkeypatch.undo()
+
+        rng = np.random.default_rng(97)
+        sweeps, compared, widths = {}, 0, set()
+        for label, program, starts in programs:
+            project = case2._PolytopeProjector(*program)
+            scale = max(1.0, *(abs(b) for b in program[2]))
+            seeded = [list(rng.uniform(-0.2, 1.2, len(program[0])) * scale) for _ in range(3)]
+            for k, start in enumerate(starts + seeded):
+                point = project(start)
+                reference, worst, taken = _reference_projection(*program, start)
+                assert all(type(v) is float for v in point), label
+                assert len(point) == len(reference), label
+                assert all(new == old for new, old in zip(point, reference)), (label, start)
+                assert project.violation(point) == worst, (label, start)
+                if k < len(starts):
+                    sweeps[label] = max(sweeps.get(label, 0), taken)
+                widths.add(len(start))
+                compared += 1
+        assert compared > 1500 and widths == {3, 4, 5, 6, 7}, (compared, widths)
+        # relay_busy.json at t_r_th x1000: the S3 pair solve_case2 solves,
+        # whose cold starts take the most sweeps
+        assert sweeps["busy-x1000", SchemeId.S3, Case2Indices(1, 1, 1), False] >= 65
+
+    @pytest.mark.parametrize(
+        "start",
+        [[3.0, 3.0, 3.0], [-1.0, 0.5, 4.0], [0.1, 0.1, 0.1], [-0.0, 0.5, -0.0],
+         [math.nan, 0.2, -1.0], [-1.0, math.inf, 0.5]],
+        ids=["outside", "mixed", "interior", "signed-zeros", "nan", "inf"],
+    )
+    def test_numpy_rows_match_the_reference_bit_for_bit(self, start):
+        # test_fast_projector_matches_feasibility's numpy program; a NaN,
+        # an infinity and signed zeros come out as max() leaves them
+        rows = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        bounds = np.array([1.5, 1.0])
+        project = case2._PolytopeProjector(np.zeros(3), rows, bounds, tol=1e-12, max_sweeps=60)
+        point = project(start)
+        reference, worst, _ = _reference_projection(np.zeros(3), rows, bounds, 1e-12, 60, start)
+        assert [v.hex() for v in point] == [v.hex() for v in reference]
+        assert all(type(v) is float for v in point)
+        assert _same(project.violation(point), worst)
+
+    def test_the_plane_table_is_keyed_by_row_shape_alone(self):
+        # no deadline, load, bound or start is in a key: every pair of
+        # relay_busy.json at x1, then at every rung from x1 to x1e9, looks
+        # up only the tables the x1 pairs built
+        table = case2._plane_table
+        table.cache_clear()
+        _solve_every_pair(_relay_busy(1.0))
+        after_x1 = table.cache_info()
+        for decade in range(10):
+            _solve_every_pair(_relay_busy(10.0**decade))
+        after = table.cache_info()
+        assert after.misses == after_x1.misses and after.currsize == after_x1.currsize
+        assert after.hits > after_x1.hits and after_x1.currsize > 0
+        # bounded by a constant, above the 32 row tables solve_scheme can ask for
+        assert after.maxsize == 64
+
+
+def _reference_projection(lo, rows, bounds, tol, max_sweeps, start):
+    """The projector's sweep as first written, planes built per projector
+    and every bound clip a ``max()`` call: (point, violation, sweeps)."""
+    lo = [float(v) for v in lo]
+    planes = []
+    for a, b in zip(rows, bounds):
+        nonzero = tuple((j, float(c)) for j, c in enumerate(a) if c != 0.0)
+        norm_sq = sum(c * c for _, c in nonzero)
+        planes.append((nonzero, float(b), 1.0 / norm_sq, math.sqrt(norm_sq)))
+
+    def clip(x):
+        for j, bound in enumerate(lo):
+            x[j] = max(x[j], bound)
+
+    def violation(x):
+        worst = 0.0
+        for j, bound in enumerate(lo):
+            if bound - x[j] > worst:
+                worst = bound - x[j]
+        for nonzero, bound, _, norm in planes:
+            excess = -bound
+            for j, c in nonzero:
+                excess += c * x[j]
+            if excess > worst * norm:
+                worst = excess / norm
+        return worst
+
+    x = [float(v) for v in start]
+    relax = 1.7
+    for sweep in range(1, max_sweeps + 1):
+        clip(x)
+        worst_plane = 0.0
+        for nonzero, bound, inv_norm_sq, norm in planes:
+            excess = -bound
+            for j, c in nonzero:
+                excess += c * x[j]
+            if excess > 0.0:
+                shift = excess * inv_norm_sq * relax
+                for j, c in nonzero:
+                    x[j] -= c * shift
+                if excess > worst_plane * norm:
+                    worst_plane = excess / norm
+        if worst_plane <= 0.25 * tol:
+            # planes satisfied before relaxation; one exact bound pass
+            clip(x)
+            if violation(x) <= tol:
+                break
+        relax = 1.7 if worst_plane > 100.0 * tol else 1.0
+    return x, violation(x), sweep
+
 
 @pytest.mark.parametrize(
     "scheme, indices",

@@ -479,7 +479,8 @@ class TestOracleCheckCommand:
     )
     def test_a_grid_with_no_feasible_point_is_one_line(self, tmp_path, capsys, argv):
         # at t_r_th x20 (18 s) the solver's S1 (1, 1, 1) is fine, but the
-        # oracle's grid for it has no feasible point (ROADMAP item 2)
+        # oracle's grid for it has no feasible point (ROADMAP item 3, the
+        # grid's scale)
         doc = case2_doc()
         doc["deadlines"]["t_r_th"] = 18.0
         path = write_doc(tmp_path, doc)
