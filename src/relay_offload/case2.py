@@ -292,13 +292,15 @@ class _PolytopeProjector:
 
     It only places the numeric engine's starting points on the polytope.
     Each sweep clips x to its bounds and reflects it off every violated
-    row, in one plain-float loop over the rows' nonzero coefficients from
-    :func:`_plane_table`.  Reflections are over-relaxed while far from the
-    intersection, which breaks the slow zig-zag that plain alternating
-    projections exhibit at acute constraint angles.
+    row.  Reflections are over-relaxed while far from the intersection,
+    which breaks the slow zig-zag that plain alternating projections
+    exhibit at acute constraint angles.  The sweeps run in the function
+    :func:`_sweep_kernel` compiles once per :func:`_plane_table`, which is
+    keyed by row shape, so a split only passes its bounds.  A projection
+    leaves the :meth:`violation` of the point it returns in
+    ``last_violation``, taken by the stopping test that ended the sweeps,
+    or once after the last sweep.
     """
-
-    _OMEGA = 1.7
 
     def __init__(
         self,
@@ -308,54 +310,18 @@ class _PolytopeProjector:
         tol: float,
         max_sweeps: int,
     ) -> None:
-        self._tol = tol
+        lows = tuple(map(float, lo))
+        self._sweep = _sweep_kernel(len(lows), _plane_table(tuple(map(tuple, rows))))
+        self._args = (lows, tuple(map(float, bounds)), tol)
         self._max_sweeps = max_sweeps
-        self._lows = list(enumerate(map(float, lo)))
-        table = _plane_table(tuple(map(tuple, rows)))
-        self._planes = [(nz, float(b), inv, norm) for (nz, inv, norm), b in zip(table, bounds)]
+        self.last_violation = math.nan
 
     def violation(self, x: list[float]) -> float:
         """Largest bound excess or row distance outside the polytope."""
-        worst = 0.0
-        for j, lo in self._lows:
-            if lo - x[j] > worst:
-                worst = lo - x[j]
-        for nonzero, bound, _, norm in self._planes:
-            excess = -bound
-            for j, c in nonzero:
-                excess += c * x[j]
-            if excess > worst * norm:
-                worst = excess / norm
-        return worst
+        return self._sweep(x, *self._args, 0)[1]
 
     def __call__(self, point: list[float]) -> list[float]:
-        x = [float(v) for v in point]
-        lows, planes, tol, relax = self._lows, self._planes, self._tol, self._OMEGA
-        settled, far = 0.25 * tol, 100.0 * tol
-        for _ in range(self._max_sweeps):
-            # x = max(x, lo), NaN and signed zeros as max() leaves them
-            for j, lo in lows:
-                if lo > x[j]:
-                    x[j] = lo
-            worst_plane = 0.0
-            for nonzero, bound, inv_norm_sq, norm in planes:
-                excess = -bound
-                for j, c in nonzero:
-                    excess += c * x[j]
-                if excess > 0.0:
-                    shift = excess * inv_norm_sq * relax
-                    for j, c in nonzero:
-                        x[j] -= c * shift
-                    if excess > worst_plane * norm:
-                        worst_plane = excess / norm
-            if worst_plane <= settled:
-                # planes satisfied before relaxation; one exact bound pass
-                for j, lo in lows:
-                    if lo > x[j]:
-                        x[j] = lo
-                if self.violation(x) <= tol:
-                    break
-            relax = self._OMEGA if worst_plane > far else 1.0
+        x, self.last_violation = self._sweep(point, *self._args, self._max_sweeps)
         return x
 
 
@@ -369,6 +335,76 @@ def _plane_table(rows: tuple[tuple[float, ...], ...]) -> tuple[tuple, ...]:
         norm_sq = sum(c * c for _, c in nonzero)
         planes.append((nonzero, 1.0 / norm_sq, math.sqrt(norm_sq)))
     return tuple(planes)
+
+
+def _times(target: str, op: str, c: float, name: str) -> str:
+    # `target op= c * name`, where c * name is exact for c = +-1.0 and
+    # a - b is a + -b
+    if c == 1.0:
+        return "{} {}= {}".format(target, op, name)
+    if c == -1.0:
+        return "{} {}= {}".format(target, "-" if op == "+" else "+", name)
+    return "{} {}= {!r} * {}".format(target, op, c, name)
+
+
+# the projector's sweep; _sweep_kernel writes out its blocks for one plane table
+_SWEEP_SOURCE = """
+def sweep(point, lows, bounds, tol, max_sweeps):
+ [{x}] = map(float, point)
+ [{lows}] = lows
+ [{bounds}] = bounds
+ settled, far, relax = 0.25 * tol, 100.0 * tol, 1.7
+ for _ in range(max_sweeps):
+  {clip}
+  w = 0.0
+  {reflect}
+  if w <= settled:
+   # the rows hold before relaxation: one exact bound pass
+   {clip_}
+   {measure_}
+   if v <= tol: break
+  relax = 1.7 if w > far else 1.0
+ else:
+  {measure}
+ return [{x}], v
+"""
+
+
+@functools.lru_cache(maxsize=64)  # one function per _plane_table entry
+def _sweep_kernel(width: int, planes: tuple[tuple, ...]) -> Callable:
+    """The projector's sweeps over ``width`` columns and one plane table,
+    compiled on first use as
+    ``sweep(point, lows, bounds, tol, max_sweeps) -> (x, violation)``.
+
+    The source has the table's columns, coefficients, 1/|a|^2 and |a| as
+    literals (``repr`` round-trips a float) and x in locals, and takes
+    every float operation of a plain loop over the table in the same
+    order, so each result is that loop's bit for bit: a bound clip is
+    ``if lo > x: x = lo``, which is ``max(x, lo)`` with NaN and signed
+    zeros included.  The violation is the largest bound excess or row
+    distance at the returned x; with ``max_sweeps`` = 0 it is x's.
+    """
+    clip = ["if l{0} > x{0}: x{0} = l{0}".format(j) for j in range(width)]
+    measure = ["v = 0.0"]
+    measure += ["if l{0} - x{0} > v: v = l{0} - x{0}".format(j) for j in range(width)]
+    reflect = []
+    for r, (nonzero, inv_norm_sq, norm) in enumerate(planes):
+        excess = ["e = -b{}".format(r)]
+        excess += [_times("e", "+", c, "x{}".format(j)) for j, c in nonzero]
+        measure += excess + ["if e > v * {0!r}: v = e / {0!r}".format(norm)]
+        reflect += excess + ["if e > 0.0:", " s = e * {!r} * relax".format(inv_norm_sq)]
+        reflect += [" " + _times("x{}".format(j), "-", c, "s") for j, c in nonzero]
+        reflect += [" if e > w * {0!r}: w = e / {0!r}".format(norm)]
+    source = _SWEEP_SOURCE.format(
+        x=", ".join("x{}".format(j) for j in range(width)),
+        lows=", ".join("l{}".format(j) for j in range(width)),
+        bounds=", ".join("b{}".format(r) for r in range(len(planes))),
+        clip="\n  ".join(clip), clip_="\n   ".join(clip), reflect="\n  ".join(reflect),
+        measure="\n  ".join(measure), measure_="\n   ".join(measure),
+    )
+    namespace = {"inf": math.inf, "nan": math.nan}  # how repr spells them
+    exec(source, namespace)
+    return namespace["sweep"]
 
 
 @dataclass(frozen=True)
@@ -975,7 +1011,7 @@ def solve_scheme(
         accepted = [0.0] * n_vars
         for k, i in enumerate(placed):
             accepted[i] = point[k]
-        if project.violation(point) <= options.feas_tol and math.isfinite(
+        if project.last_violation <= options.feas_tol and math.isfinite(
             model.energy(sums, scenario, *accepted[:6])
         ):
             break
@@ -1109,6 +1145,10 @@ def _caps(scheme: SchemeId, room: _Room, slack: float) -> tuple[float, ...]:
     return (device, after, window, device, device, window)
 
 
+# every cap's slack in feas_tol units, as split_energy_floor derives it
+_CAP_SLACK = 14.0
+
+
 def split_energy_floor(
     indices: Case2Indices,
     scenario: Scenario,
@@ -1124,35 +1164,35 @@ def split_energy_floor(
     duration, so the energy there is at most the energy of any point the
     scheme's solver returns.
 
-    Every cap is widened by 14 feas_tol.  A solver accepts a start that
-    violates its rows and lower bounds by at most feas_tol in distance; the
-    engine clips that start onto its lower bounds and never raises a row's
-    excess.  So at the returned point no duration is negative, and a row of
-    k <= 5 unit coefficients exceeds its bound by at most (sqrt(k) + k)
-    feas_tol.  A duration then exceeds its cap by at most the excesses of
-    the rows the cap combines: 6 + 7.3 feas_tol for the device row with
-    S3's ordering row, less for every other cap.  A cap <= 0 under nonzero
-    load gives inf.  ``room`` gives the floor the split's room, so it
-    builds none.
+    Every cap is widened by _CAP_SLACK = 14 feas_tol.  A solver accepts a
+    start that violates its rows and lower bounds by at most feas_tol in
+    distance; the engine clips that start onto its lower bounds and never
+    raises a row's excess.  So at the returned point no duration is
+    negative, and a row of k <= 5 unit coefficients exceeds its bound by
+    at most (sqrt(k) + k) feas_tol.  A duration then exceeds its cap by at
+    most the excesses of the rows the cap combines: 6 + 7.3 feas_tol for
+    the device row with S3's ordering row, less for every other cap.  A
+    cap <= 0 under nonzero load gives inf.  ``room`` gives the floor the
+    split's room, so it builds none.
     """
     if room is None:
         room = _Room(indices, scenario, None)
-    return model.energy(room.sums, scenario, *_caps(scheme, room, 14.0 * options.feas_tol))
+    return model.energy(room.sums, scenario, *_caps(scheme, room, _CAP_SLACK * options.feas_tol))
 
 
-def _pair_floors(room: _Room, scenario: Scenario, options: Case2Options) -> list[float]:
+def _pair_floors(room: _Room, scenario: Scenario, slack: float, device: float) -> list[float]:
     """Each scheme's floor at the split of ``room``, in S1, S2, S3 order.
 
     A pair's floor is the larger of its scheme floor,
-    :func:`split_energy_floor`, and its device-block bound: the one-price
-    minimum of the device terms under the device budget,
-    :func:`model.device_block_floor` at D plus the caps' slack, plus the
-    relay-own terms at the scheme's caps.  Each scheme's six capped terms
-    are taken once and serve both; their sum, in :func:`model.energy`'s
-    order, is the scheme floor bit for bit.
+    :func:`split_energy_floor`, and its device-block bound: ``device``,
+    the one-price minimum of the device terms under the device budget
+    (:func:`model.device_block_floor` at D plus the caps' ``slack``), plus
+    the relay-own terms at the scheme's caps.  D and the device terms
+    depend on (n1, n2) alone, so :func:`solve_case2` takes ``device`` once
+    per device split.  Each scheme's six capped terms are taken once and
+    serve both; their sum, in :func:`model.energy`'s order, is the scheme
+    floor bit for bit.
     """
-    slack = 14.0 * options.feas_tol
-    device = model.device_block_floor(room.sums, scenario, room.device + slack)
     floors = []
     for scheme in (SchemeId.S1, SchemeId.S2, SchemeId.S3):
         a, b, c, d, e, f = model._term_values(room.sums, scenario, *_caps(scheme, room, slack))
@@ -1167,18 +1207,18 @@ def _split_floors(
     :func:`model.relay_busy_split_sums`.
 
     Every duration is at its block's whole budget, widened by the caps'
-    slack of 14 feas_tol: D for the device durations, O for the relay-own
-    ones, whose rows every scheme keeps, so the floor bounds each scheme's
-    :func:`split_energy_floor`.  D depends on n2 and O on m1 alone, and
-    the splits come in one block of m1 = 1..m+1 per (n1, n2); so the
-    device terms are taken once per (n1, n2), the relay-own terms once per
-    m1, from the first block, and each floor adds them in
+    slack of _CAP_SLACK feas_tol: D for the device durations, O for the
+    relay-own ones, whose rows every scheme keeps, so the floor bounds
+    each scheme's :func:`split_energy_floor`.  D depends on n2 and O on m1
+    alone, and the splits come in one block of m1 = 1..m+1 per (n1, n2);
+    so the device terms are taken once per (n1, n2), the relay-own terms
+    once per m1, from the first block, and each floor adds them in
     :func:`model._term_values` order.  It is
     ``model._budget_floor(sums, scenario, D + slack, O + slack)``, bit for
     bit.  A budget <= 0 under nonzero load gives inf.
     """
     channel, compute = scenario.channel, scenario.compute
-    slack = 14.0 * options.feas_tol
+    slack = _CAP_SLACK * options.feas_tol
     block = scenario.relay_chain.n + 1
     own_terms: list[tuple[float, float]] = []
     for _, _, _, sums in splits[:block]:
@@ -1224,18 +1264,20 @@ def solve_case2(
     its three pairs go back in, each at the larger of two floors
     (:func:`_pair_floors`): its scheme floor (:func:`split_energy_floor`),
     and its device-block bound, :func:`model.device_block_floor` at the
-    device budget D (computed once per split) plus the relay-own terms at
-    the scheme's caps, both with the caps' slack of 14 feas_tol and from
-    the same six capped terms.  A pair is solved when it comes up.  Each
-    key is raised to the split's where rounding leaves it below, so popped
-    keys never fall, and every key is a floor of its pair's energy.  So
-    only the splits that reach the front pay for the pair floors.  The
-    traversal stops at the first entry whose floor f satisfies
-    f * (1 - FLOOR_MARGIN - (s + 1) * tie_rel) > E, where E is the lowest
-    energy solved so far and s the number of feasible pairs solved.  Every
-    later pair has a floor at least f, and each pair's energy is at least
-    its own floor (FLOOR_MARGIN absorbs rounding).  The tie rule is then
-    replayed over the solved pairs in canonical order.
+    device budget D plus the relay-own terms at the scheme's caps, both
+    with the caps' slack of _CAP_SLACK feas_tol and from the same six
+    capped terms.  D and the device terms depend on (n1, n2) alone, so the
+    device-block floor is computed once per device split that comes up,
+    within the call; nothing is kept across calls.  A pair is solved when
+    it comes up.  Each key is raised to the split's where rounding leaves
+    it below, so popped keys never fall, and every key is a floor of its
+    pair's energy.  So only the splits that reach the front pay for the
+    pair floors.  The traversal stops at the first entry whose floor f
+    satisfies f * (1 - FLOOR_MARGIN - (s + 1) * tie_rel) > E, where E is
+    the lowest energy solved so far and s the number of feasible pairs
+    solved.  Every later pair has a floor at least f, and each pair's
+    energy is at least its own floor (FLOOR_MARGIN absorbs rounding).  The
+    tie rule is then replayed over the solved pairs in canonical order.
 
     Why the replay picks the exhaustive winner: run the tie rule over all
     pairs and over the solved ones side by side.  A skipped pair costs at
@@ -1262,8 +1304,11 @@ def solve_case2(
         raise model.ScenarioError("relay task arrival must be nonnegative")
 
     splits = list(model.relay_busy_split_sums(scenario))
+    slack = _CAP_SLACK * options.feas_tol
     # the indices and room of each split that has come up, by split position
     rooms: dict[int, tuple[Case2Indices, _Room]] = {}
+    # the device-block floor of each device split (n1, n2) that has come up
+    device_floors: dict[tuple[int, int], float] = {}
     # (floor, scheme position or -1 for the whole split, split position)
     heap = [(floor, -1, i) for i, floor in enumerate(_split_floors(splits, scenario, options))]
     heapq.heapify(heap)
@@ -1280,7 +1325,11 @@ def solve_case2(
             indices = Case2Indices(n1, n2, m1)
             room = _Room(indices, scenario, sums)
             rooms[i] = indices, room
-            for k, pair_floor in enumerate(_pair_floors(room, scenario, options)):
+            device = device_floors.get((n1, n2))
+            if device is None:
+                device = model.device_block_floor(sums, scenario, room.device + slack)
+                device_floors[n1, n2] = device
+            for k, pair_floor in enumerate(_pair_floors(room, scenario, slack, device)):
                 heapq.heappush(heap, (max(pair_floor, floor), k, i))
             continue
         scheme = schemes[k]

@@ -2,6 +2,9 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -600,7 +603,7 @@ class TestSplitFloor:
         assert checked > 1000
         assert tightened > checked // 4
 
-    def test_pair_floors_take_the_capped_terms_once(self, monkeypatch):
+    def test_pair_floors_take_the_capped_terms_once(self):
         # each scheme's six capped terms serve both of its pair floor's
         # parts; without the device-block bound the key is
         # split_energy_floor bit for bit
@@ -615,10 +618,8 @@ class TestSplitFloor:
                 indices = Case2Indices(n1, n2, m1)
                 room = case2._Room(indices, scenario, sums)
                 device = model.device_block_floor(sums, scenario, room.device + slack)
-                floors = case2._pair_floors(room, scenario, options)
-                with monkeypatch.context() as patch:
-                    patch.setattr(model, "device_block_floor", lambda *args: -math.inf)
-                    scheme_floors = case2._pair_floors(room, scenario, options)
+                floors = case2._pair_floors(room, scenario, slack, device)
+                scheme_floors = case2._pair_floors(room, scenario, slack, -math.inf)
                 for scheme, floor, scheme_floor in zip(SchemeId, floors, scheme_floors):
                     reference = split_energy_floor(
                         indices, scenario, options, scheme=scheme, room=room
@@ -786,7 +787,7 @@ class TestSplitFloor:
         }
         assert len(split_of) == len(splits)
 
-        def fake_pair_floors(room, scenario, options):
+        def fake_pair_floors(room, scenario, slack, device):
             return [floors[s, split_of[room.sums]] for s in SchemeId]
 
         def fake_split_floors(splits, scenario, options):
@@ -845,22 +846,76 @@ class TestSplitFloor:
         # the heap's scheme-free floors read the split totals alone, and a
         # split that comes up builds one room for its scheme floors and
         # solves: each plan has 6,027 splits, of which one or two come up
+        # (each takes its pair floors once)
         rooms, fronts = [], []
-        room, block = case2._Room, model.device_block_floor
+        room, pair_floors = case2._Room, case2._pair_floors
 
         def counted_room(*args):
             rooms.append(None)
             return room(*args)
 
-        def counted_block(*args):
+        def counted_pair_floors(*args):
             fronts.append(None)
-            return block(*args)
+            return pair_floors(*args)
 
         monkeypatch.setattr(case2, "_Room", counted_room)
-        monkeypatch.setattr(model, "device_block_floor", counted_block)
+        monkeypatch.setattr(case2, "_pair_floors", counted_pair_floors)
         for seed in range(3):
             solve_case2(_random_busy(seed, 40, 6))
-        assert 0 < len(rooms) <= len(fronts)
+        assert 0 < len(rooms) == len(fronts)
+
+    @pytest.mark.parametrize(
+        "make, expected",
+        [
+            (lambda: _relay_busy(1000.0), (2, 1)),
+            *((lambda f=f: _relay_busy(f), None) for f in (1.0, 10.0, 1e9)),
+            # splits that share n1 or n2 but not both come up
+            (lambda: _random_busy(6, 2, 2), (3, 2)),
+            (lambda: _random_busy(9, 2, 2), (3, 3)),
+            (lambda: _random_busy(6, 3, 1), (3, 3)),
+            *((lambda seed=seed: _random_busy(seed, 2, 1), None) for seed in range(3)),
+            *((lambda seed=seed: _random_busy(seed, 40, 6), None) for seed in range(2)),
+        ],
+        ids=["busy-x1000", "busy-x1", "busy-x10", "busy-x1e9", "2x2-6", "2x2-9", "3x1-6"]
+        + [f"2x1-{seed}" for seed in range(3)]
+        + [f"40x6-{seed}" for seed in range(2)],
+    )
+    def test_one_device_block_floor_per_device_split(self, monkeypatch, make, expected):
+        # D and the device terms depend on (n1, n2) alone: one
+        # device_block_floor per device split that comes up, within the
+        # call, and every pair floor is a from-scratch one, bit for bit
+        scenario, options = make(), Case2Options()
+        slack = 14.0 * options.feas_tol
+        room, block, pair_floors = case2._Room, model.device_block_floor, case2._pair_floors
+        splits, blocks, fronts = {}, [], []
+
+        def recorded_room(indices, *args):
+            made = room(indices, *args)
+            splits[id(made)] = indices
+            return made
+
+        def counted_block(*args):
+            blocks.append(None)
+            return block(*args)
+
+        def recorded_pair_floors(room, *args):
+            fronts.append((room, pair_floors(room, *args)))
+            return fronts[-1][1]
+
+        monkeypatch.setattr(case2, "_Room", recorded_room)
+        monkeypatch.setattr(model, "device_block_floor", counted_block)
+        monkeypatch.setattr(case2, "_pair_floors", recorded_pair_floors)
+        for _ in range(2):  # nothing is kept across calls
+            blocks.clear()
+            fronts.clear()
+            solve_case2(scenario, options)
+            device_splits = {(splits[id(r)].n1, splits[id(r)].n2) for r, _ in fronts}
+            assert len(blocks) == len(device_splits) > 0
+            if expected is not None:
+                assert (len(fronts), len(blocks)) == expected
+            for r, floors in fronts:
+                device = block(r.sums, scenario, r.device + slack)
+                assert floors == pair_floors(r, scenario, slack, device)
 
 
 class TestRoom:
@@ -1805,18 +1860,103 @@ class TestPolytopeProjector:
     def test_the_plane_table_is_keyed_by_row_shape_alone(self):
         # no deadline, load, bound or start is in a key: every pair of
         # relay_busy.json at x1, then at every rung from x1 to x1e9, looks
-        # up only the tables the x1 pairs built
-        table = case2._plane_table
-        table.cache_clear()
+        # up only the tables, and the sweep kernels compiled from them,
+        # that the x1 pairs built
+        tables = (case2._plane_table, case2._sweep_kernel)
+        for table in tables:
+            table.cache_clear()
         _solve_every_pair(_relay_busy(1.0))
-        after_x1 = table.cache_info()
+        after_x1 = [table.cache_info() for table in tables]
         for decade in range(10):
             _solve_every_pair(_relay_busy(10.0**decade))
-        after = table.cache_info()
-        assert after.misses == after_x1.misses and after.currsize == after_x1.currsize
-        assert after.hits > after_x1.hits and after_x1.currsize > 0
-        # bounded by a constant, above the 32 row tables solve_scheme can ask for
-        assert after.maxsize == 64
+        for table, before in zip(tables, after_x1):
+            after = table.cache_info()
+            assert after.misses == before.misses and after.currsize == before.currsize
+            assert after.hits > before.hits and before.currsize > 0
+            # bounded by a constant, above the 32 row tables solve_scheme can ask for
+            assert after.maxsize == 64
+
+    @pytest.mark.parametrize("max_sweeps", [1, 2, 40, 400])
+    def test_the_sweep_cap_matches_the_reference_bit_for_bit(self, monkeypatch, max_sweeps):
+        # relay_busy.json x1000 S3 (1, 1, 1), whose cold starts take more
+        # than 60 sweeps, replayed under caps that stop them early; the
+        # violation a projection leaves is its point's, capped or not
+        programs = []
+        init, call = case2._PolytopeProjector.__init__, case2._PolytopeProjector.__call__
+
+        def made(self, lo, rows, bounds, tol, max_sweeps):
+            init(self, lo, rows, bounds, tol, max_sweeps)
+            programs.append(((list(lo), rows, list(bounds), tol), []))
+
+        def placed(self, point):
+            programs[-1][1].append(list(point))
+            return call(self, point)
+
+        monkeypatch.setattr(case2._PolytopeProjector, "__init__", made)
+        monkeypatch.setattr(case2._PolytopeProjector, "__call__", placed)
+        try:
+            solve_scheme(SchemeId.S3, Case2Indices(1, 1, 1), _relay_busy(1000.0))
+        except Infeasible:
+            pass  # both starts are rejected there (ROADMAP item 2)
+        monkeypatch.undo()
+        (program, starts), = programs
+        project = case2._PolytopeProjector(*program, max_sweeps)
+        capped = 0
+        for start in starts:
+            point = project(start)
+            reference, worst, taken = _reference_projection(*program, max_sweeps, start)
+            assert [v.hex() for v in point] == [v.hex() for v in reference]
+            assert project.last_violation == worst == project.violation(point)
+            capped += taken == max_sweeps and worst > program[3]
+        assert starts and capped == (len(starts) if max_sweeps < 60 else 0)
+
+    def test_any_coefficient_matches_the_reference_bit_for_bit(self):
+        # solve_scheme's rows are 0/+-1, which fold into += and -=; any
+        # other coefficient goes into the kernel as its repr literal
+        rng = np.random.default_rng(5)
+        special = [1.0 / 3.0, -0.1, 2.5, -7.0, 1e-8, 3e8, -1.0, 1.0]
+        compared = 0
+        for width in (2, 3, 5):
+            for _ in range(30):
+                rows = rng.uniform(-3.0, 3.0, (3, width)) * (rng.uniform(size=(3, width)) < 0.7)
+                rows[:, 0] = rng.choice(special, 3)  # no zero row
+                lo, bounds = rng.uniform(-0.5, 0.5, width), rng.uniform(0.1, 2.0, 3)
+                project = case2._PolytopeProjector(lo, rows, bounds, tol=1e-12, max_sweeps=60)
+                for start in rng.uniform(-3.0, 3.0, (3, width)):
+                    point = project(start)
+                    reference, worst, _ = _reference_projection(lo, rows, bounds, 1e-12, 60, start)
+                    assert [v.hex() for v in point] == [v.hex() for v in reference]
+                    assert project.last_violation.hex() == worst.hex()
+                    compared += 1
+        assert compared == 270
+
+    def test_solve_scheme_takes_the_violation_the_sweep_left(self, monkeypatch):
+        calls = []
+        violation = case2._PolytopeProjector.violation
+
+        def counted(self, x):
+            calls.append(None)
+            return violation(self, x)
+
+        monkeypatch.setattr(case2._PolytopeProjector, "violation", counted)
+        for factor in (1.0, 10.0, 1000.0):
+            solve_case2(_relay_busy(factor))
+        assert calls == []
+
+    def test_no_table_is_built_at_import(self):
+        # a fresh interpreter: this one's tables hold earlier tests' entries
+        probe = (
+            "import relay_offload, relay_offload.cli\n"
+            "from relay_offload import case2\n"
+            "print(case2._plane_table.cache_info().currsize,"
+            " case2._sweep_kernel.cache_info().currsize)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(case2.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "0"]
 
 
 def _reference_projection(lo, rows, bounds, tol, max_sweeps, start):
