@@ -2,8 +2,9 @@
 
 The grid references re-derive the objectives and constraints from the raw
 physical formulas instead of reusing the closed-form solver code, so they
-stay meaningful as independent cross-checks.  They are deliberately slow
-and simple, and share no machinery with the production solvers.
+stay meaningful as independent cross-checks.  Each refinement round is one
+vectorised pass over its grid, and the references still share no
+machinery with the production solvers.
 """
 
 from __future__ import annotations
@@ -65,12 +66,15 @@ def grid_minimize(
 
     Each round re-grids a window shrunk ``spec.shrink``-fold around the
     incumbent, clipped to the original bounds.  The callables receive a
-    (k, n) array of points and return length-k arrays.
+    (k, n) array of points and return length-k arrays; the objective runs
+    with numpy's floating-point warnings silenced, and a non-finite value
+    counts as infeasible.  Of equal minima the first in C order wins.
     """
     bounds = [(ax.lo, ax.hi) for ax in spec.axes]
     windows = list(bounds)
     counts = [ax.points for ax in spec.axes]
     ndim = len(spec.axes)
+    total = math.prod(counts)
 
     best_point: np.ndarray | None = None
     best_value = math.inf
@@ -78,24 +82,24 @@ def grid_minimize(
 
     for _ in range(spec.rounds):
         grids = [np.linspace(lo, hi, pts) for (lo, hi), pts in zip(windows, counts)]
-        shape = tuple(counts)
-        total = int(np.prod(shape))
         for start in range(0, total, _CHUNK):
-            flat = np.arange(start, min(start + _CHUNK, total))
-            coords = np.unravel_index(flat, shape)
-            points = np.column_stack([grids[d][coords[d]] for d in range(ndim)])
-            mask = (
-                np.asarray(feasible(points), dtype=bool)
-                if feasible is not None
-                else np.ones(len(points), dtype=bool)
-            )
-            if not mask.any():
-                continue
-            candidates = points[mask]
+            stop = min(start + _CHUNK, total)
+            if ndim == 1:
+                points = grids[0][start:stop, None]
+            else:
+                coords = np.unravel_index(np.arange(start, stop), counts)
+                points = np.column_stack([grid[c] for grid, c in zip(grids, coords)])
+            if feasible is None:
+                candidates = points
+            else:
+                mask = np.asarray(feasible(points), dtype=bool)
+                if not mask.any():
+                    continue
+                candidates = points[mask]
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 values = np.asarray(objective(candidates), dtype=float)
             values = np.where(np.isfinite(values), values, np.inf)
-            k = int(np.argmin(values))
+            k = int(values.argmin())
             if values[k] < best_value:
                 best_value = float(values[k])
                 best_point = candidates[k].copy()
@@ -199,44 +203,39 @@ def case1_lower_reference(
     h, g = ch.gain_md_relay, ch.gain_relay_bs
 
     def elapsed_without_absorber(x: np.ndarray) -> np.ndarray:
-        elapsed = np.full(len(x), bs_time)
+        # the grid has at least one axis, so this is an array
+        elapsed = bs_time
         if "tau1" in col:
             elapsed = elapsed + x[:, col["tau1"]]
         for i in freq_tasks:
             elapsed = elapsed + work[i - 1] / x[:, col[f"f_{i}"]]
         return elapsed
 
-    def absorbed_duration(x: np.ndarray) -> np.ndarray:
-        return deadline - elapsed_without_absorber(x)
-
     def tx_energy(d: float, tau: np.ndarray, gain: float) -> np.ndarray:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return np.where(
-                tau > 0.0,
-                sigma2 * tau / gain * np.expm1(d / (tau * bandwidth)),
-                np.inf,
-            )
+        return np.where(
+            tau > 0.0,
+            sigma2 * tau / gain * np.expm1(d / (tau * bandwidth)),
+            np.inf,
+        )
 
-    def objective(x: np.ndarray) -> np.ndarray:
-        total = np.zeros(len(x))
+    def energy(x: np.ndarray) -> np.ndarray:
+        # a point that misses the deadline is priced at inf: its absorbed
+        # duration is not positive, or with no absorber its elapsed time
+        # overruns the deadline
+        elapsed = elapsed_without_absorber(x)
+        total = 0.0
         if "tau1" in col:
             total = total + tx_energy(d1, x[:, col["tau1"]], h)
         if absorber == "tau1":
-            total = total + tx_energy(d1, absorbed_duration(x), h)
+            total = total + tx_energy(d1, deadline - elapsed, h)
         elif absorber == "tau2":
-            total = total + tx_energy(d2, absorbed_duration(x), g)
+            total = total + tx_energy(d2, deadline - elapsed, g)
         for i in freq_tasks:
-            freq = x[:, col[f"f_{i}"]]
-            if i < n1:
-                total = total + co.kappa_md * work[i - 1] * freq**2
-            elif i < n2:
-                total = total + co.kappa_relay * work[i - 1] * freq**2
+            kappa = co.kappa_md if i < n1 else co.kappa_relay
+            total = total + kappa * work[i - 1] * x[:, col[f"f_{i}"]] ** 2
+        if absorber is None:
+            return np.where(elapsed <= deadline * (1.0 + 1e-12), total, np.inf)
         return total
-
-    def feasible(x: np.ndarray) -> np.ndarray:
-        if absorber is not None:
-            return absorbed_duration(x) > 0.0
-        return elapsed_without_absorber(x) <= deadline * (1.0 + 1e-12)
 
     if not axes and absorber is None:
         # nothing to choose: all work at the BS cap for free
@@ -255,7 +254,7 @@ def case1_lower_reference(
                 assignment[f"f_{i}"] = co.f_bs_max
         return ReferenceSolution(value=value, assignment=assignment)
 
-    result = grid_minimize(objective, feasible, GridSpec(tuple(axes), rounds=rounds))
+    result = grid_minimize(energy, None, GridSpec(tuple(axes), rounds=rounds))
     assignment = {label: float(result.point[col[label]]) for label in labels}
     if absorber is not None:
         slack = deadline - float(
@@ -379,12 +378,11 @@ def case2_lower_reference(
         for d, gain, label in ((d1, h, "tau1"), (d2, g, "tau2"), (d3, g, "tau3")):
             if d > 0.0:
                 tau = pick(x, label)
-                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                    total = total + np.where(
-                        tau > 0.0,
-                        sigma2 * tau / gain * np.expm1(d / (tau * bandwidth)),
-                        np.inf,
-                    )
+                total = total + np.where(
+                    tau > 0.0,
+                    sigma2 * tau / gain * np.expm1(d / (tau * bandwidth)),
+                    np.inf,
+                )
         for cycles, kappa, label in (
             (ls, co.kappa_md, "T1"),
             (rs, co.kappa_relay, "T2"),
@@ -392,10 +390,9 @@ def case2_lower_reference(
         ):
             if cycles > 0.0:
                 block = pick(x, label)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    total = total + np.where(
-                        block > 0.0, kappa * cycles**3 / block**2, np.inf
-                    )
+                total = total + np.where(
+                    block > 0.0, kappa * cycles**3 / block**2, np.inf
+                )
         return total
 
     tol = 1e-12 * max(1.0, tr)

@@ -385,6 +385,7 @@ class TestUnwritableOutput:
 _NUMPY_FREE_RUN = """
 import contextlib, io, json, sys
 import relay_offload, relay_offload.cli as cli
+oracle_on_import = "relay_offload.oracle" in sys.modules
 
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -401,7 +402,12 @@ for name, field in (("relay_idle", "deadlines.t_s"), ("relay_busy", "deadlines.t
     codes[f"sweep {name}"] = run("sweep", "--scenario", path, "--sweep", field, "0.5", "0.7", "3")
 before = "numpy" in sys.modules
 codes["oracle-check relay_idle"] = run("oracle-check", "--scenario", "scenarios/relay_idle.json")
-print(json.dumps({"codes": codes, "numpy_before": before, "numpy_after": "numpy" in sys.modules}))
+print(json.dumps({
+    "codes": codes,
+    "oracle_on_import": oracle_on_import,
+    "numpy_before": before,
+    "numpy_after": "numpy" in sys.modules,
+}))
 """
 
 
@@ -428,6 +434,8 @@ def test_only_the_oracle_loads_numpy():
         "sweep relay_busy": 0,
         "oracle-check relay_idle": 0,
     }
+    # the import perfbench's setup_s times loads neither the oracle nor numpy
+    assert not report["oracle_on_import"]
     assert not report["numpy_before"]
     assert report["numpy_after"]
 
