@@ -202,16 +202,14 @@ def _oracle_check_doc(solution, scenario: Scenario) -> dict:
     return doc
 
 
-_SWEEP_SECTIONS = ("deadlines", "channel", "compute")
-
-
 def _resolve_sweep_field(doc: dict, dotted: str) -> tuple[str, str]:
+    # a swept field is a number in one of the scenario schema's sections
     if "." in dotted:
         section, key = dotted.split(".", 1)
-        if section not in _SWEEP_SECTIONS:
+        if section not in model._SECTIONS:
             raise ScenarioError(f"sweep field: unknown section {section!r}")
         return section, key
-    hits = [s for s in _SWEEP_SECTIONS if dotted in doc.get(s, {})]
+    hits = [s for s in model._SECTIONS if dotted in doc.get(s, {})]
     if len(hits) != 1:
         raise ScenarioError(
             f"sweep field {dotted!r} is ambiguous or missing; use section.name"
@@ -310,6 +308,11 @@ def run(argv: list[str] | None = None) -> int:
             f"error: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             file=sys.stderr,
         )
+        return EXIT_INPUT_ERROR
+    except (ValueError, RecursionError) as exc:
+        # text that is not UTF-8, an integer past Python's digit limit, or
+        # arrays nested deeper than the decoder's recursion limit
+        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
     try:

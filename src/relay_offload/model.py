@@ -3,7 +3,8 @@
 Task chains, channel and CPU parameters, the per-split cycle and data
 totals, the Shannon transmission-energy formula, the cubic CPU energy
 model with its slopes and the KKT residuals both lower levels are checked
-by, scenario validation, and the scenario JSON wire format.
+by, and the scenario schema: one table of fields that scenario validation
+and the JSON wire format both read.
 """
 
 from __future__ import annotations
@@ -449,15 +450,20 @@ def _term_values(
     t1: float,
     t2: float,
     t3: float,
+    transmit=_transmit_term,
+    compute=_compute_term,
 ) -> tuple[float, float, float, float, float, float]:
+    """The six terms' kernels in :data:`ENERGY_TERMS` order, each on its
+    load, its duration and its gain or kappa; the term kernels by default,
+    or their slope or curvature kernels."""
     ch, co = scenario.channel, scenario.compute
     return (
-        _transmit_term(sums.d1, tau1, ch.gain_md_relay, ch),
-        _transmit_term(sums.d2, tau2, ch.gain_relay_bs, ch),
-        _transmit_term(sums.d3, tau3, ch.gain_relay_bs, ch),
-        _compute_term(sums.ls, t1, co.kappa_md),
-        _compute_term(sums.rs, t2, co.kappa_relay),
-        _compute_term(sums.lr, t3, co.kappa_relay),
+        transmit(sums.d1, tau1, ch.gain_md_relay, ch),
+        transmit(sums.d2, tau2, ch.gain_relay_bs, ch),
+        transmit(sums.d3, tau3, ch.gain_relay_bs, ch),
+        compute(sums.ls, t1, co.kappa_md),
+        compute(sums.rs, t2, co.kappa_relay),
+        compute(sums.lr, t3, co.kappa_relay),
     )
 
 
@@ -638,14 +644,8 @@ def energy_slopes(
     Each term depends on its own duration only, so each partial is that
     term's slope: 0 under zero data or work, -inf where the term is inf.
     """
-    ch, co = scenario.channel, scenario.compute
-    return (
-        _transmit_slope(sums.d1, tau1, ch.gain_md_relay, ch),
-        _transmit_slope(sums.d2, tau2, ch.gain_relay_bs, ch),
-        _transmit_slope(sums.d3, tau3, ch.gain_relay_bs, ch),
-        _compute_slope(sums.ls, t1, co.kappa_md),
-        _compute_slope(sums.rs, t2, co.kappa_relay),
-        _compute_slope(sums.lr, t3, co.kappa_relay),
+    return _term_values(
+        sums, scenario, tau1, tau2, tau3, t1, t2, t3, _transmit_slope, _compute_slope
     )
 
 
@@ -705,14 +705,8 @@ def energy_curvatures(
     entry: 0 under zero data or work, +inf where the term is inf (and
     where a transmit curvature overflows just inside the exponent cap).
     """
-    ch, co = scenario.channel, scenario.compute
-    return (
-        _transmit_curvature(sums.d1, tau1, ch.gain_md_relay, ch),
-        _transmit_curvature(sums.d2, tau2, ch.gain_relay_bs, ch),
-        _transmit_curvature(sums.d3, tau3, ch.gain_relay_bs, ch),
-        _compute_curvature(sums.ls, t1, co.kappa_md),
-        _compute_curvature(sums.rs, t2, co.kappa_relay),
-        _compute_curvature(sums.lr, t3, co.kappa_relay),
+    return _term_values(
+        sums, scenario, tau1, tau2, tau3, t1, t2, t3, _transmit_curvature, _compute_curvature
     )
 
 
@@ -767,12 +761,55 @@ def compute_time(cycles: float, frequency_hz: float) -> float:
     return cycles / frequency_hz
 
 
+# --- the scenario schema ---------------------------------------------------
+
+
+class _Object(NamedTuple):
+    """One object of the scenario JSON format."""
+
+    cls: type
+    # JSON key: (attribute, subject of a finding), in attribute order; an
+    # empty subject leaves the finding to the key alone
+    fields: dict[str, tuple[str, str]]
+    # an absent key keeps the attribute's default of None
+    optional: bool = False
+
+
+# The scenario JSON format, each field written once.  Parsing, output (whose
+# keys come out in this order), validation's sign checks and the sweep's
+# sections all loop over these tables; only the deadline rules, which
+# depend on the regime, name fields by hand.
+_TASK = _Object(Task, {"d_nats": ("data_nats", "data size"), "cycles": ("cycles", "cycle count")})
+_SECTIONS = {
+    "channel": _Object(
+        ChannelParams,
+        {
+            "B": ("bandwidth", "bandwidth"),
+            "h": ("gain_md_relay", "device-relay gain"),
+            "g": ("gain_relay_bs", "relay-BS gain"),
+            "sigma2": ("noise", "noise"),
+        },
+    ),
+    "compute": _Object(
+        ComputeParams,
+        {
+            key: (key, "")
+            for key in ("kappa_md", "kappa_relay", "f_md_max", "f_relay_max", "f_bs_max")
+        },
+    ),
+    # which deadlines a scenario needs depends on its regime, so
+    # validate_scenario checks them by hand
+    "deadlines": _Object(
+        Deadlines, {key: (key, "") for key in ("t_s", "t0", "t_s_th", "t_r_th")}, optional=True
+    ),
+}
+
+
 def _check_chain(name: str, chain: TaskChain, out: list[Violation]) -> None:
     for i, task in enumerate(chain.tasks, start=1):
-        if task.data_nats < 0.0:
-            out.append(Violation(f"{name}[{i}]", "data size must be nonnegative"))
-        if task.cycles < 0.0:
-            out.append(Violation(f"{name}[{i}]", "cycle count must be nonnegative"))
+        for attr, subject in _TASK.fields.values():
+            if getattr(task, attr) < 0.0:
+                out.append(Violation(f"{name}[{i}]", f"{subject} must be nonnegative"))
         if task.data_nats == 0.0 and task.cycles == 0.0:
             out.append(
                 Violation(
@@ -796,33 +833,14 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
     if scenario.relay_chain is not None:
         _check_chain("relay_tasks", scenario.relay_chain, out)
 
-    ch = scenario.channel
-    for field_name, value in (
-        ("B", ch.bandwidth),
-        ("h", ch.gain_md_relay),
-        ("g", ch.gain_relay_bs),
-        ("sigma2", ch.noise),
-    ):
-        if value <= 0.0:
-            label = {
-                "B": "bandwidth",
-                "h": "device-relay gain",
-                "g": "relay-BS gain",
-                "sigma2": "noise",
-            }[field_name]
-            out.append(Violation(f"channel.{field_name}", f"{label} must be positive"))
+    for section in ("channel", "compute"):
+        params = getattr(scenario, section)
+        for key, (attr, subject) in _SECTIONS[section].fields.items():
+            if getattr(params, attr) <= 0.0:
+                message = f"{subject} must be positive".lstrip()
+                out.append(Violation(f"{section}.{key}", message))
 
     co = scenario.compute
-    for field_name, value in (
-        ("kappa_md", co.kappa_md),
-        ("kappa_relay", co.kappa_relay),
-        ("f_md_max", co.f_md_max),
-        ("f_relay_max", co.f_relay_max),
-        ("f_bs_max", co.f_bs_max),
-    ):
-        if value <= 0.0:
-            out.append(Violation(f"compute.{field_name}", "must be positive"))
-
     dl = scenario.deadlines
     if scenario.relay_chain is None:
         if dl.t_s is None:
@@ -867,12 +885,6 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
 
 # --- scenario JSON wire format -------------------------------------------
 
-_TASK_KEYS = {"d_nats", "cycles"}
-_CHANNEL_KEYS = {"B", "h", "g", "sigma2"}
-_COMPUTE_KEYS = {"kappa_md", "kappa_relay", "f_md_max", "f_relay_max", "f_bs_max"}
-_DEADLINE_KEYS = {"t_s", "t0", "t_s_th", "t_r_th"}
-_TOP_KEYS = {"device_tasks", "relay_tasks", "channel", "compute", "deadlines"}
-
 
 def _require_number(section: str, key: str, raw: dict) -> float:
     if key not in raw:
@@ -880,127 +892,81 @@ def _require_number(section: str, key: str, raw: dict) -> float:
     value = raw[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{section}.{key}: expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ScenarioError(
+            f"{section}.{key}: expected a finite number, got an integer too large for a float"
+        ) from None
+    if not math.isfinite(number):
         raise ScenarioError(f"{section}.{key}: expected a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
-def _reject_unknown(section: str, raw: dict, allowed: set[str]) -> None:
-    unknown = set(raw) - allowed
+def _reject_unknown(section: str, raw: dict, allowed: Iterable[str]) -> None:
+    unknown = set(raw).difference(allowed)
     if unknown:
         raise ScenarioError(f"{section}: unknown keys {sorted(unknown)}")
+
+
+def _parse_object(section: str, raw: object, schema: _Object) -> object:
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{section}: expected an object")
+    _reject_unknown(section, raw, schema.fields)
+    return schema.cls(
+        **{
+            attr: _require_number(section, key, raw)
+            for key, (attr, _) in schema.fields.items()
+            if key in raw or not schema.optional
+        }
+    )
 
 
 def _parse_tasks(section: str, raw: object) -> TaskChain:
     if not isinstance(raw, list) or not raw:
         raise ScenarioError(f"{section}: expected a non-empty array of tasks")
-    tasks = []
-    for i, entry in enumerate(raw, start=1):
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"{section}[{i}]: expected an object")
-        _reject_unknown(f"{section}[{i}]", entry, _TASK_KEYS)
-        tasks.append(
-            Task(
-                data_nats=_require_number(f"{section}[{i}]", "d_nats", entry),
-                cycles=_require_number(f"{section}[{i}]", "cycles", entry),
-            )
+    return TaskChain(
+        tuple(
+            _parse_object(f"{section}[{i}]", entry, _TASK) for i, entry in enumerate(raw, start=1)
         )
-    return TaskChain(tuple(tasks))
+    )
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build a Scenario from a parsed JSON document; unknown keys rejected."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    _reject_unknown("scenario", doc, _TOP_KEYS)
-    for key in ("device_tasks", "channel", "compute", "deadlines"):
+    _reject_unknown("scenario", doc, ("device_tasks", "relay_tasks", *_SECTIONS))
+    for key in ("device_tasks", *_SECTIONS):
         if key not in doc:
             raise ScenarioError(f"scenario: missing required key '{key}'")
 
     device_chain = _parse_tasks("device_tasks", doc["device_tasks"])
     relay_chain = None
-    if "relay_tasks" in doc and doc["relay_tasks"] is not None:
+    if doc.get("relay_tasks") is not None:
         relay_chain = _parse_tasks("relay_tasks", doc["relay_tasks"])
+    sections = {name: _parse_object(name, doc[name], schema) for name, schema in _SECTIONS.items()}
+    return Scenario(device_chain=device_chain, relay_chain=relay_chain, **sections)
 
-    raw_channel = doc["channel"]
-    if not isinstance(raw_channel, dict):
-        raise ScenarioError("channel: expected an object")
-    _reject_unknown("channel", raw_channel, _CHANNEL_KEYS)
-    channel = ChannelParams(
-        bandwidth=_require_number("channel", "B", raw_channel),
-        gain_md_relay=_require_number("channel", "h", raw_channel),
-        gain_relay_bs=_require_number("channel", "g", raw_channel),
-        noise=_require_number("channel", "sigma2", raw_channel),
-    )
 
-    raw_compute = doc["compute"]
-    if not isinstance(raw_compute, dict):
-        raise ScenarioError("compute: expected an object")
-    _reject_unknown("compute", raw_compute, _COMPUTE_KEYS)
-    compute = ComputeParams(
-        kappa_md=_require_number("compute", "kappa_md", raw_compute),
-        kappa_relay=_require_number("compute", "kappa_relay", raw_compute),
-        f_md_max=_require_number("compute", "f_md_max", raw_compute),
-        f_relay_max=_require_number("compute", "f_relay_max", raw_compute),
-        f_bs_max=_require_number("compute", "f_bs_max", raw_compute),
-    )
-
-    raw_deadlines = doc["deadlines"]
-    if not isinstance(raw_deadlines, dict):
-        raise ScenarioError("deadlines: expected an object")
-    _reject_unknown("deadlines", raw_deadlines, _DEADLINE_KEYS)
-    deadline_values = {
-        key: _require_number("deadlines", key, raw_deadlines)
-        for key in _DEADLINE_KEYS
-        if key in raw_deadlines
+def _object_to_dict(obj: object, schema: _Object) -> dict:
+    # an absent optional field is None, and stays absent
+    return {
+        key: value
+        for key, (attr, _) in schema.fields.items()
+        if (value := getattr(obj, attr)) is not None
     }
-    deadlines = Deadlines(**deadline_values)
-
-    return Scenario(
-        device_chain=device_chain,
-        relay_chain=relay_chain,
-        channel=channel,
-        compute=compute,
-        deadlines=deadlines,
-    )
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    """Inverse of :func:`scenario_from_dict` (used by sweeps)."""
-    doc: dict = {
-        "device_tasks": [
-            {"d_nats": t.data_nats, "cycles": t.cycles}
-            for t in scenario.device_chain.tasks
-        ],
-        "channel": {
-            "B": scenario.channel.bandwidth,
-            "h": scenario.channel.gain_md_relay,
-            "g": scenario.channel.gain_relay_bs,
-            "sigma2": scenario.channel.noise,
-        },
-        "compute": {
-            "kappa_md": scenario.compute.kappa_md,
-            "kappa_relay": scenario.compute.kappa_relay,
-            "f_md_max": scenario.compute.f_md_max,
-            "f_relay_max": scenario.compute.f_relay_max,
-            "f_bs_max": scenario.compute.f_bs_max,
-        },
-        "deadlines": {
-            key: value
-            for key, value in (
-                ("t_s", scenario.deadlines.t_s),
-                ("t0", scenario.deadlines.t0),
-                ("t_s_th", scenario.deadlines.t_s_th),
-                ("t_r_th", scenario.deadlines.t_r_th),
-            )
-            if value is not None
-        },
-    }
+    """Inverse of :func:`scenario_from_dict`: ``device_tasks``, the
+    sections, then ``relay_tasks`` if any, each object's keys in schema
+    order."""
+    doc: dict = {"device_tasks": [_object_to_dict(t, _TASK) for t in scenario.device_chain.tasks]}
+    for name, schema in _SECTIONS.items():
+        doc[name] = _object_to_dict(getattr(scenario, name), schema)
     if scenario.relay_chain is not None:
-        doc["relay_tasks"] = [
-            {"d_nats": t.data_nats, "cycles": t.cycles}
-            for t in scenario.relay_chain.tasks
-        ]
+        doc["relay_tasks"] = [_object_to_dict(t, _TASK) for t in scenario.relay_chain.tasks]
     return doc
 
 

@@ -265,6 +265,51 @@ class TestNonFiniteInput:
         )
 
 
+def _unreadable(kind: str) -> bytes:
+    doc = all_local_doc()
+    doc["channel"]["B"] = "BIG"
+    text = json.dumps(doc)
+    if kind == "huge-int":
+        # an integer too large for a float
+        return text.replace('"BIG"', "1" + "0" * 400).encode()
+    if kind == "long-int":
+        # more digits than Python converts from a string
+        return text.replace('"BIG"', "1" + "0" * 4400).encode()
+    if kind == "deep-array":
+        # nested past the JSON decoder's recursion limit
+        return text.replace('"BIG"', "[" * 100000 + "]" * 100000).encode()
+    # UTF-16 with its byte-order mark, ff fe
+    return b"\xff\xfe" + text.replace('"BIG"', "1e2").encode("utf-16-le")
+
+
+@pytest.mark.parametrize("command", ["validate", "solve-case1"])
+@pytest.mark.parametrize(
+    "kind, start",
+    [
+        ("huge-int", "error: channel.B: expected a finite number"),
+        # where Python has no digit limit (before 3.10.7), float() overflows
+        ("long-int", "error: "),
+        ("utf-16", "error: cannot read scenario: "),
+        ("deep-array", "error: cannot read scenario: "),
+    ],
+    ids=["huge-int", "long-int", "utf-16", "deep-array"],
+)
+def test_unreadable_numbers_and_text_are_one_line(tmp_path, command, kind, start):
+    # a fresh interpreter, so an escaped exception shows as its traceback
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(_unreadable(kind))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "relay_offload.cli", command, "--scenario", str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith(start)
+    assert done.stderr.count("\n") == 1
+
+
 class TestSweepCommand:
     def test_deadline_sweep_monotone(self, tmp_path, capsys):
         path = write_doc(tmp_path, all_local_doc())

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relay_offload
 from relay_offload import (
     ChannelParams,
     Scenario,
@@ -34,7 +39,7 @@ from relay_offload.model import (
     energy_terms,
 )
 
-from scenario_tools import random_case1_scenario, random_device_chain
+from scenario_tools import random_case1_scenario, random_case2_scenario, random_device_chain
 
 
 def unit_channel(bandwidth=1.0, noise=1.0):
@@ -260,6 +265,48 @@ class TestScenarioJson:
         scenario = random_case1_scenario(rng, n_tasks=2)
         text = json.dumps(scenario_to_dict(scenario))
         assert scenario_from_dict(json.loads(text)) == scenario
+
+    @pytest.mark.parametrize(
+        "make, top_keys, deadline_keys",
+        [
+            (random_case1_scenario, [], ["t_s"]),
+            (random_case2_scenario, ["relay_tasks"], ["t0", "t_s_th", "t_r_th"]),
+        ],
+        ids=["relay-idle", "relay-busy"],
+    )
+    def test_json_text_keys_in_field_order(self, make, top_keys, deadline_keys):
+        # files written from this text, and text cut short from them, are
+        # the same bytes only while the key order is
+        doc = json.loads(json.dumps(scenario_to_dict(make(np.random.default_rng(6), n_tasks=2))))
+        assert list(doc) == ["device_tasks", "channel", "compute", "deadlines", *top_keys]
+        for task in doc["device_tasks"] + doc.get("relay_tasks", []):
+            assert list(task) == ["d_nats", "cycles"]
+        assert list(doc["channel"]) == ["B", "h", "g", "sigma2"]
+        assert list(doc["compute"]) == [
+            "kappa_md", "kappa_relay", "f_md_max", "f_relay_max", "f_bs_max"
+        ]
+        assert list(doc["deadlines"]) == deadline_keys
+
+    @pytest.mark.parametrize("hash_seed", range(8))
+    def test_the_first_bad_deadline_in_field_order_is_named(self, hash_seed):
+        # a fresh interpreter per string-hash seed, since set order follows it
+        doc = scenario_doc(deadlines={"t_s_th": "later", "t0": "now", "t_s": "soon"})
+        code = (
+            "import json, sys\n"
+            "from relay_offload.model import ScenarioError, scenario_from_dict\n"
+            "try:\n"
+            "    scenario_from_dict(json.loads(sys.argv[1]))\n"
+            "except ScenarioError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = Path(relay_offload.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(doc)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "deadlines.t_s: expected a number, got 'soon'\n"
 
 
 class TestTaskChain:
