@@ -11,8 +11,6 @@ from .case1 import (
     Case1Options,
     Case1Solution,
     SplitIndices,
-    deadline_lhs,
-    freq_from_lambda,
     solve_case1,
     solve_lower_case1,
 )
@@ -38,6 +36,7 @@ from .model import (
     Violation,
     compute_energy,
     compute_time,
+    freq_from_lambda,
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -71,7 +70,6 @@ __all__ = [
     "build_timeline",
     "compute_energy",
     "compute_time",
-    "deadline_lhs",
     "freq_from_lambda",
     "lambert_w0",
     "load_scenario",

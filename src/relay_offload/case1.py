@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import model
 from .lambertw import lambert_w0  # noqa: F401  perfbench's patch test reads case1.lambert_w0
-from .model import Infeasible, ModelDomainError, Scenario, SplitSums, freq_from_lambda
+from .model import Infeasible, Scenario, SplitSums, freq_from_lambda
 
 
 @dataclass(frozen=True)
@@ -81,19 +81,6 @@ def _deadline(scenario: Scenario) -> float:
     if deadline is None or deadline <= 0.0:
         raise model.ScenarioError("relay-idle case requires a positive t_s deadline")
     return deadline
-
-
-def deadline_lhs(lam: float, split: SplitIndices, scenario: Scenario) -> float:
-    """Total completion time at dual value ``lam`` (BS pinned to its cap).
-
-    Non-increasing in ``lam``: raising the multiplier speeds up every
-    CPU group and shortens both transmissions.
-    """
-    if lam <= 0.0:
-        raise ModelDomainError("dual multiplier must be positive")
-    sums = _sums(split, scenario)
-    durations = model.device_durations(sums, scenario, lam, capped=True)
-    return sums.es / scenario.compute.f_bs_max + model.plain_sum(durations)
 
 
 def _durations(
@@ -218,10 +205,10 @@ def _split_floor(sums: SplitSums, row: tuple[float, float], scenario: Scenario) 
     so each duration is at most the budget t_s - es/f_bs; every energy
     term is non-increasing in its own duration, so the energy with every
     duration at the budget is at most the split's energy.  That is
-    ``model._budget_floor(sums, scenario, budget, 0.0)``, bit for bit: the
-    split's own terms are added to ``forward`` in the model's term order,
-    and the two zero relay-own terms add nothing.  A budget <= 0 under
-    nonzero work gives inf.
+    ``model.energy(sums, scenario, budget, budget, 0.0, budget, budget,
+    0.0)``, bit for bit: the split's own terms are added to ``forward`` in
+    the model's term order, and the two zero relay-own terms add nothing.
+    A budget <= 0 under nonzero work gives inf.
     """
     budget, forward = row
     channel, compute = scenario.channel, scenario.compute

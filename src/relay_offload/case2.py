@@ -969,8 +969,8 @@ def solve_scheme(
     optimal value); pass ``free_tau0=True`` to optimize it explicitly,
     which exists so tests can confirm the pin never loses energy.
     ``warm_only`` restricts the starting points to ``warm_start``, for
-    perturbation studies against a known solution.  ``room`` is as in
-    :func:`split_energy_floor`.
+    perturbation studies against a known solution.  ``room`` gives the
+    split's :class:`_Room` when the caller has it, so the solve builds none.
     """
     if free_tau0 and scheme is not SchemeId.S3:
         raise ValueError("tau0 exists only in scheme 3")
@@ -1145,53 +1145,28 @@ def _caps(scheme: SchemeId, room: _Room, slack: float) -> tuple[float, ...]:
     return (device, after, window, device, device, window)
 
 
-# every cap's slack in feas_tol units, as split_energy_floor derives it
+# Every cap's slack in feas_tol units.  A solver accepts a start that
+# violates its rows and lower bounds by at most feas_tol in distance; the
+# engine clips that start onto its lower bounds and never raises a row's
+# excess.  So at the returned point no duration is negative, and a row of
+# k <= 5 unit coefficients exceeds its bound by at most (sqrt(k) + k)
+# feas_tol.  A duration then exceeds its cap by at most the excesses of the
+# rows the cap combines: 6 + 7.3 feas_tol for the device row with S3's
+# ordering row, less for every other cap.
 _CAP_SLACK = 14.0
 
 
-def split_energy_floor(
-    indices: Case2Indices,
-    scenario: Scenario,
-    options: Case2Options = Case2Options(),
-    *,
-    scheme: SchemeId,
-    room: _Room | None = None,
-) -> float:
-    """Lower bound on the energy of ``scheme`` at one split.
-
-    Each duration is set to the largest value the scheme's own rows allow
-    (:func:`_caps`).  Every energy term is non-increasing in its own
-    duration, so the energy there is at most the energy of any point the
-    scheme's solver returns.
-
-    Every cap is widened by _CAP_SLACK = 14 feas_tol.  A solver accepts a
-    start that violates its rows and lower bounds by at most feas_tol in
-    distance; the engine clips that start onto its lower bounds and never
-    raises a row's excess.  So at the returned point no duration is
-    negative, and a row of k <= 5 unit coefficients exceeds its bound by
-    at most (sqrt(k) + k) feas_tol.  A duration then exceeds its cap by at
-    most the excesses of the rows the cap combines: 6 + 7.3 feas_tol for
-    the device row with S3's ordering row, less for every other cap.  A
-    cap <= 0 under nonzero load gives inf.  ``room`` gives the floor the
-    split's room, so it builds none.
-    """
-    if room is None:
-        room = _Room(indices, scenario, None)
-    return model.energy(room.sums, scenario, *_caps(scheme, room, _CAP_SLACK * options.feas_tol))
-
-
 def _pair_floors(room: _Room, scenario: Scenario, slack: float, device: float) -> list[float]:
-    """Each scheme's floor at the split of ``room``, in S1, S2, S3 order.
+    """Each scheme's floor at the split of ``room``, in S1, S2, S3 order:
+    the larger of two bounds on the energy of any point its solver returns.
 
-    A pair's floor is the larger of its scheme floor,
-    :func:`split_energy_floor`, and its device-block bound: ``device``,
-    the one-price minimum of the device terms under the device budget
-    (:func:`model.device_block_floor` at D plus the caps' ``slack``), plus
-    the relay-own terms at the scheme's caps.  D and the device terms
-    depend on (n1, n2) alone, so :func:`solve_case2` takes ``device`` once
-    per device split.  Each scheme's six capped terms are taken once and
-    serve both; their sum, in :func:`model.energy`'s order, is the scheme
-    floor bit for bit.
+    The scheme floor is ``model.energy(room.sums, scenario,
+    *_caps(scheme, room, slack))``, bit for bit, since every energy term
+    is non-increasing in its own duration; a cap <= 0 under nonzero load
+    gives inf.  The device-block bound is ``device``
+    (:func:`model.device_block_floor` at D plus ``slack``, which
+    :func:`solve_case2` takes once per device split) plus the relay-own
+    terms at the scheme's caps.  The six capped terms serve both bounds.
     """
     floors = []
     for scheme in (SchemeId.S1, SchemeId.S2, SchemeId.S3):
@@ -1209,13 +1184,13 @@ def _split_floors(
     Every duration is at its block's whole budget, widened by the caps'
     slack of _CAP_SLACK feas_tol: D for the device durations, O for the
     relay-own ones, whose rows every scheme keeps, so the floor bounds
-    each scheme's :func:`split_energy_floor`.  D depends on n2 and O on m1
-    alone, and the splits come in one block of m1 = 1..m+1 per (n1, n2);
-    so the device terms are taken once per (n1, n2), the relay-own terms
-    once per m1, from the first block, and each floor adds them in
-    :func:`model._term_values` order.  It is
-    ``model._budget_floor(sums, scenario, D + slack, O + slack)``, bit for
-    bit.  A budget <= 0 under nonzero load gives inf.
+    each scheme's floor in :func:`_pair_floors`.  D depends on n2 and O on
+    m1 alone, and the splits come in one block of m1 = 1..m+1 per (n1,
+    n2); so the device terms are taken once per (n1, n2), the relay-own
+    terms once per m1, from the first block, and each floor adds them in
+    :func:`model._term_values` order.  With d = D + slack and o = O +
+    slack it is ``model.energy(sums, scenario, d, d, o, d, d, o)``, bit
+    for bit.  A budget <= 0 under nonzero load gives inf.
     """
     channel, compute = scenario.channel, scenario.compute
     slack = _CAP_SLACK * options.feas_tol
@@ -1261,23 +1236,21 @@ def solve_case2(
     floor (:func:`_split_floors`: every duration at its block's budget,
     from device terms taken once per (n1, n2) and relay-own terms taken
     once per m1), which bounds every scheme there.  When it comes up,
-    its three pairs go back in, each at the larger of two floors
-    (:func:`_pair_floors`): its scheme floor (:func:`split_energy_floor`),
-    and its device-block bound, :func:`model.device_block_floor` at the
-    device budget D plus the relay-own terms at the scheme's caps, both
-    with the caps' slack of _CAP_SLACK feas_tol and from the same six
-    capped terms.  D and the device terms depend on (n1, n2) alone, so the
-    device-block floor is computed once per device split that comes up,
-    within the call; nothing is kept across calls.  A pair is solved when
-    it comes up.  Each key is raised to the split's where rounding leaves
-    it below, so popped keys never fall, and every key is a floor of its
-    pair's energy.  So only the splits that reach the front pay for the
-    pair floors.  The traversal stops at the first entry whose floor f
-    satisfies f * (1 - FLOOR_MARGIN - (s + 1) * tie_rel) > E, where E is
-    the lowest energy solved so far and s the number of feasible pairs
-    solved.  Every later pair has a floor at least f, and each pair's
-    energy is at least its own floor (FLOOR_MARGIN absorbs rounding).  The
-    tie rule is then replayed over the solved pairs in canonical order.
+    its three pairs go back in, each at the larger of its scheme floor,
+    :func:`model.energy` at the scheme's :func:`_caps`, and its
+    device-block bound (:func:`_pair_floors`), both with the caps' slack
+    of _CAP_SLACK feas_tol.  The device-block floor is computed once per
+    device split that comes up, within the call; nothing is kept across
+    calls.  A pair is solved when it comes up.  Each key is raised to the
+    split's where rounding leaves it below, so popped keys never fall, and
+    every key is a floor of its pair's energy.  So only the splits that
+    reach the front pay for the pair floors.  The traversal stops at the
+    first entry whose floor f satisfies f * (1 - FLOOR_MARGIN - (s + 1) *
+    tie_rel) > E, where E is the lowest energy solved so far and s the
+    number of feasible pairs solved.  Every later pair has a floor at
+    least f, and each pair's energy is at least its own floor
+    (FLOOR_MARGIN absorbs rounding).  The tie rule is then replayed over
+    the solved pairs in canonical order.
 
     Why the replay picks the exhaustive winner: run the tie rule over all
     pairs and over the solved ones side by side.  A skipped pair costs at

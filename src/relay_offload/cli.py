@@ -298,8 +298,8 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_INPUT_ERROR
 
     try:
-        with open(args.scenario, encoding="utf-8") as fh:
-            raw_doc = json.load(fh)
+        raw_doc = model._read_document(args.scenario)
+        scenario = model.scenario_from_dict(raw_doc)
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -309,15 +309,8 @@ def run(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return EXIT_INPUT_ERROR
-    except (ValueError, RecursionError) as exc:
-        # text that is not UTF-8, an integer past Python's digit limit, or
-        # arrays nested deeper than the decoder's recursion limit
-        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-
-    try:
-        scenario = model.scenario_from_dict(raw_doc)
     except ScenarioError as exc:
+        # unreadable text or numbers, or a document the schema rejects
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

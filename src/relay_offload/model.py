@@ -502,19 +502,6 @@ def energy(
     return a + b + c + d + e + f
 
 
-def _budget_floor(sums: SplitSums, scenario: Scenario, device: float, own: float) -> float:
-    """:func:`energy` with every device duration (tau1, tau2, t1, t2) at the
-    device block's whole budget ``device`` and every relay-own one (tau3,
-    t3) at ``own``.
-
-    Each term is non-increasing in its own duration, so no plan whose
-    durations fit those budgets costs less; both cases' traversals use it
-    as a split's energy floor.  A budget <= 0 under nonzero load gives
-    inf.
-    """
-    return energy(sums, scenario, device, device, own, device, device, own)
-
-
 def device_durations(
     sums: SplitSums, scenario: Scenario, lam: float, *, capped: bool = False
 ) -> tuple[float, float, float, float]:
@@ -686,28 +673,6 @@ def kkt_residuals(
                 abs(bound), plain_sum(map(abs, used)), 1e-300
             )
     return out
-
-
-def energy_curvatures(
-    sums: SplitSums,
-    scenario: Scenario,
-    tau1: float,
-    tau2: float,
-    tau3: float,
-    t1: float,
-    t2: float,
-    t3: float,
-) -> tuple[float, float, float, float, float, float]:
-    """Second partial derivatives of :func:`energy`, the diagonal of its
-    Hessian (the energy is separable, so every mixed partial is 0).
-
-    Each entry is the derivative of the matching :func:`energy_slopes`
-    entry: 0 under zero data or work, +inf where the term is inf (and
-    where a transmit curvature overflows just inside the exponent cap).
-    """
-    return _term_values(
-        sums, scenario, tau1, tau2, tau3, t1, t2, t3, _transmit_curvature, _compute_curvature
-    )
 
 
 def transmission_energy(
@@ -970,12 +935,24 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return doc
 
 
+def _read_document(path: str | Path):
+    """The JSON document in the file at ``path``.  Text that is not UTF-8,
+    an integer past Python's digit limit and arrays nested past the
+    decoder's recursion limit raise ScenarioError; OSError and
+    json.JSONDecodeError propagate."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError:
+            raise
+        except (ValueError, RecursionError) as exc:
+            raise ScenarioError(f"cannot read scenario: {exc}") from exc
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Load a scenario JSON file.
 
-    json.JSONDecodeError (with line/column) propagates for malformed
-    documents; ScenarioError for schema problems.
+    OSError and json.JSONDecodeError (with line/column) propagate;
+    ScenarioError for unreadable text or numbers, and schema problems.
     """
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return scenario_from_dict(doc)
+    return scenario_from_dict(_read_document(path))

@@ -1,4 +1,5 @@
-"""Random scenario factories shared across the test modules.
+"""Random scenario factories, and a model quantity, shared across the
+test modules.
 
 Scales are chosen so that the optimum mixes transmission against CPU
 energy: channel energy per task in the 1e-5..1e-2 J range, CPU energy at
@@ -16,9 +17,20 @@ from relay_offload import (
     ComputeParams,
     Deadlines,
     Scenario,
+    SplitIndices,
     Task,
     TaskChain,
+    model,
 )
+
+
+def completion_time(lam: float, split: SplitIndices, scenario: Scenario) -> float:
+    """The relay-idle completion time at price ``lam``: the BS slot
+    es/f_bs, plus the device block's durations with the CPUs at their
+    caps, the total ``model.fill_device_block`` searches on."""
+    sums = model.split_sums(scenario, split.n1, split.n2)
+    durations = model.device_durations(sums, scenario, lam, capped=True)
+    return sums.es / scenario.compute.f_bs_max + model.plain_sum(durations)
 
 
 def random_device_chain(rng: np.random.Generator, n_tasks: int) -> TaskChain:

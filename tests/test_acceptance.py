@@ -20,7 +20,6 @@ from relay_offload import (
 )
 from relay_offload.case1 import (
     SplitIndices,
-    deadline_lhs,
     kkt_residuals,
     solve_case1,
     solve_lower_case1,
@@ -35,6 +34,7 @@ from relay_offload.lambertw import BRANCH_POINT, lambert_w0
 from relay_offload.timeline import build_timeline, verify
 
 from scenario_tools import (
+    completion_time,
     exit_only_relay_scenario,
     random_case1_scenario,
     random_case2_scenario,
@@ -133,7 +133,7 @@ def test_criterion_4_deadline_lhs_monotone():
         for _ in range(100):
             lam_lo = float(10 ** rng.uniform(-10, 3))
             lam_hi = lam_lo * float(10 ** rng.uniform(0.01, 4))
-            if deadline_lhs(lam_hi, split, scenario) > deadline_lhs(
+            if completion_time(lam_hi, split, scenario) > completion_time(
                 lam_lo, split, scenario
             ) * (1 + 1e-12):
                 violations += 1

@@ -19,7 +19,6 @@ from relay_offload import case1, model
 from relay_offload.case1 import (
     Case1Options,
     SplitIndices,
-    deadline_lhs,
     freq_from_lambda,
     kkt_residuals,
     solve_case1,
@@ -27,7 +26,7 @@ from relay_offload.case1 import (
 )
 from relay_offload.model import ModelDomainError, tau_from_lambda
 
-from scenario_tools import random_case1_scenario
+from scenario_tools import completion_time, random_case1_scenario
 from test_lambertw import newton_reference
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -119,8 +118,8 @@ class TestDeadlineLhs:
         )
         split = SplitIndices(1, 1)
         expected = 3e8 / 2e9
-        assert deadline_lhs(1e-3, split, scenario) == pytest.approx(expected, rel=1e-12)
-        assert deadline_lhs(1e3, split, scenario) == pytest.approx(expected, rel=1e-12)
+        assert completion_time(1e-3, split, scenario) == pytest.approx(expected, rel=1e-12)
+        assert completion_time(1e3, split, scenario) == pytest.approx(expected, rel=1e-12)
 
     def test_hand_evaluated_point(self):
         # N=1, split (1, 2): relay CPU group plus the device upload
@@ -138,7 +137,7 @@ class TestDeadlineLhs:
         w_arg = (lam * 3e-6 / 1e-9 - 1.0) / math.e
         w = newton_reference(w_arg)
         expected = cycles / 1e9 + d / (1e6 * (w + 1.0))
-        assert deadline_lhs(lam, SplitIndices(1, 2), scenario) == pytest.approx(
+        assert completion_time(lam, SplitIndices(1, 2), scenario) == pytest.approx(
             expected, rel=1e-10
         )
 
@@ -152,7 +151,7 @@ class TestDeadlineLhs:
             split = SplitIndices(n1, n2)
             lam_a = float(10 ** rng.uniform(-8, 2))
             lam_b = lam_a * float(10 ** rng.uniform(0.1, 3))
-            assert deadline_lhs(lam_a, split, scenario) >= deadline_lhs(
+            assert completion_time(lam_a, split, scenario) >= completion_time(
                 lam_b, split, scenario
             ) - 1e-12
 
@@ -555,7 +554,7 @@ def budget_floor(sums: model.SplitSums, scenario: Scenario) -> float:
     """The energy with every duration at the split's deadline budget
     t_s - es/f_bs, the floor ``solve_case1`` prunes by."""
     budget = scenario.deadlines.t_s - sums.es / scenario.compute.f_bs_max
-    return model._budget_floor(sums, scenario, budget, 0.0)
+    return model.energy(sums, scenario, budget, budget, 0.0, budget, budget, 0.0)
 
 
 def table_floors(scenario: Scenario):

@@ -34,7 +34,6 @@ from relay_offload.case2 import (
     kkt_residuals,
     solve_case2,
     solve_scheme,
-    split_energy_floor,
 )
 from relay_offload.model import energy, energy_terms, split_sums
 from relay_offload.timeline import build_timeline, verify
@@ -443,7 +442,8 @@ def _exhaustive_case2(scenario, options=Case2Options()):
                         continue
                     if not math.isfinite(lower.energy):
                         continue
-                    floor = split_energy_floor(indices, scenario, options, scheme=scheme)
+                    room = case2._Room(indices, scenario, None)
+                    floor = _scheme_floor(scheme, room, scenario, options)
                     assert floor <= lower.energy * (1 + 1e-9), (scheme, indices)
                     if best is None or lower.energy < best[2].energy * (1 - options.tie_rel):
                         best = (scheme, indices, lower)
@@ -455,7 +455,15 @@ def _budget_floor(sums, scenario, options=Case2Options()):
     caps' slack: the floor a split enters the traversal's heap at."""
     device, own = case2._budgets(sums, scenario)
     slack = 14.0 * options.feas_tol
-    return model._budget_floor(sums, scenario, device + slack, own + slack)
+    d, o = device + slack, own + slack
+    return energy(sums, scenario, d, d, o, d, d, o)
+
+
+def _scheme_floor(scheme, room, scenario, options=Case2Options()):
+    """Every duration at its cap in the scheme's rows, widened by the caps'
+    slack: the scheme floor in a pair's key in the traversal's heap."""
+    caps = case2._caps(scheme, room, 14.0 * options.feas_tol)
+    return energy(room.sums, scenario, *caps)
 
 
 def _random_busy(seed, n_tasks, m_tasks):
@@ -550,21 +558,27 @@ class TestSplitFloor:
             assert list(model.relay_busy_split_sums(scenario)) == expected
 
     def test_scheme_floors_bound_every_solved_pair(self):
+        # the traversal's split floors, then its pair floors without the
+        # device-block bound: each scheme's floor alone
+        options = Case2Options()
+        slack = 14.0 * options.feas_tol
         instances = [_relay_busy(factor) for factor in (1.0, 10.0, 1e3, 1e6, 1e9)]
         for n_tasks, m_tasks in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]:
             instances += [_random_busy(seed, n_tasks, m_tasks) for seed in range(20)]
         checked = 0
         for scenario in instances:
-            for n1, n2, m1, sums in model.relay_busy_split_sums(scenario):
+            splits = list(model.relay_busy_split_sums(scenario))
+            for (n1, n2, m1, sums), budget_floor in zip(
+                splits, case2._split_floors(splits, scenario, options)
+            ):
                 indices = Case2Indices(n1, n2, m1)
-                budget_floor = _budget_floor(sums, scenario)
                 room = case2._Room(indices, scenario, sums)
-                for scheme in SchemeId:
+                floors = case2._pair_floors(room, scenario, slack, -math.inf)
+                for scheme, floor in zip(SchemeId, floors):
                     try:
                         lower = solve_scheme(scheme, indices, scenario)
                     except Infeasible:
                         continue
-                    floor = split_energy_floor(indices, scenario, scheme=scheme, room=room)
                     assert budget_floor <= floor <= lower.energy * (1 + 1e-9), (scheme, indices)
                     checked += 1
         assert checked > 3000
@@ -583,17 +597,15 @@ class TestSplitFloor:
                 indices = Case2Indices(n1, n2, m1)
                 room = case2._Room(indices, scenario, sums)
                 device = model.device_block_floor(sums, scenario, room.device + slack)
-                for scheme in SchemeId:
+                keys = case2._pair_floors(room, scenario, slack, device)
+                for scheme, key in zip(SchemeId, keys):
                     try:
                         lower = solve_scheme(scheme, indices, scenario, options, room=room)
                     except Infeasible:
                         continue
-                    floor = split_energy_floor(
-                        indices, scenario, options, scheme=scheme, room=room
-                    )
+                    floor = _scheme_floor(scheme, room, scenario, options)
                     terms = energy_terms(sums, scenario, *case2._caps(scheme, room, slack))
                     block = device + terms["tx_relay_own"] + terms["cpu_relay_own"]
-                    key = max(block, floor)
                     assert floor <= key <= lower.energy * (1 + model.FLOOR_MARGIN), (
                         scheme,
                         indices,
@@ -605,8 +617,8 @@ class TestSplitFloor:
 
     def test_pair_floors_take_the_capped_terms_once(self):
         # each scheme's six capped terms serve both of its pair floor's
-        # parts; without the device-block bound the key is
-        # split_energy_floor bit for bit
+        # parts; without the device-block bound the key is model.energy
+        # at the scheme's caps bit for bit
         options = Case2Options()
         slack = 14.0 * options.feas_tol
         instances = [_relay_busy(factor) for factor in (1.0, 10.0, 1e3, 1e9)]
@@ -621,9 +633,7 @@ class TestSplitFloor:
                 floors = case2._pair_floors(room, scenario, slack, device)
                 scheme_floors = case2._pair_floors(room, scenario, slack, -math.inf)
                 for scheme, floor, scheme_floor in zip(SchemeId, floors, scheme_floors):
-                    reference = split_energy_floor(
-                        indices, scenario, options, scheme=scheme, room=room
-                    )
+                    reference = _scheme_floor(scheme, room, scenario, options)
                     assert scheme_floor == reference, (scheme, indices)
                     terms = energy_terms(sums, scenario, *case2._caps(scheme, room, slack))
                     block = device + terms["tx_relay_own"] + terms["cpu_relay_own"]
@@ -680,8 +690,12 @@ class TestSplitFloor:
         splits = list(model.relay_busy_split_sums(scenario))
         assert splits[0][:3] == (1, 1, 1)
         assert case2._split_floors(splits, scenario, Case2Options())[0] == math.inf
-        for scheme in SchemeId:
-            assert split_energy_floor(Case2Indices(1, 1, 1), scenario, scheme=scheme) == math.inf
+        room = case2._Room(Case2Indices(1, 1, 1), scenario, splits[0][3])
+        slack = 14.0 * Case2Options().feas_tol
+        # each scheme floor alone: a cap <= 0 under nonzero load gives inf
+        assert case2._pair_floors(room, scenario, slack, -math.inf) == [math.inf] * 3
+        device = model.device_block_floor(room.sums, scenario, room.device + slack)
+        assert case2._pair_floors(room, scenario, slack, device) == [math.inf] * 3
 
     def test_split_floors_are_budget_floors_bit_for_bit(self):
         instances = [
@@ -1535,7 +1549,7 @@ def _loads(sums):
 def _six_term_callbacks(sums, scenario, active):
     """Engine callbacks the six-term way: embed the point's ``active``
     columns into the six durations, then call :func:`model.energy`,
-    :func:`model.energy_slopes` and :func:`model.energy_curvatures`; a
+    :func:`model.energy_slopes` and the model's curvature kernels; a
     column past the six (S2's t_c, S3's free tau0) reads 0."""
 
     def embed(reduced):
@@ -1551,7 +1565,11 @@ def _six_term_callbacks(sums, scenario, active):
     return (
         lambda x: energy(sums, scenario, *embed(x)),
         lambda x: on_active(model.energy_slopes(sums, scenario, *embed(x))),
-        lambda x: on_active(model.energy_curvatures(sums, scenario, *embed(x))),
+        lambda x: on_active(
+            model._term_values(
+                sums, scenario, *embed(x), model._transmit_curvature, model._compute_curvature
+            )
+        ),
     )
 
 

@@ -17,6 +17,7 @@ from relay_offload import (
     TaskChain,
     compute_energy,
     compute_time,
+    load_scenario,
     scenario_from_dict,
     scenario_to_dict,
     transmission_energy,
@@ -33,13 +34,14 @@ from relay_offload.model import (
     _compute_term,
     _transmit_curvature,
     _transmit_slope,
+    _term_values,
     energy,
-    energy_curvatures,
     energy_slopes,
     energy_terms,
 )
 
 from scenario_tools import random_case1_scenario, random_case2_scenario, random_device_chain
+from test_cli import _unreadable
 
 
 def unit_channel(bandwidth=1.0, noise=1.0):
@@ -308,6 +310,25 @@ class TestScenarioJson:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "deadlines.t_s: expected a number, got 'soon'\n"
 
+    @pytest.mark.parametrize("kind", ["long-int", "utf-16", "deep-array"])
+    def test_unreadable_files_raise_scenario_error(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.json"
+        path.write_bytes(_unreadable(kind))
+        with pytest.raises(ScenarioError) as raised:
+            load_scenario(path)
+        # where Python has no digit limit (before 3.10.7), the schema
+        # rejects the integer instead
+        if kind != "long-int" or 0 < getattr(sys, "get_int_max_str_digits", int)() <= 4400:
+            assert str(raised.value).startswith("cannot read scenario: ")
+
+    def test_malformed_json_and_a_missing_file_propagate(self, tmp_path):
+        path = tmp_path / "cut.json"
+        path.write_text('{"channel": ', encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError):
+            load_scenario(path)
+        with pytest.raises(FileNotFoundError):
+            load_scenario(tmp_path / "missing.json")
+
 
 class TestTaskChain:
     def test_exit_task_is_virtual(self):
@@ -398,6 +419,11 @@ def _durations(rng, sums, scenario, log_x):
     return out
 
 
+def _curvatures(sums, scenario, point):
+    """The six terms' curvatures, through the kernels the case-2 engine calls."""
+    return _term_values(sums, scenario, *point, _transmit_curvature, _compute_curvature)
+
+
 class TestEnergySlopes:
     # scenarios come from the relay-idle factory: energy reads only their
     # channel and compute parameters
@@ -466,7 +492,7 @@ class TestEnergySlopes:
             scenario = random_case1_scenario(rng, n_tasks=1)
             sums = _random_sums(rng, zero)
             point = _durations(rng, sums, scenario, log_x)
-            curvatures = energy_curvatures(sums, scenario, *point)
+            curvatures = _curvatures(sums, scenario, point)
             slopes = energy_slopes(sums, scenario, *point)
             for i, name in enumerate(_DURATIONS):
                 h = 1e-5 * point[i]
@@ -510,7 +536,7 @@ class TestEnergySlopes:
         point = [0.0, overflow, near_cap, -1.0, 0.0, 0.5]
         terms = list(energy_terms(sums, scenario, *point).values())
         slopes = energy_slopes(sums, scenario, *point)
-        curvatures = energy_curvatures(sums, scenario, *point)
+        curvatures = _curvatures(sums, scenario, point)
         for term, slope, curvature in zip(terms, slopes, curvatures):
             assert math.isinf(term) == (slope == -math.inf)
             # just inside the exponent cap the curvature itself overflows
