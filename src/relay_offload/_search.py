@@ -43,10 +43,10 @@ def bisect_decreasing(
     log x, where the dual searches' completion times are close to power
     laws, with the Illinois rule (Dowell & Jarratt, 1971): an end kept
     twice running has its weight halved.  The geometric midpoint replaces
-    that point when it is unusable: it leaves the bracket, an end's value
-    is unknown, non-finite or not positive, target <= 0, or the previous
-    step failed to halve the log gap of the end it replaced (as on a flat
-    stretch, where false position crawls).
+    that point when it is unusable: it leaves the bracket or the floats,
+    an end's log gap is unknown or not a float, the two gaps are equal,
+    target <= 0, or the previous step failed to halve the log gap of the
+    end it replaced (as on a flat stretch, where false position crawls).
 
     Only points with fn(x) <= target are returned, within
     rel_tol*|target| of it; a point is accepted only in the innermost
@@ -69,7 +69,8 @@ def bisect_decreasing(
         # log(value / aim), written to stay accurate next to the aim
         if aim <= 0.0 or not 0.0 < value < math.inf:
             return None
-        return math.log1p((value - aim) / aim)
+        ratio = (value - aim) / aim  # -1 for a value far below the aim
+        return math.log1p(ratio) if ratio > -1.0 else None
 
     # log fn - log aim at the ends; None if unknown or unusable
     gap_lo = None if fn_lo is None else log_gap(fn_lo)
@@ -80,7 +81,10 @@ def bisect_decreasing(
     for _ in range(max_iter):
         x = math.sqrt(lo) * math.sqrt(hi)  # lo * hi can overflow
         if progress and gap_lo is not None and gap_hi is not None:
-            secant = lo * (hi / lo) ** (gap_lo / (gap_lo - gap_hi))
+            try:
+                secant = lo * (hi / lo) ** (gap_lo / (gap_lo - gap_hi))
+            except (OverflowError, ZeroDivisionError):
+                secant = math.inf  # outside the bracket, so unusable
             if lo < secant < hi:
                 x = math.sqrt(x) * math.sqrt(secant) if opening else secant
         opening = False

@@ -72,10 +72,6 @@ _BREAKDOWN_NAMES = {
 }
 
 
-def _sums(split: SplitIndices, scenario: Scenario) -> SplitSums:
-    return model.split_sums(scenario, split.n1, split.n2)
-
-
 def _deadline(scenario: Scenario) -> float:
     deadline = scenario.deadlines.t_s
     if deadline is None or deadline <= 0.0:
@@ -126,7 +122,7 @@ def solve_lower_case1(
     """
     deadline = _deadline(scenario)
     if sums is None:
-        sums = _sums(split, scenario)
+        sums = model.split_sums(scenario, split.n1, split.n2)
     compute = scenario.compute
 
     lhs_cap = sums.es / compute.f_bs_max
@@ -166,25 +162,6 @@ def solve_lower_case1(
     energy = model.energy(sums, scenario, tau1, tau2, 0.0, t1, t2, 0.0)
     slack = budget - (tau1 + tau2 + t1 + t2)
     return Case1LowerSolution(tau1, tau2, f_local, f_relay, lam, energy, slack)
-
-
-def kkt_residuals(
-    split: SplitIndices, solution: Case1LowerSolution, scenario: Scenario
-) -> dict[str, float]:
-    """Relative KKT residuals of a returned solution (:func:`model.kkt_residuals`).
-
-    The program has one row, the device block within its budget
-    t_s - es/f_bs, priced ``lam``; a compute duration's floor is its
-    cycles over its frequency cap, so a capped frequency has no entry.
-    """
-    sums = _sums(split, scenario)
-    compute = scenario.compute
-    durations = _durations(sums, solution.tau1, solution.tau2, solution.f_local, solution.f_relay)
-    floors = (0.0, 0.0, 0.0, sums.ls / compute.f_md_max, sums.rs / compute.f_relay_max, 0.0)
-    budget = scenario.deadlines.t_s - sums.es / compute.f_bs_max
-    return model.kkt_residuals(
-        sums, scenario, durations, [(1, 1, 0, 1, 1, 0)], [budget], [solution.lam], floors
-    )
 
 
 def _row_terms(sums: SplitSums, scenario: Scenario, deadline: float) -> tuple[float, float]:

@@ -19,13 +19,12 @@ each program: there is no box.
 :func:`active_set_newton` solves each program exactly from the model's
 analytic energy terms, slopes and curvatures, taken on the program's
 loaded columns alone, and returns KKT multipliers that certify the
-optimum.  Each solution keeps them as its row prices, and
-:func:`kkt_residuals` checks any scheme's solution against its rows and
-the model's slopes alone; for Scheme 1 the prices are also the duals of
-its semi-closed KKT system (psi, lambda, eta1, eta2).  Each Newton step is a
-Cholesky solve of a few moves on the working face's echelon form, which is
-factored once per process, in a bounded table every solve shares; a cyclic
-projector only places the engine's starting point.
+optimum.  Each solution keeps them as its row prices; for Scheme 1 they
+are also the duals of its semi-closed KKT system (psi, lambda, eta1,
+eta2).  Each Newton step is a Cholesky solve of a few moves on the
+working face's echelon form, which is factored once per process, in a
+bounded table every solve shares; a cyclic projector only places the
+engine's starting point.
 
 The upper level builds every split's totals once, at O(1) cost each
 (:func:`model.relay_busy_split_sums`), and solves the (scheme, split) pairs
@@ -1101,22 +1100,6 @@ def solve_scheme(
         cap_violations=_cap_violations(sums, x[3], x[4], x[5], scenario),
         prices=prices,
     )
-
-
-def kkt_residuals(
-    scheme: SchemeId, indices: Case2Indices, solution: Case2LowerSolution, scenario: Scenario
-) -> dict[str, float]:
-    """Relative KKT residuals (:func:`model.kkt_residuals`) of a
-    :func:`solve_scheme` solution with tau0 pinned: its durations, floored
-    at zero, on :func:`_engine_rows`' six duration columns, priced by
-    ``solution.prices``.  Raises ValueError on a solution with no prices.
-    """
-    room = _Room(indices, scenario, None)
-    rows, bounds = _engine_rows(scheme, room)
-    s = solution
-    durations = (s.tau1, s.tau2, s.tau3, s.t1, s.t2, s.t3)
-    rows = [row[:6] for row in rows]
-    return model.kkt_residuals(room.sums, scenario, durations, rows, bounds, s.prices, [0.0] * 6)
 
 
 def _caps(scheme: SchemeId, room: _Room, slack: float) -> tuple[float, ...]:

@@ -2,16 +2,15 @@
 
 Task chains, channel and CPU parameters, the per-split cycle and data
 totals, the Shannon transmission-energy formula, the cubic CPU energy
-model with its slopes and the KKT residuals both lower levels are checked
-by, and the scenario schema: one table of fields that scenario validation
-and the JSON wire format both read.
+model with its slopes, and the scenario schema: one table of fields that
+scenario validation and the JSON wire format both read.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -282,9 +281,10 @@ def _transmit_term(d: float, tau: float, gain: float, channel: ChannelParams) ->
     """(noise * tau / gain) * (e^{d/(tau*B)} - 1); inf when tau is infeasible."""
     if d <= 0.0:
         return 0.0
-    if tau <= 0.0:
+    span = tau * channel.bandwidth
+    if span <= 0.0:
         return math.inf
-    arg = d / (tau * channel.bandwidth)
+    arg = d / span
     if arg > EXP_ARG_MAX:
         return math.inf
     return channel.noise * tau / gain * math.expm1(arg)
@@ -313,9 +313,10 @@ def _transmit_slope(d: float, tau: float, gain: float, channel: ChannelParams) -
     with x = d/(tau*B); -inf where the term is inf."""
     if d <= 0.0:
         return 0.0
-    if tau <= 0.0:
+    span = tau * channel.bandwidth
+    if span <= 0.0:
         return -math.inf
-    x = d / (tau * channel.bandwidth)
+    x = d / span
     if x > EXP_ARG_MAX:
         return -math.inf
     if x < 1e-4:
@@ -342,9 +343,10 @@ def _transmit_curvature(d: float, tau: float, gain: float, channel: ChannelParam
     x = d/(tau*B); +inf where the term is inf or the value overflows."""
     if d <= 0.0:
         return 0.0
-    if tau <= 0.0:
+    span = tau * channel.bandwidth
+    if span <= 0.0:
         return math.inf
-    x = d / (tau * channel.bandwidth)
+    x = d / span
     if x > EXP_ARG_MAX:
         return math.inf
     if x < 1e-4:
@@ -406,9 +408,10 @@ def tau_from_lambda(
             w_plus_1 = (w_plus_1 + coefficient) * p
     else:
         w_plus_1 = lambert_w0((ratio - 1.0) / math.e) + 1.0
-    if w_plus_1 <= 0.0:
+    rate = channel.bandwidth * w_plus_1
+    if rate <= 0.0:
         return math.inf
-    return data_nats / (channel.bandwidth * w_plus_1)
+    return data_nats / rate
 
 
 def freq_from_lambda(lam: float, kappa: float, f_cap: float) -> float:
@@ -511,16 +514,17 @@ def device_durations(
     :func:`tau_from_lambda`, or cycles over :func:`freq_from_lambda`.
     ``capped`` holds each CPU to its frequency cap, so a compute duration
     never falls below cycles / f_cap; without it the caps are relaxed.
-    Each is non-increasing in lam, and an unloaded one is 0.
+    Each is non-increasing in lam, an unloaded one is 0, and one whose
+    frequency underflows to 0 is inf.
     """
     ch, co = scenario.channel, scenario.compute
     md_cap, relay_cap = (co.f_md_max, co.f_relay_max) if capped else (math.inf, math.inf)
-    return (
-        tau_from_lambda(lam, sums.d1, ch.gain_md_relay, ch),
-        tau_from_lambda(lam, sums.d2, ch.gain_relay_bs, ch),
-        sums.ls / freq_from_lambda(lam, co.kappa_md, md_cap) if sums.ls > 0.0 else 0.0,
-        sums.rs / freq_from_lambda(lam, co.kappa_relay, relay_cap) if sums.rs > 0.0 else 0.0,
-    )
+    tau1 = tau_from_lambda(lam, sums.d1, ch.gain_md_relay, ch)
+    tau2 = tau_from_lambda(lam, sums.d2, ch.gain_relay_bs, ch)
+    # an unloaded CPU gets an infinite frequency, so 0 s
+    f1 = freq_from_lambda(lam, co.kappa_md, md_cap) if sums.ls > 0.0 else math.inf
+    f2 = freq_from_lambda(lam, co.kappa_relay, relay_cap) if sums.rs > 0.0 else math.inf
+    return tau1, tau2, sums.ls / f1 if f1 else math.inf, sums.rs / f2 if f2 else math.inf
 
 
 def fill_device_block(
@@ -634,45 +638,6 @@ def energy_slopes(
     return _term_values(
         sums, scenario, tau1, tau2, tau3, t1, t2, t3, _transmit_slope, _compute_slope
     )
-
-
-def kkt_residuals(
-    sums: SplitSums,
-    scenario: Scenario,
-    durations: Sequence[float],
-    rows: Sequence[Sequence[float]],
-    bounds: Sequence[float],
-    prices: Sequence[float],
-    floors: Sequence[float],
-) -> dict[str, float]:
-    """Relative KKT residuals of ``durations`` as the minimiser of
-    :func:`energy` over durations >= floors, rows @ durations <= bounds,
-    the rows priced by ``prices``; only the model's slopes are trusted.
-
-    - Stationarity of each loaded duration more than 1e-12 relative above
-      its floor (at its floor, the floor's multiplier takes the rest), by
-      name tau1..T3: its :func:`energy_slopes` entry plus sum_i prices_i
-      rows_ij, over the largest of those terms.
-    - Complementarity of each row with a positive price, ``row<i>``:
-      rows_i @ durations - bounds_i, over the largest of |bounds_i| and
-      sum_j |rows_ij durations_j|.
-    """
-    if len(prices) != len(rows):
-        raise ValueError(f"{len(prices)} prices for {len(rows)} rows")
-    slopes = energy_slopes(sums, scenario, *durations)
-    loads = (sums.d1, sums.d2, sums.d3, sums.ls, sums.rs, sums.lr)
-    out: dict[str, float] = {}
-    for j, name in enumerate(("tau1", "tau2", "tau3", "T1", "T2", "T3")):
-        if loads[j] > 0.0 and durations[j] > floors[j] * (1.0 + 1e-12):
-            terms = [slopes[j]] + [price * row[j] for price, row in zip(prices, rows)]
-            out[name] = plain_sum(terms) / max(max(map(abs, terms)), 1e-300)
-    for i, (row, bound, price) in enumerate(zip(rows, bounds, prices)):
-        if price > 0.0:
-            used = [c * x for c, x in zip(row, durations)]
-            out[f"row{i}"] = (plain_sum(used) - bound) / max(
-                abs(bound), plain_sum(map(abs, used)), 1e-300
-            )
-    return out
 
 
 def transmission_energy(

@@ -390,8 +390,9 @@ def case2_lower_reference(
         ):
             if cycles > 0.0:
                 block = pick(x, label)
+                # a float64 cube overflows to inf; a Python float's raises
                 total = total + np.where(
-                    block > 0.0, kappa * cycles**3 / block**2, np.inf
+                    block > 0.0, kappa * np.float64(cycles) ** 3 / block**2, np.inf
                 )
         return total
 

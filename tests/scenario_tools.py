@@ -1,5 +1,5 @@
-"""Random scenario factories, and a model quantity, shared across the
-test modules.
+"""Random scenario factories, a model quantity and the lower levels' KKT
+residuals, shared across the test modules.
 
 Scales are chosen so that the optimum mixes transmission against CPU
 energy: channel energy per task in the 1e-5..1e-2 J range, CPU energy at
@@ -9,19 +9,27 @@ deadline-driven frequencies in a comparable band.
 from __future__ import annotations
 
 import copy
+from collections.abc import Sequence
 
 import numpy as np
 
 from relay_offload import (
+    Case1LowerSolution,
+    Case2Indices,
+    Case2LowerSolution,
     ChannelParams,
     ComputeParams,
     Deadlines,
     Scenario,
+    SchemeId,
     SplitIndices,
     Task,
     TaskChain,
+    case1,
+    case2,
     model,
 )
+from relay_offload.model import SplitSums
 
 
 def completion_time(lam: float, split: SplitIndices, scenario: Scenario) -> float:
@@ -31,6 +39,75 @@ def completion_time(lam: float, split: SplitIndices, scenario: Scenario) -> floa
     sums = model.split_sums(scenario, split.n1, split.n2)
     durations = model.device_durations(sums, scenario, lam, capped=True)
     return sums.es / scenario.compute.f_bs_max + model.plain_sum(durations)
+
+
+def kkt_residuals(
+    sums: SplitSums,
+    scenario: Scenario,
+    durations: Sequence[float],
+    rows: Sequence[Sequence[float]],
+    bounds: Sequence[float],
+    prices: Sequence[float],
+    floors: Sequence[float],
+) -> dict[str, float]:
+    """Relative KKT residuals of ``durations`` as the minimiser of
+    ``model.energy`` over durations >= floors, rows @ durations <= bounds,
+    the rows priced by ``prices``; only the model's slopes are trusted.
+
+    - Stationarity of each loaded duration more than 1e-12 relative above
+      its floor (at its floor, the floor's multiplier takes the rest), by
+      name tau1..T3: its ``model.energy_slopes`` entry plus
+      sum_i prices_i rows_ij, over the largest of those terms.
+    - Complementarity of each row with a positive price, ``row<i>``:
+      rows_i @ durations - bounds_i, over the largest of |bounds_i| and
+      sum_j |rows_ij durations_j|.
+    """
+    slopes = model.energy_slopes(sums, scenario, *durations)
+    loads = (sums.d1, sums.d2, sums.d3, sums.ls, sums.rs, sums.lr)
+    out: dict[str, float] = {}
+    for j, name in enumerate(("tau1", "tau2", "tau3", "T1", "T2", "T3")):
+        if loads[j] > 0.0 and durations[j] > floors[j] * (1.0 + 1e-12):
+            terms = [slopes[j]] + [price * row[j] for price, row in zip(prices, rows)]
+            out[name] = model.plain_sum(terms) / max(max(map(abs, terms)), 1e-300)
+    for i, (row, bound, price) in enumerate(zip(rows, bounds, prices)):
+        if price > 0.0:
+            used = [c * x for c, x in zip(row, durations)]
+            out[f"row{i}"] = (model.plain_sum(used) - bound) / max(
+                abs(bound), model.plain_sum(map(abs, used)), 1e-300
+            )
+    return out
+
+
+def relay_idle_residuals(
+    split: SplitIndices, solution: Case1LowerSolution, scenario: Scenario
+) -> dict[str, float]:
+    """:func:`kkt_residuals` of a ``solve_lower_case1`` solution.
+
+    The program has one row, the device block within its budget
+    t_s - es/f_bs, priced ``lam``; a compute duration's floor is its
+    cycles over its frequency cap, so a capped frequency has no entry.
+    """
+    sums = model.split_sums(scenario, split.n1, split.n2)
+    compute = scenario.compute
+    s = solution
+    durations = case1._durations(sums, s.tau1, s.tau2, s.f_local, s.f_relay)
+    floors = (0.0, 0.0, 0.0, sums.ls / compute.f_md_max, sums.rs / compute.f_relay_max, 0.0)
+    budget = scenario.deadlines.t_s - sums.es / compute.f_bs_max
+    return kkt_residuals(sums, scenario, durations, [(1, 1, 0, 1, 1, 0)], [budget], [s.lam], floors)
+
+
+def relay_busy_residuals(
+    scheme: SchemeId, indices: Case2Indices, solution: Case2LowerSolution, scenario: Scenario
+) -> dict[str, float]:
+    """:func:`kkt_residuals` of a ``solve_scheme`` solution with tau0
+    pinned: its durations, floored at zero, on ``case2._engine_rows``' six
+    duration columns, priced by ``solution.prices``."""
+    room = case2._Room(indices, scenario, None)
+    rows, bounds = case2._engine_rows(scheme, room)
+    s = solution
+    durations = (s.tau1, s.tau2, s.tau3, s.t1, s.t2, s.t3)
+    rows = [row[:6] for row in rows]
+    return kkt_residuals(room.sums, scenario, durations, rows, bounds, s.prices, [0.0] * 6)
 
 
 def random_device_chain(rng: np.random.Generator, n_tasks: int) -> TaskChain:

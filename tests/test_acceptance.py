@@ -20,7 +20,6 @@ from relay_offload import (
 )
 from relay_offload.case1 import (
     SplitIndices,
-    kkt_residuals,
     solve_case1,
     solve_lower_case1,
 )
@@ -38,6 +37,7 @@ from scenario_tools import (
     exit_only_relay_scenario,
     random_case1_scenario,
     random_case2_scenario,
+    relay_idle_residuals,
 )
 
 
@@ -115,7 +115,7 @@ def test_criterion_3_kkt_residuals():
     for _ in range(100):
         scenario = random_case1_scenario(rng, n_tasks=int(rng.integers(1, 4)))
         split, lower = _feasible_lower(rng, scenario)
-        residuals = kkt_residuals(split, lower, scenario)
+        residuals = relay_idle_residuals(split, lower, scenario)
         for name, value in residuals.items():
             worst = max(worst, abs(value))
             assert abs(value) <= 1e-6, (name, value)

@@ -20,13 +20,12 @@ from relay_offload.case1 import (
     Case1Options,
     SplitIndices,
     freq_from_lambda,
-    kkt_residuals,
     solve_case1,
     solve_lower_case1,
 )
 from relay_offload.model import ModelDomainError, tau_from_lambda
 
-from scenario_tools import completion_time, random_case1_scenario
+from scenario_tools import completion_time, random_case1_scenario, relay_idle_residuals
 from test_lambertw import newton_reference
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -225,7 +224,7 @@ class TestLowerSolver:
                 lower = solve_lower_case1(SplitIndices(n1, n2), scenario)
             except Infeasible:
                 continue
-            residuals = kkt_residuals(SplitIndices(n1, n2), lower, scenario)
+            residuals = relay_idle_residuals(SplitIndices(n1, n2), lower, scenario)
             for name, value in residuals.items():
                 assert abs(value) <= 1e-6, (name, value)
             checked += 1

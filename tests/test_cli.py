@@ -265,6 +265,105 @@ class TestNonFiniteInput:
         )
 
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+# finite input that passes the schema, each a shipped scenario with the
+# fields named changed, on which the commands below once escaped with a
+# traceback: ZeroDivisionError where tau * B or a cube-root frequency
+# underflowed to 0 and in the price search's secant, ValueError from
+# log1p(-1) in its log gap, OverflowError from its secant and from the
+# case-2 grid oracle's cube
+_EXTREME_FILES = {
+    "idle-tiny-B": ("relay_idle.json", {("channel", "B"): 5e-324}),
+    "busy-tiny-B": ("relay_busy.json", {("channel", "B"): 5e-324}),
+    "idle-frequency-underflow": (
+        "relay_idle.json",
+        {
+            ("channel", "sigma2"): 1e-323,
+            ("compute", "kappa_md"): 1e200,
+            ("compute", "kappa_relay"): 1e30,
+            ("device_tasks", 0, "cycles"): 2.2e-308,
+        },
+    ),
+    "busy-log-gap": (
+        "relay_busy.json",
+        {
+            ("channel", "B"): 1e200,
+            ("device_tasks", 0, "cycles"): 1e200,
+            ("relay_tasks", 0, "d_nats"): 1e-300,
+            ("compute", "kappa_relay"): 2.2e-308,
+        },
+    ),
+    "idle-secant": (
+        "relay_idle.json",
+        {
+            ("channel", "g"): 1e30,
+            ("compute", "f_md_max"): 1e-30,
+            ("deadlines", "t_s"): 1e30,
+            ("device_tasks", 0, "cycles"): 1.0,
+        },
+    ),
+    "idle-zero-gap": (
+        "relay_idle.json",
+        {
+            ("channel", "B"): 2.2e-308,
+            ("channel", "g"): 1.7e308,
+            ("device_tasks", 0, "d_nats"): 5e-324,
+        },
+    ),
+    "busy-oracle-cube": (
+        "relay_busy.json",
+        {
+            ("channel", "B"): 1e30,
+            ("device_tasks", 0, "cycles"): 1e200,
+            ("compute", "kappa_relay"): 1e-300,
+            ("deadlines", "t0"): 1e-300,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, command, code",
+    [
+        ("idle-tiny-B", "solve-case1", 0),
+        ("idle-tiny-B", "gantt", 0),
+        ("idle-tiny-B", "oracle-check", 0),
+        ("busy-tiny-B", "solve-case2", 0),
+        ("busy-tiny-B", "gantt", 0),
+        ("busy-tiny-B", "oracle-check", 0),
+        ("idle-frequency-underflow", "solve-case1", 0),
+        ("idle-frequency-underflow", "oracle-check", 0),
+        ("busy-log-gap", "solve-case2", 0),
+        ("idle-secant", "solve-case1", 0),
+        ("idle-zero-gap", "solve-case1", 0),
+        ("busy-oracle-cube", "oracle-check", 4),
+    ],
+)
+def test_float_extremes_give_an_exit_code(tmp_path, capsys, name, command, code):
+    base, fields = _EXTREME_FILES[name]
+    doc = json.loads((SCENARIOS / base).read_text(encoding="utf-8"))
+    for (*keys, last), value in fields.items():
+        target = doc
+        for key in keys:
+            target = target[key]
+        target[last] = value
+    path = write_doc(tmp_path, doc)
+    assert run_cli("validate", path) == 0
+    capsys.readouterr()
+    assert run_cli(command, path) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.out
+    else:
+        # after the scenario's own warning, one line
+        assert captured.out == ""
+        assert captured.err.splitlines()[1:] == [
+            "error: the grid oracle cannot referee scheme S1 at split (1, 2, 1): "
+            "no feasible point found on the grid"
+        ]
+
+
 def _unreadable(kind: str) -> bytes:
     doc = all_local_doc()
     doc["channel"]["B"] = "BIG"
@@ -546,6 +645,27 @@ class TestOracleCheckCommand:
         assert captured.out == ""
         assert captured.err == (
             "error: the grid oracle cannot referee scheme S1 at split (1, 1, 1): "
+            "no feasible point found on the grid\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv", [["oracle-check"], ["solve-case1", "--oracle"]], ids=["oracle-check", "--oracle"]
+    )
+    def test_a_grid_the_oracle_cannot_search_is_exit_4(self, tmp_path, capsys, monkeypatch, argv):
+        from relay_offload import oracle
+
+        def no_point(*args, **kwargs):
+            raise oracle.NoFeasiblePoint("no feasible point found on the grid")
+
+        monkeypatch.setattr(oracle, "case1_lower_reference", no_point)
+        path = write_doc(tmp_path, all_local_doc())
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*argv, "--scenario", str(path)])
+        assert excinfo.value.code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the grid oracle cannot referee split (3, 3): "
             "no feasible point found on the grid\n"
         )
 

@@ -1,10 +1,16 @@
 """No code in the package that only tests use.
 
 Every module-level function, class and assignment in ``relay_offload``
-is either public (in ``relay_offload.__all__``) or its name is referenced
-by other package code: as a name, an attribute or an imported name.
-References match by bare name, not by module, so a same-named reference
-anywhere in the package counts as a use.
+is referenced by other package code, and references match by
+(module, name):
+
+- a bare name counts for its own module;
+- ``from .m import x`` (with or without ``as``) counts for ``m.x``, so
+  the package's public names count through ``__init__``'s imports;
+- ``a.x`` counts for ``m.x`` where the module imports ``from . import m
+  [as a]``, at module level or inside a function.
+
+A same-named definition or call in another module is not a use.
 """
 
 import ast
@@ -26,38 +32,51 @@ def _definitions(statement: ast.stmt) -> list[str]:
     return []
 
 
-def _references(statement: ast.stmt) -> set[str]:
-    """Every name one top-level statement reads, as a name, an attribute
-    or an imported name."""
-    names = set()
+def _sibling_modules(tree: ast.Module) -> dict[str, str]:
+    """Local name -> package module, for every ``from . import m [as a]``
+    anywhere in the module."""
+    return {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for alias in node.names
+    }
+
+
+def _references(statement: ast.stmt, module: str, siblings: dict[str, str]) -> set[tuple[str, str]]:
+    """Every (module, name) one top-level statement of ``module`` reads."""
+    refs = set()
     for node in ast.walk(statement):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            names.update(alias.name for alias in node.names)
-    return names
+            refs.add((module, node.id))
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in siblings
+        ):
+            refs.add((siblings[node.value.id], node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            refs.update((node.module, alias.name) for alias in node.names)
+    return refs
 
 
 def unreferenced_definitions(package: Path = PACKAGE) -> list[str]:
     """``module.name`` of each module-level definition in ``package`` that
-    no other top-level statement of the package references, public names
-    and dunders apart."""
+    no other top-level statement of the package references, dunders
+    apart."""
     defined, references = [], []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        siblings = _sibling_modules(tree)
         for statement in tree.body:
             defined += [(path.stem, name, statement) for name in _definitions(statement)]
-            references.append((statement, _references(statement)))
-    public = set(relay_offload.__all__)
+            references.append((statement, _references(statement, path.stem, siblings)))
     return [
         f"{module}.{name}"
         for module, name, statement in defined
-        if name not in public
-        and not (name.startswith("__") and name.endswith("__"))
+        if not (name.startswith("__") and name.endswith("__"))
         # a statement's references to its own name (recursion) do not count
-        and not any(name in names for other, names in references if other is not statement)
+        and not any((module, name) in refs for other, refs in references if other is not statement)
     ]
 
 
@@ -66,19 +85,28 @@ def test_every_private_definition_is_used_by_the_package():
 
 
 def test_the_scan_sees_references_and_their_absence(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "from .a import solve_case1\n__all__ = ['solve_case1']\n", encoding="utf-8"
+    )
     (tmp_path / "a.py").write_text(
-        "from .b import used\n"
+        "from .b import used as alias\n"
         "def dead(x):\n    return dead(x - 1)\n"
         "LIMIT = 3\n"
         "class Kept:\n    pass\n"
-        "def solve_case1():\n    return Kept, LIMIT\n",
+        "def solve_case1():\n    from . import c\n    return Kept, LIMIT, alias, c.lazy()\n"
+        "def wrap():\n    from . import c\n    return c.wrap()\n",
         encoding="utf-8",
     )
     (tmp_path / "b.py").write_text(
+        "from . import c as base\n"
         "def used():\n    pass\n"
         "def called():\n    pass\n"
-        "def _orphan():\n    called()\n",
+        "def _orphan():\n    called()\n"
+        "def wrap():\n    return base.wrap()\n",
         encoding="utf-8",
     )
-    # solve_case1 is public; dead calls only itself, _orphan nothing calls
-    assert unreferenced_definitions(tmp_path) == ["a.dead", "b._orphan"]
+    (tmp_path / "c.py").write_text("def lazy():\n    pass\ndef wrap():\n    pass\n", encoding="utf-8")
+    # solve_case1 counts through __init__'s import, and its function-level
+    # import makes c.lazy a use; dead calls only itself and _orphan nothing
+    # calls; each wrap calls c.wrap, which is no use of the other wrap
+    assert unreferenced_definitions(tmp_path) == ["a.dead", "a.wrap", "b._orphan", "b.wrap"]

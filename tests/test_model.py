@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -34,10 +35,13 @@ from relay_offload.model import (
     _compute_term,
     _transmit_curvature,
     _transmit_slope,
+    _transmit_term,
     _term_values,
+    device_durations,
     energy,
     energy_slopes,
     energy_terms,
+    tau_from_lambda,
 )
 
 from scenario_tools import random_case1_scenario, random_case2_scenario, random_device_chain
@@ -96,6 +100,16 @@ class TestTransmissionEnergy:
                 second = (values[i - 1] - 2 * values[i] + values[i + 1]) / step**2
                 assert second > 0.0
                 assert values[i] < values[i - 1]
+
+    def test_kernels_where_tau_times_b_underflows(self):
+        # B = 5e-324: tau * B, and B * (W0 + 1) at a small price, round to
+        # 0, and each kernel's division raised ZeroDivisionError; the
+        # transmission cannot carry its data at finite energy
+        ch = unit_channel(bandwidth=5e-324)
+        assert _transmit_term(1.0, 0.1, 1.0, ch) == math.inf
+        assert _transmit_slope(1.0, 0.1, 1.0, ch) == -math.inf
+        assert _transmit_curvature(1.0, 0.1, 1.0, ch) == math.inf
+        assert tau_from_lambda(1e-6, 1.0, 1.0, ch) == math.inf
 
     def test_long_duration_limit(self):
         # energy tends to noise*d/(B*gain) as the duration grows
@@ -158,6 +172,18 @@ class TestComputeModel:
         # kappa * cycles * f^2, where cycles^3 overflows (the first and last)
         # or the block time's square underflows (the second)
         assert compute_energy(cycles, freq, 1e-27) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_durations_where_the_frequency_underflows(self):
+        # (lam / 2 kappa)^(1/3) rounds to 0 at kappa = 1e200, and
+        # device_durations' division raised ZeroDivisionError; that CPU
+        # cannot finish at the price, the other can
+        scenario = random_case1_scenario(np.random.default_rng(0))
+        compute = dataclasses.replace(scenario.compute, kappa_md=1e200)
+        scenario = dataclasses.replace(scenario, compute=compute)
+        sums = SplitSums(ls=1.0, rs=1.0, es=0.0, lr=0.0, er=0.0, d1=0.0, d2=0.0, d3=0.0)
+        tau1, tau2, t1, t2 = device_durations(sums, scenario, 1e-300)
+        assert (tau1, tau2, t1) == (0.0, 0.0, math.inf)
+        assert 0.0 < t2 < math.inf
 
     def test_energy_time_identity(self):
         # E * t == kappa * l^2 * f

@@ -124,6 +124,17 @@ class TestCase1Reference:
             assert reference.value > 0.0
 
 
+def test_case2_cube_past_the_largest_float():
+    # 1e200 device cycles computed locally: the Python float cycles**3
+    # raised OverflowError; as a float64 it is inf, so no grid point has a
+    # finite energy
+    scenario = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / "relay_busy.json")
+    device = TaskChain((Task(data_nats=5e4, cycles=1e200),))
+    scenario = dataclasses.replace(scenario, device_chain=device)
+    with pytest.raises(oracle.NoFeasiblePoint):
+        oracle.case2_lower_reference("S1", 2, 2, 1, scenario)
+
+
 # --- the earlier grid loop and case-1 closures, kept as the reference ------
 #
 # Before each round became one pass, every round built its points from a

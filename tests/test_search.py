@@ -141,6 +141,35 @@ def test_midpoint_of_ends_whose_product_overflows():
         assert 1.0 / 500.0 * (1.0 - REL_TOL) <= 1.0 / math.log(x) <= 1.0 / 500.0
 
 
+def test_an_end_whose_log_gap_is_not_a_float():
+    # fn(hi) = 1e-20 against a target of 1: (value - aim) / aim rounds to
+    # -1, where log1p raised ValueError; that end's gap is unknown
+    def fn(x):
+        return x**-20.0
+
+    x = bisect_decreasing(fn, 1.0, 0.5, 10.0, rel_tol=REL_TOL, fn_lo=fn(0.5), fn_hi=fn(10.0))
+    assert 1.0 - REL_TOL <= fn(x) <= 1.0
+
+
+def test_a_secant_past_the_largest_float():
+    # both ends' log gaps positive and close: the chord's exponent is about
+    # 11, so (hi / lo) ** 11 = 1e440 raised OverflowError; the geometric
+    # midpoint replaces the chord's point
+    def fn(x):
+        return 1.0 + 1e-13 if x < 1.0 else 1.0
+
+    x = bisect_decreasing(fn, 1.0, 1e-20, 1e20, rel_tol=REL_TOL, fn_lo=fn(1e-20), fn_hi=fn(1e20))
+    assert fn(x) == 1.0
+
+
+def test_a_bracket_whose_ends_share_a_log_gap():
+    # both ends already within the target, as a caller passed them on
+    # extreme input (relay_idle.json at B = 2.2e-308): the chord divided by
+    # the ends' equal log gaps and raised ZeroDivisionError
+    x = bisect_decreasing(lambda x: 0.5, 0.625, 1.0, 2.0, rel_tol=REL_TOL, fn_lo=0.5, fn_hi=0.5)
+    assert 1.0 <= x <= 2.0
+
+
 def bisection_evaluations(case: Case) -> int:
     points: list[float] = []
     geometric_bisection(
