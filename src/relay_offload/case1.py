@@ -115,8 +115,9 @@ def solve_lower_case1(
     is the price ``model.fill_device_block`` finds with the frequency caps
     as duration floors, within ``bisect_rel`` of the budget and never over
     it.  Raises :class:`Infeasible` when even frequency caps plus vanishing
-    transmit times overshoot the deadline, or when the time the caps leave
-    holds no transmission of finite energy.  ``sums`` takes the split's
+    transmit times overshoot the deadline, or when the time the caps leave,
+    or the durations at the price found, hold no transmission of finite
+    energy: it never returns an energy of inf.  ``sums`` takes the split's
     totals when the caller already has them; they must equal
     ``model.split_sums`` of the split.
     """
@@ -160,6 +161,13 @@ def solve_lower_case1(
     f_local = freq_from_lambda(lam, compute.kappa_md, compute.f_md_max) if t1 else 0.0
     f_relay = freq_from_lambda(lam, compute.kappa_relay, compute.f_relay_max) if t2 else 0.0
     energy = model.energy(sums, scenario, tau1, tau2, 0.0, t1, t2, 0.0)
+    if energy == math.inf:
+        # a transmission whose time times B underflows to 0 at the price
+        raise Infeasible(
+            f"split ({split.n1}, {split.n2}) cannot meet the deadline: the "
+            "durations at its price hold no transmission of finite energy",
+            ("deadline",),
+        )
     slack = budget - (tau1 + tau2 + t1 + t2)
     return Case1LowerSolution(tau1, tau2, f_local, f_relay, lam, energy, slack)
 

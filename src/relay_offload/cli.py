@@ -282,11 +282,14 @@ def _run_sweep(base_doc: dict, sweep: _Sweep, options: _Options) -> str:
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Parse, check and execute one command line; returns the process exit code."""
+    """Parse, check and execute one command line; returns the process exit code.
+
+    The six-command parser is built only for help and errors (:func:`_parse`).
+    """
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = _parse(argv)
     except SystemExit as stop:
         # --help, or a usage error argparse has already printed
         return stop.code
@@ -366,13 +369,55 @@ def run(argv: list[str] | None = None) -> int:
         return _EXIT_UNREFEREED
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser; given a known command name, only that command's.
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    """The arguments of command ``name``, on its own or its subparser."""
+    parser.add_argument("--scenario", required=True, type=Path)
+    parser.add_argument("--out", type=Path, default=None)
+    parser.add_argument(
+        "--tol",
+        action="append",
+        default=[],
+        metavar="NAME=VALUE",
+        help="override a solver tolerance",
+    )
+    if name in ("solve-case1", "solve-case2"):
+        parser.add_argument(
+            "--oracle",
+            action="store_true",
+            help="attach an oracle cross-check to the solution document",
+        )
+    if name == "sweep":
+        parser.add_argument(
+            "--sweep",
+            nargs=4,
+            required=True,
+            metavar=("FIELD", "LO", "HI", "STEPS"),
+        )
 
-    A command line that begins with that name parses, and fails with the
-    same output, on either parser.  Building one subparser instead of six
-    is most of a short command's time.
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` as :func:`build_parser` parses it.
+
+    A line that starts with a command name goes to that command's own
+    parser, a copy of the subparser the full parser would hand the rest of
+    the line to; building the full parser is most of a short command's
+    time.  Any other line, or one with arguments left over, is parsed again
+    by the full parser, so help, usage lines, errors and exits are its own.
     """
+    name = argv[0] if argv else None
+    if name in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"relay-offload {name}")
+        _add_arguments(parser, name)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.command = name
+            return args
+    # help, a usage error, or arguments the full parser reports as unrecognized
+    return build_parser().parse_args(argv)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser with all six commands, for help and errors."""
     parser = argparse.ArgumentParser(
         prog="relay-offload",
         description=(
@@ -380,38 +425,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             "with sequential task chains"
         ),
     )
-    known = command in _COMMANDS
-    sub = parser.add_subparsers(
-        dest="command",
-        required=True,
-        # the usage line printed for an unrecognized argument lists every
-        # command; argparse would list only the subparsers it was given
-        metavar="{" + ",".join(_COMMANDS) + "}" if known else None,
-    )
-    for name in [command] if known else _COMMANDS:
-        cmd = sub.add_parser(name, help=_COMMANDS[name])
-        cmd.add_argument("--scenario", required=True, type=Path)
-        cmd.add_argument("--out", type=Path, default=None)
-        cmd.add_argument(
-            "--tol",
-            action="append",
-            default=[],
-            metavar="NAME=VALUE",
-            help="override a solver tolerance",
-        )
-        if name in ("solve-case1", "solve-case2"):
-            cmd.add_argument(
-                "--oracle",
-                action="store_true",
-                help="attach an oracle cross-check to the solution document",
-            )
-        if name == "sweep":
-            cmd.add_argument(
-                "--sweep",
-                nargs=4,
-                required=True,
-                metavar=("FIELD", "LO", "HI", "STEPS"),
-            )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, summary in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=summary), name)
     return parser
 
 

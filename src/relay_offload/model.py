@@ -537,8 +537,9 @@ def fill_device_block(
     max_iter: int = 200,
 ) -> tuple[float, tuple[float, float, float, float]] | None:
     """The price lam at which the device block fills ``budget`` and its
-    :func:`device_durations` there, whose total is at most the budget and
-    within ``rel_tol`` of it; None when no durations of finite energy fit.
+    :func:`device_durations` there, whose total is at most the budget and,
+    unless rounding leaves the bracket's low end within it, within
+    ``rel_tol`` of it; None when no durations of finite energy fit.
 
     Take the floors F (cycles / f_cap on a loaded compute duration when
     ``capped``, else 0), the room r = budget - sum(F) and the k loaded
@@ -547,10 +548,11 @@ def fill_device_block(
     F + r/k none exceeds F + r/k, so it is at most the budget.  A
     transmission is priced no shorter than d / (EXP_ARG_MAX B), its least
     time of finite energy.  ``bisect_decreasing`` opens on both ends'
-    totals; a one-price bracket (one loaded duration) is returned when it
-    fits.  An upper end that rounding leaves over the budget doubles once;
-    still over, the transmissions do not fit at finite energy: None, as
-    when a bracket price leaves the positive floats or the ends cross
+    totals.  The low end is returned when it fits, as in a one-price
+    bracket (one loaded duration) or where rounding leaves it within the
+    budget.  An upper end that rounding leaves over the budget doubles
+    once; still over, the transmissions do not fit at finite energy:
+    None, as when a bracket price leaves the positive floats or the ends cross
     (r < 0, or r = 0 under a transmission).  Needs a loaded duration.
     """
     ch, co = scenario.channel, scenario.compute
@@ -579,9 +581,11 @@ def fill_device_block(
 
     total_hi = total(lam_hi)
     if total_hi <= budget:
-        if lam_lo == lam_hi:
-            return lam_hi, seen[lam_hi]
-        total_lo = total(lam_lo)
+        total_lo = total(lam_lo) if lam_lo < lam_hi else total_hi
+        if total_lo <= budget:
+            # a one-price bracket, or a low end that rounding left within
+            # the budget: no price in the bracket fills it further
+            return lam_lo, seen[lam_lo]
     else:
         lam_lo, total_lo, lam_hi = lam_hi, total_hi, 2.0 * lam_hi
         total_hi = total(lam_hi) if lam_hi < math.inf else math.inf
@@ -647,6 +651,8 @@ def transmission_energy(
 
     Evaluates (noise * duration / gain) * (e^{d/(duration*B)} - 1).  Zero
     data costs nothing for any nonnegative duration (exit-task convention).
+    Raises :class:`DurationTooSmall` when the exponent passes EXP_ARG_MAX,
+    as when duration*B underflows to 0.
     """
     if gain <= 0.0:
         raise ModelDomainError("channel gain must be positive")
@@ -658,7 +664,8 @@ def transmission_energy(
         return 0.0
     if duration_s <= 0.0:
         raise ModelDomainError("transmit duration must be positive for nonzero data")
-    arg = data_nats / (duration_s * channel.bandwidth)
+    span = duration_s * channel.bandwidth
+    arg = data_nats / span if span > 0.0 else math.inf
     if arg > EXP_ARG_MAX:
         raise DurationTooSmall(
             f"duration infeasibly small: exponent {arg:.3g} overflows"

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -165,7 +166,41 @@ def all_local_scenario(cycles=2e8, t_s=0.5, f_cap=1e9):
     )
 
 
+def idle_zero_gap_scenario() -> Scenario:
+    # relay_idle.json with task 1 at the smallest subnormal data size over a
+    # subnormal bandwidth: tau * B underflows to 0 at the prices that fill
+    # the budgets of splits (1, 1) and (1, 4)
+    doc = json.loads((SCENARIOS / "relay_idle.json").read_text(encoding="utf-8"))
+    doc["channel"].update(B=2.2e-308, g=1.7e308)
+    doc["device_tasks"][0]["d_nats"] = 5e-324
+    return model.scenario_from_dict(doc)
+
+
 class TestLowerSolver:
+    @pytest.mark.parametrize("split", [(1, 1), (1, 4)], ids=["1-1", "1-4"])
+    def test_a_lower_solve_never_returns_an_infinite_energy(self, split):
+        # each solve returned a "solution" of energy inf
+        try:
+            lower = solve_lower_case1(SplitIndices(*split), idle_zero_gap_scenario())
+        except Infeasible:
+            return
+        assert math.isfinite(lower.energy)
+
+    def test_every_bracket_opens_above_the_budget(self, monkeypatch):
+        # split (1, 1)'s low price left its durations at 0.5 s of a 0.625 s
+        # budget, and the search ran on that bracket, against its fn(lo) > target
+        calls = []
+        search = model.bisect_decreasing
+
+        def checked(fn, target, lo, hi, **kwargs):
+            calls.append(kwargs["fn_lo"] > target >= kwargs["fn_hi"])
+            return search(fn, target, lo, hi, **kwargs)
+
+        monkeypatch.setattr(model, "bisect_decreasing", checked)
+        best = solve_case1(idle_zero_gap_scenario())
+        assert calls and all(calls)
+        assert math.isfinite(best.lower.energy)
+
     def test_all_local_closed_form(self):
         scenario = all_local_scenario()
         lower = solve_lower_case1(SplitIndices(2, 2), scenario)

@@ -684,47 +684,86 @@ _ARGV_TABLE = {
     ],
     "oracle-on-gantt": ["gantt", "--scenario", "x.json", "--oracle"],
     "sweep-too-few-values": ["sweep", "--scenario", "x.json", "--sweep", "deadlines.t_s", "0.5"],
+    "extra-after-double-dash": ["validate", "--scenario", "x.json", "--", "extra"],
+    "help-after-options": ["sweep", "--scenario", "x.json", "--tol", "tie_rel=0.5", "-h"],
 }
+
+# well-formed lines: the command's own parser takes each of them whole
+_WELL_FORMED = {
+    "abbreviated-scenario": ["validate", "--scen", "x.json"],
+    "repeated-tol": ["solve-case1", "--scenario", "x.json", "--tol", "tie_rel=0.5", "--tol", "bisect_rel=1e-6"],
+    "oracle": ["solve-case2", "--oracle", "--scenario", "x.json"],
+    "abbreviated-oracle": ["solve-case1", "--scenario", "x.json", "--orac"],
+    "out": ["gantt", "--scenario", "x.json", "--out", "plan.csv"],
+    "sweep": ["sweep", "--scenario", "x.json", "--sweep", "deadlines.t_s", "0.5", "0.7", "3"],
+    "oracle-check": ["oracle-check", "--out=report.json", "--scenario=x.json", "--tol=tie_rel=0.5"],
+}
+
+_FULL_PARSER = ["relay-offload", *(f"relay-offload {name}" for name in cli._COMMANDS)]
 
 
 class TestMainEntry:
     @pytest.mark.parametrize("argv", _ARGV_TABLE.values(), ids=_ARGV_TABLE.keys())
     def test_a_command_line_reads_as_on_the_full_parser(self, capsys, monkeypatch, argv):
-        # run builds only the named command's subparser; help, usage and
-        # errors must match the parser that holds all six, byte for byte
+        # run parses a line that starts with a command on that command's
+        # parser; help, usage and errors must match the parser that holds
+        # all six, byte for byte
         monkeypatch.setenv("COLUMNS", "80")
         with pytest.raises(SystemExit) as stop:
             cli.build_parser().parse_args(argv)
         full = (stop.value.code, capsys.readouterr())
         assert (cli.run(argv), capsys.readouterr()) == full
 
+    @pytest.mark.parametrize("argv", _WELL_FORMED.values(), ids=_WELL_FORMED.keys())
+    def test_a_well_formed_line_parses_as_on_the_full_parser(self, argv):
+        assert cli._parse(argv) == cli.build_parser().parse_args(argv)
+
     @pytest.mark.parametrize(
         "argv, built",
         [
-            *(([name, "--help"], [name]) for name in cli._COMMANDS),
-            ([], list(cli._COMMANDS)),
-            (["--help"], list(cli._COMMANDS)),
-            (["bogus"], list(cli._COMMANDS)),
-            (["--tol", "tie_rel=0.5", "validate"], list(cli._COMMANDS)),
+            *(([name, "--help"], [f"relay-offload {name}"]) for name in cli._COMMANDS),
+            (["validate", "--scenario", "never-read.json"], ["relay-offload validate"]),
+            ([], _FULL_PARSER),
+            (["--help"], _FULL_PARSER),
+            (["bogus"], _FULL_PARSER),
+            (["--tol", "tie_rel=0.5", "validate"], _FULL_PARSER),
+            (["validate", "--scenario", "x.json", "--bogus"], ["relay-offload validate", *_FULL_PARSER]),
         ],
-        ids=[*(f"{name}-help" for name in cli._COMMANDS), "no-args", "help", "bogus", "option-first"],
+        ids=[
+            *(f"{name}-help" for name in cli._COMMANDS),
+            "well-formed",
+            "no-args",
+            "help",
+            "bogus",
+            "option-first",
+            "leftover",
+        ],
     )
     def test_run_and_main_build_only_the_named_command(self, capsys, monkeypatch, argv, built):
-        names = []
-        add_parser = argparse._SubParsersAction.add_parser
+        # a line that starts with a command builds that command's parser
+        # alone; the full parser, with its subparsers, only for help and errors
+        progs, subparsers = [], []
+        init = argparse.ArgumentParser.__init__
+        add_subparsers = argparse.ArgumentParser.add_subparsers
 
-        def counting(sub, name, **kwargs):
-            names.append(name)
-            return add_parser(sub, name, **kwargs)
+        def counting_init(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            progs.append(parser.prog)
 
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-        from_run = (cli.run(argv), names[:], capsys.readouterr())
-        assert from_run[1] == built
-        names.clear()
+        def counting_subparsers(parser, **kwargs):
+            subparsers.append(parser.prog)
+            return add_subparsers(parser, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting_subparsers)
+        from_run = (cli.run(argv), progs[:], subparsers[:], capsys.readouterr())
+        assert from_run[1:3] == (built, ["relay-offload"] if "relay-offload" in built else [])
+        progs.clear()
+        subparsers.clear()
         monkeypatch.setattr(sys, "argv", ["relay-offload", *argv])
         with pytest.raises(SystemExit) as stop:
             cli.main()
-        assert (stop.value.code, names, capsys.readouterr()) == from_run
+        assert (stop.value.code, progs, subparsers, capsys.readouterr()) == from_run
 
     def test_argparse_wiring(self, tmp_path, capsys):
         path = write_doc(tmp_path, all_local_doc())

@@ -81,6 +81,12 @@ class TestTransmissionEnergy:
         with pytest.raises(DurationTooSmall):
             transmission_energy(1e6, 1e-9, 1.0, unit_channel())
 
+    def test_duration_times_b_underflowing_is_flagged(self):
+        # B = 5e-324: duration * B rounds to 0, and the exponent's division
+        # raised ZeroDivisionError
+        with pytest.raises(DurationTooSmall, match="exponent inf"):
+            transmission_energy(1.0, 0.1, 1.0, unit_channel(bandwidth=5e-324))
+
     def test_nonpositive_gain_rejected(self):
         with pytest.raises(ModelDomainError):
             transmission_energy(1.0, 1.0, 0.0, unit_channel())
