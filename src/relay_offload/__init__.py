@@ -34,14 +34,11 @@ from .model import (
     Task,
     TaskChain,
     Violation,
-    compute_energy,
-    compute_time,
     freq_from_lambda,
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
     tau_from_lambda,
-    transmission_energy,
     validate_scenario,
 )
 from .timeline import Timeline, build_timeline, to_gantt_csv, verify
@@ -68,8 +65,6 @@ __all__ = [
     "Timeline",
     "Violation",
     "build_timeline",
-    "compute_energy",
-    "compute_time",
     "freq_from_lambda",
     "lambert_w0",
     "load_scenario",
@@ -80,7 +75,6 @@ __all__ = [
     "solve_lower_case1",
     "tau_from_lambda",
     "to_gantt_csv",
-    "transmission_energy",
     "validate_scenario",
     "verify",
 ]

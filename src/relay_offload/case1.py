@@ -83,8 +83,8 @@ def _durations(
     sums: SplitSums, tau1: float, tau2: float, f_local: float, f_relay: float
 ) -> tuple[float, float, float, float, float, float]:
     """The model's six durations: no relay upload and no relay-own block."""
-    t1 = model.compute_time(sums.ls, f_local)
-    t2 = model.compute_time(sums.rs, f_relay)
+    t1 = sums.ls / f_local if sums.ls > 0.0 else 0.0
+    t2 = sums.rs / f_relay if sums.rs > 0.0 else 0.0
     return tau1, tau2, 0.0, t1, t2, 0.0
 
 

@@ -34,10 +34,6 @@ class ModelDomainError(ValueError):
     """A model formula was evaluated outside its domain."""
 
 
-class DurationTooSmall(ModelDomainError):
-    """Transmit duration so small that the energy exponent overflows."""
-
-
 class Infeasible(Exception):
     """No feasible plan exists for the requested scenario or split.
 
@@ -644,60 +640,6 @@ def energy_slopes(
     )
 
 
-def transmission_energy(
-    data_nats: float, duration_s: float, gain: float, channel: ChannelParams
-) -> float:
-    """Energy to push ``data_nats`` through the channel in ``duration_s``.
-
-    Evaluates (noise * duration / gain) * (e^{d/(duration*B)} - 1).  Zero
-    data costs nothing for any nonnegative duration (exit-task convention).
-    Raises :class:`DurationTooSmall` when the exponent passes EXP_ARG_MAX,
-    as when duration*B underflows to 0.
-    """
-    if gain <= 0.0:
-        raise ModelDomainError("channel gain must be positive")
-    if data_nats < 0.0:
-        raise ModelDomainError("data size must be nonnegative")
-    if data_nats == 0.0:
-        if duration_s < 0.0:
-            raise ModelDomainError("transmit duration must be nonnegative")
-        return 0.0
-    if duration_s <= 0.0:
-        raise ModelDomainError("transmit duration must be positive for nonzero data")
-    span = duration_s * channel.bandwidth
-    arg = data_nats / span if span > 0.0 else math.inf
-    if arg > EXP_ARG_MAX:
-        raise DurationTooSmall(
-            f"duration infeasibly small: exponent {arg:.3g} overflows"
-        )
-    return _transmit_term(data_nats, duration_s, gain, channel)
-
-
-def compute_energy(cycles: float, frequency_hz: float, kappa: float) -> float:
-    """CPU energy kappa * cycles * f^2, i.e. kappa * cycles^3 / T^2 over the
-    block time T = cycles / f; zero work costs nothing."""
-    if kappa <= 0.0:
-        raise ModelDomainError("energy coefficient must be positive")
-    if cycles < 0.0:
-        raise ModelDomainError("cycle count must be nonnegative")
-    if cycles == 0.0:
-        return 0.0
-    if frequency_hz <= 0.0:
-        raise ModelDomainError("frequency must be positive for nonzero work")
-    return _compute_term(cycles, cycles / frequency_hz, kappa)
-
-
-def compute_time(cycles: float, frequency_hz: float) -> float:
-    """CPU time cycles / f; zero work takes no time."""
-    if cycles < 0.0:
-        raise ModelDomainError("cycle count must be nonnegative")
-    if cycles == 0.0:
-        return 0.0
-    if frequency_hz <= 0.0:
-        raise ModelDomainError("frequency must be positive for nonzero work")
-    return cycles / frequency_hz
-
-
 # --- the scenario schema ---------------------------------------------------
 
 
@@ -760,10 +702,12 @@ def _check_chain(name: str, chain: TaskChain, out: list[Violation]) -> None:
 def validate_scenario(scenario: Scenario) -> list[Violation]:
     """Check all type invariants; returns findings instead of raising.
 
-    Also screens for trivially hopeless instances: if even the base
-    station at its frequency cap cannot chew through the device chain
-    within the deadline, the instance is flagged with a warning (the
-    solver's feasibility check is authoritative).
+    Also screens relay-idle instances for a hopeless deadline: the device
+    chain runs in sequence on the device, the relay and the base station,
+    each held to its frequency cap, so if even the fastest cap cannot
+    finish all its cycles within t_s, the instance is flagged with a
+    warning (the solver's feasibility check is authoritative).  Relay-busy
+    instances are not screened: case 2 relaxes the device and relay caps.
     """
     out: list[Violation] = []
     _check_chain("device_tasks", scenario.device_chain, out)
@@ -784,7 +728,17 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             out.append(Violation("deadlines.t_s", "required when the relay is idle"))
         elif dl.t_s <= 0.0:
             out.append(Violation("deadlines.t_s", "must be positive"))
-        horizon = dl.t_s
+        else:
+            fastest = max(co.f_md_max, co.f_relay_max, co.f_bs_max)
+            if fastest > 0.0 and scenario.device_chain.total_cycles / fastest > dl.t_s:
+                out.append(
+                    Violation(
+                        "deadlines",
+                        "even at the fastest of the three frequency caps the device "
+                        "chain takes longer than t_s; instance is likely infeasible",
+                        severity="warning",
+                    )
+                )
     else:
         if dl.t0 is None:
             out.append(Violation("deadlines.t0", "required when the relay has tasks"))
@@ -803,18 +757,6 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
                     "deadlines",
                     "deadline ordering: the device chain must finish no later "
                     "than the relay chain (t_s_th <= t_r_th)",
-                )
-            )
-        horizon = dl.t_s_th
-
-    if horizon is not None and horizon > 0.0 and co.f_bs_max > 0.0:
-        if scenario.device_chain.total_cycles / co.f_bs_max > horizon:
-            out.append(
-                Violation(
-                    "deadlines",
-                    "even the base station at its cap cannot finish the device "
-                    "chain within the deadline; instance is likely infeasible",
-                    severity="warning",
                 )
             )
     return out

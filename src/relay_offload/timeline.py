@@ -78,7 +78,6 @@ class Event:
 @dataclass(frozen=True)
 class Timeline:
     events: tuple[Event, ...]
-    deadlines_met: dict[str, bool]
 
 
 def _bs_schedule(
@@ -167,7 +166,7 @@ def _build_case1(solution: Case1Solution, scenario: Scenario) -> Timeline:
     t += lower.tau2
     events.append(Event(Node.BS, EventKind.BS_COMPUTE_DEVICE, t, t + bs_time))
     _check_deadline("device", t + bs_time, deadline)
-    return Timeline(events=tuple(events), deadlines_met={"device": True})
+    return Timeline(events=tuple(events))
 
 
 def _build_case2(solution: Case2Solution, scenario: Scenario) -> Timeline:
@@ -235,9 +234,7 @@ def _build_case2(solution: Case2Solution, scenario: Scenario) -> Timeline:
     relay_completion = max(own_end, tx3.end, bs_relay_segments[-1].end)
     _check_deadline("device", device_completion, dl.t_s_th)
     _check_deadline("relay", relay_completion, dl.t_r_th)
-    return Timeline(
-        events=tuple(events), deadlines_met={"device": True, "relay": True}
-    )
+    return Timeline(events=tuple(events))
 
 
 def build_timeline(

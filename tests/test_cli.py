@@ -247,8 +247,8 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("command", ["solve-case2", "gantt", "oracle-check"])
     def test_overflowing_cycle_count_is_infeasible(self, tmp_path, capsys, command):
         # 1e120 cycles, whose cube overflows the compute energy's product:
-        # after the scenario's own warning, one line and exit 2, where the
-        # split floors once raised OverflowError with a traceback
+        # one line and exit 2, where the split floors once raised
+        # OverflowError with a traceback
         doc = case2_doc()
         doc["device_tasks"][0]["cycles"] = 1e120
         path = write_doc(tmp_path, doc)
@@ -258,8 +258,6 @@ class TestNonFiniteInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "warning: deadlines: even the base station at its cap cannot finish the "
-            "device chain within the deadline; instance is likely infeasible\n"
             "infeasible: globally infeasible: no scheme and split meets both deadlines "
             "(constraints: deadline)\n"
         )
@@ -323,6 +321,17 @@ _EXTREME_FILES = {
 }
 
 
+def _changed_doc(base: str, fields: dict) -> dict:
+    """The shipped scenario ``base`` with each field at its key path set."""
+    doc = json.loads((SCENARIOS / base).read_text(encoding="utf-8"))
+    for (*keys, last), value in fields.items():
+        target = doc
+        for key in keys:
+            target = target[key]
+        target[last] = value
+    return doc
+
+
 @pytest.mark.parametrize(
     "name, command, code",
     [
@@ -341,14 +350,7 @@ _EXTREME_FILES = {
     ],
 )
 def test_float_extremes_give_an_exit_code(tmp_path, capsys, name, command, code):
-    base, fields = _EXTREME_FILES[name]
-    doc = json.loads((SCENARIOS / base).read_text(encoding="utf-8"))
-    for (*keys, last), value in fields.items():
-        target = doc
-        for key in keys:
-            target = target[key]
-        target[last] = value
-    path = write_doc(tmp_path, doc)
+    path = write_doc(tmp_path, _changed_doc(*_EXTREME_FILES[name]))
     assert run_cli("validate", path) == 0
     capsys.readouterr()
     assert run_cli(command, path) == code
@@ -356,12 +358,40 @@ def test_float_extremes_give_an_exit_code(tmp_path, capsys, name, command, code)
     if code == 0:
         assert captured.out
     else:
-        # after the scenario's own warning, one line
         assert captured.out == ""
-        assert captured.err.splitlines()[1:] == [
+        assert captured.err.splitlines() == [
             "error: the grid oracle cannot referee scheme S1 at split (1, 2, 1): "
             "no feasible point found on the grid"
         ]
+
+
+@pytest.mark.parametrize(
+    "base, fields, command, split",
+    [
+        # case 2 relaxes the device and relay caps, so no cycle count is
+        # hopeless there
+        (*_EXTREME_FILES["busy-log-gap"], "solve-case2", {"m1": 2, "n1": 1, "n2": 2}),
+        # the device's cap finishes the chain within t_s, the base station's
+        # would not
+        (
+            "relay_idle.json",
+            {("compute", "f_md_max"): 1e11, ("deadlines", "t_s"): 0.05},
+            "solve-case1",
+            {"n1": 4, "n2": 4},
+        ),
+    ],
+    ids=["busy-log-gap", "idle-fast-device"],
+)
+def test_validate_does_not_warn_on_plans_that_solve(
+    tmp_path, capsys, base, fields, command, split
+):
+    path = write_doc(tmp_path, _changed_doc(base, fields))
+    assert run_cli("validate", path) == 0
+    assert capsys.readouterr().out == "ok\n"
+    assert run_cli(command, path) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["indices"] == split
 
 
 def _unreadable(kind: str) -> bytes:

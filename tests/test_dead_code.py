@@ -11,6 +11,11 @@ is referenced by other package code, and references match by
   [as a]``, at module level or inside a function.
 
 A same-named definition or call in another module is not a use.
+
+Each public name, one in ``__all__``, needs one more reference: outside
+``__init__.py`` and its own definition, in package code or in a script
+under ``tools/`` or ``perfbench/`` (tests apart), so a name that only
+tests call fails even though ``__init__`` imports it.
 """
 
 import ast
@@ -19,6 +24,11 @@ from pathlib import Path
 import relay_offload
 
 PACKAGE = Path(relay_offload.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
+# the scripts that drive the package; perfbench's tests are not among them
+SCRIPTS = tuple(
+    path for folder in ("tools", "perfbench") for path in sorted((ROOT / folder).glob("*.py"))
+)
 
 
 def _definitions(statement: ast.stmt) -> list[str]:
@@ -60,23 +70,109 @@ def _references(statement: ast.stmt, module: str, siblings: dict[str, str]) -> s
     return refs
 
 
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _scan(package: Path) -> tuple[list, list]:
+    """Each module-level definition of ``package`` as (module, name,
+    statement), and each top-level statement's references as (module,
+    statement, references)."""
+    defined, references = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = _parse(path)
+        siblings = _sibling_modules(tree)
+        for statement in tree.body:
+            defined += [(path.stem, name, statement) for name in _definitions(statement)]
+            references.append((path.stem, statement, _references(statement, path.stem, siblings)))
+    return defined, references
+
+
+def _used(module: str, name: str, statement: ast.stmt, references: list) -> bool:
+    # a statement's references to its own name (recursion) do not count
+    return any((module, name) in refs for _, other, refs in references if other is not statement)
+
+
 def unreferenced_definitions(package: Path = PACKAGE) -> list[str]:
     """``module.name`` of each module-level definition in ``package`` that
     no other top-level statement of the package references, dunders
     apart."""
-    defined, references = [], []
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        siblings = _sibling_modules(tree)
-        for statement in tree.body:
-            defined += [(path.stem, name, statement) for name in _definitions(statement)]
-            references.append((statement, _references(statement, path.stem, siblings)))
+    defined, references = _scan(package)
     return [
         f"{module}.{name}"
         for module, name, statement in defined
         if not (name.startswith("__") and name.endswith("__"))
-        # a statement's references to its own name (recursion) do not count
-        and not any((module, name) in refs for other, refs in references if other is not statement)
+        and not _used(module, name, statement, references)
+    ]
+
+
+def _dotted(node: ast.expr) -> list[str]:
+    """``a.b.c`` as ["a", "b", "c"]; [] for any other expression."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return [*head, node.attr] if head else []
+    return []
+
+
+def _script_references(tree: ast.Module, package: Path) -> set[tuple[str, str]]:
+    """Every (module, name) of ``package`` a script outside it reads:
+    ``from package[.m] import x`` and the attributes of what ``import
+    package[.m] [as a]`` and ``from package import m [as a]`` bind.  The
+    package's own names are module ``__init__``."""
+    top = package.name
+    bound: dict[str, str] = {}  # local name -> dotted module path
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == top:
+                    bound[alias.asname or top] = alias.name if alias.asname else top
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if node.module.partition(".")[0] != top:
+                continue
+            for alias in node.names:
+                if node.module == top and (package / f"{alias.name}.py").exists():
+                    bound[alias.asname or alias.name] = f"{top}.{alias.name}"
+                else:
+                    refs.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        parts = _dotted(node) if isinstance(node, ast.Attribute) else []
+        if parts and parts[0] in bound:
+            *path, name = [*bound[parts[0]].split("."), *parts[1:]]
+            refs.add((".".join(path), name))
+    return {(path.rpartition(".")[2] if path != top else "__init__", name) for path, name in refs}
+
+
+def unused_public_names(package: Path = PACKAGE, scripts: tuple = SCRIPTS) -> list[str]:
+    """Each name in ``package``'s ``__all__`` that nothing references but
+    ``__init__.py`` and its own definition: no package statement, matched
+    as above, and no script in ``scripts``, which reach a public name
+    through the package (module ``__init__``) or its own module."""
+    init = _parse(package / "__init__.py")
+    exports = {
+        alias.asname or alias.name: node.module
+        for node in init.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+    }
+    public = next(
+        ast.literal_eval(node.value)
+        for node in init.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]
+    )
+    defined, references = _scan(package)
+    references = [entry for entry in references if entry[0] != "__init__"]
+    for script in scripts:
+        for module, name in _script_references(_parse(script), package):
+            module = exports.get(name, module) if module == "__init__" else module
+            references.append((module, None, {(module, name)}))
+    statements = {(module, name): statement for module, name, statement in defined}
+    return [
+        name
+        for name in public
+        if not _used(exports[name], name, statements[exports[name], name], references)
     ]
 
 
@@ -110,3 +206,37 @@ def test_the_scan_sees_references_and_their_absence(tmp_path):
     # import makes c.lazy a use; dead calls only itself and _orphan nothing
     # calls; each wrap calls c.wrap, which is no use of the other wrap
     assert unreferenced_definitions(tmp_path) == ["a.dead", "a.wrap", "b._orphan", "b.wrap"]
+
+
+def test_every_public_name_is_used_outside_init():
+    assert unused_public_names() == []
+
+
+def test_the_public_scan_sees_script_references(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text(
+        "from .a import Kept, dead, solve, wrapped\nfrom .b import run, spare\n"
+        "__all__ = ['Kept', 'dead', 'run', 'solve', 'spare', 'wrapped']\n",
+        encoding="utf-8",
+    )
+    (package / "a.py").write_text(
+        "class Kept:\n    pass\n"
+        "def dead():\n    return dead()\n"
+        "def solve():\n    return Kept()\n"
+        "def wrapped():\n    pass\n",
+        encoding="utf-8",
+    )
+    (package / "b.py").write_text(
+        "def run():\n    pass\ndef spare():\n    pass\n", encoding="utf-8"
+    )
+    (tmp_path / "tool.py").write_text(
+        "import pkg as p\nfrom pkg import b\nfrom pkg.a import wrapped\n"
+        "p.solve()\nb.run()\n"
+        "def spare():\n    pass\n",
+        encoding="utf-8",
+    )
+    # Kept counts through a.solve, solve through p.solve, run through the
+    # module b, wrapped through its import; dead calls only itself, and a
+    # same-named definition in a script is no use of b.spare
+    assert unused_public_names(package, (tmp_path / "tool.py",)) == ["dead", "spare"]

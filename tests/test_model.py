@@ -16,18 +16,14 @@ from relay_offload import (
     Scenario,
     Task,
     TaskChain,
-    compute_energy,
-    compute_time,
+    case1,
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    transmission_energy,
     validate_scenario,
 )
 from relay_offload.model import (
     EXP_ARG_MAX,
-    DurationTooSmall,
-    ModelDomainError,
     ScenarioError,
     SplitSums,
     _compute_curvature,
@@ -55,41 +51,21 @@ def unit_channel(bandwidth=1.0, noise=1.0):
 
 
 class TestTransmissionEnergy:
+    # the transmit kernel: (noise * tau / gain) * (e^{d/(tau*B)} - 1)
+
     def test_zero_data_costs_nothing(self):
-        assert transmission_energy(0.0, 0.5, 1.0, unit_channel()) == 0.0
-        assert transmission_energy(0.0, 0.0, 1.0, unit_channel()) == 0.0
+        assert _transmit_term(0.0, 0.5, 1.0, unit_channel()) == 0.0
+        assert _transmit_term(0.0, 0.0, 1.0, unit_channel()) == 0.0
 
     def test_ln2_exponent_collapses(self):
         # d = B*tau*ln2 makes the exponential exactly 2
         ch = unit_channel()
         d = 1.0 * 1.0 * math.log(2.0)
-        assert transmission_energy(d, 1.0, 2.0, ch) == pytest.approx(0.5, rel=1e-14)
+        assert _transmit_term(d, 1.0, 2.0, ch) == pytest.approx(0.5, rel=1e-14)
 
     def test_unit_point_is_e_minus_one(self):
         ch = unit_channel()
-        assert transmission_energy(1.0, 1.0, 1.0, ch) == pytest.approx(
-            math.e - 1.0, rel=1e-14
-        )
-
-    def test_zero_duration_with_data_is_domain_error(self):
-        with pytest.raises(ModelDomainError):
-            transmission_energy(1.0, 0.0, 1.0, unit_channel())
-        with pytest.raises(ModelDomainError):
-            transmission_energy(1.0, -0.1, 1.0, unit_channel())
-
-    def test_overflowing_exponent_is_flagged(self):
-        with pytest.raises(DurationTooSmall):
-            transmission_energy(1e6, 1e-9, 1.0, unit_channel())
-
-    def test_duration_times_b_underflowing_is_flagged(self):
-        # B = 5e-324: duration * B rounds to 0, and the exponent's division
-        # raised ZeroDivisionError
-        with pytest.raises(DurationTooSmall, match="exponent inf"):
-            transmission_energy(1.0, 0.1, 1.0, unit_channel(bandwidth=5e-324))
-
-    def test_nonpositive_gain_rejected(self):
-        with pytest.raises(ModelDomainError):
-            transmission_energy(1.0, 1.0, 0.0, unit_channel())
+        assert _transmit_term(1.0, 1.0, 1.0, ch) == pytest.approx(math.e - 1.0, rel=1e-14)
 
     def test_strictly_convex_and_decreasing_in_duration(self):
         rng = np.random.default_rng(7)
@@ -100,7 +76,7 @@ class TestTransmissionEnergy:
             d = float(10 ** rng.uniform(3.5, 5.0))
             gain = float(10 ** rng.uniform(-7, -5))
             taus = np.linspace(0.2 * d / ch.bandwidth, 5.0 * d / ch.bandwidth, 41)
-            values = [transmission_energy(d, float(t), gain, ch) for t in taus]
+            values = [_transmit_term(d, float(t), gain, ch) for t in taus]
             step = taus[1] - taus[0]
             for i in range(1, len(taus) - 1):
                 second = (values[i - 1] - 2 * values[i] + values[i + 1]) / step**2
@@ -125,25 +101,31 @@ class TestTransmissionEnergy:
         d, gain = 4.2e4, 3e-6
         tau = 1e6 * d / ch.bandwidth
         limit = ch.noise * d / (ch.bandwidth * gain)
-        assert transmission_energy(d, tau, gain, ch) == pytest.approx(limit, rel=0.01)
+        assert _transmit_term(d, tau, gain, ch) == pytest.approx(limit, rel=0.01)
+
+
+def block_time(cycles, freq):
+    """The relay-idle solver's compute duration of ``cycles`` at ``freq``."""
+    sums = SplitSums(ls=cycles, rs=0.0, es=0.0, lr=0.0, er=0.0, d1=0.0, d2=0.0, d3=0.0)
+    return case1._durations(sums, 0.0, 0.0, freq, 0.0)[3]
 
 
 class TestComputeModel:
+    # the compute kernel: kappa * cycles^3 / T^2 at the block time T = cycles / f
+
     def test_zero_work(self):
-        assert compute_energy(0.0, 1e9, 1e-27) == 0.0
-        assert compute_time(0.0, 123.0) == 0.0
+        # no work costs nothing and takes no time, even at the zero
+        # frequency a solution reports for an empty task group
+        assert _compute_term(0.0, 1.0, 1e-27) == 0.0
+        assert _compute_term(0.0, 0.0, 1e-27) == 0.0
+        assert block_time(0.0, 123.0) == 0.0
+        assert block_time(0.0, 0.0) == 0.0
 
     def test_direct_products(self):
-        assert compute_energy(1e6, 1e9, 1e-27) == pytest.approx(1e-3, rel=1e-14)
-        assert compute_energy(3.0, 5.0, 2.0) == pytest.approx(150.0, rel=1e-14)
-        assert compute_time(1e6, 2e6) == pytest.approx(0.5, rel=1e-14)
-        assert compute_time(7.0, 7.0) == 1.0
-
-    def test_zero_frequency_with_work_rejected(self):
-        with pytest.raises(ModelDomainError):
-            compute_time(1.0, 0.0)
-        with pytest.raises(ModelDomainError):
-            compute_energy(1.0, 0.0, 1e-27)
+        assert _compute_term(1e6, 1e-3, 1e-27) == pytest.approx(1e-3, rel=1e-14)
+        assert _compute_term(3.0, 0.6, 2.0) == pytest.approx(150.0, rel=1e-14)
+        assert block_time(1e6, 2e6) == pytest.approx(0.5, rel=1e-14)
+        assert block_time(7.0, 7.0) == 1.0
 
     @pytest.mark.parametrize(
         "cycles, duration",
@@ -177,7 +159,8 @@ class TestComputeModel:
     def test_energy_at_the_float_extremes(self, cycles, freq, expected):
         # kappa * cycles * f^2, where cycles^3 overflows (the first and last)
         # or the block time's square underflows (the second)
-        assert compute_energy(cycles, freq, 1e-27) == pytest.approx(expected, rel=1e-14, abs=0.0)
+        energy = _compute_term(cycles, block_time(cycles, freq), 1e-27)
+        assert energy == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_durations_where_the_frequency_underflows(self):
         # (lam / 2 kappa)^(1/3) rounds to 0 at kappa = 1e200, and
@@ -198,7 +181,8 @@ class TestComputeModel:
             kappa = float(10 ** rng.uniform(-28, -25))
             cycles = float(10 ** rng.uniform(5, 9))
             freq = float(10 ** rng.uniform(6, 9.5))
-            product = compute_energy(cycles, freq, kappa) * compute_time(cycles, freq)
+            duration = block_time(cycles, freq)
+            product = _compute_term(cycles, duration, kappa) * duration
             assert product == pytest.approx(kappa * cycles**2 * freq, rel=1e-12)
 
 
@@ -243,7 +227,7 @@ class TestValidation:
         doc = scenario_doc(deadlines={"t_s": 1e-6})
         findings = validate_scenario(scenario_from_dict(doc))
         warnings = [v for v in findings if v.severity == "warning"]
-        assert any("base station" in v.message for v in warnings)
+        assert any("fastest of the three frequency caps" in v.message for v in warnings)
 
     def test_do_nothing_task_warns(self):
         doc = scenario_doc(
