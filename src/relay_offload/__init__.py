@@ -8,7 +8,6 @@ total device-plus-relay energy is minimized under completion deadlines.
 
 from .case1 import (
     Case1LowerSolution,
-    Case1Options,
     Case1Solution,
     SplitIndices,
     solve_case1,
@@ -17,7 +16,6 @@ from .case1 import (
 from .case2 import (
     Case2Indices,
     Case2LowerSolution,
-    Case2Options,
     Case2Solution,
     SchemeId,
     solve_case2,
@@ -45,11 +43,9 @@ from .timeline import Timeline, build_timeline, to_gantt_csv, verify
 
 __all__ = [
     "Case1LowerSolution",
-    "Case1Options",
     "Case1Solution",
     "Case2Indices",
     "Case2LowerSolution",
-    "Case2Options",
     "Case2Solution",
     "ChannelParams",
     "ComputeParams",

@@ -55,13 +55,9 @@ class Case1Solution:
     energy_breakdown: dict[str, float]
 
 
-@dataclass(frozen=True)
-class Case1Options:
-    bisect_rel: float = 1e-9
-    max_bisect_iter: int = 200
-    tie_rel: float = 1e-12
-    feas_rel: float = 1e-12
-
+# relative band by which a split's time at its frequency caps may exceed
+# the deadline before the split is rejected without a lower solve
+_FEAS_REL = 1e-12
 
 # case 1 reports the relay's device-side terms under shorter names
 _BREAKDOWN_NAMES = {
@@ -104,7 +100,6 @@ def _check_cap(kappa: float, cap: float, name: str) -> None:
 def solve_lower_case1(
     split: SplitIndices,
     scenario: Scenario,
-    options: Case1Options = Case1Options(),
     *,
     sums: SplitSums | None = None,
 ) -> Case1LowerSolution:
@@ -113,8 +108,8 @@ def solve_lower_case1(
     The deadline constraint is active at any optimum with nonzero work, so
     the device block fills its budget t_s - es/f_bs: the dual multiplier
     is the price ``model.fill_device_block`` finds with the frequency caps
-    as duration floors, within ``bisect_rel`` of the budget and never over
-    it.  Raises :class:`Infeasible` when even frequency caps plus vanishing
+    as duration floors, within 1e-9 of the budget and never over it.
+    Raises :class:`Infeasible` when even frequency caps plus vanishing
     transmit times overshoot the deadline, or when the time the caps leave,
     or the durations at the price found, hold no transmission of finite
     energy: it never returns an energy of inf.  ``sums`` takes the split's
@@ -131,7 +126,7 @@ def solve_lower_case1(
         lhs_cap += sums.ls / compute.f_md_max
     if sums.rs > 0.0:
         lhs_cap += sums.rs / compute.f_relay_max
-    if lhs_cap > deadline * (1.0 + options.feas_rel):
+    if lhs_cap > deadline * (1.0 + _FEAS_REL):
         raise Infeasible(
             f"split ({split.n1}, {split.n2}) cannot meet the deadline even at "
             "frequency caps with instantaneous transmission",
@@ -146,10 +141,7 @@ def solve_lower_case1(
     _check_cap(compute.kappa_md, compute.f_md_max, "f_md_max")
     _check_cap(compute.kappa_relay, compute.f_relay_max, "f_relay_max")
     budget = deadline - sums.es / compute.f_bs_max
-    fill = model.fill_device_block(
-        sums, scenario, budget, capped=True, rel_tol=options.bisect_rel,
-        max_iter=options.max_bisect_iter,
-    )
+    fill = model.fill_device_block(sums, scenario, budget, capped=True)
     if fill is None:
         raise Infeasible(
             f"split ({split.n1}, {split.n2}) cannot meet the deadline: the time "
@@ -207,7 +199,6 @@ def _split_floor(sums: SplitSums, row: tuple[float, float], scenario: Scenario) 
 
 def solve_case1(
     scenario: Scenario,
-    options: Case1Options = Case1Options(),
     *,
     prune: bool = True,
 ) -> Case1Solution:
@@ -231,8 +222,9 @@ def solve_case1(
       its own three terms to them (:func:`_split_floor`).
 
     Neither rule changes the winner: it is the one ``prune=False``, the
-    exhaustive traversal, finds.  Ties are broken toward the
-    lexicographically smallest (n1, n2).
+    exhaustive traversal, finds.  A split replaces the incumbent only when
+    its energy is lower by more than a relative ``model.TIE_REL``, so
+    near-ties break toward the lexicographically smallest (n1, n2).
     """
     if scenario.relay_chain is not None:
         raise model.ScenarioError(
@@ -266,10 +258,10 @@ def solve_case1(
             continue
         split = SplitIndices(n1, n2)
         try:
-            lower = solve_lower_case1(split, scenario, options, sums=sums)
+            lower = solve_lower_case1(split, scenario, sums=sums)
         except Infeasible:
             continue
-        if best is None or lower.energy < best[1].energy * (1.0 - options.tie_rel):
+        if best is None or lower.energy < best[1].energy * (1.0 - model.TIE_REL):
             best = (split, lower, sums)
     if best is None:
         raise Infeasible(

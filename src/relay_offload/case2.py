@@ -120,12 +120,6 @@ class Case2Solution:
     energy_breakdown: dict[str, float]
 
 
-@dataclass(frozen=True)
-class Case2Options:
-    feas_tol: float = 1e-9
-    tie_rel: float = 1e-12
-
-
 def _infeasible(scheme: SchemeId, indices: Case2Indices) -> Infeasible:
     constraints = ("bs_capacity", "deadline")
     if scheme is not SchemeId.S1:
@@ -270,8 +264,8 @@ def _engine_rows(scheme: SchemeId, room: _Room) -> tuple[list[list[float]], list
     return [[float(c) for c in a] for a, _ in table], [float(b) for _, b in table]
 
 
-def _feasible(scheme: SchemeId, room: _Room, tol: float) -> bool:
-    """Whether the scheme's rows hold to ``tol`` at their corner point.
+def _feasible(scheme: SchemeId, room: _Room) -> bool:
+    """Whether the scheme's rows hold to _FEAS_TOL at their corner point.
 
     The corner has every duration at zero but T1 = t0 in S1 and S3, and
     t_c = max(tau_s, t0) in S2.  The test is exact: dropping the
@@ -282,8 +276,8 @@ def _feasible(scheme: SchemeId, room: _Room, tol: float) -> bool:
     is one row's excess at the corner; the other rows hold there.
     """
     if scheme is SchemeId.S2:
-        return -room.device <= tol and max(room.tau_s, room.t0) - room.finish <= tol
-    return room.t0 - room.device <= tol and -room.window <= tol
+        return -room.device <= _FEAS_TOL and max(room.tau_s, room.t0) - room.finish <= _FEAS_TOL
+    return room.t0 - room.device <= _FEAS_TOL and -room.window <= _FEAS_TOL
 
 
 class _PolytopeProjector:
@@ -936,7 +930,6 @@ def solve_scheme(
     scheme: SchemeId,
     indices: Case2Indices,
     scenario: Scenario,
-    options: Case2Options = Case2Options(),
     *,
     free_tau0: bool = False,
     warm_start: Case2LowerSolution | None = None,
@@ -947,7 +940,7 @@ def solve_scheme(
 
     The engine runs from the first usable start: ``warm_start``, then the
     cold starts of :func:`_cold_starts`.  A start is usable when
-    :class:`_PolytopeProjector` places it within feas_tol of the scheme's
+    :class:`_PolytopeProjector` places it within _FEAS_TOL of the scheme's
     lower bounds and :func:`_rows` at finite energy; the projector's planes
     are built once per row shape (:func:`_plane_table`), so a split only
     supplies its bounds.  The engine then solves the same program on
@@ -978,7 +971,7 @@ def solve_scheme(
     if room is None:
         room = _Room(indices, scenario, None)
     sums = room.sums
-    if not _feasible(scheme, room, options.feas_tol):
+    if not _feasible(scheme, room):
         raise _infeasible(scheme, indices)
 
     n_vars = 7 if scheme is SchemeId.S2 or free_tau0 else 6
@@ -1010,7 +1003,7 @@ def solve_scheme(
         accepted = [0.0] * n_vars
         for k, i in enumerate(placed):
             accepted[i] = point[k]
-        if project.last_violation <= options.feas_tol and math.isfinite(
+        if project.last_violation <= _FEAS_TOL and math.isfinite(
             model.energy(sums, scenario, *accepted[:6])
         ):
             break
@@ -1128,14 +1121,19 @@ def _caps(scheme: SchemeId, room: _Room, slack: float) -> tuple[float, ...]:
     return (device, after, window, device, device, window)
 
 
-# Every cap's slack in feas_tol units.  A solver accepts a start that
-# violates its rows and lower bounds by at most feas_tol in distance; the
+# How far, in seconds, a scheme's rows may be violated: at their corner
+# point for the pair to count as feasible, and at a start the projector
+# places for the start to be used.
+_FEAS_TOL = 1e-9
+
+# Every cap's slack in _FEAS_TOL units.  A solver accepts a start that
+# violates its rows and lower bounds by at most _FEAS_TOL in distance; the
 # engine clips that start onto its lower bounds and never raises a row's
 # excess.  So at the returned point no duration is negative, and a row of
 # k <= 5 unit coefficients exceeds its bound by at most (sqrt(k) + k)
-# feas_tol.  A duration then exceeds its cap by at most the excesses of the
-# rows the cap combines: 6 + 7.3 feas_tol for the device row with S3's
-# ordering row, less for every other cap.
+# _FEAS_TOL.  A duration then exceeds its cap by at most the excesses of
+# the rows the cap combines: 6 + 7.3 _FEAS_TOL for the device row with
+# S3's ordering row, less for every other cap.
 _CAP_SLACK = 14.0
 
 
@@ -1159,13 +1157,13 @@ def _pair_floors(room: _Room, scenario: Scenario, slack: float, device: float) -
 
 
 def _split_floors(
-    splits: Sequence[tuple[int, int, int, SplitSums]], scenario: Scenario, options: Case2Options
+    splits: Sequence[tuple[int, int, int, SplitSums]], scenario: Scenario
 ) -> list[float]:
     """Each split's floor over every scheme, for ``splits`` in the order of
     :func:`model.relay_busy_split_sums`.
 
     Every duration is at its block's whole budget, widened by the caps'
-    slack of _CAP_SLACK feas_tol: D for the device durations, O for the
+    slack of _CAP_SLACK _FEAS_TOL: D for the device durations, O for the
     relay-own ones, whose rows every scheme keeps, so the floor bounds
     each scheme's floor in :func:`_pair_floors`.  D depends on n2 and O on
     m1 alone, and the splits come in one block of m1 = 1..m+1 per (n1,
@@ -1176,7 +1174,7 @@ def _split_floors(
     for bit.  A budget <= 0 under nonzero load gives inf.
     """
     channel, compute = scenario.channel, scenario.compute
-    slack = _CAP_SLACK * options.feas_tol
+    slack = _CAP_SLACK * _FEAS_TOL
     block = scenario.relay_chain.n + 1
     own_terms: list[tuple[float, float]] = []
     for _, _, _, sums in splits[:block]:
@@ -1199,7 +1197,6 @@ def _split_floors(
 
 def solve_case2(
     scenario: Scenario,
-    options: Case2Options = Case2Options(),
     *,
     warm_start: Case2Solution | None = None,
 ) -> Case2Solution:
@@ -1208,8 +1205,8 @@ def solve_case2(
     The winner is defined by the exhaustive traversal: schemes in the
     order S1, S2, S3, splits lexicographically within each, and a pair
     replaces the incumbent only when its energy is below the incumbent's
-    by more than a relative ``tie_rel``, so near-ties break toward the
-    lexicographically smallest (scheme, n1, n2, m1).
+    by more than a relative ``model.TIE_REL``, so near-ties break toward
+    the lexicographically smallest (scheme, n1, n2, m1).
 
     Each split's totals come once from :func:`model.relay_busy_split_sums`
     and serve its floors, its solves and the winner's breakdown; its
@@ -1222,14 +1219,14 @@ def solve_case2(
     its three pairs go back in, each at the larger of its scheme floor,
     :func:`model.energy` at the scheme's :func:`_caps`, and its
     device-block bound (:func:`_pair_floors`), both with the caps' slack
-    of _CAP_SLACK feas_tol.  The device-block floor is computed once per
+    of _CAP_SLACK _FEAS_TOL.  The device-block floor is computed once per
     device split that comes up, within the call; nothing is kept across
     calls.  A pair is solved when it comes up.  Each key is raised to the
     split's where rounding leaves it below, so popped keys never fall, and
     every key is a floor of its pair's energy.  So only the splits that
     reach the front pay for the pair floors.  The traversal stops at the
     first entry whose floor f satisfies f * (1 - FLOOR_MARGIN - (s + 1) *
-    tie_rel) > E, where E is the lowest energy solved so far and s the
+    TIE_REL) > E, where E is the lowest energy solved so far and s the
     number of feasible pairs solved.  Every later pair has a floor at
     least f, and each pair's energy is at least its own floor
     (FLOOR_MARGIN absorbs rounding).  The tie rule is then replayed over
@@ -1242,9 +1239,9 @@ def solve_case2(
     set the full run's incumbent to its own energy, and a solved pair that
     replaces in one run only lowers the smaller incumbent by at most one
     tie band, so both stay at or above
-    f * (1 - FLOOR_MARGIN) * (1 - tie_rel)**s.  The stopping rule
-    puts that level above E / (1 - tie_rel), and both runs end at or below
-    E / (1 - tie_rel), so they end on the same pair.  One tie band of
+    f * (1 - FLOOR_MARGIN) * (1 - TIE_REL)**s.  The stopping rule
+    puts that level above E / (1 - TIE_REL), and both runs end at or below
+    E / (1 - TIE_REL), so they end on the same pair.  One tie band of
     margin would not do: a skipped pair a little over one band above E
     can, as the incumbent, keep a later near-tie pair from taking over.
 
@@ -1260,20 +1257,20 @@ def solve_case2(
         raise model.ScenarioError("relay task arrival must be nonnegative")
 
     splits = list(model.relay_busy_split_sums(scenario))
-    slack = _CAP_SLACK * options.feas_tol
+    slack = _CAP_SLACK * _FEAS_TOL
     # the indices and room of each split that has come up, by split position
     rooms: dict[int, tuple[Case2Indices, _Room]] = {}
     # the device-block floor of each device split (n1, n2) that has come up
     device_floors: dict[tuple[int, int], float] = {}
     # (floor, scheme position or -1 for the whole split, split position)
-    heap = [(floor, -1, i) for i, floor in enumerate(_split_floors(splits, scenario, options))]
+    heap = [(floor, -1, i) for i, floor in enumerate(_split_floors(splits, scenario))]
     heapq.heapify(heap)
     schemes = (SchemeId.S1, SchemeId.S2, SchemeId.S3)
     solved: list[tuple[int, int, Case2LowerSolution]] = []
     lowest = math.inf
     while heap:
         floor, k, i = heapq.heappop(heap)
-        margin = model.FLOOR_MARGIN + (len(solved) + 1) * options.tie_rel
+        margin = model.FLOOR_MARGIN + (len(solved) + 1) * model.TIE_REL
         if floor * (1.0 - margin) > lowest:
             break
         if k < 0:
@@ -1293,7 +1290,7 @@ def solve_case2(
         matched = warm_start is not None and warm_start.scheme is scheme
         warm = warm_start.lower if matched and warm_start.indices == indices else None
         try:
-            lower = solve_scheme(scheme, indices, scenario, options, warm_start=warm, room=room)
+            lower = solve_scheme(scheme, indices, scenario, warm_start=warm, room=room)
         except Infeasible:
             continue
         if not math.isfinite(lower.energy):
@@ -1303,7 +1300,7 @@ def solve_case2(
 
     best: tuple[int, int, Case2LowerSolution] | None = None
     for k, i, lower in sorted(solved, key=lambda entry: entry[:2]):
-        if best is None or lower.energy < best[2].energy * (1.0 - options.tie_rel):
+        if best is None or lower.energy < best[2].energy * (1.0 - model.TIE_REL):
             best = (k, i, lower)
     if best is None:
         raise Infeasible(

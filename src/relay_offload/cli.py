@@ -19,8 +19,8 @@ from pathlib import Path
 from typing import Iterator
 
 from . import model
-from .case1 import Case1Options, Case1Solution, solve_case1
-from .case2 import Case2Options, Case2Solution, solve_case2
+from .case1 import Case1Solution, solve_case1
+from .case2 import Case2Solution, solve_case2
 from .model import Infeasible, Scenario, ScenarioError
 from .timeline import TimelineError, build_timeline, to_gantt_csv
 
@@ -118,52 +118,10 @@ def solution_to_doc(
     return doc
 
 
-_Options = tuple[Case1Options, Case2Options]
-
-
-def _options(pairs: list[str]) -> _Options:
-    """Both solvers' options with each ``--tol NAME=VALUE`` applied.
-
-    A ValueError names the first unusable pair.  Every pair is parsed
-    before any is checked, and a name given twice keeps its last value.
-    """
-    overrides: dict[str, float] = {}
-    for pair in pairs:
-        name, _, value = pair.partition("=")
-        if not name or not value:
-            raise ValueError(f"expected NAME=VALUE, got {pair!r}")
-        overrides[name] = float(value)
-    defaults = {
-        f.name: f.default
-        for options in (Case1Options, Case2Options)
-        for f in dataclasses.fields(options)
-    }
-    for name, value in overrides.items():
-        if name not in defaults:
-            raise ValueError(f"unknown tolerance {name!r}")
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"tolerance {name!r} must be finite and positive, got {value!r}")
-        if name.endswith("_rel") and value >= 1.0:
-            # a 100% band swallows the quantity it measures: with tie_rel=1
-            # no pair can replace the first feasible one
-            raise ValueError(f"tolerance {name!r} is relative and must be below 1, got {value!r}")
-        if isinstance(defaults[name], int):
-            if value != int(value):
-                raise ValueError(f"tolerance {name!r} must be a whole number, got {value!r}")
-            overrides[name] = int(value)
-
-    def apply(cls):
-        names = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in overrides.items() if k in names})
-
-    return apply(Case1Options), apply(Case2Options)
-
-
-def _solve(scenario: Scenario, options: _Options):
-    case1_options, case2_options = options
+def _solve(scenario: Scenario):
     if scenario.has_relay_tasks:
-        return 2, solve_case2(scenario, case2_options)
-    return 1, solve_case1(scenario, case1_options)
+        return 2, solve_case2(scenario)
+    return 1, solve_case1(scenario)
 
 
 class _Unrefereed(Exception):
@@ -248,7 +206,7 @@ def _sweep_span(name: str, lo: str, hi: str, steps: str) -> _Sweep:
     return (name, *span)
 
 
-def _run_sweep(base_doc: dict, sweep: _Sweep, options: _Options) -> str:
+def _run_sweep(base_doc: dict, sweep: _Sweep) -> str:
     name, lo, hi, steps = sweep
     section, key = _resolve_sweep_field(base_doc, name)
     lines = ["value,energy_joules,n1,n2,m1,scheme"]
@@ -263,7 +221,7 @@ def _run_sweep(base_doc: dict, sweep: _Sweep, options: _Options) -> str:
                     f"sweep {section}.{key}={value!r}: {violation.where}: {violation.message}"
                 )
         try:
-            case, solution = _solve(scenario, options)
+            case, solution = _solve(scenario)
         except Infeasible:
             lines.append(f"{value:.12g},infeasible,,,,")
             continue
@@ -294,7 +252,6 @@ def run(argv: list[str] | None = None) -> int:
         # --help, or a usage error argparse has already printed
         return stop.code
     try:
-        options = _options(args.tol)
         sweep = _sweep_span(*args.sweep) if args.command == "sweep" else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -341,9 +298,9 @@ def run(argv: list[str] | None = None) -> int:
 
     try:
         if sweep is not None:
-            return _emit(_run_sweep(raw_doc, sweep, options), args.out)
+            return _emit(_run_sweep(raw_doc, sweep), args.out)
 
-        case, solution = _solve(scenario, options)
+        case, solution = _solve(scenario)
         if args.command == "gantt":
             return _emit(to_gantt_csv(build_timeline(solution, scenario)), args.out)
         if args.command == "oracle-check":
@@ -373,13 +330,6 @@ def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
     """The arguments of command ``name``, on its own or its subparser."""
     parser.add_argument("--scenario", required=True, type=Path)
     parser.add_argument("--out", type=Path, default=None)
-    parser.add_argument(
-        "--tol",
-        action="append",
-        default=[],
-        metavar="NAME=VALUE",
-        help="override a solver tolerance",
-    )
     if name in ("solve-case1", "solve-case2"):
         parser.add_argument(
             "--oracle",

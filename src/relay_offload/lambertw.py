@@ -62,9 +62,8 @@ def lambert_w0(x: float) -> float:
     p_sq = 2.0 * (math.e * x + 1.0)
     if 0.0 <= p_sq < 1e-6:
         # Halley is ill-conditioned this close to the branch point; the
-        # series alone is accurate to O(p^4) ~ 1e-12 in w
-        p = math.sqrt(p_sq)
-        return -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p * p * p
+        # Puiseux series alone is accurate to O(p^4) ~ 1e-12 in w
+        return _initial_guess(x)
 
     w = _initial_guess(x)
     last_step = math.inf

@@ -25,6 +25,11 @@ EXP_ARG_MAX = 700.0
 # skipped; it absorbs the rounding of the floor's own energy evaluation
 FLOOR_MARGIN = 1e-9
 
+# the tie rule of both traversals: a plan replaces the incumbent only when
+# its energy is lower by more than this relative band, so near-ties break
+# toward the first plan in the canonical order
+TIE_REL = 1e-12
+
 
 class ScenarioError(ValueError):
     """Malformed or structurally inconsistent scenario input."""
@@ -529,13 +534,12 @@ def fill_device_block(
     budget: float,
     *,
     capped: bool = False,
-    rel_tol: float = 1e-9,
-    max_iter: int = 200,
 ) -> tuple[float, tuple[float, float, float, float]] | None:
     """The price lam at which the device block fills ``budget`` and its
     :func:`device_durations` there, whose total is at most the budget and,
     unless rounding leaves the bracket's low end within it, within
-    ``rel_tol`` of it; None when no durations of finite energy fit.
+    ``bisect_decreasing``'s default 1e-9 of it; None when no durations of
+    finite energy fit.
 
     Take the floors F (cycles / f_cap on a loaded compute duration when
     ``capped``, else 0), the room r = budget - sum(F) and the k loaded
@@ -587,10 +591,7 @@ def fill_device_block(
         total_hi = total(lam_hi) if lam_hi < math.inf else math.inf
         if total_hi > budget:
             return None
-    lam = bisect_decreasing(
-        total, budget, lam_lo, lam_hi, rel_tol=rel_tol, max_iter=max_iter, fn_lo=total_lo,
-        fn_hi=total_hi,
-    )
+    lam = bisect_decreasing(total, budget, lam_lo, lam_hi, fn_lo=total_lo, fn_hi=total_hi)
     return lam, seen[lam]
 
 

@@ -39,7 +39,6 @@ class GridAxis:
 class GridSpec:
     axes: tuple[GridAxis, ...]
     rounds: int = 1
-    shrink: float = 5.0
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
@@ -56,6 +55,10 @@ class GridResult:
 # grid points evaluated per batch, which bounds the memory of a round
 _CHUNK = 1 << 18
 
+# how many times narrower each refinement round's window is than the last
+# (its square root when the incumbent sits on the window's edge)
+_SHRINK = 5.0
+
 
 def grid_minimize(
     objective: Callable[[np.ndarray], np.ndarray],
@@ -64,7 +67,7 @@ def grid_minimize(
 ) -> GridResult:
     """Best feasible grid point after iterative shrink-refinement.
 
-    Each round re-grids a window shrunk ``spec.shrink``-fold around the
+    Each round re-grids a window shrunk ``_SHRINK``-fold around the
     incumbent, clipped to the original bounds.  The callables receive a
     (k, n) array of points and return length-k arrays; the objective runs
     with numpy's floating-point warnings silenced, and a non-finite value
@@ -117,9 +120,9 @@ def grid_minimize(
             if center - lo <= 1.01 * cell or hi - center <= 1.01 * cell:
                 # incumbent on the window edge: the optimum may lie just
                 # outside, so recenter and shrink gently to keep tracking
-                half = width / (2.0 * math.sqrt(spec.shrink))
+                half = width / (2.0 * math.sqrt(_SHRINK))
             else:
-                half = width / (2.0 * spec.shrink)
+                half = width / (2.0 * _SHRINK)
             nlo = max(bounds[d][0], center - half)
             nhi = min(bounds[d][1], center + half)
             if nhi <= nlo:

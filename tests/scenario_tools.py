@@ -226,3 +226,47 @@ def rescale_time(doc: dict, s: float) -> dict:
     for key in ("kappa_md", "kappa_relay"):
         doc["compute"][key] *= s * s
     return doc
+
+
+# The model's other exact symmetries, each by a factor a: the fields it
+# multiplies, as (section, key, power of a), the task field it multiplies
+# by a on both chains, if any, and the power of a the energy scales by.
+# Each leaves every duration, so the split and the scheme, as they are.
+SYMMETRIES = {
+    # every energy term is linear in sigma2 or in a kappa
+    "power": (
+        (("channel", "sigma2", 1), ("compute", "kappa_md", 1), ("compute", "kappa_relay", 1)),
+        None,
+        1,
+    ),
+    # a transmission's energy reads sigma2 / h or sigma2 / g
+    "gains": ((("channel", "h", 1), ("channel", "g", 1), ("channel", "sigma2", 1)), None, 0),
+    # a transmission's rate reads d / B
+    "data": ((("channel", "B", 1),), "d_nats", 0),
+    # a compute time reads cycles / f, its energy kappa cycles^3 / T^2
+    "cycles": (
+        (
+            ("compute", "f_md_max", 1),
+            ("compute", "f_relay_max", 1),
+            ("compute", "f_bs_max", 1),
+            ("compute", "kappa_md", -3),
+            ("compute", "kappa_relay", -3),
+        ),
+        "cycles",
+        0,
+    ),
+}
+
+
+def rescale(doc: dict, symmetry: str, a: float) -> dict:
+    """A copy of the scenario document ``doc`` under ``SYMMETRIES[symmetry]``
+    with factor a."""
+    fields, task_key, _ = SYMMETRIES[symmetry]
+    doc = copy.deepcopy(doc)
+    for section, key, power in fields:
+        doc[section][key] *= a**power
+    if task_key is not None:
+        for chain in ("device_tasks", "relay_tasks"):
+            for task in doc.get(chain) or ():
+                task[task_key] *= a
+    return doc

@@ -18,7 +18,6 @@ from relay_offload import (
 )
 from relay_offload import case1, model
 from relay_offload.case1 import (
-    Case1Options,
     SplitIndices,
     freq_from_lambda,
     solve_case1,
@@ -380,7 +379,7 @@ class TestUpperSolver:
         assert counts["calls"] > 0
         # geometric bisection over the ~20-decade bracket needs about 33
         assert counts["evals"] <= 12 * counts["calls"]
-        band = Case1Options().bisect_rel * scenario.deadlines.t_s
+        band = 1e-9 * scenario.deadlines.t_s  # the search's band of the budget
         assert all(0.0 <= lower.slack <= band for lower in solved)
 
     def test_completion_time_not_reevaluated_after_search(self, monkeypatch):
@@ -452,12 +451,6 @@ class TestUpperSolver:
         with pytest.raises(Infeasible, match="globally infeasible"):
             solve_case1(scenario)
 
-    def test_options_tighten_bisection(self):
-        scenario = all_local_scenario()
-        tight = solve_case1(scenario, Case1Options(bisect_rel=1e-12))
-        default = solve_case1(scenario)
-        assert tight.lower.energy == pytest.approx(default.lower.energy, rel=1e-8)
-
 
 class TestPriceBracket:
     """Case 1's lower solve through ``model.fill_device_block``: the price
@@ -509,7 +502,7 @@ class TestPriceBracket:
     def test_every_slack_lies_in_the_search_band(self):
         checked = 0
         for scenario in self.instances():
-            band = Case1Options().bisect_rel * scenario.deadlines.t_s
+            band = 1e-9 * scenario.deadlines.t_s  # the search's band of the budget
             for n1, n2, sums in model.device_split_sums(scenario):
                 try:
                     lower = solve_lower_case1(SplitIndices(n1, n2), scenario, sums=sums)
@@ -684,7 +677,7 @@ class TestSplitFloor:
                         energy = solve_lower_case1(split, scenario, sums=sums).energy
                     except Infeasible:
                         continue
-                    if best is None or energy < best * (1.0 - Case1Options().tie_rel):
+                    if best is None or energy < best * (1.0 - model.TIE_REL):
                         best = energy
             return solved
 

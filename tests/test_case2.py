@@ -28,7 +28,6 @@ from relay_offload.case1 import SplitIndices, solve_lower_case1
 from relay_offload.case2 import (
     Case2Indices,
     Case2LowerSolution,
-    Case2Options,
     Case2Solution,
     SchemeId,
     solve_case2,
@@ -296,20 +295,32 @@ class TestNumericSchemes:
 
 class TestSolveCase2:
     def test_exit_only_relay_matches_case1(self):
+        # a relay task of no data and no work, arriving at 0, under the
+        # relay-idle deadline: case 2's program is case 1's with the device
+        # and relay caps relaxed, so its optimum equals case 1's where no
+        # case-1 frequency sits at its cap, and is no higher where one does
         from relay_offload.case1 import solve_case1
 
-        rng = np.random.default_rng(61)
-        scenario = exit_only_relay_scenario(rng, n_tasks=2)
-        relay_idle = Scenario(
-            device_chain=scenario.device_chain,
-            relay_chain=None,
-            channel=scenario.channel,
-            compute=scenario.compute,
-            deadlines=Deadlines(t_s=scenario.deadlines.t_s_th),
-        )
-        busy = solve_case2(scenario)
-        idle = solve_case1(relay_idle)
-        assert busy.lower.energy == pytest.approx(idle.lower.energy, rel=5e-3)
+        rng = np.random.default_rng(21)
+        uncapped = 0
+        for _ in range(20):
+            scenario = exit_only_relay_scenario(rng, n_tasks=int(rng.integers(1, 6)))
+            t_s, compute = scenario.deadlines.t_s_th, scenario.compute
+            idle = solve_case1(
+                dataclasses.replace(scenario, relay_chain=None, deadlines=Deadlines(t_s=t_s))
+            )
+            # freq_from_lambda clips a frequency to its cap exactly
+            capped = idle.lower.f_local == compute.f_md_max or (
+                idle.lower.f_relay == compute.f_relay_max
+            )
+            uncapped += not capped
+            for factor in (1.0, 10.0, 1000.0):
+                deadlines = dataclasses.replace(scenario.deadlines, t_r_th=factor * t_s)
+                busy = solve_case2(dataclasses.replace(scenario, deadlines=deadlines))
+                assert busy.lower.energy <= idle.lower.energy * (1 + 1e-9), factor
+                if not capped:
+                    assert busy.lower.energy == pytest.approx(idle.lower.energy, rel=1e-9), factor
+        assert uncapped > 10
 
     def test_dominates_every_scheme(self):
         scenario = basic_scenario()
@@ -419,7 +430,7 @@ def _relay_busy(t_r_factor=1.0):
     return dataclasses.replace(scenario, deadlines=deadlines)
 
 
-def _exhaustive_case2(scenario, options=Case2Options()):
+def _exhaustive_case2(scenario):
     """Every scheme at every split, in the canonical order and tie rule.
 
     Also checks that each pair's own scheme floor is below the energy the
@@ -433,32 +444,32 @@ def _exhaustive_case2(scenario, options=Case2Options()):
                 for m1 in range(1, m + 2):
                     indices = Case2Indices(n1, n2, m1)
                     try:
-                        lower = solve_scheme(scheme, indices, scenario, options)
+                        lower = solve_scheme(scheme, indices, scenario)
                     except Infeasible:
                         continue
                     if not math.isfinite(lower.energy):
                         continue
                     room = case2._Room(indices, scenario, None)
-                    floor = _scheme_floor(scheme, room, scenario, options)
+                    floor = _scheme_floor(scheme, room, scenario)
                     assert floor <= lower.energy * (1 + 1e-9), (scheme, indices)
-                    if best is None or lower.energy < best[2].energy * (1 - options.tie_rel):
+                    if best is None or lower.energy < best[2].energy * (1 - model.TIE_REL):
                         best = (scheme, indices, lower)
     return best
 
 
-def _budget_floor(sums, scenario, options=Case2Options()):
+def _budget_floor(sums, scenario):
     """Every duration at its block's whole budget, D or O, widened by the
     caps' slack: the floor a split enters the traversal's heap at."""
     device, own = case2._budgets(sums, scenario)
-    slack = 14.0 * options.feas_tol
+    slack = 14.0 * case2._FEAS_TOL
     d, o = device + slack, own + slack
     return energy(sums, scenario, d, d, o, d, d, o)
 
 
-def _scheme_floor(scheme, room, scenario, options=Case2Options()):
+def _scheme_floor(scheme, room, scenario):
     """Every duration at its cap in the scheme's rows, widened by the caps'
     slack: the scheme floor in a pair's key in the traversal's heap."""
-    caps = case2._caps(scheme, room, 14.0 * options.feas_tol)
+    caps = case2._caps(scheme, room, 14.0 * case2._FEAS_TOL)
     return energy(room.sums, scenario, *caps)
 
 
@@ -556,8 +567,7 @@ class TestSplitFloor:
     def test_scheme_floors_bound_every_solved_pair(self):
         # the traversal's split floors, then its pair floors without the
         # device-block bound: each scheme's floor alone
-        options = Case2Options()
-        slack = 14.0 * options.feas_tol
+        slack = 14.0 * case2._FEAS_TOL
         instances = [_relay_busy(factor) for factor in (1.0, 10.0, 1e3, 1e6, 1e9)]
         for n_tasks, m_tasks in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]:
             instances += [_random_busy(seed, n_tasks, m_tasks) for seed in range(20)]
@@ -565,7 +575,7 @@ class TestSplitFloor:
         for scenario in instances:
             splits = list(model.relay_busy_split_sums(scenario))
             for (n1, n2, m1, sums), budget_floor in zip(
-                splits, case2._split_floors(splits, scenario, options)
+                splits, case2._split_floors(splits, scenario)
             ):
                 indices = Case2Indices(n1, n2, m1)
                 room = case2._Room(indices, scenario, sums)
@@ -582,8 +592,7 @@ class TestSplitFloor:
     def test_device_block_keys_bound_every_solved_pair(self):
         # the key a pair is solved at: the device block's one-price minimum
         # plus the relay-own terms at the scheme's caps, or its scheme floor
-        options = Case2Options()
-        slack = 14.0 * options.feas_tol
+        slack = 14.0 * case2._FEAS_TOL
         instances = [_relay_busy(factor) for factor in (1.0, 3.0, 30.0, 1e3, 1e9)]
         for n_tasks, m_tasks in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2)]:
             instances += [_random_busy(seed, n_tasks, m_tasks) for seed in range(20, 25)]
@@ -596,10 +605,10 @@ class TestSplitFloor:
                 keys = case2._pair_floors(room, scenario, slack, device)
                 for scheme, key in zip(SchemeId, keys):
                     try:
-                        lower = solve_scheme(scheme, indices, scenario, options, room=room)
+                        lower = solve_scheme(scheme, indices, scenario, room=room)
                     except Infeasible:
                         continue
-                    floor = _scheme_floor(scheme, room, scenario, options)
+                    floor = _scheme_floor(scheme, room, scenario)
                     terms = energy_terms(sums, scenario, *case2._caps(scheme, room, slack))
                     block = device + terms["tx_relay_own"] + terms["cpu_relay_own"]
                     assert floor <= key <= lower.energy * (1 + model.FLOOR_MARGIN), (
@@ -615,8 +624,7 @@ class TestSplitFloor:
         # each scheme's six capped terms serve both of its pair floor's
         # parts; without the device-block bound the key is model.energy
         # at the scheme's caps bit for bit
-        options = Case2Options()
-        slack = 14.0 * options.feas_tol
+        slack = 14.0 * case2._FEAS_TOL
         instances = [_relay_busy(factor) for factor in (1.0, 10.0, 1e3, 1e9)]
         for n_tasks, m_tasks in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]:
             instances += [_random_busy(seed, n_tasks, m_tasks) for seed in range(5)]
@@ -629,7 +637,7 @@ class TestSplitFloor:
                 floors = case2._pair_floors(room, scenario, slack, device)
                 scheme_floors = case2._pair_floors(room, scenario, slack, -math.inf)
                 for scheme, floor, scheme_floor in zip(SchemeId, floors, scheme_floors):
-                    reference = _scheme_floor(scheme, room, scenario, options)
+                    reference = _scheme_floor(scheme, room, scenario)
                     assert scheme_floor == reference, (scheme, indices)
                     terms = energy_terms(sums, scenario, *case2._caps(scheme, room, slack))
                     block = device + terms["tx_relay_own"] + terms["cpu_relay_own"]
@@ -685,15 +693,15 @@ class TestSplitFloor:
         scenario = basic_scenario(t_s_th=2e8 / 5e9 / 2, t_r_th=1.0)
         splits = list(model.relay_busy_split_sums(scenario))
         assert splits[0][:3] == (1, 1, 1)
-        assert case2._split_floors(splits, scenario, Case2Options())[0] == math.inf
+        assert case2._split_floors(splits, scenario)[0] == math.inf
         room = case2._Room(Case2Indices(1, 1, 1), scenario, splits[0][3])
-        slack = 14.0 * Case2Options().feas_tol
+        slack = 14.0 * case2._FEAS_TOL
         # each scheme floor alone: a cap <= 0 under nonzero load gives inf
         assert case2._pair_floors(room, scenario, slack, -math.inf) == [math.inf] * 3
         device = model.device_block_floor(room.sums, scenario, room.device + slack)
         assert case2._pair_floors(room, scenario, slack, device) == [math.inf] * 3
 
-    def test_split_floors_are_budget_floors_bit_for_bit(self):
+    def test_split_floors_are_budget_floors_bit_for_bit(self, monkeypatch):
         instances = [
             _random_busy(seed, n_tasks, m_tasks)
             for n_tasks in (1, 2, 3)
@@ -712,28 +720,29 @@ class TestSplitFloor:
         instances.append(basic_scenario(t_s_th=0.02, t_r_th=0.06))
         checked = overrun = 0
         for scenario in instances:
-            for options in (Case2Options(), Case2Options(feas_tol=1e-4)):
+            for feas_tol in (1e-9, 1e-4):
+                monkeypatch.setattr(case2, "_FEAS_TOL", feas_tol)
                 splits = list(model.relay_busy_split_sums(scenario))
-                floors = case2._split_floors(splits, scenario, options)
+                floors = case2._split_floors(splits, scenario)
                 assert len(floors) == len(splits)
                 for (n1, n2, m1, sums), floor in zip(splits, floors):
-                    assert floor == _budget_floor(sums, scenario, options), (n1, n2, m1)
+                    assert floor == _budget_floor(sums, scenario), (n1, n2, m1)
                     overrun += floor == math.inf
                     checked += 1
         assert checked > 1000 and overrun > 0
 
     @pytest.mark.parametrize(
-        "make, options",
+        "make, tie_rel",
         [
-            (lambda: _random_busy(6, 2, 2), Case2Options()),
-            (lambda: _random_busy(6, 3, 1), Case2Options()),
-            (lambda: _random_busy(2, 1, 3), Case2Options()),
-            (lambda: _random_busy(6, 2, 2), Case2Options(tie_rel=1e-6)),
-            (lambda: _relay_busy(10.0), Case2Options(tie_rel=1e-6)),
-            (lambda: _random_busy(6, 3, 1), Case2Options(tie_rel=1e-6)),
-            (lambda: _random_busy(2, 1, 3), Case2Options(tie_rel=1e-6)),
-            (lambda: _random_busy(11, 2, 2), Case2Options()),
-            (lambda: _random_busy(11, 2, 2), Case2Options(tie_rel=1e-6)),
+            (lambda: _random_busy(6, 2, 2), None),
+            (lambda: _random_busy(6, 3, 1), None),
+            (lambda: _random_busy(2, 1, 3), None),
+            (lambda: _random_busy(6, 2, 2), 1e-6),
+            (lambda: _relay_busy(10.0), 1e-6),
+            (lambda: _random_busy(6, 3, 1), 1e-6),
+            (lambda: _random_busy(2, 1, 3), 1e-6),
+            (lambda: _random_busy(11, 2, 2), None),
+            (lambda: _random_busy(11, 2, 2), 1e-6),
         ],
         ids=[
             "2x2-6",
@@ -747,10 +756,13 @@ class TestSplitFloor:
             "2x2-11-tie1e-6",
         ],
     )
-    def test_floor_order_keeps_the_exhaustive_winner(self, make, options):
+    def test_floor_order_keeps_the_exhaustive_winner(self, monkeypatch, make, tie_rel):
+        # None keeps the solvers' own tie band
+        if tie_rel is not None:
+            monkeypatch.setattr(model, "TIE_REL", tie_rel)
         scenario = make()
-        scheme, indices, lower = _exhaustive_case2(scenario, options)
-        solution = solve_case2(scenario, options)
+        scheme, indices, lower = _exhaustive_case2(scenario)
+        solution = solve_case2(scenario)
         assert (solution.scheme, solution.indices) == (scheme, indices)
         assert solution.lower == lower
 
@@ -774,7 +786,8 @@ class TestSplitFloor:
         # just below its energy: a skip margin of FLOOR_MARGIN plus one tie
         # band picks a different winner than the exhaustive traversal on
         # some seeds
-        options = Case2Options(tie_rel=1e-6)
+        tie_rel = 1e-6
+        monkeypatch.setattr(model, "TIE_REL", tie_rel)
         scenario = _random_busy(1, 2, 2)
         splits = [
             Case2Indices(n1, n2, m1)
@@ -784,7 +797,7 @@ class TestSplitFloor:
         ]
         energies, floors = {}, {}
 
-        def fake_solve(scheme, indices, scenario, options, *, warm_start=None, room=None):
+        def fake_solve(scheme, indices, scenario, *, warm_start=None, room=None):
             energy = energies[scheme, indices]
             if energy is None:
                 raise Infeasible("synthetic", ("synthetic",))
@@ -800,7 +813,7 @@ class TestSplitFloor:
         def fake_pair_floors(room, scenario, slack, device):
             return [floors[s, split_of[room.sums]] for s in SchemeId]
 
-        def fake_split_floors(splits, scenario, options):
+        def fake_split_floors(splits, scenario):
             # the floor of a whole split bounds each of its schemes' floors
             return [
                 min(floors[s, Case2Indices(n1, n2, m1)] for s in SchemeId)
@@ -817,23 +830,23 @@ class TestSplitFloor:
                     bands = rng.uniform(0.0, 6.0)
                     feasible = rng.uniform() > 0.15
                     energies[scheme, indices] = (
-                        1e-3 * (1.0 + options.tie_rel) ** bands if feasible else None
+                        1e-3 * (1.0 + tie_rel) ** bands if feasible else None
                     )
             for scheme in SchemeId:
                 for indices in splits:
                     energy = energies[scheme, indices]
                     if energy is None:
-                        energy = 1e-3 * (1.0 + options.tie_rel) ** rng.uniform(0.0, 6.0)
-                    floors[scheme, indices] = energy * (1.0 - options.tie_rel * rng.uniform())
+                        energy = 1e-3 * (1.0 + tie_rel) ** rng.uniform(0.0, 6.0)
+                    floors[scheme, indices] = energy * (1.0 - tie_rel * rng.uniform())
             best = None
             for scheme in SchemeId:
                 for indices in splits:
                     energy = energies[scheme, indices]
                     if energy is not None and (
-                        best is None or energy < best[2] * (1.0 - options.tie_rel)
+                        best is None or energy < best[2] * (1.0 - tie_rel)
                     ):
                         best = (scheme, indices, energy)
-            solution = solve_case2(scenario, options)
+            solution = solve_case2(scenario)
             winner = (solution.scheme, solution.indices, solution.lower.energy)
             assert winner == best, seed
 
@@ -894,8 +907,8 @@ class TestSplitFloor:
         # D and the device terms depend on (n1, n2) alone: one
         # device_block_floor per device split that comes up, within the
         # call, and every pair floor is a from-scratch one, bit for bit
-        scenario, options = make(), Case2Options()
-        slack = 14.0 * options.feas_tol
+        scenario = make()
+        slack = 14.0 * case2._FEAS_TOL
         room, block, pair_floors = case2._Room, model.device_block_floor, case2._pair_floors
         splits, blocks, fronts = {}, [], []
 
@@ -918,7 +931,7 @@ class TestSplitFloor:
         for _ in range(2):  # nothing is kept across calls
             blocks.clear()
             fronts.clear()
-            solve_case2(scenario, options)
+            solve_case2(scenario)
             device_splits = {(splits[id(r)].n1, splits[id(r)].n2) for r, _ in fronts}
             assert len(blocks) == len(device_splits) > 0
             if expected is not None:
@@ -935,8 +948,7 @@ class TestRoom:
         # points inside each scheme's rows: seeded random starts projected
         # onto them, and every solver optimum; no duration may exceed the
         # cap its scheme floor sets it to
-        options = Case2Options()
-        slack = 14.0 * options.feas_tol
+        slack = 14.0 * case2._FEAS_TOL
         rng = np.random.default_rng(67)
         instances = [_relay_busy(factor) for factor in (1.0, 10.0, 1e3)]
         instances += [_random_busy(seed, 2, 2) for seed in range(4)]
@@ -947,7 +959,7 @@ class TestRoom:
                 room = case2._Room(indices, scenario, sums)
                 for scheme in SchemeId:
                     try:
-                        lower = solve_scheme(scheme, indices, scenario, options, room=room)
+                        lower = solve_scheme(scheme, indices, scenario, room=room)
                     except Infeasible:
                         continue
                     caps = np.array(case2._caps(scheme, room, slack))
@@ -962,7 +974,7 @@ class TestRoom:
                     )
                     for _ in range(8):
                         point = project(list(rng.uniform(0.0, 1.2 * room.horizon, n)))
-                        if project.violation(point) <= options.feas_tol:
+                        if project.violation(point) <= case2._FEAS_TOL:
                             points.append(np.array(point[:6]))
                     for x in points:
                         assert np.all(x <= caps), (scheme, indices, x - caps)
@@ -973,7 +985,7 @@ class TestRoom:
         # deadlines a few feas_tol either side of each scheme's boundaries:
         # a pair is feasible exactly when the corner point of _feasible's
         # docstring meets the scheme's rows to feas_tol
-        tol = Case2Options().feas_tol
+        tol = case2._FEAS_TOL
         rng = np.random.default_rng(71)
         verdicts = {True: 0, False: 0}
         for seed in range(6):
@@ -1001,7 +1013,7 @@ class TestRoom:
                     else:
                         corner[3] = t0  # T1
                     meets = bool(np.all(rows @ corner - bounds <= tol))
-                    assert case2._feasible(scheme, room, tol) == meets, (scheme, indices)
+                    assert case2._feasible(scheme, room) == meets, (scheme, indices)
                     if not meets:
                         with pytest.raises(Infeasible):
                             solve_scheme(scheme, indices, scenario)

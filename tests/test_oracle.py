@@ -188,9 +188,9 @@ def reference_grid_minimize(objective, feasible, spec):
             cell = width / (counts[d] - 1)
             center = float(best_point[d])
             if center - lo <= 1.01 * cell or hi - center <= 1.01 * cell:
-                half = width / (2.0 * math.sqrt(spec.shrink))
+                half = width / (2.0 * math.sqrt(oracle._SHRINK))
             else:
-                half = width / (2.0 * spec.shrink)
+                half = width / (2.0 * oracle._SHRINK)
             nlo = max(bounds[d][0], center - half)
             nhi = min(bounds[d][1], center + half)
             if nhi <= nlo:

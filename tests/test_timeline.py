@@ -29,7 +29,13 @@ from relay_offload.timeline import (
     verify,
 )
 
-from scenario_tools import random_case1_scenario, random_case2_scenario, rescale_time
+from scenario_tools import (
+    SYMMETRIES,
+    random_case1_scenario,
+    random_case2_scenario,
+    rescale,
+    rescale_time,
+)
 from test_case1 import all_local_scenario
 
 
@@ -150,8 +156,10 @@ class TestTimeScale:
 
     @pytest.mark.parametrize("case", ["relay-idle", "relay-busy"])
     def test_seeded_plans_keep_their_answer_at_any_time_scale(self, case):
-        # a time rescaling leaves every energy term as it is, so each plan
-        # keeps its split, its scheme and its energy, and still lays out
+        # a time rescaling leaves every energy term as it is, and so do the
+        # model's other symmetries but the power one, which scales every
+        # energy by a; each keeps every duration, so each plan keeps its
+        # split, its scheme and its energy (times a), and still lays out
         rng = np.random.default_rng(89)
         for _ in range(20):
             if case == "relay-idle":
@@ -161,15 +169,22 @@ class TestTimeScale:
                 base, solve = random_case2_scenario(rng, n_tasks, m_tasks), solve_case2
             doc = scenario_to_dict(base)
             unit = solve(scenario_from_dict(doc))
-            for s in (1e-3, 1e3, 1e6, 1e9):
-                scenario = scenario_from_dict(rescale_time(doc, s))
+            scaled = [(f"time x{s}", rescale_time(doc, s), 1.0) for s in (1e-3, 1e3, 1e6, 1e9)]
+            scaled += [
+                (f"{name} x{a}", rescale(doc, name, a), a ** SYMMETRIES[name][2])
+                for name in SYMMETRIES
+                for a in (1e-12, 1e-6, 1e6, 1e12, 2.0**20)
+            ]
+            for label, scaled_doc, energy_scale in scaled:
+                scenario = scenario_from_dict(scaled_doc)
                 plan = solve(scenario)
                 if case == "relay-idle":
-                    assert plan.split == unit.split, s
+                    assert plan.split == unit.split, label
                 else:
-                    assert (plan.scheme, plan.indices) == (unit.scheme, unit.indices), s
-                assert math.isclose(plan.lower.energy, unit.lower.energy, rel_tol=1e-9), s
-                assert verify(build_timeline(plan, scenario)) == [], s
+                    assert (plan.scheme, plan.indices) == (unit.scheme, unit.indices), label
+                energy = unit.lower.energy * energy_scale
+                assert math.isclose(plan.lower.energy, energy, rel_tol=1e-9), label
+                assert verify(build_timeline(plan, scenario)) == [], label
 
     def test_device_checks_keep_their_own_scale(self):
         # a relay deadline of 9e8 s must not loosen the checks on the device

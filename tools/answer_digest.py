@@ -42,8 +42,8 @@ then each float field's largest relative change and where it happened,
 then each result whose energy moved by more than its allowance.  The
 allowance is ENERGY_DRIFT times the larger energy.  A ``Case1Solution``
 also gets the larger ``lam`` times the change in ``slack``: the case-1
-lower solve only promises the device block's time to ``bisect_rel`` of
-its budget, and at a fixed split the optimal energy is convex and
+lower solve only promises the device block's time to 1e-9 of its
+budget, and at a fixed split the optimal energy is convex and
 non-increasing in that time, with slope ``-lam``.  It exits 1 on an
 outcome change or on an energy beyond its allowance, and 0 otherwise.
 """
