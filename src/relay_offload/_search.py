@@ -15,12 +15,17 @@ import math
 from typing import Callable
 
 
+# The tolerance band is _REL_TOL*|target| below the target, and the search
+# takes at most _MAX_ITER steps.
+_REL_TOL = 1e-9
+_MAX_ITER = 200
+
 # Where a false-position step aims, and how close a point must come before
-# it is returned, as fractions of the tolerance band rel_tol*|target|
-# below the target.  Landing this deep keeps the returned point at least
-# as close to the target as a bisection leaves it, so a caller's objective
-# does not rise; aiming below the acceptance edge keeps the steps from
-# stopping short on the infeasible side.
+# it is returned, as fractions of the tolerance band below the target.
+# Landing this deep keeps the returned point at least as close to the
+# target as a bisection leaves it, so a caller's objective does not rise;
+# aiming below the acceptance edge keeps the steps from stopping short on
+# the infeasible side.
 _AIM = 1e-3
 _ACCEPT = 1e-2
 
@@ -31,8 +36,6 @@ def bisect_decreasing(
     lo: float,
     hi: float,
     *,
-    rel_tol: float = 1e-9,
-    max_iter: int = 200,
     fn_lo: float | None = None,
     fn_hi: float | None = None,
 ) -> float:
@@ -49,10 +52,10 @@ def bisect_decreasing(
     end it replaced (as on a flat stretch, where false position crawls).
 
     Only points with fn(x) <= target are returned, within
-    rel_tol*|target| of it; a point is accepted only in the innermost
-    hundredth of that band.  When the iterations run out or the bracket
-    collapses, the hi side (the feasible one) of the final bracket is
-    returned.
+    _REL_TOL*|target| of it; a point is accepted only in the innermost
+    hundredth of that band.  When the _MAX_ITER iterations run out or the
+    bracket collapses, the hi side (the feasible one) of the final bracket
+    is returned.
 
     ``fn_lo`` and ``fn_hi`` are fn(lo) and fn(hi) when the caller already
     has them.  With both, the first step already uses false position, but
@@ -61,7 +64,7 @@ def bisect_decreasing(
     model (a completion time flattens toward its frequency-cap floor at
     large multipliers), and the full step lands far beyond the root.
     """
-    band = rel_tol * max(abs(target), 1e-300)
+    band = _REL_TOL * max(abs(target), 1e-300)
     accept = _ACCEPT * band
     aim = target - _AIM * band
 
@@ -78,7 +81,7 @@ def bisect_decreasing(
     moved = 0  # the end the last step replaced: -1 lo, +1 hi
     progress = True  # the last step at least halved its end's gap
     opening = True
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         x = math.sqrt(lo) * math.sqrt(hi)  # lo * hi can overflow
         if progress and gap_lo is not None and gap_hi is not None:
             try:

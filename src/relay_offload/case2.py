@@ -1,19 +1,19 @@
 """Solver for the case where the relay has its own task chain.
 
 The shared uplink band admits three transmission orderings (schemes).  At
-a fixed split each scheme is a convex program in six durations, and S3's
-relay-own gap tau0 when it is optimised, under at most four timing rows.
-All three share the split's deadline budgets, built once per split as its
-room (:class:`_Room`): the device budget, the relay-own budget, its window
-and S2's completion bound.  Each scheme's rows are one literal coefficient
-table over that room, and the feasibility test, the energy floors' caps
-and the cold starts read the same room.  The starts are placed on
-:func:`_rows`, where S2 still carries an epigraph column t_c for its
-completion time (five rows); the engine solves the equivalent program of
-:func:`_engine_rows`, where t_c is eliminated and S2 has three rows, with
-each unloaded duration that only uses up budget pinned at zero.  The rows
-cap every column, so with the durations' lower bounds they alone bound
-each program: there is no box.
+a fixed split each scheme is a convex program in six durations under at
+most four timing rows.  All three share the split's deadline budgets,
+built once per split as its room (:class:`_Room`): the device budget, the
+relay-own budget, its window and S2's completion bound.  Each scheme's
+rows are one literal coefficient table over that room, and the
+feasibility test, the energy floors' caps and the cold starts read the
+same room.  Every (scheme, split) pair is solved from its cold starts,
+placed on :func:`_rows`, where S2 still carries an epigraph column t_c
+for its completion time (five rows); the engine solves the equivalent
+program of :func:`_engine_rows`, where t_c is eliminated and S2 has
+three rows, with each unloaded duration that only uses up budget pinned
+at zero.  The rows cap every column, so with the durations' lower bounds
+they alone bound each program: there is no box.
 
 :func:`solve_scheme` is the one fixed-split solver.
 :func:`active_set_newton` solves each program exactly from the model's
@@ -207,10 +207,10 @@ def _rows(scheme: SchemeId, room: _Room) -> tuple[list[list[float]], list[float]
     the starting points are placed on them.
 
     Columns: tau1, tau2, tau3, T1, T2, T3, then S2's epigraph variable t_c
-    of its completion-time max, or S3's relay-own transmission gap tau0,
-    a column only when it is optimised (see :func:`solve_scheme`).  Every
-    column has a row of nonnegative coefficients that caps it, but S2's
-    tau3 and T3: its relay completion row plus its t_c row caps those,
+    of its completion-time max; S3's relay-own transmission gap tau0 is
+    pinned at zero, its optimal value, and has none.  Every column has a
+    row of nonnegative coefficients that caps it, but S2's tau3 and T3:
+    its relay completion row plus its t_c row caps those,
     tau3 + T2 + T3 <= finish - t0.  The engine solves S2 without t_c, on
     :func:`_engine_rows`.
     """
@@ -233,11 +233,11 @@ def _rows(scheme: SchemeId, room: _Room) -> tuple[list[list[float]], list[float]
         )
     else:
         table = (
-            # tau1 tau2 tau3 T1 T2 T3 tau0
-            ((1, 0, 0, 1, 0, -1, 0), t0),  # ordering: the device upload ends by t0 + T3
-            ((-1, 0, 1, -1, -1, 1, 0), -t0),  # the forward waits for the own upload
-            ((0, 0, 1, 0, 0, 1, 1), room.window),  # the own block's window
-            ((1, 1, 0, 1, 1, 0, 0), room.device),  # the device block's budget
+            # tau1 tau2 tau3 T1 T2 T3
+            ((1, 0, 0, 1, 0, -1), t0),  # ordering: the device upload ends by t0 + T3
+            ((-1, 0, 1, -1, -1, 1), -t0),  # the forward waits for the own upload
+            ((0, 0, 1, 0, 0, 1), room.window),  # the own block's window
+            ((1, 1, 0, 1, 1, 0), room.device),  # the device block's budget
         )
     return [[float(c) for c in a] for a, _ in table], [float(b) for _, b in table]
 
@@ -551,7 +551,7 @@ class _Face:
     p_i; M_if = R[i][f] at every other column f.  The moves
     z_f = e_f - sum_i M_if e_{p_i} span the face {v : rows @ v = 0}, and
     keep the rows' +-1 structure, so a move of zero-cost coordinates alone
-    (an unloaded duration the engine keeps, the free tau0) has no curvature
+    (such as an unloaded duration the engine keeps) has no curvature
     and no slope.  When the rows are independent, E is the inverse of their
     pivot block.
 
@@ -901,7 +901,7 @@ def active_set_newton(
     )
 
 
-def _cold_starts(scheme: SchemeId, room: _Room, free_tau0: bool) -> list[list[float]]:
+def _cold_starts(scheme: SchemeId, room: _Room) -> list[list[float]]:
     """The engine's cold starts, in :func:`_rows`' columns.
 
     Scheme 1's fills the device budget D.  The relay-own block takes half
@@ -910,8 +910,8 @@ def _cold_starts(scheme: SchemeId, room: _Room, free_tau0: bool) -> list[list[fl
     takes an equal share of what is left of D with the other loaded device
     durations.  Every duration is a fraction of a deadline budget, so the
     start stays usable at any time scale.  Schemes 2 and 3 start with every
-    duration at 5%, then 20%, of the horizon, S2's t_c at half of t_r_th
-    and S3's free tau0 at zero; the projector places them.
+    duration at 5%, then 20%, of the horizon, and S2's t_c at half of
+    t_r_th; the projector places them.
     """
     sums, t0 = room.sums, room.t0
     if scheme is SchemeId.S1:
@@ -922,7 +922,7 @@ def _cold_starts(scheme: SchemeId, room: _Room, free_tau0: bool) -> list[list[fl
         share = (room.device - t0 - block) / (1 + sum(device))
         tau1, tau2, t2 = (share if loaded else 0.0 for loaded in device)
         return [[tau1, tau2, tau3, t0 + block + share, t2, t3]]
-    extra = [0.5 * room.t_r] if scheme is SchemeId.S2 else [0.0] if free_tau0 else []
+    extra = [0.5 * room.t_r] if scheme is SchemeId.S2 else []
     return [[frac * room.horizon] * 6 + extra for frac in (0.05, 0.2)]
 
 
@@ -931,15 +931,12 @@ def solve_scheme(
     indices: Case2Indices,
     scenario: Scenario,
     *,
-    free_tau0: bool = False,
-    warm_start: Case2LowerSolution | None = None,
-    warm_only: bool = False,
     room: _Room | None = None,
 ) -> Case2LowerSolution:
     """Minimize one scheme at a fixed split with :func:`active_set_newton`.
 
-    The engine runs from the first usable start: ``warm_start``, then the
-    cold starts of :func:`_cold_starts`.  A start is usable when
+    The engine runs from the first usable cold start of
+    :func:`_cold_starts`.  A start is usable when
     :class:`_PolytopeProjector` places it within _FEAS_TOL of the scheme's
     lower bounds and :func:`_rows` at finite energy; the projector's planes
     are built once per row shape (:func:`_plane_table`), so a split only
@@ -954,40 +951,20 @@ def solve_scheme(
     program's loaded columns alone, calling the model's per-term kernels
     and adding the energy terms in :func:`model.energy`'s order, so each
     value equals the six-term model's; an unloaded column the engine keeps
-    and the free tau0 read 0.  The engine's row multipliers are the
-    solution's prices, and Scheme 1's duals are read from them.
+    reads 0.  The engine's row multipliers are the solution's prices, and
+    Scheme 1's duals are read from them.  Scheme 3's relay-own
+    transmission gap tau0 is pinned at zero, its optimal value.
 
-    The relay-own transmission gap tau0 of Scheme 3 is pinned to zero (its
-    optimal value); pass ``free_tau0=True`` to optimize it explicitly,
-    which exists so tests can confirm the pin never loses energy.
-    ``warm_only`` restricts the starting points to ``warm_start``, for
-    perturbation studies against a known solution.  ``room`` gives the
-    split's :class:`_Room` when the caller has it, so the solve builds none.
+    ``room`` gives the split's :class:`_Room` when the caller has it, so
+    the solve builds none.
     """
-    if free_tau0 and scheme is not SchemeId.S3:
-        raise ValueError("tau0 exists only in scheme 3")
-    if warm_only and warm_start is None:
-        raise ValueError("warm_only requires a warm_start")
     if room is None:
         room = _Room(indices, scenario, None)
     sums = room.sums
     if not _feasible(scheme, room):
         raise _infeasible(scheme, indices)
 
-    n_vars = 7 if scheme is SchemeId.S2 or free_tau0 else 6
-    starts = []
-    if warm_start is not None:
-        w = warm_start
-        warm = [w.tau1, w.tau2, w.tau3, w.t1, w.t2, w.t3]
-        if scheme is SchemeId.S2:
-            device_done = w.t1 + w.tau1 + w.t2 + w.tau2 + w.tau_s
-            warm.append(max(device_done, room.t0 + w.t2 + w.t3 + w.tau3))
-        elif free_tau0:
-            warm.append(0.0)
-        starts.append(warm)
-    if not warm_only:
-        starts += _cold_starts(scheme, room, free_tau0)
-
+    n_vars = 7 if scheme is SchemeId.S2 else 6
     loads = (sums.d1, sums.d2, sums.d3, sums.ls, sums.rs, sums.lr)
     eps = 1e-12 * room.horizon
     lo = [eps if 3 <= i < 6 and loads[i] > 0.0 else 0.0 for i in range(n_vars)]
@@ -998,7 +975,7 @@ def solve_scheme(
     placed = [i for i in range(n_vars) if i >= 3 or loads[i] > 0.0]
     rows = [[row[i] for i in placed] for row in rows]
     project = _PolytopeProjector([lo[i] for i in placed], rows, bounds, tol=1e-13, max_sweeps=400)
-    for start in starts:
+    for start in _cold_starts(scheme, room):
         point = project([start[i] for i in placed])
         accepted = [0.0] * n_vars
         for k, i in enumerate(placed):
@@ -1017,23 +994,21 @@ def solve_scheme(
     # optimal, and the start stays feasible with it at zero.
     rows, bounds = _engine_rows(scheme, room)
     active = [
-        i
-        for i in range(7 if free_tau0 else 6)
-        if i >= 6 or loads[i] > 0.0 or (i >= 3 and any(row[i] < 0.0 for row in rows))
+        i for i in range(6) if loads[i] > 0.0 or (i >= 3 and any(row[i] < 0.0 for row in rows))
     ]
     rows = [[row[i] for i in active] for row in rows]
 
     # The loaded columns, in model._term_values order: (reduced index, data,
     # gain) of each transmission, (reduced index, cycles, kappa) of each
-    # compute duration.  An unloaded column and the free tau0 carry no
-    # energy, and the terms are nonnegative, so leaving their zeros out of
-    # the sum changes no bit of model.energy.
+    # compute duration.  An unloaded column carries no energy, and the
+    # terms are nonnegative, so leaving its zeros out of the sum changes no
+    # bit of model.energy.
     ch, co = scenario.channel, scenario.compute
     coefficients = (
         ch.gain_md_relay, ch.gain_relay_bs, ch.gain_relay_bs, co.kappa_md, co.kappa_relay,
         co.kappa_relay,
     )
-    loaded = [(k, i) for k, i in enumerate(active) if i < 6 and loads[i] > 0.0]
+    loaded = [(k, i) for k, i in enumerate(active) if loads[i] > 0.0]
     sends = [(k, loads[i], coefficients[i]) for k, i in loaded if i < 3]
     works = [(k, loads[i], coefficients[i]) for k, i in loaded if i >= 3]
     transmit_term, compute_term = model._transmit_term, model._compute_term
@@ -1067,8 +1042,7 @@ def solve_scheme(
     # a step's rounding can leave a duration an ulp below its zero bound
     x = [0.0] * 6
     for k, i in enumerate(active):
-        if i < 6:
-            x[i] = max(result.point[k], 0.0)
+        x[i] = max(result.point[k], 0.0)
     prices = tuple(map(float, result.row_multipliers))
     psi = lam = eta1 = eta2 = math.nan
     if scheme is SchemeId.S1:
@@ -1195,11 +1169,7 @@ def _split_floors(
     return floors
 
 
-def solve_case2(
-    scenario: Scenario,
-    *,
-    warm_start: Case2Solution | None = None,
-) -> Case2Solution:
+def solve_case2(scenario: Scenario) -> Case2Solution:
     """Traversal over schemes and split indices in ascending floor order.
 
     The winner is defined by the exhaustive traversal: schemes in the
@@ -1244,9 +1214,6 @@ def solve_case2(
     E / (1 - TIE_REL), so they end on the same pair.  One tie band of
     margin would not do: a skipped pair a little over one band above E
     can, as the incumbent, keep a later near-tie pair from taking over.
-
-    ``warm_start`` seeds the numeric solver at the matching combination,
-    useful when re-solving a perturbed scenario.
     """
     if scenario.relay_chain is None:
         raise model.ScenarioError("solve_case2 requires a relay task chain")
@@ -1287,10 +1254,8 @@ def solve_case2(
             continue
         scheme = schemes[k]
         indices, room = rooms[i]
-        matched = warm_start is not None and warm_start.scheme is scheme
-        warm = warm_start.lower if matched and warm_start.indices == indices else None
         try:
-            lower = solve_scheme(scheme, indices, scenario, warm_start=warm, room=room)
+            lower = solve_scheme(scheme, indices, scenario, room=room)
         except Infeasible:
             continue
         if not math.isfinite(lower.energy):

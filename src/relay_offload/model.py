@@ -538,8 +538,8 @@ def fill_device_block(
     """The price lam at which the device block fills ``budget`` and its
     :func:`device_durations` there, whose total is at most the budget and,
     unless rounding leaves the bracket's low end within it, within
-    ``bisect_decreasing``'s default 1e-9 of it; None when no durations of
-    finite energy fit.
+    ``_search._REL_TOL`` (1e-9) of it; None when no durations of finite
+    energy fit.
 
     Take the floors F (cycles / f_cap on a loaded compute duration when
     ``capped``, else 0), the room r = budget - sum(F) and the k loaded

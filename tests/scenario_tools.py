@@ -1,5 +1,6 @@
-"""Random scenario factories, a model quantity and the lower levels' KKT
-residuals, shared across the test modules.
+"""Random scenario factories, a model quantity, the lower levels' KKT
+residuals and a reference run of the case-2 engine, shared across the
+test modules.
 
 Scales are chosen so that the optimum mixes transmission against CPU
 energy: channel energy per task in the 1e-5..1e-2 J range, CPU energy at
@@ -9,7 +10,7 @@ deadline-driven frequencies in a comparable band.
 from __future__ import annotations
 
 import copy
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -99,15 +100,90 @@ def relay_idle_residuals(
 def relay_busy_residuals(
     scheme: SchemeId, indices: Case2Indices, solution: Case2LowerSolution, scenario: Scenario
 ) -> dict[str, float]:
-    """:func:`kkt_residuals` of a ``solve_scheme`` solution with tau0
-    pinned: its durations, floored at zero, on ``case2._engine_rows``' six
-    duration columns, priced by ``solution.prices``."""
+    """:func:`kkt_residuals` of a ``solve_scheme`` solution: its
+    durations, floored at zero, on ``case2._engine_rows``, priced by
+    ``solution.prices``."""
     room = case2._Room(indices, scenario, None)
     rows, bounds = case2._engine_rows(scheme, room)
     s = solution
     durations = (s.tau1, s.tau2, s.tau3, s.t1, s.t2, s.t3)
-    rows = [row[:6] for row in rows]
     return kkt_residuals(room.sums, scenario, durations, rows, bounds, s.prices, [0.0] * 6)
+
+
+def six_term_callbacks(
+    sums: SplitSums, scenario: Scenario, columns: Sequence[int]
+) -> tuple[Callable, Callable, Callable]:
+    """Engine callbacks the six-term way: embed the point's ``columns``
+    into the six durations, then call :func:`model.energy`,
+    :func:`model.energy_slopes` and the model's curvature kernels; a
+    column past the six (S2's t_c, S3's tau0) reads 0."""
+
+    def embed(reduced):
+        full = [0.0] * 6
+        for k, i in enumerate(columns):
+            if i < 6:
+                full[i] = reduced[k]
+        return full
+
+    def on_columns(values):
+        return [values[i] if i < 6 else 0.0 for i in columns]
+
+    return (
+        lambda x: model.energy(sums, scenario, *embed(x)),
+        lambda x: on_columns(model.energy_slopes(sums, scenario, *embed(x))),
+        lambda x: on_columns(
+            model._term_values(
+                sums, scenario, *embed(x), model._transmit_curvature, model._compute_curvature
+            )
+        ),
+    )
+
+
+def with_tau0(rows: Sequence[Sequence[float]]) -> list[list[float]]:
+    """Scheme 3's ``case2._rows`` with its relay-own transmission gap tau0
+    as a seventh column.  The gap only delays the relay's own upload, so
+    it sits in the own block's window row (the third) alone."""
+    return [list(row) + [float(i == 2)] for i, row in enumerate(rows)]
+
+
+def full_rows_optimum(
+    scheme: SchemeId,
+    indices: Case2Indices,
+    scenario: Scenario,
+    start: Sequence[float],
+    tau0: bool = False,
+) -> float:
+    """The energy ``case2.active_set_newton`` reaches from ``start`` on the
+    scheme's whole ``case2._rows`` program, the columns the starts are
+    placed in: S2 with its epigraph column t_c, with ``tau0`` S3 with its
+    relay-own gap tau0 free (:func:`with_tau0`), and only the zero-data
+    transmissions left out.  The run must converge."""
+    room = case2._Room(indices, scenario, None)
+    sums = room.sums
+    loads = (sums.d1, sums.d2, sums.d3, sums.ls, sums.rs, sums.lr)
+    rows, bounds = case2._rows(scheme, room)
+    if tau0:
+        rows = with_tau0(rows)
+    placed = [i for i in range(len(rows[0])) if i >= 3 or loads[i] > 0.0]
+    rows = [[row[i] for i in placed] for row in rows]
+    lo = [1e-12 * room.horizon if 3 <= i < 6 and loads[i] > 0.0 else 0.0 for i in placed]
+    energy_of, slopes_of, curvatures_of = six_term_callbacks(sums, scenario, placed)
+    result = case2.active_set_newton(energy_of, slopes_of, curvatures_of, rows, bounds, lo, start)
+    assert result.converged
+    return energy_of([max(v, 0.0) for v in result.point])
+
+
+def free_tau0_energy(
+    indices: Case2Indices, scenario: Scenario, pinned: Case2LowerSolution
+) -> float:
+    """:func:`full_rows_optimum` of Scheme 3 with tau0 free, from the
+    ``solve_scheme`` solution ``pinned`` with tau0 = 0."""
+    sums = model.split_sums(scenario, indices.n1, indices.n2, indices.m1)
+    p = pinned
+    durations = (p.tau1, p.tau2, p.tau3, p.t1, p.t2, p.t3, 0.0)
+    sent = (sums.d1 > 0.0, sums.d2 > 0.0, sums.d3 > 0.0)
+    start = [v for i, v in enumerate(durations) if i >= 3 or sent[i]]
+    return full_rows_optimum(SchemeId.S3, indices, scenario, start, tau0=True)
 
 
 def random_device_chain(rng: np.random.Generator, n_tasks: int) -> TaskChain:

@@ -38,9 +38,13 @@ from relay_offload.timeline import build_timeline, verify
 
 from scenario_tools import (
     exit_only_relay_scenario,
+    free_tau0_energy,
+    full_rows_optimum,
     random_case2_scenario,
     relay_busy_residuals,
     rescale_time,
+    six_term_callbacks,
+    with_tau0,
 )
 
 
@@ -281,15 +285,8 @@ class TestNumericSchemes:
                 pinned = solve_scheme(SchemeId.S3, indices, scenario)
             except Infeasible:
                 continue
-            freed = solve_scheme(
-                SchemeId.S3,
-                indices,
-                scenario,
-                free_tau0=True,
-                warm_start=pinned,
-                warm_only=True,
-            )
-            assert freed.energy >= pinned.energy * (1 - 1e-6)
+            freed = free_tau0_energy(indices, scenario, pinned)
+            assert freed >= pinned.energy * (1 - 1e-6)
             checked += 1
 
 
@@ -386,12 +383,6 @@ class TestSolveCase2:
         )
         with pytest.raises(Infeasible, match="globally infeasible"):
             solve_case2(scenario)
-
-    def test_warm_start_keeps_quality(self):
-        scenario = basic_scenario()
-        cold = solve_case2(scenario)
-        warm = solve_case2(scenario, warm_start=cold)
-        assert warm.lower.energy <= cold.lower.energy * (1 + 1e-9)
 
     def test_deadline_ordering_enforced(self):
         from relay_offload.model import ScenarioError
@@ -797,7 +788,7 @@ class TestSplitFloor:
         ]
         energies, floors = {}, {}
 
-        def fake_solve(scheme, indices, scenario, *, warm_start=None, room=None):
+        def fake_solve(scheme, indices, scenario, *, room=None):
             energy = energies[scheme, indices]
             if energy is None:
                 raise Infeasible("synthetic", ("synthetic",))
@@ -965,9 +956,7 @@ class TestRoom:
                     caps = np.array(case2._caps(scheme, room, slack))
                     optimum = [lower.tau1, lower.tau2, lower.tau3, lower.t1, lower.t2, lower.t3]
                     points = [np.array(optimum)]
-                    # S3 with its tau0 pinned at zero
                     rows, bounds = map(np.asarray, case2._rows(scheme, room))
-                    rows = rows[:, : 7 if scheme is SchemeId.S2 else 6]
                     n = rows.shape[1]
                     project = case2._PolytopeProjector(
                         np.zeros(n), rows, bounds, tol=1e-13, max_sweeps=400
@@ -1088,8 +1077,11 @@ class TestDescentGradients:
             lambda: solve_scheme(SchemeId.S2, Case2Indices(1, 1, 1), _relay_busy(10.0)),
             lambda: solve_scheme(SchemeId.S2, Case2Indices(1, 2, 1), _relay_busy()),
             lambda: solve_scheme(SchemeId.S3, Case2Indices(1, 1, 1), _relay_busy()),
-            lambda: solve_scheme(
-                SchemeId.S3, Case2Indices(1, 2, 2), _relay_busy(), free_tau0=True
+            # S3's whole program with tau0 free, from its pinned optimum
+            lambda: free_tau0_energy(
+                Case2Indices(1, 2, 2),
+                _relay_busy(),
+                solve_scheme(SchemeId.S3, Case2Indices(1, 2, 2), _relay_busy()),
             ),
             # degenerate Scheme 1 (no relay upload), with the device's
             # offloaded load in tau2, in tau1 and in T2 alone
@@ -1314,7 +1306,7 @@ class TestActiveSetNewton:
 # faces of the schemes' programs on relay_busy.json at (1, 1, 1): scheme,
 # free columns, working rows, and columns without load (no curvature and no
 # slope).  Columns: tau1, tau2, tau3, T1, T2, T3, then S2's epigraph t_c or
-# S3's free tau0.
+# S3's free tau0 (scenario_tools.with_tau0).
 _FACES = {
     "S1-unconstrained": ("S1", range(6), [], ()),
     "S1-device": ("S1", range(6), [2], ()),
@@ -1332,12 +1324,9 @@ _FACES = {
 
 
 def _face_rows(scheme):
-    free_tau0 = scheme == "S3+tau0"
-    scheme = SchemeId(scheme[:2])
-    n_vars = 7 if scheme is SchemeId.S2 or free_tau0 else 6
     room = case2._Room(Case2Indices(1, 1, 1), _relay_busy(), None)
-    rows, _ = case2._rows(scheme, room)
-    return np.asarray(rows)[:, :n_vars]
+    rows, _ = case2._rows(SchemeId(scheme[:2]), room)
+    return np.asarray(with_tau0(rows) if scheme == "S3+tau0" else rows)
 
 
 def _bordered_kkt(curvatures, rows, slopes):
@@ -1554,51 +1543,6 @@ def _loads(sums):
     return (sums.d1, sums.d2, sums.d3, sums.ls, sums.rs, sums.lr)
 
 
-def _six_term_callbacks(sums, scenario, active):
-    """Engine callbacks the six-term way: embed the point's ``active``
-    columns into the six durations, then call :func:`model.energy`,
-    :func:`model.energy_slopes` and the model's curvature kernels; a
-    column past the six (S2's t_c, S3's free tau0) reads 0."""
-
-    def embed(reduced):
-        full = [0.0] * 6
-        for k, i in enumerate(active):
-            if i < 6:
-                full[i] = reduced[k]
-        return full
-
-    def on_active(values):
-        return [values[i] if i < 6 else 0.0 for i in active]
-
-    return (
-        lambda x: energy(sums, scenario, *embed(x)),
-        lambda x: on_active(model.energy_slopes(sums, scenario, *embed(x))),
-        lambda x: on_active(
-            model._term_values(
-                sums, scenario, *embed(x), model._transmit_curvature, model._compute_curvature
-            )
-        ),
-    )
-
-
-def _full_rows_optimum(scheme, indices, scenario, start):
-    """The energy the engine reaches from ``start`` on the scheme's whole
-    :func:`case2._rows` program: S2 with its epigraph column t_c, and only
-    the zero-data transmissions left out, the columns the starts are
-    placed in."""
-    room = case2._Room(indices, scenario, None)
-    sums, loads = room.sums, _loads(room.sums)
-    n_vars = 7 if scheme is SchemeId.S2 else 6
-    placed = [i for i in range(n_vars) if i >= 3 or loads[i] > 0.0]
-    rows, bounds = case2._rows(scheme, room)
-    rows = [[row[i] for i in placed] for row in rows]
-    lo = [1e-12 * room.horizon if 3 <= i < 6 and loads[i] > 0.0 else 0.0 for i in placed]
-    energy_of, slopes_of, curvatures_of = _six_term_callbacks(sums, scenario, placed)
-    result = case2.active_set_newton(energy_of, slopes_of, curvatures_of, rows, bounds, lo, start)
-    assert result.converged
-    return energy_of([max(v, 0.0) for v in result.point])
-
-
 class TestEngineProgram:
     """The engine solves S2 without its epigraph column, and with each
     unloaded duration that only uses up budget pinned at zero."""
@@ -1702,7 +1646,7 @@ class TestEngineProgram:
                     lower = solve_scheme(scheme, indices, scenario)
                 except Infeasible:
                     continue
-                reference = _full_rows_optimum(scheme, indices, scenario, placed[-1])
+                reference = full_rows_optimum(scheme, indices, scenario, placed[-1])
                 assert lower.energy == pytest.approx(reference, rel=1e-13, abs=0.0), (
                     scheme,
                     indices,
@@ -1743,54 +1687,50 @@ class TestEngineCallbacks:
         for n_tasks, m_tasks in [(1, 1), (2, 1), (1, 2), (2, 2)]:
             instances += [_random_busy(seed, n_tasks, m_tasks) for seed in range(3)]
         instances.append(_zero_data_device(_relay_busy()))
-        points = free = unloaded = 0
+        points = unloaded = 0
         for scenario in instances:
             for scheme, indices in _every_pair(scenario):
                 room = case2._Room(indices, scenario, None)
                 loads = _loads(room.sums)
                 table, _ = case2._engine_rows(scheme, room)
-                for free_tau0 in (False, True) if scheme is SchemeId.S3 else (False,):
 
-                    def solve():
-                        try:
-                            solve_scheme(scheme, indices, scenario, free_tau0=free_tau0)
-                        except Infeasible:
-                            pass
+                def solve():
+                    try:
+                        solve_scheme(scheme, indices, scenario)
+                    except Infeasible:
+                        pass
 
-                    with monkeypatch.context() as patch:
-                        runs = _engine_calls(patch, solve)
-                    active = [
-                        i for i in range(6) if loads[i] > 0.0 or i not in _PINNABLE[scheme]
-                    ] + [6] * free_tau0
-                    reference = _six_term_callbacks(room.sums, scenario, active)
-                    for run in runs:
-                        energy_of, slopes_of, curvatures_of, rows, bounds, lo, start, result = run
-                        assert rows == [[row[i] for i in active] for row in table]
-                        # replay the run, recording every point the engine evaluates
-                        seen = []
+                with monkeypatch.context() as patch:
+                    runs = _engine_calls(patch, solve)
+                active = [i for i in range(6) if loads[i] > 0.0 or i not in _PINNABLE[scheme]]
+                reference = six_term_callbacks(room.sums, scenario, active)
+                for run in runs:
+                    energy_of, slopes_of, curvatures_of, rows, bounds, lo, start, result = run
+                    assert rows == [[row[i] for i in active] for row in table]
+                    # replay the run, recording every point the engine evaluates
+                    seen = []
 
-                        def recorded(callback):
-                            def call(x):
-                                seen.append(list(x))
-                                return callback(x)
+                    def recorded(callback):
+                        def call(x):
+                            seen.append(list(x))
+                            return callback(x)
 
-                            return call
+                        return call
 
-                        replay = case2.active_set_newton(
-                            recorded(energy_of), recorded(slopes_of), recorded(curvatures_of),
-                            rows, bounds, lo, start,
-                        )
-                        assert replay == result
-                        for x in seen:
-                            assert _same(energy_of(x), reference[0](x)), (scheme, indices, x)
-                            for new, old in zip(slopes_of(x), reference[1](x), strict=True):
-                                assert _same(new, old), (scheme, indices, x)
-                            for new, old in zip(curvatures_of(x), reference[2](x), strict=True):
-                                assert _same(new, old), (scheme, indices, x)
-                        points += len(seen)
-                        free += free_tau0
-                        unloaded += any(i < 6 and loads[i] == 0.0 for i in active)
-        assert points > 20000 and free > 100 and unloaded > 300, (points, free, unloaded)
+                    replay = case2.active_set_newton(
+                        recorded(energy_of), recorded(slopes_of), recorded(curvatures_of),
+                        rows, bounds, lo, start,
+                    )
+                    assert replay == result
+                    for x in seen:
+                        assert _same(energy_of(x), reference[0](x)), (scheme, indices, x)
+                        for new, old in zip(slopes_of(x), reference[1](x), strict=True):
+                            assert _same(new, old), (scheme, indices, x)
+                        for new, old in zip(curvatures_of(x), reference[2](x), strict=True):
+                            assert _same(new, old), (scheme, indices, x)
+                    points += len(seen)
+                    unloaded += any(loads[i] == 0.0 for i in active)
+        assert points > 20000 and unloaded > 300, (points, unloaded)
 
 
 class TestPolytopeProjector:
@@ -1835,12 +1775,11 @@ class TestPolytopeProjector:
         instances.append(("zero-data", _zero_data_device(_relay_busy())))
         for name, scenario in instances:
             for scheme, indices in _every_pair(scenario):
-                for free_tau0 in (False, True) if scheme is SchemeId.S3 else (False,):
-                    label = (name, scheme, indices, free_tau0)
-                    try:
-                        solve_scheme(scheme, indices, scenario, free_tau0=free_tau0)
-                    except Infeasible:
-                        pass
+                label = (name, scheme, indices)
+                try:
+                    solve_scheme(scheme, indices, scenario)
+                except Infeasible:
+                    pass
         monkeypatch.undo()
 
         rng = np.random.default_rng(97)
@@ -1863,7 +1802,7 @@ class TestPolytopeProjector:
         assert compared > 1500 and widths == {3, 4, 5, 6, 7}, (compared, widths)
         # relay_busy.json at t_r_th x1000: the S3 pair solve_case2 solves,
         # whose cold starts take the most sweeps
-        assert sweeps["busy-x1000", SchemeId.S3, Case2Indices(1, 1, 1), False] >= 65
+        assert sweeps["busy-x1000", SchemeId.S3, Case2Indices(1, 1, 1)] >= 65
 
     @pytest.mark.parametrize(
         "start",

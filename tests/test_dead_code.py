@@ -16,6 +16,11 @@ Each public name, one in ``__all__``, needs one more reference: outside
 ``__init__.py`` and its own definition, in package code or in a script
 under ``tools/`` or ``perfbench/`` (tests apart), so a name that only
 tests call fails even though ``__init__`` imports it.
+
+Each keyword-only parameter of a package function, an option, must be
+passed by keyword in some call to that function, by bare or attribute
+name, in package code or in one of those scripts; an option only tests
+set fails unless it is kept below with its reason.
 """
 
 import ast
@@ -176,6 +181,35 @@ def unused_public_names(package: Path = PACKAGE, scripts: tuple = SCRIPTS) -> li
     ]
 
 
+# the options only tests set, each kept on purpose
+KEPT_TEST_OPTIONS = {
+    # the exhaustive traversal that acceptance criterion 5 compares the pruned one against
+    "solve_case1.prune",
+    # the size of the grid oracles' reference grid
+    "case1_lower_reference.points",
+    "case1_lower_reference.rounds",
+    "case2_lower_reference.points",
+    "case2_lower_reference.rounds",
+}
+
+
+def unset_options(package: Path = PACKAGE, scripts: tuple = SCRIPTS) -> list[str]:
+    """``function.parameter`` of each keyword-only parameter of a function
+    in ``package`` that no call to that function, by bare or attribute
+    name, passes by keyword in ``package`` or ``scripts``.  Calls are
+    matched in the syntax tree, so a mention in a docstring is no use."""
+    options, passed = [], set()
+    for path in [*sorted(package.glob("*.py")), *scripts]:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and path.parent == package:
+                options += [f"{node.name}.{arg.arg}" for arg in node.args.kwonlyargs]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                passed.update(f"{callee}.{kw.arg}" for kw in node.keywords if kw.arg)
+    return sorted(option for option in options if option not in passed)
+
+
 def test_every_private_definition_is_used_by_the_package():
     assert unreferenced_definitions() == []
 
@@ -240,3 +274,36 @@ def test_the_public_scan_sees_script_references(tmp_path):
     # module b, wrapped through its import; dead calls only itself, and a
     # same-named definition in a script is no use of b.spare
     assert unused_public_names(package, (tmp_path / "tool.py",)) == ["dead", "spare"]
+
+
+def test_every_option_is_set_outside_the_tests():
+    assert unset_options() == sorted(KEPT_TEST_OPTIONS)
+
+
+def test_the_option_scan_sees_keyword_calls(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(
+        "def solve(x, *, room=None, warm=None, spare=0):\n"
+        '    """Call ``solve(x, spare=1)`` to ..."""\n'
+        "    return run(x, deep=True)\n"
+        "def run(x, deep=False, *, fast=False):\n    pass\n"
+        "def walk(*, steps=1, **rest):\n    pass\n"
+        "class Plan:\n    def split(self, *, depth=0):\n        pass\n",
+        encoding="utf-8",
+    )
+    (package / "b.py").write_text(
+        "from . import a\n"
+        "def go(plan):\n"
+        "    return a.solve(1, room=2), a.walk(**{'steps': 2}), plan.split(depth=1)\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "tool.py").write_text(
+        "import pkg.a\nfrom pkg.a import run\npkg.a.solve(0, warm=1)\nrun(0, fast=True)\n",
+        encoding="utf-8",
+    )
+    # room and a method's depth are set in the package, warm and fast by a
+    # script, through attribute and bare names; spare appears only in a
+    # docstring, deep is no keyword-only parameter, and steps is passed
+    # only through **
+    assert unset_options(package, (tmp_path / "tool.py",)) == ["solve.spare", "walk.steps"]

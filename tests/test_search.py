@@ -1,7 +1,7 @@
 """Contract of the dual-multiplier search in ``relay_offload._search``.
 
 ``bisect_decreasing`` must return a feasible-side point (fn(x) <= target)
-within rel_tol*|target| of the target, evaluate fn only inside the
+within ``_REL_TOL``*|target| of the target, evaluate fn only inside the
 bracket, and hand back ``hi`` when it gets no iterations.  The test
 functions mimic what the solvers search: power laws, the case-1
 completion time, case 2's max()-kinked device time, a flat stretch, an
@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from relay_offload import ChannelParams
+from relay_offload import ChannelParams, _search
 from relay_offload._search import bisect_decreasing
 from relay_offload.case1 import freq_from_lambda
 from relay_offload.model import tau_from_lambda
@@ -39,14 +39,14 @@ def completion_time(lam: float) -> float:
     )
 
 
-def geometric_bisection(fn, target, lo, hi, rel_tol=REL_TOL, max_iter=200):
+def geometric_bisection(fn, target, lo, hi):
     """Plain geometric bisection with the same acceptance rule, as a baseline."""
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = math.sqrt(lo * hi)
         value = fn(mid)
         if value > target:
             lo = mid
-        elif target - value <= rel_tol * abs(target):
+        elif target - value <= REL_TOL * abs(target):
             return mid
         else:
             hi = mid
@@ -89,7 +89,7 @@ def run_search(case: Case, **kwargs) -> tuple[float, list[float]]:
         points.append(x)
         return case.fn(x)
 
-    x = bisect_decreasing(recorded, case.target, case.lo, case.hi, rel_tol=REL_TOL, **kwargs)
+    x = bisect_decreasing(recorded, case.target, case.lo, case.hi, **kwargs)
     return x, points
 
 
@@ -118,15 +118,16 @@ class TestContract:
         assert case.target - value <= REL_TOL * abs(case.target)
         assert all(case.lo < x < case.hi for x in points)
 
-    def test_no_iterations_returns_hi(self, case):
-        x, points = run_search(case, max_iter=0)
+    def test_no_iterations_returns_hi(self, case, monkeypatch):
+        monkeypatch.setattr(_search, "_MAX_ITER", 0)
+        x, points = run_search(case)
         assert x == case.hi
         assert points == []
 
 
 def test_zero_target_returns_feasible_side():
     # no relative band around 0: the search runs until the bracket collapses
-    x = bisect_decreasing(lambda x: -math.log(x), 0.0, 1e-3, 1e4, rel_tol=REL_TOL)
+    x = bisect_decreasing(lambda x: -math.log(x), 0.0, 1e-3, 1e4)
     assert -math.log(x) <= 0.0
     assert x == pytest.approx(1.0, rel=1e-12)
 
@@ -135,7 +136,7 @@ def test_midpoint_of_ends_whose_product_overflows():
     # 1e200 * 1e300 is past the largest float; the root is e^500 ~ 1.4e217
     for ends in ({}, {"fn_lo": 1.0 / math.log(1e200), "fn_hi": 1.0 / math.log(1e300)}):
         x = bisect_decreasing(
-            lambda x: 1.0 / math.log(x), 1.0 / 500.0, 1e200, 1e300, rel_tol=REL_TOL, **ends
+            lambda x: 1.0 / math.log(x), 1.0 / 500.0, 1e200, 1e300, **ends
         )
         assert 1e200 < x < 1e300
         assert 1.0 / 500.0 * (1.0 - REL_TOL) <= 1.0 / math.log(x) <= 1.0 / 500.0
@@ -147,7 +148,7 @@ def test_an_end_whose_log_gap_is_not_a_float():
     def fn(x):
         return x**-20.0
 
-    x = bisect_decreasing(fn, 1.0, 0.5, 10.0, rel_tol=REL_TOL, fn_lo=fn(0.5), fn_hi=fn(10.0))
+    x = bisect_decreasing(fn, 1.0, 0.5, 10.0, fn_lo=fn(0.5), fn_hi=fn(10.0))
     assert 1.0 - REL_TOL <= fn(x) <= 1.0
 
 
@@ -158,7 +159,7 @@ def test_a_secant_past_the_largest_float():
     def fn(x):
         return 1.0 + 1e-13 if x < 1.0 else 1.0
 
-    x = bisect_decreasing(fn, 1.0, 1e-20, 1e20, rel_tol=REL_TOL, fn_lo=fn(1e-20), fn_hi=fn(1e20))
+    x = bisect_decreasing(fn, 1.0, 1e-20, 1e20, fn_lo=fn(1e-20), fn_hi=fn(1e20))
     assert fn(x) == 1.0
 
 
@@ -166,7 +167,7 @@ def test_a_bracket_whose_ends_share_a_log_gap():
     # both ends already within the target, as a caller passed them on
     # extreme input (relay_idle.json at B = 2.2e-308): the chord divided by
     # the ends' equal log gaps and raised ZeroDivisionError
-    x = bisect_decreasing(lambda x: 0.5, 0.625, 1.0, 2.0, rel_tol=REL_TOL, fn_lo=0.5, fn_hi=0.5)
+    x = bisect_decreasing(lambda x: 0.5, 0.625, 1.0, 2.0, fn_lo=0.5, fn_hi=0.5)
     assert 1.0 <= x <= 2.0
 
 
@@ -204,7 +205,7 @@ def test_lands_deeper_than_bisection():
     ours, bisected = [], []
     for target in map(float, targets):
         band = REL_TOL * target
-        x = bisect_decreasing(completion_time, target, lo, hi, rel_tol=REL_TOL)
+        x = bisect_decreasing(completion_time, target, lo, hi)
         ours.append((target - completion_time(x)) / band)
         x = geometric_bisection(completion_time, target, lo, hi)
         bisected.append((target - completion_time(x)) / band)
